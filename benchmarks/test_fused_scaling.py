@@ -1,20 +1,17 @@
-"""Fused gate-segment scaling: the tail as a handful of contractions.
+"""Waiver scaling: packed and float32 segments against the default engine.
 
-Batched evaluation (PR 2) already stacks every fault branch into one
-array, but it still walks the tail gate by gate — each primitive op is a
-separate einsum over the whole batch, and on the density-matrix backend
-each noisy gate additionally re-derives its Kraus superoperator per
-call. Segment fusion precompiles the tail once per circuit: the default
-(unpacked) compile hoists all matrix construction out of the campaign
-loop while keeping records bit-identical to the unfused executors; the
-``bit_identical=False`` waiver packs adjacent gates into one matrix per
-segment; and the opt-in float32 fast path runs those packed segments in
-single precision.
+The engine runs every branch batch's tail as a compiled segment plan.
+The default plan is unpacked — one segment per primitive operation, so
+records stay bit-identical to the naive per-injection sweep — and each
+primitive op is still a separate contraction over the whole batch. The
+``bit_identical=False`` waiver packs adjacent operations into one matrix
+per segment, and the opt-in float32 fast path runs those packed segments
+in single precision.
 
 This bench pins the acceptance number on the deep-tail workload — the
 QFT(6) density-matrix campaign under the full 15-degree,
 312-configuration grid — requiring >= 2x from the fast path over the
-exact unfused ``BatchedExecutor``, with a softer regression pin on the
+default (exact, unpacked) engine, with a softer regression pin on the
 exact packed compile, and archives the measured timings as
 ``fused_timings.json`` (uploaded by the bench-smoke CI job, kept out of
 git like the other timing artifacts).
@@ -26,7 +23,7 @@ import time
 import numpy as np
 
 from repro.algorithms import qft
-from repro.faults import BatchedExecutor, QuFI, fault_grid
+from repro.faults import BatchedExecutor, QuFI, SerialExecutor, fault_grid
 from repro.scenarios.factory import light_noise_model
 from repro.simulators import DensityMatrixSimulator
 
@@ -82,12 +79,12 @@ class TestFusedSpeedup:
                 BatchedExecutor(), spec, faults
             )
             packed, t_packed = timed_campaign(
-                BatchedExecutor(fused=True, segment_options={"pack": True}),
+                BatchedExecutor(segment_options={"pack": True}),
                 spec,
                 faults,
             )
             fast, t_fast = timed_campaign(
-                BatchedExecutor(fused=True, precision="float32"),
+                BatchedExecutor(precision="float32"),
                 spec,
                 faults,
             )
@@ -95,14 +92,14 @@ class TestFusedSpeedup:
             best["packed"] = max(best["packed"], t_base / t_packed)
             best["float32"] = max(best["float32"], t_base / t_fast)
             outputs["seconds"] = {
-                "unfused_batched": t_base,
+                "default_engine": t_base,
                 "fused_packed_exact": t_packed,
                 "fused_packed_float32": t_fast,
             }
             print(
                 f"\nfused sweep, {spec.name}(6) DM, full grid: "
                 f"{len(baseline.records)} injections, "
-                f"unfused {t_base:.2f}s vs packed {t_packed:.2f}s "
+                f"default {t_base:.2f}s vs packed {t_packed:.2f}s "
                 f"({t_base / t_packed:.2f}x) vs float32 {t_fast:.2f}s "
                 f"({t_base / t_fast:.2f}x)"
             )
@@ -121,7 +118,7 @@ class TestFusedSpeedup:
 
         baseline = outputs["baseline"]
         # The packed compile is exact arithmetic in a different
-        # association order: numerically tight against the unfused run.
+        # association order: numerically tight against the default run.
         np.testing.assert_allclose(
             outputs["packed"].qvf_values(),
             baseline.qvf_values(),
@@ -155,15 +152,14 @@ class TestFusedSpeedup:
         assert best["packed"] >= PACKED_PIN
 
     def test_default_fused_stays_bit_identical(self):
-        """The default (unpacked) fused compile trades less speed for a
-        hard guarantee; the equivalence harness sweeps this exhaustively
-        at width 3 — this is the paper-scale spot check."""
+        """The default (unpacked) plans trade less speed for a hard
+        guarantee: records bit-identical to the naive reference path.
+        ``tests/faults/test_batched.py`` sweeps this exhaustively at
+        width 3 — this is the paper-scale spot check."""
         spec = qft(NUM_QUBITS)
         faults = fault_grid(step_deg=90)
-        baseline, _ = timed_campaign(BatchedExecutor(), spec, faults)
-        fused, _ = timed_campaign(
-            BatchedExecutor(fused=True), spec, faults
+        naive, _ = timed_campaign(
+            SerialExecutor(prefix_reuse=False), spec, faults
         )
-        assert (
-            fused.table.data.tobytes() == baseline.table.data.tobytes()
-        )
+        engine, _ = timed_campaign(BatchedExecutor(), spec, faults)
+        assert engine.table.data.tobytes() == naive.table.data.tobytes()

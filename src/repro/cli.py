@@ -8,8 +8,8 @@ Examples::
         --noise light --output bv4.json
     python -m repro campaign --algorithm qft --width 5 --workers 4 \\
         --checkpoint qft5.ckpt.json --output qft5.json
-    python -m repro campaign --algorithm ghz --width 8 --batched \\
-        --noise none --output ghz8.json
+    python -m repro campaign --algorithm ghz --width 8 --noise none \\
+        --memory-budget 512MB --output ghz8.json
     python -m repro campaign --algorithm qft --width 4 --noise light \\
         --transpile-to jakarta --output qft4_jakarta.json
     python -m repro suite run examples/paper_suite.json --manifest paper.out
@@ -31,9 +31,11 @@ Examples::
 :class:`~repro.scenarios.spec.ScenarioSpec` and the shared factory
 (:mod:`repro.scenarios.factory`) constructs the backend, executor and
 fault grid — the same construction path suites, benchmarks and examples
-use. ``suite`` runs a whole spec file as one resumable job — ``--jobs``
-shards independent campaigns over a process pool and ``--cache-dir``
-(or ``REPRO_CACHE``) reuses completed campaigns across suites;
+use; ``--workers`` picks the in-process campaign engine (1) or the
+process pool around it (N>1). ``suite`` runs a whole spec file as one
+resumable job — ``--jobs`` shards independent campaigns over a process
+pool and ``--cache-dir`` (or ``REPRO_CACHE``) reuses completed
+campaigns across suites;
 ``cache`` inspects and maintains such a result cache; ``query``
 reads *across* finished manifests out-of-core (per-qubit comparisons,
 delta heatmaps, flat-table exports with an npz fallback when pyarrow
@@ -132,28 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "parallel worker processes; 1 runs the serial prefix-reuse "
-            "executor, N>1 fans the sweep out over N processes"
-        ),
-    )
-    campaign.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "vectorize the fault branches of each injection point into one "
-            "stacked array (records stay bit-identical to the serial "
-            "executor); ignored when --workers > 1"
-        ),
-    )
-    campaign.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "precompile the gate runs between injection positions into "
-            "fused segment matrices and apply each as one contraction; "
-            "compiled segments are cached and shared across the sweep"
+            "worker processes; 1 runs the in-process engine (batched "
+            "fault branches on the exact simulators), N>1 fans chunks of "
+            "the sweep out to the same engine in N processes"
         ),
     )
     campaign.add_argument(
@@ -610,8 +593,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """The campaign flags as a scenario spec (same defaults as ever)."""
     if args.workers > 1:
         executor, workers = "parallel", args.workers
-    elif args.batched:
-        executor, workers = "batched", None
     else:
         executor, workers = "serial", None
     transpile = None
@@ -662,7 +643,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
         workers=workers,
         machine=machine,
         transpile=transpile,
-        fused=args.fused,
         memory_budget=args.memory_budget,
         trajectories=args.trajectories,
         adaptive=adaptive,

@@ -1,101 +1,86 @@
-"""Campaign execution engine: prefix-state reuse, parallelism, streaming.
+"""Campaign execution: one in-process engine and one pool around it.
 
 The paper's evaluation is a brute-force sweep — every ``(theta, phi)``
 configuration spliced at every injection point, each faulty circuit
 re-simulated from |0...0>. That costs ``O(points x faults x depth)`` gate
 applications even though every fault at the same injection point shares an
-identical circuit prefix. This module is the engine that removes the
-redundancy and scales what remains:
+identical circuit prefix and an identical circuit suffix. This module runs
+the sweep without the redundancy:
 
-* **Prefix-state reuse** — on backends implementing the snapshot protocol
-  (:class:`~repro.simulators.backend.SnapshotBackend`: the statevector and
-  density-matrix simulators), the circuit is simulated once up to each
-  injection position, the state is frozen, and every fault branches from
-  the frozen state through the remaining suffix only. Consecutive
-  positions extend one running prefix, so a full campaign pays for each
-  circuit prefix exactly once: ``O(points x (depth + faults x suffix))``.
-  Branches replay exactly the operation sequence a full re-simulation
-  would, so results are **bit-identical** to the naive sweep.
+* **The engine** (:class:`SerialExecutor`) runs a plan in-process. On
+  backends implementing the batched protocol
+  (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
+  statevector and density-matrix simulators) it goes group → tile →
+  snapshot → branch batch → score: tasks sharing an injection site form a
+  group; the circuit is simulated once up to the site and frozen
+  (consecutive sites extend one running prefix, so a campaign pays for
+  each prefix once); the group's fault branches stack into one ``(B,
+  2**n)`` / ``(B, 2**n, 2**n)`` array, tiled to the memory budget; the
+  shared suffix runs as the backend's compiled segment plan
+  (:mod:`repro.simulators.segments`); and the tile is scored with the
+  vectorized Michelson contrast. Every other backend — trajectory,
+  machine, emulator, the mitigation wrapper — and ``prefix_reuse=False``
+  take the per-task loop, which re-runs each task's full faulty circuit:
+  the naive reference the batched path is bit-identical to.
+  :class:`BatchedExecutor` is the same engine under the ``"batched"``
+  name.
 
-* **Batched branch evaluation** — :class:`BatchedExecutor` goes one step
-  further on backends implementing the batched protocol
-  (:class:`~repro.simulators.backend.BatchedSnapshotBackend`): the fault
-  branches of one injection point stack into a single ``(B, 2**n)`` /
-  ``(B, 2**n, 2**n)`` array, injector rotations and tail gates apply as
-  one contraction per gate across the whole batch, and QVF is scored with
-  the vectorized Michelson contrast — removing the per-branch Python loop
-  that dominates once prefixes are amortised.
+* **The pool** (:class:`ParallelExecutor`) cuts the canonical task list
+  into contiguous chunks and runs each chunk on a copy of the engine in a
+  ``ProcessPoolExecutor`` worker (the workers split the parent's
+  OpenBLAS threads), with a deterministic per-chunk rng. A one-chunk plan, or a pool that cannot
+  spawn, runs the same engine in-process.
 
-* **Pluggable execution strategies** — :class:`SerialExecutor` runs
-  in-process; :class:`ParallelExecutor` fans position-aligned chunks of
-  the work list out to a ``ProcessPoolExecutor`` with deterministic
-  per-chunk seeding. All strategies implement the same two-method contract
-  (:meth:`BaseExecutor.run`), so :class:`~repro.faults.injector.QuFI`,
-  the CLI (``repro campaign --workers N --batched``) and the benchmarks
-  select a strategy without touching campaign logic.
-
-* **Columnar streaming** — executors assemble records as
+* **Columnar streaming** — records travel as
   :class:`~repro.faults.records.RecordTable` column blocks (the ``qvf``
-  column is handed over straight from the vectorized scoring arrays —
-  no per-record dataclass is ever materialised on the hot path) and
-  deliver them through an ``on_batch`` callback as they complete, which
-  is how :class:`~repro.faults.checkpoint.CheckpointedRunner` appends
-  binary checkpoint segments in O(batch) and how progress flows during
-  multi-hour campaigns (at batch/chunk granularity — serial batches
-  every ``batch_size`` records, parallel chunks in submission order).
-  ``run`` returns the concatenated table; blocks behave as read-only
-  sequences of :class:`~repro.faults.records.InjectionRecord` for
-  consumers that still want objects.
+  column is the scoring array itself — no per-record dataclass on the hot
+  path) and reach an ``on_batch`` callback as they complete, which is how
+  :class:`~repro.faults.checkpoint.CheckpointedRunner` appends checkpoint
+  segments in O(batch) and how progress flows during long campaigns (the
+  engine delivers every ``batch_size`` records, the pool every chunk).
+  ``run`` returns the concatenated table.
 
 Determinism contract
 --------------------
 With ``shots=None`` (exact distributions) every strategy produces records
-identical to the legacy per-injection loop. With a finite shot budget,
-:class:`SerialExecutor` consumes the injector's random stream in legacy
-order (bit-identical again), while :class:`ParallelExecutor` derives an
-independent generator per chunk from ``(seed, chunk_index)`` — runs are
-reproducible for a fixed seed and chunk layout, but the stream differs
-from the serial one. Plans with ``per_task_seeding`` (checkpointed
-campaigns) instead derive one generator per task from ``(seed,
-task.index)``, so a killed-and-resumed sampled sweep draws exactly what
-the uninterrupted run would have drawn, on every strategy.
+bit-identical to the naive per-injection loop. With a finite shot budget,
+the engine consumes the injector's random stream branch by branch in task
+order (bit-identical to the naive loop again), while the pool derives an
+independent generator per chunk from ``(seed, chunk_index)`` —
+reproducible for a fixed seed and chunk layout, but a different stream
+from the engine's. Plans with ``per_task_seeding`` (checkpointed
+campaigns) derive one generator per task from ``(seed, task.index)``
+instead, so a killed-and-resumed sampled sweep draws exactly what the
+uninterrupted run would have drawn, on every strategy.
 
 Backends that sample *inside* ``run`` (the trajectory simulator marks
 itself with ``per_run_seeding``) are driven through a per-task seed
 derived from ``(plan.seed, task.index)`` whenever the plan carries a
 seed: each task's noise realizations depend only on the task, never on
-execution order, so seeded trajectory campaigns are bit-identical
-across Serial/Batched/Parallel and across kill/resume boundaries.
+execution order, so seeded trajectory campaigns are bit-identical across
+strategies and across kill/resume boundaries.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..blas import blas_threads, pin_blas_threads
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..simulators.backend import (
     Backend,
     BranchBatch,
     supports_batched_branches,
-    supports_fused_segments,
-    supports_snapshots,
 )
 from ..simulators.sampler import Result
 from ..simulators.segments import SegmentCompiler
@@ -119,25 +104,12 @@ __all__ = [
 
 BatchCallback = Callable[[RecordTable], None]
 
-# Numeric modes an executor can run fused campaigns in. ``"exact"`` keeps
-# complex128 segments and the bit-identity guarantees; ``"float32"``
-# compiles complex64 segments (optionally contracted through opt_einsum)
-# and explicitly waives bit-identity, so it is only legal together with
-# ``fused=True`` and a spec-level waiver.
+# Numeric modes of the engine's segment plans. ``"exact"`` compiles
+# complex128 segments and keeps the bit-identity guarantees; ``"float32"``
+# compiles complex64 segments (contracted through opt_einsum where
+# installed) and waives bit-identity, which the scenario layer only
+# allows behind an explicit spec-level waiver.
 _PRECISIONS = ("exact", "float32")
-
-
-def _check_fusion_config(fused: bool, precision: str) -> None:
-    """Reject inconsistent fusion/precision combinations early."""
-    if precision not in _PRECISIONS:
-        raise ValueError(
-            f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
-    if precision != "exact" and not fused:
-        raise ValueError(
-            "the float32 fast path runs on fused segments; "
-            "precision='float32' requires fused=True"
-        )
 
 
 def _compiler_options(precision: str, segment_options: Optional[dict]) -> dict:
@@ -208,11 +180,12 @@ class CampaignPlan:
     seed: Optional[int] = None
     per_task_seeding: bool = False
     """Sampled-mode rng policy. False (the default) consumes one shared
-    stream in task order — bit-identical to the legacy loop on the serial
-    strategies. True derives an independent generator per task from
-    ``(seed, task.index)``; draws then depend only on the task, not on
-    what ran before it, so checkpointed campaigns resume bit-identically
-    at the price of a stream that differs from the plain serial one."""
+    stream in task order — bit-identical to the legacy loop on the
+    in-process engine. True derives an independent generator per task
+    from ``(seed, task.index)``; draws then depend only on the task, not
+    on what ran before it, so checkpointed campaigns resume
+    bit-identically at the price of a stream that differs from the plain
+    in-process one."""
 
     @property
     def total(self) -> int:
@@ -285,20 +258,6 @@ def _branch_head(task: InjectionTask) -> List[Instruction]:
     return head
 
 
-def _fault_tail(
-    circuit: QuantumCircuit, task: InjectionTask
-) -> List[Instruction]:
-    """The faulty circuit's continuation after ``task.point``'s prefix.
-
-    Injector gate(s) followed by the original suffix — exactly the
-    instruction sequence :func:`build_faulty_circuit` would place after
-    instruction ``point.position``.
-    """
-    tail = _branch_head(task)
-    tail.extend(circuit.instructions[task.point.position + 1 :])
-    return tail
-
-
 # ----------------------------------------------------------------------
 # Scoring (single definition shared by QuFI and every strategy)
 # ----------------------------------------------------------------------
@@ -330,10 +289,10 @@ def score_branch_batch(
     """Vectorized :func:`score_result` over one branch batch.
 
     Exact mode scores the probability rows directly with the vectorized
-    Michelson contrast — bit-identical to scoring each branch's serial
+    Michelson contrast — bit-identical to scoring each branch's own
     ``Result``. A finite shot budget re-samples branch by branch in task
-    order instead, so the random stream is consumed exactly as
-    :class:`SerialExecutor` consumes it.
+    order instead, so the random stream is consumed exactly as the
+    per-task loop consumes it.
     """
     if shots is not None and not batch.metadata.get("sampled"):
         return np.array(
@@ -356,7 +315,7 @@ def score_branch_batch(
 
 
 # ----------------------------------------------------------------------
-# Core task loop
+# Task loops
 # ----------------------------------------------------------------------
 def _task_rng(
     plan: CampaignPlan, task: InjectionTask, rng: np.random.Generator
@@ -432,84 +391,38 @@ def _iter_scored_tasks(
     plan: CampaignPlan,
     tasks: Sequence[InjectionTask],
     rng: np.random.Generator,
-    prefix_reuse: bool,
-    compiler: Optional[SegmentCompiler] = None,
-) -> Iterator[Tuple[InjectionTask, float]]:
-    """Execute ``tasks`` in order, yielding ``(task, qvf)`` per task.
+) -> Iterator[Tuple[List[InjectionTask], List[float]]]:
+    """The per-task loop: every task re-runs its full faulty circuit.
 
-    On snapshot-capable backends with ``prefix_reuse`` the shared prefix of
-    each run of same-position tasks is simulated once and extended
-    incrementally across positions; otherwise every task rebuilds and
-    re-runs its full faulty circuit (the legacy behaviour). With a
-    ``compiler`` (fused mode) each branch passes only its injector head
-    as the tail and the shared suffix runs as the compiler's precompiled
-    segment plan for that position.
+    Yields ``([task], [qvf])`` in task order. This is the path of
+    backends without the batched protocol and the naive reference
+    (``prefix_reuse=False``) the batched path is pinned against.
     """
-    circuit = plan.circuit
-    if prefix_reuse and supports_snapshots(backend):
-        snapshot = None
-        for position, group in itertools.groupby(
-            tasks, key=lambda task: task.point.position
-        ):
-            snapshot = backend.prefix_snapshot(
-                circuit, stop=position + 1, base=snapshot
+    # Backends that sample inside ``run`` (``per_run_seeding`` marker,
+    # e.g. the trajectory simulator) take a per-task seed derived from
+    # ``(plan.seed, task.index)``: their draws then depend only on the
+    # task, so seeded campaigns are identical across strategies and
+    # across kill/resume boundaries. Without a plan seed the backend's
+    # own stream applies (legacy order-dependent behaviour).
+    per_run = (
+        getattr(backend, "per_run_seeding", False) and plan.seed is not None
+    )
+    for task in tasks:
+        circuit = _task_circuit(plan.circuit, task)
+        if per_run:
+            result = backend.run(
+                circuit, shots=plan.shots, seed=(plan.seed, task.index)
             )
-            tail_plan = (
-                compiler.tail_plan(position + 1)
-                if compiler is not None
-                else None
-            )
-            for task in group:
-                if tail_plan is not None:
-                    result = backend.run_from_snapshot(
-                        snapshot,
-                        circuit,
-                        _branch_head(task),
-                        shots=plan.shots,
-                        plan=tail_plan,
-                    )
-                else:
-                    result = backend.run_from_snapshot(
-                        snapshot,
-                        circuit,
-                        _fault_tail(circuit, task),
-                        shots=plan.shots,
-                    )
-                yield task, score_result(
-                    result,
-                    plan.correct_states,
-                    plan.shots,
-                    _task_rng(plan, task, rng),
-                )
-    else:
-        # Backends that sample inside ``run`` (``per_run_seeding``
-        # marker, e.g. the trajectory simulator) take a per-task seed
-        # derived from ``(plan.seed, task.index)``: their draws then
-        # depend only on the task, so seeded campaigns are identical
-        # across strategies and across kill/resume boundaries. Without
-        # a plan seed the backend's own stream applies (legacy order-
-        # dependent behaviour).
-        per_run = (
-            getattr(backend, "per_run_seeding", False)
-            and plan.seed is not None
-        )
-        for task in tasks:
-            if per_run:
-                result = backend.run(
-                    _task_circuit(circuit, task),
-                    shots=plan.shots,
-                    seed=(plan.seed, task.index),
-                )
-            else:
-                result = backend.run(
-                    _task_circuit(circuit, task), shots=plan.shots
-                )
-            yield task, score_result(
+        else:
+            result = backend.run(circuit, shots=plan.shots)
+        yield [task], [
+            score_result(
                 result,
                 plan.correct_states,
                 plan.shots,
                 _task_rng(plan, task, rng),
             )
+        ]
 
 
 def _iter_scored_groups(
@@ -518,21 +431,19 @@ def _iter_scored_groups(
     tasks: Sequence[InjectionTask],
     rng: np.random.Generator,
     max_branches: int,
-    compiler: Optional[SegmentCompiler] = None,
+    compiler: SegmentCompiler,
 ) -> Iterator[Tuple[List[InjectionTask], np.ndarray]]:
-    """Execute ``tasks`` in order, one stacked batch per injection point.
+    """The batched loop: one stacked branch batch per injection site.
 
     Tasks are grouped by ``(position, qubit, second qubit, extra-fault
     qubits)`` — within a group every branch differs only in its rotation
-    angles, so the group's
-    heads align slot-wise and the backend evaluates the whole batch with
-    stacked contractions. Groups larger than ``max_branches`` split into
-    consecutive sub-batches (tiles) to bound peak memory (a
-    density-matrix branch is ``16 * 4**n`` bytes). The prefix snapshot
-    extends across groups exactly as the serial loop extends it across
-    positions. With a ``compiler`` (fused mode) the shared tail of every
-    tile runs as that position's precompiled segment plan instead of
-    gate by gate. Yields each sub-batch with its scored QVF array.
+    angles, so the group's heads align slot-wise and the backend
+    evaluates the whole batch with stacked contractions. Groups larger
+    than ``max_branches`` split into consecutive sub-batches (tiles) to
+    bound peak memory (a density-matrix branch is ``16 * 4**n`` bytes).
+    The prefix snapshot extends across groups, and the shared tail of
+    every tile runs as ``compiler``'s segment plan for that position.
+    Yields each tile with its scored QVF array.
     """
     circuit = plan.circuit
     snapshot = None
@@ -551,29 +462,17 @@ def _iter_scored_groups(
         snapshot = backend.prefix_snapshot(
             circuit, stop=position + 1, base=snapshot
         )
-        tail_plan = (
-            compiler.tail_plan(position + 1)
-            if compiler is not None
-            else None
-        )
+        tail_plan = compiler.tail_plan(position + 1)
         chunk = list(group)
         for start in range(0, len(chunk), max_branches):
             sub = chunk[start : start + max_branches]
-            if tail_plan is not None:
-                batch = backend.run_branches_from_snapshot(
-                    snapshot,
-                    circuit,
-                    [_branch_head(task) for task in sub],
-                    shots=plan.shots,
-                    plan=tail_plan,
-                )
-            else:
-                batch = backend.run_branches_from_snapshot(
-                    snapshot,
-                    circuit,
-                    [_branch_head(task) for task in sub],
-                    shots=plan.shots,
-                )
+            batch = backend.run_branches_from_snapshot(
+                snapshot,
+                circuit,
+                [_branch_head(task) for task in sub],
+                shots=plan.shots,
+                plan=tail_plan,
+            )
             if (
                 plan.per_task_seeding
                 and plan.shots is not None
@@ -599,25 +498,6 @@ def _iter_scored_groups(
             yield sub, qvfs
 
 
-def _execute_tasks(
-    backend: Backend,
-    plan: CampaignPlan,
-    tasks: Sequence[InjectionTask],
-    rng: np.random.Generator,
-    prefix_reuse: bool,
-    compiler: Optional[SegmentCompiler] = None,
-) -> RecordTable:
-    """Run ``tasks`` serially and return them as one columnar block."""
-    scored_tasks: List[InjectionTask] = []
-    qvfs: List[float] = []
-    for task, qvf in _iter_scored_tasks(
-        backend, plan, tasks, rng, prefix_reuse, compiler
-    ):
-        scored_tasks.append(task)
-        qvfs.append(qvf)
-    return _table_from_tasks(scored_tasks, qvfs)
-
-
 def _reseed_backend(backend: Backend, rng: np.random.Generator) -> None:
     """Give a worker's backend copy an independent random stream.
 
@@ -641,31 +521,24 @@ def _run_chunk(
     plan: CampaignPlan,
     tasks: Tuple[InjectionTask, ...],
     seed_material: Optional[Tuple[int, int]],
-    prefix_reuse: bool,
-    fusion: Optional[Tuple[bool, str, Optional[dict]]] = None,
+    engine: "SerialExecutor",
 ) -> RecordTable:
-    """Worker-process entry point: execute one chunk with its own rng.
+    """Worker-process entry point: run one chunk on the engine.
 
-    Returns the chunk as one columnar block — tables pickle back to the
-    parent as a handful of arrays instead of thousands of dataclasses.
-    ``fusion`` carries the parent's ``(fused, precision,
-    segment_options)`` configuration; the worker rebuilds its own
-    segment compiler from it (compilation is deterministic, so every
-    worker's segments match the parent's bit for bit).
+    ``plan`` arrives without its task list; the chunk plan is rebuilt
+    from ``tasks`` and run through ``engine``'s block stream with the
+    chunk's own rng. ``engine`` is the parent's engine pickled without
+    its compiler cache — compilation is deterministic, so the worker's
+    segments match the parent's bit for bit. Returns the chunk as one
+    columnar block: tables pickle back to the parent as a handful of
+    arrays instead of thousands of dataclasses.
     """
     rng = np.random.default_rng(seed_material)
     _reseed_backend(backend, rng)
-    compiler = None
-    if (
-        fusion is not None
-        and fusion[0]
-        and prefix_reuse
-        and supports_fused_segments(backend)
-    ):
-        compiler = backend.tail_compiler(
-            plan.circuit, **_compiler_options(fusion[1], fusion[2])
-        )
-    return _execute_tasks(backend, plan, tasks, rng, prefix_reuse, compiler)
+    chunk = replace(plan, tasks=tuple(tasks))
+    return RecordTable.concatenate(
+        list(engine._block_stream(backend, chunk, rng))
+    )
 
 
 # Batch-sized arrays simultaneously alive while one tile advances: the
@@ -676,6 +549,12 @@ def _run_chunk(
 # test pins the budget claim against this factor.
 TILE_WORKING_SET = 8
 
+# The tile budget of an executor given no ``memory_budget``: 64 QFT-6
+# density-matrix branches (64 KiB each) exactly, so routine campaigns keep
+# full tiles, while a 10-qubit density matrix (16 MiB a branch) streams
+# one branch at a time instead of stacking a GiB-sized tile per process.
+DEFAULT_TILE_BUDGET = 64 * TILE_WORKING_SET * 16 * 4**6
+
 
 def _tile_limit(
     backend: Backend,
@@ -685,22 +564,19 @@ def _tile_limit(
 ) -> int:
     """Largest branch-tile size the memory budget admits.
 
-    Divides the budget by :data:`TILE_WORKING_SET` batch-sized arrays
-    per branch (complex128 is assumed even on the float32 fast path —
-    heads apply exact before the narrowing cast, so the wide batch
-    exists transiently). The floor is one branch: a budget below a
-    single branch's working set cannot be met, only approached.
-    Backends that cannot report their per-branch footprint ignore the
-    budget.
+    Divides the budget (:data:`DEFAULT_TILE_BUDGET` when ``None``) by
+    :data:`TILE_WORKING_SET` batch-sized arrays per branch (complex128
+    is assumed even on the float32 fast path — heads apply exact before
+    the narrowing cast, so the wide batch exists transiently). The floor
+    is one branch: a budget below a single branch's working set cannot
+    be met, only approached. Backends that cannot report their
+    per-branch footprint ignore the budget.
     """
-    if memory_budget is None:
-        return max_branches
     nbytes_of = getattr(backend, "branch_state_nbytes", None)
     if nbytes_of is None:
         return max_branches
-    tile = int(memory_budget) // (
-        TILE_WORKING_SET * int(nbytes_of(num_qubits))
-    )
+    budget = DEFAULT_TILE_BUDGET if memory_budget is None else memory_budget
+    tile = int(budget) // (TILE_WORKING_SET * int(nbytes_of(num_qubits)))
     return max(1, min(max_branches, tile))
 
 
@@ -714,16 +590,8 @@ def _chunk_tasks(
     prefix snapshot; ``target`` is a hard ceiling because checkpoint
     consumers bound their loss window with it.
     """
-    chunks: List[Tuple[InjectionTask, ...]] = []
-    current: List[InjectionTask] = []
-    for task in tasks:
-        current.append(task)
-        if len(current) >= target:
-            chunks.append(tuple(current))
-            current = []
-    if current:
-        chunks.append(tuple(current))
-    return chunks
+    tasks = tuple(tasks)
+    return [tasks[i : i + target] for i in range(0, len(tasks), target)]
 
 
 # ----------------------------------------------------------------------
@@ -761,26 +629,39 @@ class BaseExecutor:
 
 
 class SerialExecutor(BaseExecutor):
-    """In-process execution with prefix-state reuse.
+    """The in-process campaign engine (see the module docstring).
 
-    The default strategy of :class:`~repro.faults.injector.QuFI`. With
-    ``prefix_reuse=False`` it degrades to the legacy per-injection full
-    re-simulation (useful as a baseline and for backends whose snapshots
-    are unavailable).
+    The default strategy of :class:`~repro.faults.injector.QuFI`. On
+    batched-protocol backends it evaluates each injection site's fault
+    branches as stacked tiles whose shared tail runs as a compiled
+    segment plan; on every other backend, and with
+    ``prefix_reuse=False``, it runs the per-task loop — the naive
+    per-injection re-simulation, kept as the reference path.
 
-    ``fused=True`` opts into segment fusion on backends implementing the
-    fused protocol (:class:`~repro.simulators.backend.
-    FusedSnapshotBackend`): each injection position's shared circuit
-    suffix is precompiled once into fused unitary/superoperator segments
-    and every branch applies those instead of walking the tail gate by
-    gate. Compilers are cached per circuit on the executor (and may be
-    primed externally via :meth:`prime_segment_compiler`, which is how
-    the scenario factory shares compilations across a suite).
-    ``precision="float32"`` additionally compiles complex64 segments —
-    faster, but it waives the bit-identity guarantee and therefore
-    requires ``fused=True``. ``segment_options`` forward to the
-    backend's :class:`~repro.simulators.segments.SegmentCompiler`
-    (``pack``, support caps).
+    Segment plans compile *unpacked* complex128 by default: one segment
+    per primitive operation, bit-identical to walking the tail gate by
+    gate. ``segment_options`` forward to the backend's
+    :class:`~repro.simulators.segments.SegmentCompiler` (``pack``,
+    support caps); ``{"pack": True}`` composes runs of operations into
+    one matrix each, which waives bit-identity against the per-task loop
+    (records stay bitwise-stable across strategies and tile sizes).
+    ``precision="float32"`` compiles complex64 segments, packed unless
+    told otherwise — the fastest mode, within ~1e-4 QVF of exact.
+
+    ``max_branches`` caps how many branches stack at once;
+    ``memory_budget`` (bytes, :data:`DEFAULT_TILE_BUDGET` when unset)
+    tightens that cap per backend and circuit width via
+    ``branch_state_nbytes``, so wide campaigns stream through small
+    tiles instead of OOMing. Tiling never changes records.
+    ``batch_size`` caps the records per ``on_batch`` delivery.
+
+    Each run compiles its own segment compiler, so a circuit or noise
+    model edited in place between runs is always read fresh. Only
+    compilers registered through :meth:`prime_segment_compiler` — how
+    the scenario factory shares one compilation across a suite — are
+    kept, keyed by circuit, noise model and compile options and shared
+    with :meth:`bounded` copies; pickled copies (what pool workers
+    receive) carry the configuration only.
     """
 
     name = "serial"
@@ -789,69 +670,71 @@ class SerialExecutor(BaseExecutor):
         self,
         prefix_reuse: bool = True,
         batch_size: int = 64,
-        fused: bool = False,
         precision: str = "exact",
         segment_options: Optional[dict] = None,
+        max_branches: int = 64,
+        memory_budget: Optional[int] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        _check_fusion_config(fused, precision)
+        if precision not in _PRECISIONS:
+            raise ValueError(
+                f"precision must be one of {_PRECISIONS}, got {precision!r}"
+            )
+        if max_branches < 1:
+            raise ValueError("max_branches must be positive")
+        if memory_budget is not None and memory_budget < 1:
+            raise ValueError("memory_budget must be positive")
         self.prefix_reuse = bool(prefix_reuse)
         self.batch_size = int(batch_size)
-        self.fused = bool(fused)
         self.precision = precision
         self.segment_options = (
             dict(segment_options) if segment_options else None
         )
+        self.max_branches = int(max_branches)
+        self.memory_budget = (
+            None if memory_budget is None else int(memory_budget)
+        )
         self._compilers: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Pool workers receive the configuration, not the compiled
+        # plans: recompiling is deterministic and cheaper than pickling
+        # every segment matrix once per chunk.
+        return {**self.__dict__, "_compilers": {}}
 
     def bounded(self, limit: int) -> "SerialExecutor":
         """A copy whose delivery batches hold at most ``limit`` records."""
-        clone = SerialExecutor(
-            prefix_reuse=self.prefix_reuse,
-            batch_size=max(1, min(self.batch_size, limit)),
-            fused=self.fused,
-            precision=self.precision,
-            segment_options=self.segment_options,
-        )
+        clone = copy.copy(self)
+        clone.batch_size = max(1, min(self.batch_size, limit))
+        # Copies go through __getstate__, which drops the cache; bounded
+        # copies share it instead.
         clone._compilers = self._compilers
         return clone
 
     def prime_segment_compiler(self, compiler: SegmentCompiler) -> None:
-        """Register an externally built compiler for its circuit.
+        """Register an externally built compiler.
 
-        Fused runs over that exact circuit object then reuse the primed
-        compiler (and its already-compiled tail plans) instead of
-        compiling from scratch — the scenario factory uses this to share
-        one compilation across every scenario of a suite.
+        Campaigns over that exact circuit and noise model, with the same
+        compile options, then reuse the primed compiler (and its
+        already-compiled tail plans) instead of compiling from scratch.
         """
-        self._compilers[id(compiler.circuit)] = (compiler.circuit, compiler)
+        self._compilers[compiler.key] = compiler
 
-    def _segment_compiler(
+    def _tail_compiler(
         self, backend: Backend, circuit: QuantumCircuit
-    ) -> Optional[SegmentCompiler]:
-        """The (cached) segment compiler for ``circuit``, or ``None``.
+    ) -> SegmentCompiler:
+        """The primed segment compiler for ``circuit`` on ``backend``, or
+        a fresh unstored one.
 
-        Returns ``None`` unless this executor is fused, reuses prefixes,
-        and the backend implements the fused protocol. Cache entries key
-        by circuit identity and hold a strong reference to the circuit,
-        so a recycled ``id`` can never alias a dead entry.
+        A fresh compiler costs one pass over the circuit; its plans are
+        compiled on demand, so only the primed compiler's plans are
+        built when it matches.
         """
-        if not (
-            self.fused
-            and self.prefix_reuse
-            and supports_fused_segments(backend)
-        ):
-            return None
-        entry = self._compilers.get(id(circuit))
-        if entry is not None and entry[0] is circuit:
-            return entry[1]
         compiler = backend.tail_compiler(
-            circuit,
-            **_compiler_options(self.precision, self.segment_options),
+            circuit, **_compiler_options(self.precision, self.segment_options)
         )
-        self._compilers[id(circuit)] = (circuit, compiler)
-        return compiler
+        return self._compilers.get(compiler.key, compiler)
 
     def _block_stream(
         self,
@@ -860,20 +743,43 @@ class SerialExecutor(BaseExecutor):
         rng: np.random.Generator,
     ) -> Iterator[RecordTable]:
         """Columnar blocks of at most ``batch_size`` records, in canonical
-        task order; subclasses swap the task loop."""
-        pending: List[InjectionTask] = []
-        qvfs: List[float] = []
-        compiler = self._segment_compiler(backend, plan.circuit)
-        for task, qvf in _iter_scored_tasks(
-            backend, plan, plan.tasks, rng, self.prefix_reuse, compiler
-        ):
-            pending.append(task)
-            qvfs.append(qvf)
-            if len(pending) >= self.batch_size:
-                yield _table_from_tasks(pending, qvfs)
-                pending, qvfs = [], []
-        if pending:
-            yield _table_from_tasks(pending, qvfs)
+        task order."""
+        if self.prefix_reuse and supports_batched_branches(backend):
+            limit = _tile_limit(
+                backend,
+                plan.circuit.num_qubits,
+                self.max_branches,
+                self.memory_budget,
+            )
+            scored = _iter_scored_groups(
+                backend,
+                plan,
+                plan.tasks,
+                rng,
+                limit,
+                self._tail_compiler(backend, plan.circuit),
+            )
+        else:
+            scored = _iter_scored_tasks(backend, plan, plan.tasks, rng)
+        # Scored runs are cut into blocks of exactly ``batch_size``
+        # records (the last may be short), whichever loop scored them.
+        size = self.batch_size
+        tasks: List[InjectionTask] = []
+        qvfs: List[np.ndarray] = []
+        for run, scores in scored:
+            tasks.extend(run)
+            qvfs.append(np.asarray(scores, dtype=np.float64))
+            if len(tasks) >= size:
+                merged = np.concatenate(qvfs)
+                cut = len(tasks) - len(tasks) % size
+                for start in range(0, cut, size):
+                    yield _table_from_tasks(
+                        tasks[start : start + size],
+                        merged[start : start + size],
+                    )
+                tasks, qvfs = tasks[cut:], [merged[cut:]]
+        if tasks:
+            yield _table_from_tasks(tasks, np.concatenate(qvfs))
 
     def run(
         self,
@@ -893,117 +799,32 @@ class SerialExecutor(BaseExecutor):
 
 
 class BatchedExecutor(SerialExecutor):
-    """In-process execution with vectorized fault-branch evaluation.
+    """The in-process engine under the ``"batched"`` strategy name.
 
-    Same contract and record stream as :class:`SerialExecutor`, but on
-    backends implementing the batched branch protocol
-    (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
-    statevector and density-matrix simulators) all fault branches at one
-    injection point evaluate as a single stacked array — per-branch
-    injector rotations as one contraction over the batch axis, each shared
-    tail gate applied across the whole batch, and QVF scored with the
-    vectorized Michelson contrast. Exact-mode records are bit-identical to
-    :class:`SerialExecutor` (which is itself bit-identical to the naive
-    sweep); sampled mode consumes the injector's random stream branch by
-    branch in task order, so those records match serial execution too.
-
-    ``max_branches`` caps how many branches stack at once (a density-matrix
-    branch is ``16 * 4**n`` bytes, so unbounded stacking would exhaust
-    memory on wide circuits); ``memory_budget`` (bytes) tightens that cap
-    dynamically per backend and circuit width via
-    :meth:`~repro.simulators.backend.FusedSnapshotBackend.
-    branch_state_nbytes`, so wide campaigns stream through small tiles
-    instead of OOMing. Tiling never changes records: every tile size
-    produces bit-identical tables. Backends without the batched
-    protocol — or ``prefix_reuse=False`` — degrade to the inherited
-    serial behaviour.
+    Identical behaviour and records to :class:`SerialExecutor`; the name
+    is what scenario specs select and campaign metadata records.
     """
 
     name = "batched"
 
-    def __init__(
-        self,
-        max_branches: int = 64,
-        batch_size: int = 64,
-        prefix_reuse: bool = True,
-        fused: bool = False,
-        precision: str = "exact",
-        segment_options: Optional[dict] = None,
-        memory_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            prefix_reuse=prefix_reuse,
-            batch_size=batch_size,
-            fused=fused,
-            precision=precision,
-            segment_options=segment_options,
-        )
-        if max_branches < 1:
-            raise ValueError("max_branches must be positive")
-        if memory_budget is not None and memory_budget < 1:
-            raise ValueError("memory_budget must be positive")
-        self.max_branches = int(max_branches)
-        self.memory_budget = (
-            None if memory_budget is None else int(memory_budget)
-        )
-
-    def bounded(self, limit: int) -> "BatchedExecutor":
-        """A copy whose delivery batches hold at most ``limit`` records."""
-        clone = BatchedExecutor(
-            max_branches=self.max_branches,
-            batch_size=max(1, min(self.batch_size, limit)),
-            prefix_reuse=self.prefix_reuse,
-            fused=self.fused,
-            precision=self.precision,
-            segment_options=self.segment_options,
-            memory_budget=self.memory_budget,
-        )
-        clone._compilers = self._compilers
-        return clone
-
-    def _block_stream(
-        self,
-        backend: Backend,
-        plan: CampaignPlan,
-        rng: np.random.Generator,
-    ) -> Iterator[RecordTable]:
-        if not (self.prefix_reuse and supports_batched_branches(backend)):
-            yield from super()._block_stream(backend, plan, rng)
-            return
-        compiler = self._segment_compiler(backend, plan.circuit)
-        limit = _tile_limit(
-            backend,
-            plan.circuit.num_qubits,
-            self.max_branches,
-            self.memory_budget,
-        )
-        for sub, qvfs in _iter_scored_groups(
-            backend, plan, plan.tasks, rng, limit, compiler
-        ):
-            # Scored sub-batches become blocks directly (the qvf column is
-            # the scoring array itself), re-sliced only to honour the
-            # bounded delivery-batch ceiling.
-            for start in range(0, len(sub), self.batch_size):
-                yield _table_from_tasks(
-                    sub[start : start + self.batch_size],
-                    qvfs[start : start + self.batch_size],
-                )
-
 
 class ParallelExecutor(BaseExecutor):
-    """Process-pool execution of contiguous task chunks.
+    """The engine fanned out over a process pool, chunk by chunk.
 
-    Work units are contiguous chunks of the canonical task list (size-capped
-    hard, so checkpoint consumers can bound their loss window); same-position
-    tasks inside a chunk still share prefix snapshots. ``on_batch`` sees
-    chunk batches in completion order — streaming never stalls behind a slow
-    chunk — while the returned record list is reassembled in canonical task
-    order, so the final :class:`~repro.faults.campaign.CampaignResult` is
-    identical to serial execution for exact (``shots is None``) campaigns.
+    Work units are contiguous chunks of the canonical task list
+    (size-capped hard, so checkpoint consumers can bound their loss
+    window); each runs on a copy of the in-process engine
+    (:attr:`engine`), so chunks batch and tile exactly as an in-process
+    run does. ``on_batch`` sees chunk tables in completion order —
+    streaming never stalls behind a slow chunk — while the returned
+    table is reassembled in canonical task order, so exact (``shots is
+    None``) campaigns are identical to in-process execution. Workers
+    split the parent's OpenBLAS threads (``threads // processes``, at
+    least one), so processes times BLAS threads stays within the host.
 
     Sampled campaigns draw from a per-chunk generator seeded by
     ``(plan.seed, chunk_index)`` — deterministic for a fixed seed, but a
-    different stream from the serial executor's.
+    different stream from the in-process engine's.
 
     By default each ``run`` spawns (and tears down) its own process pool.
     Suite runs amortise that: :meth:`start` opens a **long-lived pool**
@@ -1012,9 +833,9 @@ class ParallelExecutor(BaseExecutor):
     ``(plan.seed, chunk_index)``, so records are identical whether the
     pool is per-run or persistent.
 
-    If worker processes cannot be spawned (restricted sandboxes), the
-    executor degrades to serial in-process execution rather than failing
-    the campaign.
+    A plan that fits one chunk, and a pool that cannot spawn (restricted
+    sandboxes), run on the same engine in-process rather than failing the
+    campaign.
     """
 
     name = "parallel"
@@ -1024,9 +845,9 @@ class ParallelExecutor(BaseExecutor):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         prefix_reuse: bool = True,
-        fused: bool = False,
         precision: str = "exact",
         segment_options: Optional[dict] = None,
+        memory_budget: Optional[int] = None,
         pool_cap: Optional[int] = None,
     ) -> None:
         if workers is not None and workers < 1:
@@ -1035,7 +856,6 @@ class ParallelExecutor(BaseExecutor):
             raise ValueError("chunk_size must be positive")
         if pool_cap is not None and pool_cap < 1:
             raise ValueError("pool_cap must be positive when given")
-        _check_fusion_config(fused, precision)
         self.workers = workers
         self.chunk_size = chunk_size
         #: Hard ceiling on *pool processes*, independent of ``workers``.
@@ -1046,31 +866,42 @@ class ParallelExecutor(BaseExecutor):
         #: while each shard's campaign stays byte-identical to an
         #: uncapped run.
         self.pool_cap = pool_cap
-        self.prefix_reuse = bool(prefix_reuse)
-        self.fused = bool(fused)
-        self.precision = precision
-        self.segment_options = (
-            dict(segment_options) if segment_options else None
+        #: The in-process engine every chunk runs on, in the workers and
+        #: in the in-process fallbacks alike.
+        self.engine = SerialExecutor(
+            prefix_reuse=prefix_reuse,
+            batch_size=chunk_size or 64,
+            precision=precision,
+            segment_options=segment_options,
+            memory_budget=memory_budget,
         )
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_owner: Optional["ParallelExecutor"] = None
 
-    def _fusion_config(self) -> Optional[Tuple[bool, str, Optional[dict]]]:
-        """The picklable fusion tuple workers rebuild compilers from."""
-        if not self.fused:
-            return None
-        return (self.fused, self.precision, self.segment_options)
+    def prime_segment_compiler(self, compiler: SegmentCompiler) -> None:
+        """Prime the in-process engine (see
+        :meth:`SerialExecutor.prime_segment_compiler`); workers compile
+        their own."""
+        self.engine.prime_segment_compiler(compiler)
 
     # ------------------------------------------------------------------
     # Long-lived pool lifecycle (hoisted out of ``run`` for suite reuse)
     # ------------------------------------------------------------------
+    def _new_pool(self, processes: int) -> ProcessPoolExecutor:
+        """A pool of ``processes`` (capped) workers that split this
+        process's OpenBLAS threads between them, at least one each."""
+        processes = self._capped(processes)
+        return ProcessPoolExecutor(
+            max_workers=processes,
+            initializer=pin_blas_threads,
+            initargs=(max(1, (blas_threads() or 1) // processes),),
+        )
+
     def start(self) -> "ParallelExecutor":
         """Open a persistent worker pool shared by subsequent ``run``s."""
         owner = self._pool_owner or self
         if owner._pool is None:
-            owner._pool = ProcessPoolExecutor(
-                max_workers=self._capped(self._resolve_workers())
-            )
+            owner._pool = self._new_pool(self._resolve_workers())
         return self
 
     def shutdown(self) -> None:
@@ -1097,19 +928,14 @@ class ParallelExecutor(BaseExecutor):
     def bounded(self, limit: int) -> "ParallelExecutor":
         """A pool-sharing copy whose chunks hold at most ``limit`` tasks."""
         limit = max(1, int(limit))
-        clone = ParallelExecutor(
-            workers=self.workers,
-            chunk_size=min(self.chunk_size or limit, limit),
-            prefix_reuse=self.prefix_reuse,
-            fused=self.fused,
-            precision=self.precision,
-            segment_options=self.segment_options,
-            pool_cap=self.pool_cap,
-        )
+        clone = copy.copy(self)
+        clone.chunk_size = min(self.chunk_size or limit, limit)
+        clone.engine = self.engine.bounded(limit)
         # The bounded copy shares (but never owns) the persistent pool:
         # checkpointed suite campaigns reuse the suite's workers. It
         # references the owner, not the pool object, so a pool torn
         # down (or rebuilt) by any sharer is seen by all of them.
+        clone._pool = None
         clone._pool_owner = self._pool_owner or self
         return clone
 
@@ -1122,34 +948,24 @@ class ParallelExecutor(BaseExecutor):
             return processes
         return max(1, min(processes, self.pool_cap))
 
-    def _serial_fallback(self) -> SerialExecutor:
-        """The in-process stand-in for degraded parallel runs.
+    def _run_in_process(
+        self,
+        backend: Backend,
+        plan: CampaignPlan,
+        on_batch: Optional[BatchCallback],
+    ) -> RecordTable:
+        """The engine, in-process, for one-chunk plans and dead pools.
 
-        Carries the fusion configuration so a degraded fused campaign
-        still runs fused (compilation determinism keeps its records
-        identical to the pooled run's).
+        The rng matches what a single worker chunk would draw from,
+        instead of the caller's live stream — so a campaign that falls
+        back still produces the same records as any other run of the
+        same seed in the same situation, and never consumes the
+        injector's in-process stream.
         """
-        return SerialExecutor(
-            prefix_reuse=self.prefix_reuse,
-            batch_size=self.chunk_size or 64,
-            fused=self.fused,
-            precision=self.precision,
-            segment_options=self.segment_options,
-        )
-
-    @staticmethod
-    def _fallback_rng(plan: CampaignPlan) -> np.random.Generator:
-        """The rng for in-process execution of a degenerate parallel run.
-
-        Matches what a single worker chunk would draw from, instead of the
-        caller's live stream — so a campaign that falls back (one chunk,
-        or no process pool available) still produces the same records as
-        any other run of the same seed in the same situation, and never
-        consumes the injector's serial stream.
-        """
-        return np.random.default_rng(
+        rng = np.random.default_rng(
             None if plan.seed is None else (plan.seed, 0)
         )
+        return self.engine.run(backend, plan, on_batch=on_batch, rng=rng)
 
     def run(
         self,
@@ -1168,50 +984,33 @@ class ParallelExecutor(BaseExecutor):
         )
         chunks = _chunk_tasks(tasks, target)
         if workers <= 1 or len(chunks) <= 1:
-            return self._serial_fallback().run(
-                backend, plan, on_batch=on_batch, rng=self._fallback_rng(plan)
-            )
-        seeds: List[Optional[Tuple[int, int]]] = [
-            None if plan.seed is None else (plan.seed, index)
-            for index in range(len(chunks))
-        ]
+            return self._run_in_process(backend, plan, on_batch)
         # Workers receive the plan without its task list; their chunk is the
         # only slice they need, and large campaigns should not pickle the
         # full sweep once per worker.
-        core = CampaignPlan(
-            circuit=plan.circuit,
-            correct_states=plan.correct_states,
-            tasks=(),
-            shots=plan.shots,
-            seed=plan.seed,
-            per_task_seeding=plan.per_task_seeding,
-        )
+        core = replace(plan, tasks=())
         completed: dict = {}
         delivered = False
         pool = self._persistent_pool()
         owns_pool = pool is None
         try:
             if owns_pool:
-                pool = ProcessPoolExecutor(
-                    max_workers=self._capped(min(workers, len(chunks)))
-                )
+                pool = self._new_pool(min(workers, len(chunks)))
             try:
-                fusion = self._fusion_config()
                 future_index = {
                     pool.submit(
                         _run_chunk,
                         backend,
                         core,
                         chunk,
-                        seed,
-                        self.prefix_reuse,
-                        fusion,
+                        None if plan.seed is None else (plan.seed, index),
+                        self.engine,
                     ): index
-                    for index, (chunk, seed) in enumerate(zip(chunks, seeds))
+                    for index, chunk in enumerate(chunks)
                 }
                 # Stream batches in completion order so checkpoints and
                 # progress never stall behind the oldest outstanding chunk;
-                # the returned list is reassembled canonically below.
+                # the returned table is reassembled canonically below.
                 outstanding = set(future_index)
                 while outstanding:
                     done, outstanding = wait(
@@ -1252,13 +1051,11 @@ class ParallelExecutor(BaseExecutor):
                 raise
             warnings.warn(
                 "process pool unavailable; parallel campaign degraded to "
-                "serial in-process execution",
+                "in-process execution",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return self._serial_fallback().run(
-                backend, plan, on_batch=on_batch, rng=self._fallback_rng(plan)
-            )
+            return self._run_in_process(backend, plan, on_batch)
         return RecordTable.concatenate(
             [completed[index] for index in range(len(chunks))]
         )

@@ -7,14 +7,14 @@ output with QVF. Campaigns sweep the fault grid over every injection point;
 double-fault campaigns add a second, weaker U gate on a physically
 neighbouring qubit.
 
-Campaign sweeps are delegated to the execution engine of
-:mod:`repro.faults.executor`: the default :class:`~repro.faults.executor.
-SerialExecutor` reuses prefix states on snapshot-capable backends (bit-
-identical to the naive loop, substantially faster),
-:class:`~repro.faults.executor.BatchedExecutor` additionally evaluates all
-fault branches of an injection point as one stacked array (still bit-
-identical in exact mode), and :class:`~repro.faults.executor.
-ParallelExecutor` fans the sweep out across worker processes.
+Campaign sweeps are delegated to :mod:`repro.faults.executor`: the
+in-process engine (:class:`~repro.faults.executor.SerialExecutor`, also
+selectable as :class:`~repro.faults.executor.BatchedExecutor`) simulates
+each shared prefix once and evaluates all fault branches of an injection
+point as one stacked array on the exact simulators — bit-identical to the
+naive per-injection loop, which every other backend runs — and
+:class:`~repro.faults.executor.ParallelExecutor` runs chunks of the sweep
+on that engine in worker processes.
 
 Example
 -------
@@ -64,12 +64,11 @@ class QuFI:
     distribution at that budget, reintroducing shot noise.
 
     ``executor`` selects the campaign execution strategy; the default
-    :class:`~repro.faults.executor.SerialExecutor` reproduces the legacy
-    sweep bit-for-bit while reusing prefix states wherever the backend
-    supports snapshots. Pass :class:`~repro.faults.executor.
-    BatchedExecutor` to also vectorize the theta-phi branch fan-out of
-    each injection point on batch-capable backends — same records, a
-    fraction of the wall clock.
+    in-process engine (:class:`~repro.faults.executor.SerialExecutor`)
+    reproduces the naive sweep bit-for-bit while reusing prefix states
+    and batching the theta-phi branch fan-out of each injection point on
+    the exact simulators. Pass :class:`~repro.faults.executor.
+    ParallelExecutor` to fan the sweep out over worker processes.
     """
 
     def __init__(

@@ -34,6 +34,7 @@ from ..faults.executor import (
     BatchedExecutor,
     ParallelExecutor,
     SerialExecutor,
+    _compiler_options,
 )
 from ..faults.fault_model import PhaseShiftFault, fault_grid
 from ..faults.injection_points import (
@@ -641,15 +642,15 @@ def _scenario_circuit(spec: ScenarioSpec, cache: Optional[FactoryCache]):
 
 
 def _segment_options(spec: ScenarioSpec) -> Dict[str, object]:
-    """The spec's segment-compiler options (``pack`` from the waiver).
+    """The spec's segment-compiler options (``pack`` from the waivers).
 
-    Specs holding the bit-identity guarantee (the default) compile
-    unpacked segments — fused records stay bit-identical to the unfused
-    executors. Waiving it (``bit_identical=False``) unlocks packed
-    composition: the fastest compile, whose records are bitwise-stable
-    across executors and tile sizes but not against the per-gate loops.
+    Segments compile packed only when a fused spec waives bit-identity
+    (``fused=True, bit_identical=False``): the fastest compile, whose
+    records are bitwise-stable across executors and tile sizes but not
+    against the per-task loop. Every other spec compiles unpacked —
+    records bit-identical to the naive per-injection sweep.
     """
-    return {"pack": not spec.bit_identical}
+    return {"pack": spec.fused and not spec.bit_identical}
 
 
 def make_segment_compiler(
@@ -657,21 +658,21 @@ def make_segment_compiler(
 ):
     """The scenario's shared segment compiler, or ``None``.
 
-    Fused scenarios on the exact simulator backends get one
+    Scenarios on the exact simulator backends get one
     :class:`~repro.simulators.segments.SegmentCompiler` per ``(circuit,
-    backend kind, noise, precision)`` fragment, memoised in the
-    :class:`FactoryCache` — so every scenario of a suite that shares a
-    circuit and noise model also shares its compiled tail segments
-    instead of recompiling per campaign. Non-fused scenarios and
-    non-fusable backends (trajectory, machines) return ``None``.
+    backend kind, noise, effective pack, dtype)`` fragment, memoised in
+    the :class:`FactoryCache` — so every scenario of a suite that shares
+    a circuit and noise model also shares its compiled tail segments
+    instead of recompiling per campaign. Backends outside the batched
+    protocol (trajectory, machines, the mitigation wrapper) return
+    ``None``.
     """
-    if not spec.fused:
-        return None
     kind = spec.backend
     if kind == "auto":
         kind = "statevector" if spec.noise == "none" else "density-matrix"
-    if kind not in ("statevector", "density-matrix"):
+    if kind not in ("statevector", "density-matrix") or spec.mitigation:
         return None
+    options = _compiler_options(spec.precision, _segment_options(spec))
 
     def build():
         circuit = _scenario_circuit(spec, cache)
@@ -681,9 +682,6 @@ def make_segment_compiler(
             backend = DensityMatrixSimulator(
                 _scenario_noise_model(spec, cache)
             )
-        options = _segment_options(spec)
-        if spec.precision == "float32":
-            options["dtype"] = np.complex64
         return backend.tail_compiler(circuit, **options)
 
     if cache is None:
@@ -706,8 +704,8 @@ def make_segment_compiler(
         spec.noise,
         spec.effective_machine,
         transpile_key,
-        spec.precision,
-        spec.bit_identical,
+        options["pack"],
+        np.dtype(options.get("dtype", np.complex128)),
     )
     return cache.get(key, build)
 
@@ -719,44 +717,33 @@ def make_executor(
 ) -> BaseExecutor:
     """The spec's execution strategy (fresh, config-only instance).
 
-    Fused specs get executors carrying the fusion configuration; with a
-    ``cache``, the suite-shared segment compiler is primed onto the
-    executor so campaigns over the same circuit reuse one compilation.
-    ``pool_cap`` bounds a parallel strategy's *pool processes* without
-    touching its chunk partitioning (records stay byte-identical) — the
-    shard scheduler's way of dividing the host between concurrent
-    campaigns; serial/batched strategies ignore it.
+    Every strategy runs the same engine configuration — precision,
+    segment packing and memory budget; with a ``cache``, the
+    suite-shared segment compiler is primed onto the executor so
+    campaigns over the same circuit reuse one compilation. ``pool_cap``
+    bounds a parallel strategy's *pool processes* without touching its
+    chunk partitioning (records stay byte-identical) — the shard
+    scheduler's way of dividing the host between concurrent campaigns;
+    in-process strategies ignore it.
     """
-    segment_options = _segment_options(spec) if spec.fused else None
+    engine = dict(
+        precision=spec.precision,
+        segment_options=_segment_options(spec),
+        memory_budget=spec.memory_budget,
+    )
     if spec.executor == "serial":
-        executor: BaseExecutor = SerialExecutor(
-            fused=spec.fused,
-            precision=spec.precision,
-            segment_options=segment_options,
-        )
+        executor: BaseExecutor = SerialExecutor(**engine)
     elif spec.executor == "batched":
-        executor = BatchedExecutor(
-            fused=spec.fused,
-            precision=spec.precision,
-            segment_options=segment_options,
-            memory_budget=spec.memory_budget,
-        )
+        executor = BatchedExecutor(**engine)
     elif spec.executor == "parallel":
         executor = ParallelExecutor(
-            workers=spec.workers,
-            fused=spec.fused,
-            precision=spec.precision,
-            segment_options=segment_options,
-            pool_cap=pool_cap,
+            workers=spec.workers, pool_cap=pool_cap, **engine
         )
     else:
         raise ValueError(f"unknown executor strategy {spec.executor!r}")
-    if spec.fused and cache is not None and hasattr(
-        executor, "prime_segment_compiler"
-    ):
-        compiler = make_segment_compiler(spec, cache)
-        if compiler is not None:
-            executor.prime_segment_compiler(compiler)
+    compiler = None if cache is None else make_segment_compiler(spec, cache)
+    if compiler is not None:
+        executor.prime_segment_compiler(compiler)
     return executor
 
 

@@ -60,6 +60,7 @@ from .factory import (
     FactoryCache,
     _segment_options,
     estimate_scenario_injections,
+    make_executor,
     run_scenario,
 )
 from .shard import ShardScheduler
@@ -524,35 +525,28 @@ class SuiteRunner:
     def _shared_executor(
         self, scenario: ScenarioSpec
     ) -> Optional[BaseExecutor]:
-        """One long-lived pool per distinct worker count.
+        """One long-lived pool per distinct pool and engine configuration.
 
-        Serial/batched strategies are stateless config objects — a fresh
+        In-process strategies are cheap config objects — a fresh
         instance per campaign costs nothing. Parallel strategies own a
-        process pool, so all parallel scenarios of a suite share one
-        started executor instead of paying pool spawn/teardown per
-        campaign (``ParallelExecutor.run`` degrades gracefully if the
-        sandbox forbids subprocesses). The pool key includes the fusion
-        configuration — fused and unfused scenarios must not swap
-        executors, and the compiler options ride on the executor.
+        process pool, so all parallel scenarios of a suite that agree on
+        worker count and engine configuration (precision, segment
+        packing, memory budget) share one started executor instead of
+        paying pool spawn/teardown per campaign (``ParallelExecutor.run``
+        degrades gracefully if the sandbox forbids subprocesses). The
+        pool is built by :func:`~repro.scenarios.factory.make_executor`,
+        the construction path every other campaign takes.
         """
         if scenario.executor != "parallel":
             return None
         key = (
             scenario.workers,
-            scenario.fused,
             scenario.precision,
-            scenario.bit_identical,
+            _segment_options(scenario)["pack"],
+            scenario.memory_budget,
         )
         if key not in self._pools:
-            options = (
-                _segment_options(scenario) if scenario.fused else None
-            )
-            self._pools[key] = ParallelExecutor(
-                workers=scenario.workers,
-                fused=scenario.fused,
-                precision=scenario.precision,
-                segment_options=options,
-            ).start()
+            self._pools[key] = make_executor(scenario, self.cache).start()
         return self._pools[key]
 
     def _adopt(

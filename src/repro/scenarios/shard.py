@@ -17,9 +17,10 @@ Two properties make campaign-granularity shards safe:
   bytes, and the suite runner reassembles manifest entries in suite
   order regardless of arrival order.
 * **A global worker budget** — each shard's intra-campaign parallelism
-  is capped at ``host_workers // jobs`` pool processes
-  (``ParallelExecutor.pool_cap``), so campaign-level shards times
-  per-campaign workers never oversubscribes the host. The cap bounds
+  is capped at ``worker_cap = host_workers // jobs`` pool processes
+  (``ParallelExecutor.pool_cap``), and each shard process runs its
+  OpenBLAS on ``worker_cap`` threads, so shards times per-shard workers
+  or BLAS threads never oversubscribes the host. The cap bounds
   *processes only*: chunk partitioning still follows the spec's
   ``workers``, which keeps sampled-campaign records byte-identical to
   sequential execution.
@@ -45,6 +46,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..blas import pin_blas_threads
 from ..faults.campaign import CampaignResult
 from .cache import ResultCache
 from .factory import FactoryCache, make_executor, run_scenario
@@ -101,8 +103,9 @@ class ShardScheduler:
 
     ``jobs`` is the shard count; ``host_workers`` (default
     ``os.cpu_count()``) is the global worker budget divided between
-    shards — each shard's campaigns run their parallel executors capped
-    at ``worker_cap = max(1, host_workers // jobs)`` pool processes.
+    shards — each shard process runs its OpenBLAS on ``worker_cap =
+    max(1, host_workers // jobs)`` threads, and its campaigns run their
+    parallel executors capped at ``worker_cap`` pool processes.
     ``cache_dir`` routes every job through the persistent result cache's
     compute-once locking (see :func:`_execute_job`).
 
@@ -146,7 +149,11 @@ class ShardScheduler:
         """Open the shard pool (no-op for ``jobs=1`` or when degraded)."""
         if self._pool is None and self.jobs > 1 and not self._degraded:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=pin_blas_threads,
+                    initargs=(self.worker_cap,),
+                )
             except OSError:
                 self._degraded = True
         return self

@@ -454,30 +454,33 @@ class ScenarioSpec:
     trajectories: int = 256
     transpile: Optional[TranspileSpec] = None
     fused: bool = False
-    """Opt into segment fusion: the shared tail of every injection
-    position runs as precompiled segment matrices. Under the default
-    ``bit_identical=True`` the records stay bit-identical to the
-    unfused executors; every fused mode stays bit-identical across
-    Serial/Batched/Parallel and across tile sizes."""
+    """Arms the segment waivers. Every campaign on the exact simulators
+    runs its tails as compiled segment plans; ``fused`` only lets
+    ``bit_identical=False`` pack them and ``precision="float32"``
+    narrow them. With the default ``bit_identical=True`` a fused spec
+    runs exactly the plans an unfused one does (the field still
+    participates in the spec hash when set, so stored hashes stay
+    valid)."""
     precision: str = "exact"
     """Numeric mode: ``exact`` (complex128, the bit-identity default) or
-    ``float32`` (complex64 fused fast path, requires ``fused`` and a
+    ``float32`` (complex64 segments, requires ``fused`` and a
     ``bit_identical=False`` waiver)."""
     bit_identical: bool = True
     """Whether this campaign holds the repo's bit-identity guarantee.
-    ``True`` (the default) compiles fused segments *unpacked* — one
-    segment per primitive operation — so fused records stay
-    bit-identical to the unfused executors. Waiving it
+    ``True`` (the default) compiles segments *unpacked* — one segment
+    per primitive operation — so records stay bit-identical to the
+    naive per-injection sweep. Waiving it on a fused spec
     (``bit_identical=False``) unlocks packed segment composition (and
     is required before ``precision="float32"``): the fastest mode,
     whose records are still bitwise-stable across executors and tile
     sizes but reorder floating-point products against the per-gate
-    loops."""
+    loop."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
-    strings). Caps the batched executor's branch-tile size so wide
-    campaigns stream instead of OOMing; tiling never changes records, so
-    the budget is excluded from the spec hash."""
+    strings). Caps the engine's branch-tile size, in process and in pool
+    workers alike, so wide campaigns stream instead of OOMing; tiling
+    never changes records, so the budget is excluded from the spec
+    hash."""
     adaptive: Optional[AdaptiveSpec] = None
     """Adaptive exploration of the fault surface instead of the uniform
     grid sweep (see :class:`AdaptiveSpec`). The block changes which

@@ -13,11 +13,9 @@ from .backend import (
     Backend,
     BatchedSnapshotBackend,
     BranchBatch,
-    FusedSnapshotBackend,
     SimulationSnapshot,
     SnapshotBackend,
     supports_batched_branches,
-    supports_fused_segments,
     supports_snapshots,
 )
 from .density_matrix import DensityMatrixSimulator
@@ -46,7 +44,6 @@ __all__ = [
     "Backend",
     "SnapshotBackend",
     "BatchedSnapshotBackend",
-    "FusedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
     "SegmentCompiler",
@@ -55,7 +52,6 @@ __all__ = [
     "HAVE_OPT_EINSUM",
     "supports_snapshots",
     "supports_batched_branches",
-    "supports_fused_segments",
     "StatevectorSimulator",
     "DensityMatrixSimulator",
     "TrajectorySimulator",

@@ -19,10 +19,11 @@ On top of snapshots sits the *batched branch* protocol
 (:class:`BatchedSnapshotBackend`): evaluate many fault branches of one
 snapshot as a single stacked array — ``(B, 2**n)`` statevectors or
 ``(B, 2**n, 2**n)`` density matrices — applying each per-branch injector
-rotation and every shared tail gate across the whole batch in one
-contraction. The result is a :class:`BranchBatch` of clbit-basis
-probability rows ready for vectorized QVF scoring. Batched evaluation is a
-wall-clock optimisation only: every row is bit-identical to what
+rotation as one contraction across the batch and the shared tail as a
+compiled segment plan. The result is a :class:`BranchBatch` of
+clbit-basis probability rows ready for vectorized QVF scoring. Batched
+evaluation is a wall-clock optimisation only: with the default unpacked
+plans every row is bit-identical to what
 :meth:`SnapshotBackend.run_from_snapshot` would produce for that branch.
 """
 
@@ -50,12 +51,10 @@ __all__ = [
     "Backend",
     "SnapshotBackend",
     "BatchedSnapshotBackend",
-    "FusedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
     "supports_snapshots",
     "supports_batched_branches",
-    "supports_fused_segments",
     "uniform_head_slots",
     "validate_branch_head",
     "batched_clbit_marginals",
@@ -181,7 +180,17 @@ class BranchBatch:
 
 @runtime_checkable
 class BatchedSnapshotBackend(SnapshotBackend, Protocol):
-    """Snapshot backend that can evaluate many branches as one array."""
+    """Snapshot backend that evaluates many branches as one array.
+
+    A batched backend hands out a
+    :class:`~repro.simulators.segments.SegmentCompiler` for a circuit via
+    :meth:`tail_compiler`; the campaign engine passes the compiler's
+    :class:`~repro.simulators.segments.TailPlan` for a snapshot position
+    to :meth:`run_branches_from_snapshot`, which applies the shared tail
+    as that plan's segments. :meth:`branch_state_nbytes` reports the
+    bytes one branch's state occupies in a batch, which is what
+    memory-budgeted tiling divides against.
+    """
 
     def run_branches_from_snapshot(
         self,
@@ -189,37 +198,20 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         circuit: QuantumCircuit,
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
+        plan: Optional[object] = None,
     ) -> BranchBatch:
         """Branch from ``snapshot`` once per head, batched.
 
         Each element of ``heads`` is one branch's private continuation
         prefix (the injector gate(s); unitary instructions only); all
         branches then share the tail ``circuit.instructions[snapshot.
-        position:]``. Row ``b`` of the returned batch is bit-identical to
-        :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] + tail``.
+        position:]``, applied as ``plan`` (the tail compiled for
+        ``snapshot.position``; compiled unpacked when ``None``). With an
+        unpacked plan, row ``b`` of the returned batch is bit-identical
+        to :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] +
+        tail``.
         """
         ...
-
-
-@runtime_checkable
-class FusedSnapshotBackend(BatchedSnapshotBackend, Protocol):
-    """Batched backend whose tails can run as precompiled fused segments.
-
-    A fused backend hands out a
-    :class:`~repro.simulators.segments.SegmentCompiler` for a circuit via
-    :meth:`tail_compiler`; executors then pass the compiler's
-    :class:`~repro.simulators.segments.TailPlan` for a snapshot position
-    as the ``plan=`` keyword of :meth:`SnapshotBackend.run_from_snapshot`
-    / :meth:`BatchedSnapshotBackend.run_branches_from_snapshot` (the
-    keyword is accepted by implementations, not declared on the base
-    protocols — ``runtime_checkable`` only checks method presence). With
-    a plan, the backend applies one contraction per fused segment instead
-    of walking the tail instruction list gate by gate.
-
-    :meth:`branch_state_nbytes` reports the bytes one branch's state
-    occupies in a batch, which is what memory-budgeted tiling divides
-    against.
-    """
 
     def tail_compiler(self, circuit: QuantumCircuit, **options):
         """A segment compiler for ``circuit`` matching this backend's
@@ -244,11 +236,6 @@ def supports_snapshots(backend: object) -> bool:
 def supports_batched_branches(backend: object) -> bool:
     """True when ``backend`` implements the batched branch protocol."""
     return isinstance(backend, BatchedSnapshotBackend)
-
-
-def supports_fused_segments(backend: object) -> bool:
-    """True when ``backend`` implements the fused-segment protocol."""
-    return isinstance(backend, FusedSnapshotBackend)
 
 
 def validate_branch_head(

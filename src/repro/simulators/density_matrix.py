@@ -41,13 +41,12 @@ from .sampler import Result
 
 # The channel plan and the Reset superoperator live in the segments
 # module, which must apply exactly these operators when it folds noise
-# and resets into fused superoperator segments. Both advance loops apply
-# the Reset channel in superoperator form — the serial path via
-# reset_qubit -> apply_kraus_to_density (which converts multi-operator
-# channels to a superoperator), the batched path directly — same matrix,
-# same contraction per slice, hence bit-identical.
+# and resets into superoperator segments. The per-task advance loop
+# applies the Reset channel in superoperator form too (reset_qubit ->
+# apply_kraus_to_density converts multi-operator channels to a
+# superoperator) — same matrix, same contraction per slice, hence
+# bit-identical.
 from .segments import (
-    RESET_SUPEROP as _RESET_SUPEROP,
     SegmentCompiler,
     TailPlan,
     apply_plan_to_density_batch,
@@ -55,15 +54,6 @@ from .segments import (
 )
 
 __all__ = ["DensityMatrixSimulator"]
-
-
-def _check_plan_start(plan: TailPlan, snapshot: SimulationSnapshot) -> None:
-    """A tail plan only substitutes for the suffix it was compiled from."""
-    if plan.start != snapshot.position:
-        raise ValueError(
-            f"tail plan compiled for position {plan.start} cannot run "
-            f"from a snapshot at position {snapshot.position}"
-        )
 
 
 class DensityMatrixSimulator:
@@ -131,39 +121,18 @@ class DensityMatrixSimulator:
         tail: Optional[Sequence[Instruction]] = None,
         shots: Optional[int] = None,
         seed: Optional[int] = None,
-        plan: Optional[TailPlan] = None,
     ) -> Result:
         """Branch from ``snapshot``, apply ``tail``, return the Result.
 
         Bit-identical to :meth:`run` on the equivalent full circuit: the
         branch replays exactly the gate/channel sequence the suffix would
         see, then folds in readout confusion the same way.
-
-        With a ``plan`` (compiled for ``snapshot.position`` with this
-        backend's noise model folded in), ``tail`` carries only the
-        branch's private head; the shared suffix — gates, channels,
-        resets — applies as the plan's fused segments.
         """
         measure_map = dict(snapshot.measure_map)
         measured = set(snapshot.measured)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            state = self._advance(
-                snapshot.state, tail or (), measure_map, measured
-            )
-            batch = apply_plan_to_density_batch(
-                state.data[np.newaxis, :, :], plan, circuit.num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-            state = DensityMatrix(batch[0])
-        else:
-            if tail is None:
-                tail = circuit.instructions[snapshot.position :]
-            state = self._advance(
-                snapshot.state, tail, measure_map, measured
-            )
+        if tail is None:
+            tail = circuit.instructions[snapshot.position :]
+        state = self._advance(snapshot.state, tail, measure_map, measured)
         probabilities = self._measured_distribution(
             state, circuit, measure_map
         )
@@ -193,34 +162,28 @@ class DensityMatrixSimulator:
         The frozen mixed state is stacked into a ``(B, 2**n, 2**n)`` array;
         per-branch injector rotations (with their noise channels, if the
         model attaches any to the injector gate) apply as stacked
-        contractions, and the shared tail — gates, channels, readout
-        confusion — applies across the whole batch at once. Row ``b`` is
-        bit-identical to :meth:`run_from_snapshot` with the tail
-        ``heads[b] + circuit.instructions[snapshot.position:]``.
-
-        With a ``plan`` compiled for ``snapshot.position``, the shared
-        tail applies as fused superoperator/unitary segments (one
-        contraction per segment) instead of operation by operation.
+        contractions, and the shared tail — gates, channels, resets —
+        applies across the whole batch as ``plan``, the tail compiled for
+        ``snapshot.position`` with this backend's noise model folded in
+        (compiled here, unpacked, when the caller passes none); readout
+        confusion follows. Row ``b`` of an unpacked run is bit-identical
+        to :meth:`run_from_snapshot` with the tail ``heads[b] +
+        circuit.instructions[snapshot.position:]``.
         """
+        if plan is None:
+            plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
+        plan.check_start(snapshot.position)
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
-        measured = set(snapshot.measured)
         batch = np.repeat(
             snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
         )
-        batch = self._apply_heads_batch(batch, heads, measured, num_qubits)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            batch = apply_plan_to_density_batch(batch, plan, num_qubits)
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-        else:
-            batch = self._advance_batch(
-                batch, circuit.instructions[snapshot.position :],
-                measure_map, measured, num_qubits,
-            )
+        batch = self._apply_heads_batch(
+            batch, heads, set(snapshot.measured), num_qubits
+        )
+        batch = apply_plan_to_density_batch(batch, plan, num_qubits)
+        measure_map.update(plan.measures)
         probs = self._batch_probabilities(batch)
         if probs.dtype != np.float64:
             probs = probs.astype(np.float64)
@@ -299,49 +262,6 @@ class DensityMatrixSimulator:
             batch[index] = rho
         return batch
 
-    def _advance_batch(
-        self,
-        batch: np.ndarray,
-        instructions: Iterable[Instruction],
-        measure_map: Dict[int, int],
-        measured: Set[int],
-        num_qubits: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_advance`: same gate/channel sequence, with each
-        operation applied across the whole ``(B, 2**n, 2**n)`` stack."""
-        noise = self.noise_model
-        for inst in instructions:
-            if isinstance(inst.gate, Barrier):
-                continue
-            if isinstance(inst.gate, Measure):
-                measure_map[inst.clbits[0]] = inst.qubits[0]
-                measured.add(inst.qubits[0])
-                continue
-            touched = set(inst.qubits) & measured
-            if touched:
-                raise ValueError(
-                    f"gate {inst.name} on already-measured qubit(s) {touched}; "
-                    "only terminal measurements are supported"
-                )
-            if isinstance(inst.gate, Reset):
-                batch = apply_superop_to_density_batch(
-                    batch, _RESET_SUPEROP, (inst.qubits[0],), num_qubits
-                )
-                continue
-            batch = apply_unitary_to_density_batch(
-                batch, inst.gate.matrix, inst.qubits, num_qubits
-            )
-            if noise is not None:
-                channel = noise.channel_for(inst.name, inst.qubits)
-                if channel is not None:
-                    for superop, targets in _channel_superop_plan(
-                        channel, inst.qubits, inst.name
-                    ):
-                        batch = apply_superop_to_density_batch(
-                            batch, superop, targets, num_qubits
-                        )
-        return batch
-
     @staticmethod
     def _batch_probabilities(batch: np.ndarray) -> np.ndarray:
         """Diagonal distributions of a density-matrix stack, row by row
@@ -380,9 +300,6 @@ class DensityMatrixSimulator:
             )
         return tensor.reshape(probs.shape[0], -1)
 
-    # ------------------------------------------------------------------
-    # Fused-segment protocol
-    # ------------------------------------------------------------------
     def tail_compiler(
         self, circuit: QuantumCircuit, **options
     ) -> SegmentCompiler:

@@ -1,32 +1,32 @@
-"""Fused gate-segment compilation for campaign tails.
+"""Gate-segment compilation for campaign tails.
 
 A fault campaign replays the *same* circuit suffix once per fault branch:
-after prefix reuse (PR 1) and branch batching (PR 2), the remaining cost
-of a sweep is applying every shared tail gate to every branch, one gate
-at a time. This module compiles the gate run between an injection
-position and the end of the circuit into a handful of **fused segments**
-— precomposed unitaries (statevector) or superoperators (density matrix,
-noise channels folded in) — so an executor applies one contraction per
-segment instead of one per gate.
+after prefix reuse and branch batching, the remaining cost of a sweep is
+applying every shared tail operation to every branch. This module
+compiles the operations between an injection position and the end of the
+circuit into a :class:`TailPlan` of **segments** — unitaries
+(statevector) or superoperators (density matrix, noise channels folded
+in) — and a branch batch's tail always runs as such a plan: the matrix
+construction is hoisted out of the sweep, and packed plans apply one
+contraction per composed segment instead of one per gate.
 
 Compilation is a pure function of ``(circuit, noise model, options)``:
 two compilers over the same inputs produce bit-identical segment
-matrices, which is what lets the serial, batched and parallel strategies
-(workers rebuild their own compiler) agree bit for bit when all of them
-fuse.
+matrices, which is what lets the in-process engine and its pool workers
+(which rebuild their own compiler) agree bit for bit.
 
 Bit-identity fine print
 -----------------------
-Floating-point matrix composition is not associative, so a *packed*
-fused run is not bit-identical to the unfused per-gate run — it agrees
-to ~1e-12 and is bit-identical *across* fused strategies and tile
-sizes. With ``pack=False`` — the default — the compiler emits one
-segment per primitive operation — exactly the matrices, targets and
-order the unfused advance loops use — and fused execution is then
-bit-identical to unfused execution as well; packing is only reachable
-through the same explicit waiver as the fast path
-(``ScenarioSpec.bit_identical = False``). The equivalence harness in
-``tests/faults/test_fused_equivalence.py`` locks both guarantees down.
+With ``pack=False`` — the default — the compiler emits one segment per
+primitive operation: exactly the matrices, targets and order the
+per-task advance loops use, so campaign records are bit-identical to
+the naive per-injection re-simulation. Floating-point matrix composition
+is not associative, so a *packed* plan agrees with it to ~1e-12 only,
+while staying bit-identical across strategies and tile sizes; packing is
+only reachable through the same explicit waiver as the fast path
+(``ScenarioSpec.bit_identical = False``). The engine-versus-naive
+equivalence tests in ``tests/faults/test_batched.py`` lock both
+guarantees down.
 
 The opt-in ``float32`` fast path compiles segments in ``complex64`` and,
 when the optional ``opt_einsum`` package is installed, routes the
@@ -96,9 +96,10 @@ def channel_superop_plan(
 
     A channel matching the gate's arity acts once on all its qubits; a
     one-qubit channel on a multi-qubit gate acts on each participating
-    qubit independently. Shared by the serial and batched advance loops
-    *and* by the segment compiler, so every execution path applies
-    exactly the same superoperators in the same order.
+    qubit independently. Shared by the per-task advance loop, the
+    batched head application *and* the segment compiler, so every
+    execution path applies exactly the same superoperators in the same
+    order.
     """
     if channel.num_qubits == len(qubits):
         return [(channel.superoperator, tuple(qubits))]
@@ -112,9 +113,9 @@ def channel_superop_plan(
 
 
 # Reset re-prepares |0> through this fixed two-operator Kraus channel.
-# Every execution path — serial, batched, fused — applies it in
-# superoperator form: same matrix, same contraction per slice, hence
-# bit-identical.
+# Every execution path — per-task, batched heads, segment plans —
+# applies it in superoperator form: same matrix, same contraction per
+# slice, hence bit-identical.
 RESET_KRAUS = (
     np.array([[1, 0], [0, 0]], dtype=complex),
     np.array([[0, 1], [0, 0]], dtype=complex),
@@ -211,6 +212,14 @@ class TailPlan:
         """Primitive operations this plan folds into its segments."""
         return sum(segment.count for segment in self.segments)
 
+    def check_start(self, position: int) -> None:
+        """A plan only substitutes for the suffix it was compiled from."""
+        if self.start != position:
+            raise ValueError(
+                f"tail plan compiled for position {self.start} cannot run "
+                f"from a snapshot at position {position}"
+            )
+
 
 class SegmentCompiler:
     """Compiles (and caches) the tail plans of one circuit.
@@ -228,9 +237,8 @@ class SegmentCompiler:
     gate channels and ``Reset`` into superoperator segments (the
     density-matrix backend). ``pack=False`` — the default — disables
     composition: every primitive operation becomes its own segment,
-    which keeps fused execution bit-identical to the unfused advance
-    loops (the repo's headline guarantee; the speedup comes from
-    hoisting per-gate matrix construction out of the sweep).
+    which keeps plan execution bit-identical to the per-task advance
+    loops (the repo's headline guarantee).
     ``pack=True`` additionally composes runs of compatible operations
     into one matrix per segment — the fastest mode, whose records are
     still bitwise-stable across executors and tile sizes but reorder
@@ -289,16 +297,32 @@ class SegmentCompiler:
         return plan
 
     @property
+    def key(self) -> tuple:
+        """What the compiled plans depend on: equal keys compile
+        bit-identical plans. Holds the identities of the circuit and the
+        noise model, which the compiler keeps alive, so a live key can
+        never alias another circuit."""
+        return (
+            id(self.circuit),
+            self.superop,
+            id(self.noise_model),
+            self.dtype,
+            self.pack,
+            self.max_unitary_qubits,
+            self.max_superop_qubits,
+        )
+
+    @property
     def compiled_positions(self) -> Tuple[int, ...]:
         """Tail starts compiled so far (cache introspection for tests)."""
         return tuple(sorted(self._plans))
 
     # ------------------------------------------------------------------
     def _primitive_ops(self, start: int):
-        """The tail's primitive operation list, in unfused order.
+        """The tail's primitive operation list, in per-gate order.
 
         Returns ``(ops, measures)`` where each op is ``(kind, targets,
-        matrix)`` — exactly the kernel calls the unfused advance loops
+        matrix)`` — exactly the kernel calls the per-task advance loop
         would make — and ``measures`` is the classical bookkeeping.
         Raises for gates on already-measured qubits and for ``Reset``
         outside superoperator mode, with the same messages as the

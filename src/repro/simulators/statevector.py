@@ -119,18 +119,12 @@ class StatevectorSimulator:
         tail: Optional[Sequence[Instruction]] = None,
         shots: Optional[int] = None,
         seed: Optional[int] = None,
-        plan: Optional[TailPlan] = None,
     ) -> Result:
         """Branch from ``snapshot``, apply ``tail``, return the Result.
 
         ``tail`` defaults to the rest of ``circuit``; the fault injector
         passes the spliced continuation instead. The snapshot itself is
         never mutated, so many branches may share it.
-
-        With a ``plan`` (a :class:`~repro.simulators.segments.TailPlan`
-        compiled for ``snapshot.position``), ``tail`` carries only the
-        branch's private head; the shared circuit suffix applies as the
-        plan's fused segments instead of gate by gate.
 
         Without a ``seed`` the exact distribution is returned even when
         ``shots`` is set, leaving re-sampling to the caller (campaign code
@@ -141,29 +135,11 @@ class StatevectorSimulator:
         """
         measure_map = dict(snapshot.measure_map)
         measured = set(snapshot.measured)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            state = self._advance(
-                snapshot.state, tail or (), measure_map, measured
-            )
-            batch = apply_plan_to_statevector_batch(
-                state.data[np.newaxis, :], plan, circuit.num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-            qubit_probs = np.abs(batch[0]) ** 2
-            if qubit_probs.dtype != np.float64:
-                qubit_probs = qubit_probs.astype(np.float64)
-        else:
-            if tail is None:
-                tail = circuit.instructions[snapshot.position :]
-            state = self._advance(
-                snapshot.state, tail, measure_map, measured
-            )
-            qubit_probs = state.probabilities()
+        if tail is None:
+            tail = circuit.instructions[snapshot.position :]
+        state = self._advance(snapshot.state, tail, measure_map, measured)
         probabilities = _marginal_clbit_distribution(
-            qubit_probs, measure_map, circuit
+            state.probabilities(), measure_map, circuit
         )
         num_clbits = circuit.num_clbits or circuit.num_qubits
         metadata: Dict[str, object] = {"backend": self.name, "ideal": True}
@@ -201,36 +177,27 @@ class StatevectorSimulator:
 
         The frozen prefix state is stacked ``B`` times into a ``(B, 2**n)``
         array; each branch's injector rotations apply as one stacked
-        contraction over the batch axis, and every shared tail gate applies
-        to the whole batch at once. Row ``b`` of the returned batch is
-        bit-identical to :meth:`run_from_snapshot` with the tail
-        ``heads[b] + circuit.instructions[snapshot.position:]``.
-
-        With a ``plan`` compiled for ``snapshot.position``, the shared
-        tail applies as fused segments (one contraction per segment)
-        instead of gate by gate.
+        contraction over the batch axis, and the shared tail
+        ``circuit.instructions[snapshot.position:]`` applies to the whole
+        batch as ``plan`` — the tail compiled for ``snapshot.position``,
+        compiled here (unpacked) when the caller passes none. Row ``b`` of
+        an unpacked run is bit-identical to :meth:`run_from_snapshot` with
+        the tail ``heads[b] + circuit.instructions[snapshot.position:]``.
         """
+        if plan is None:
+            plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
+        plan.check_start(snapshot.position)
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
-        measured = set(snapshot.measured)
         batch = np.repeat(
             snapshot.state.data[np.newaxis, :], len(heads), axis=0
         )
-        batch = _apply_heads_batch(batch, heads, measured, num_qubits)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            batch = apply_plan_to_statevector_batch(
-                batch, plan, num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-        else:
-            batch = self._advance_batch(
-                batch, circuit.instructions[snapshot.position :],
-                measure_map, measured, num_qubits,
-            )
+        batch = _apply_heads_batch(
+            batch, heads, set(snapshot.measured), num_qubits
+        )
+        batch = apply_plan_to_statevector_batch(batch, plan, num_qubits)
+        measure_map.update(plan.measures)
         qubit_probs = np.abs(batch) ** 2
         if qubit_probs.dtype != np.float64:
             qubit_probs = qubit_probs.astype(np.float64)
@@ -245,38 +212,6 @@ class StatevectorSimulator:
             shots=shots,
             metadata={"backend": self.name, "ideal": True},
         )
-
-    @staticmethod
-    def _advance_batch(
-        batch: np.ndarray,
-        instructions: Iterable[Instruction],
-        measure_map: Dict[int, int],
-        measured: Set[int],
-        num_qubits: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_advance`: same per-instruction handling, with
-        each gate applied across the whole ``(B, 2**n)`` stack at once."""
-        for inst in instructions:
-            if isinstance(inst.gate, Barrier):
-                continue
-            if isinstance(inst.gate, Measure):
-                measure_map[inst.clbits[0]] = inst.qubits[0]
-                measured.add(inst.qubits[0])
-                continue
-            if isinstance(inst.gate, Reset):
-                raise ValueError(
-                    "reset requires the density-matrix simulator"
-                )
-            touched = set(inst.qubits) & measured
-            if touched:
-                raise ValueError(
-                    f"gate {inst.name} on already-measured qubit(s) {touched}; "
-                    "only terminal measurements are supported"
-                )
-            batch = apply_unitary_to_statevector_batch(
-                batch, inst.gate.matrix, inst.qubits, num_qubits
-            )
-        return batch
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -315,14 +250,11 @@ class StatevectorSimulator:
         """Final pure state of the measurement-free part of ``circuit``."""
         return Statevector.from_circuit(circuit)
 
-    # ------------------------------------------------------------------
-    # Fused-segment protocol
-    # ------------------------------------------------------------------
     def tail_compiler(
         self, circuit: QuantumCircuit, **options
     ) -> SegmentCompiler:
         """A unitary segment compiler for ``circuit`` (pure states carry
-        no noise, so fused segments are plain unitaries). ``options``
+        no noise, so segments are plain unitaries). ``options``
         forward to :class:`~repro.simulators.segments.SegmentCompiler`
         (``dtype``, ``pack``, support caps)."""
         return SegmentCompiler(circuit, superop=False, **options)
@@ -331,15 +263,6 @@ class StatevectorSimulator:
         """Bytes per branch in an exact batch: one complex128 amplitude
         per basis state."""
         return 16 * 2**num_qubits
-
-
-def _check_plan_start(plan: TailPlan, snapshot: SimulationSnapshot) -> None:
-    """A tail plan only substitutes for the suffix it was compiled from."""
-    if plan.start != snapshot.position:
-        raise ValueError(
-            f"tail plan compiled for position {plan.start} cannot run "
-            f"from a snapshot at position {snapshot.position}"
-        )
 
 
 def _apply_heads_batch(

@@ -1,14 +1,22 @@
-"""Batched branch evaluation: equivalence, protocol, and fallbacks.
+"""The campaign engine against the naive reference path.
 
-The engine's standing invariant is a chain: the batched path must be
-bit-identical to :class:`SerialExecutor`, which must itself be
-bit-identical to the naive per-injection loop. These tests pin the whole
-chain on every benchmark algorithm, for single- and double-fault
-campaigns, on both batch-capable backends.
+The engine's standing invariant: on the exact simulators, the batched
+path — group, tile, snapshot, branch batch, compiled segment plan,
+vectorized scoring — produces records bit-identical to the naive
+per-injection re-simulation (``prefix_reuse=False``, the per-task loop).
+These tests pin it on every benchmark algorithm, for single- and
+double-fault campaigns, exact and sampled, at any tile size, through the
+process pool and the transpiled path, and on random circuits. Packed
+segments (the ``bit_identical=False`` waiver) keep a weaker guarantee:
+bitwise-stable across strategies and tile sizes, numerically close to
+the naive path.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
     bernstein_vazirani,
@@ -20,12 +28,17 @@ from repro.algorithms import (
 )
 from repro.faults import (
     BatchedExecutor,
+    CampaignPlan,
+    InjectionTask,
+    ParallelExecutor,
     QuFI,
     SerialExecutor,
     enumerate_injection_points,
     fault_grid,
 )
-from repro.faults.executor import score_branch_batch
+from repro.faults.executor import TILE_WORKING_SET, score_branch_batch
+from repro.quantum import random_circuit
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.simulators import (
     BranchBatch,
     DensityMatrixSimulator,
@@ -46,6 +59,10 @@ ALGORITHM_BUILDERS = [
     qpe,
 ]
 
+FAULTS = fault_grid(step_deg=90)
+COUPLES = [(0, 1), (1, 2)]
+PACKED = {"pack": True}
+
 
 def build_noise_model(num_qubits: int) -> NoiseModel:
     model = NoiseModel("batched-test")
@@ -61,8 +78,44 @@ def build_noise_model(num_qubits: int) -> NoiseModel:
     return model
 
 
+def sv():
+    return StatevectorSimulator()
+
+
+def dm(num_qubits=3):
+    return DensityMatrixSimulator(build_noise_model(num_qubits))
+
+
+def naive():
+    """The reference path: every injection re-simulates its full circuit."""
+    return SerialExecutor(prefix_reuse=False)
+
+
+def tiled(backend, num_qubits=3, tile=3, **options):
+    """An engine whose memory budget forces ``tile`` branches per batch."""
+    budget = TILE_WORKING_SET * tile * backend.branch_state_nbytes(num_qubits)
+    return BatchedExecutor(memory_budget=budget, **options)
+
+
+def table_bytes(result):
+    """A campaign's records as raw bytes — the bit-identity comparator."""
+    return result.table.data.tobytes()
+
+
+def single(make_backend, executor, target, **kwargs):
+    return QuFI(make_backend(), executor=executor, **kwargs).run_campaign(
+        target, faults=FAULTS
+    )
+
+
+def double(make_backend, executor, target):
+    return QuFI(make_backend(), executor=executor).run_double_campaign(
+        target, COUPLES, faults=FAULTS
+    )
+
+
 def legacy_sweep(qufi, spec, faults):
-    """The naive per-injection loop the engine replaced."""
+    """The naive per-injection loop, one ``run_injection`` at a time."""
     return [
         qufi.run_injection(spec.circuit, spec.correct_states, point, fault)
         for point in enumerate_injection_points(spec.circuit)
@@ -81,40 +134,33 @@ def assert_records_identical(left, right):
 
 
 class TestSingleFaultEquivalence:
-    """Batched == serial == naive, exact mode, every benchmark algorithm."""
+    """Engine == naive, exact mode, every benchmark algorithm."""
 
     @pytest.mark.parametrize(
         "builder", ALGORITHM_BUILDERS, ids=lambda b: b.__name__
     )
-    def test_statevector_all_algorithms(self, builder):
+    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_all_algorithms(self, builder, make_backend):
         spec = builder(3)
-        faults = fault_grid(step_deg=90)
-        naive = legacy_sweep(QuFI(StatevectorSimulator()), spec, faults)
-        serial = QuFI(
-            StatevectorSimulator(), executor=SerialExecutor()
-        ).run_campaign(spec, faults=faults)
-        batched = QuFI(
-            StatevectorSimulator(), executor=BatchedExecutor()
-        ).run_campaign(spec, faults=faults)
-        assert_records_identical(naive, serial.records)
-        assert_records_identical(serial.records, batched.records)
+        reference = single(make_backend, naive(), spec)
+        assert_records_identical(
+            legacy_sweep(QuFI(make_backend()), spec, FAULTS),
+            reference.records,
+        )
+        for executor in (
+            SerialExecutor(),
+            BatchedExecutor(),
+            tiled(make_backend()),
+        ):
+            assert table_bytes(reference) == table_bytes(
+                single(make_backend, executor, spec)
+            )
 
-    @pytest.mark.parametrize(
-        "builder", ALGORITHM_BUILDERS, ids=lambda b: b.__name__
-    )
-    def test_noisy_density_matrix_all_algorithms(self, builder):
-        spec = builder(3)
-        backend = DensityMatrixSimulator(build_noise_model(3))
-        faults = fault_grid(step_deg=90)
-        naive = legacy_sweep(QuFI(backend), spec, faults)
-        serial = QuFI(backend, executor=SerialExecutor()).run_campaign(
-            spec, faults=faults
+    def test_tile_size_one_still_matches(self):
+        spec = qft(3)
+        assert table_bytes(single(dm, naive(), spec)) == table_bytes(
+            single(dm, tiled(dm(), tile=1), spec)
         )
-        batched = QuFI(backend, executor=BatchedExecutor()).run_campaign(
-            spec, faults=faults
-        )
-        assert_records_identical(naive, serial.records)
-        assert_records_identical(serial.records, batched.records)
 
 
 class TestDoubleFaultEquivalence:
@@ -123,20 +169,22 @@ class TestDoubleFaultEquivalence:
     )
     def test_statevector_all_algorithms(self, builder):
         spec = builder(3)
-        faults = fault_grid(step_deg=90)
-        couples = [(0, 1), (1, 2)]
-        serial = QuFI(
-            StatevectorSimulator(), executor=SerialExecutor()
-        ).run_double_campaign(spec, couples, faults=faults)
-        batched = QuFI(
-            StatevectorSimulator(), executor=BatchedExecutor()
-        ).run_double_campaign(spec, couples, faults=faults)
-        assert serial.num_injections > 0
-        assert_records_identical(serial.records, batched.records)
+        reference = table_bytes(double(sv, naive(), spec))
+        for executor in (BatchedExecutor(), tiled(sv())):
+            assert reference == table_bytes(double(sv, executor, spec))
+
+    @pytest.mark.parametrize(
+        "builder", [bernstein_vazirani, grover], ids=lambda b: b.__name__
+    )
+    def test_noisy_density_matrix_double(self, builder):
+        spec = builder(3)
+        assert table_bytes(double(dm, naive(), spec)) == table_bytes(
+            double(dm, BatchedExecutor(), spec)
+        )
 
     def test_reset_in_tail_stays_bit_identical(self):
         """Reset is the one tail operation with its own (channel) path;
-        batched and serial must agree bit for bit across it too."""
+        the engine and the naive loop must agree bit for bit across it."""
         from repro.quantum import QuantumCircuit
 
         qc = QuantumCircuit(3, 3, name="reset-tail")
@@ -147,46 +195,123 @@ class TestDoubleFaultEquivalence:
         qc.h(1)
         qc.cx(1, 2)
         qc.measure_all()
-        faults = fault_grid(step_deg=90)
-        backend = DensityMatrixSimulator(build_noise_model(3))
-        serial = QuFI(backend, executor=SerialExecutor()).run_campaign(
-            qc, correct_states=["000"], faults=faults
-        )
-        batched = QuFI(backend, executor=BatchedExecutor()).run_campaign(
-            qc, correct_states=["000"], faults=faults
-        )
-        assert serial.num_injections > 0
-        assert_records_identical(serial.records, batched.records)
 
-    def test_noisy_density_matrix_double(self):
-        spec = bernstein_vazirani(3)
-        backend = DensityMatrixSimulator(build_noise_model(3))
-        faults = fault_grid(step_deg=90)
-        couples = [(0, 1)]
-        serial = QuFI(backend, executor=SerialExecutor()).run_double_campaign(
-            spec, couples, faults=faults
-        )
-        batched = QuFI(
-            backend, executor=BatchedExecutor()
-        ).run_double_campaign(spec, couples, faults=faults)
-        assert_records_identical(serial.records, batched.records)
+        def run(executor):
+            return QuFI(dm(), executor=executor).run_campaign(
+                qc, correct_states=["000"], faults=FAULTS
+            )
+
+        reference = run(naive())
+        assert reference.num_injections > 0
+        assert table_bytes(reference) == table_bytes(run(BatchedExecutor()))
 
 
 class TestSampledMode:
-    def test_sampled_batched_matches_serial_stream(self):
+    @pytest.mark.parametrize(
+        "builder", ALGORITHM_BUILDERS, ids=lambda b: b.__name__
+    )
+    def test_sampled_engine_matches_naive_stream(self, builder):
         """A finite shot budget scores branch by branch in task order, so
-        the batched path consumes the injector rng exactly as serial."""
-        spec = bernstein_vazirani(3)
-        faults = fault_grid(step_deg=90)
-        serial = QuFI(
-            StatevectorSimulator(), shots=256, seed=11,
-            executor=SerialExecutor(),
-        ).run_campaign(spec, faults=faults)
-        batched = QuFI(
-            StatevectorSimulator(), shots=256, seed=11,
-            executor=BatchedExecutor(),
-        ).run_campaign(spec, faults=faults)
-        assert_records_identical(serial.records, batched.records)
+        the engine consumes the injector rng exactly as the naive loop."""
+        spec = builder(3)
+        assert table_bytes(
+            single(sv, naive(), spec, shots=128, seed=11)
+        ) == table_bytes(
+            single(sv, BatchedExecutor(), spec, shots=128, seed=11)
+        )
+
+
+class BranchOnlySimulator(StatevectorSimulator):
+    """A statevector backend whose scalar branch path is unavailable.
+
+    Campaign workers must drive it through the batched protocol only.
+    """
+
+    def run_from_snapshot(self, *args, **kwargs):
+        raise AssertionError("the scalar branch path must not run")
+
+
+class TestPool:
+    """The pool runs the engine: same records as in process and naive."""
+
+    def test_parallel_matches_naive(self):
+        executor = ParallelExecutor(workers=2).start()
+        try:
+            for builder in ALGORITHM_BUILDERS:
+                spec = builder(3)
+                assert table_bytes(single(sv, naive(), spec)) == table_bytes(
+                    single(sv, executor, spec)
+                )
+            spec = qft(3)
+            assert table_bytes(single(dm, naive(), spec)) == table_bytes(
+                single(dm, executor, spec)
+            )
+        finally:
+            executor.shutdown()
+
+    def test_workers_run_the_batched_engine(self):
+        spec = qft(3)
+        tasks = tuple(
+            InjectionTask(index=index, point=point, fault=fault)
+            for index, (point, fault) in enumerate(
+                (point, fault)
+                for point in enumerate_injection_points(spec.circuit)
+                for fault in FAULTS
+            )
+        )
+        plan = CampaignPlan(
+            circuit=spec.circuit,
+            correct_states=tuple(spec.correct_states),
+            tasks=tasks,
+        )
+        pooled = ParallelExecutor(workers=2).run(BranchOnlySimulator(), plan)
+        in_process = SerialExecutor().run(StatevectorSimulator(), plan)
+        assert pooled.data.tobytes() == in_process.data.tobytes()
+
+
+class TestPackedWaiver:
+    """Packed segments: bitwise-stable across strategies, close to naive."""
+
+    def test_packed_stable_across_strategies_and_tiles(self):
+        spec = qft(3)
+        runs = [
+            table_bytes(single(dm, executor, spec))
+            for executor in (
+                SerialExecutor(segment_options=PACKED),
+                BatchedExecutor(segment_options=PACKED),
+                tiled(dm(), segment_options=PACKED),
+            )
+        ]
+        with ParallelExecutor(workers=2, segment_options=PACKED) as pool:
+            runs.append(table_bytes(single(dm, pool, spec)))
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    def test_packed_close_to_naive(self):
+        spec = qft(3)
+        exact = single(dm, naive(), spec)
+        packed = single(dm, BatchedExecutor(segment_options=PACKED), spec)
+        np.testing.assert_allclose(
+            packed.qvf_values(), exact.qvf_values(), atol=1e-9
+        )
+
+
+class TestTranspiled:
+    def test_transpiled_engine_matches_naive(self):
+        """Transpiled campaigns take the same engine; a fused spec that
+        keeps bit-identity compiles the same unpacked plans."""
+        spec = ScenarioSpec(
+            algorithm="ghz",
+            width=3,
+            noise="light",
+            grid_step_deg=90.0,
+            executor="batched",
+            transpile={"optimization_level": 1, "seed": 7},
+        )
+        reference = table_bytes(run_scenario(spec, executor=naive()))
+        assert reference == table_bytes(run_scenario(spec))
+        assert reference == table_bytes(
+            run_scenario(dataclasses.replace(spec, fused=True))
+        )
 
 
 class TestProtocol:
@@ -194,14 +319,15 @@ class TestProtocol:
         assert supports_batched_branches(StatevectorSimulator())
         assert supports_batched_branches(DensityMatrixSimulator())
 
-    def test_branch_batch_rows_match_serial_results(self):
-        """Each BranchBatch row reproduces run_from_snapshot's dictionary —
-        same keys (presence) and bit-identical values."""
-        from repro.faults.executor import _branch_head, _fault_tail
-        from repro.faults import InjectionTask
+    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_branch_batch_rows_match_serial_results(self, make_backend):
+        """Each BranchBatch row — its tail plan compiled by the backend —
+        reproduces run_from_snapshot's dictionary: same keys (presence)
+        and bit-identical values."""
+        from repro.faults.executor import _branch_head
 
         spec = qft(3)
-        backend = StatevectorSimulator()
+        backend = make_backend()
         faults = fault_grid(step_deg=45)
         points = enumerate_injection_points(spec.circuit)
         point = points[len(points) // 2]
@@ -216,9 +342,10 @@ class TestProtocol:
             snapshot, spec.circuit, [_branch_head(t) for t in tasks]
         )
         assert batch.size == len(tasks)
+        suffix = list(spec.circuit.instructions[point.position + 1 :])
         for index, task in enumerate(tasks):
             serial = backend.run_from_snapshot(
-                snapshot, spec.circuit, _fault_tail(spec.circuit, task)
+                snapshot, spec.circuit, _branch_head(task) + suffix
             )
             assert batch.result(index).probabilities == serial.probabilities
 
@@ -233,9 +360,9 @@ class TestProtocol:
         ).run_campaign(spec, faults=faults)
         assert_records_identical(whole.records, chopped.records)
 
-    def test_fallback_to_serial_without_batch_support(self):
-        """Snapshot-less backends still run correct campaigns under the
-        batched executor (degrading to the serial loop)."""
+    def test_fallback_to_per_task_loop_without_batch_support(self):
+        """Snapshot-less backends still run correct campaigns on the
+        engine (through the per-task loop)."""
 
         class OpaqueBackend:
             name = "opaque"
@@ -250,30 +377,18 @@ class TestProtocol:
         assert not supports_snapshots(backend)
         assert not supports_batched_branches(backend)
         spec = bernstein_vazirani(3)
-        faults = fault_grid(step_deg=90)
         campaign = QuFI(
             backend, executor=BatchedExecutor()
-        ).run_campaign(spec, faults=faults)
+        ).run_campaign(spec, faults=FAULTS)
         reference = QuFI(StatevectorSimulator()).run_campaign(
-            spec, faults=faults
+            spec, faults=FAULTS
         )
         assert_records_identical(campaign.records, reference.records)
-
-    def test_prefix_reuse_false_degrades_to_naive(self):
-        spec = bernstein_vazirani(3)
-        faults = fault_grid(step_deg=90)
-        degraded = QuFI(
-            StatevectorSimulator(),
-            executor=BatchedExecutor(prefix_reuse=False),
-        ).run_campaign(spec, faults=faults)
-        reference = QuFI(StatevectorSimulator()).run_campaign(
-            spec, faults=faults
-        )
-        assert_records_identical(degraded.records, reference.records)
 
     def test_bounded_preserves_strategy(self):
         bounded = BatchedExecutor(max_branches=32, batch_size=64).bounded(5)
         assert isinstance(bounded, BatchedExecutor)
+        assert bounded.name == "batched"
         assert bounded.max_branches == 32
         assert bounded.batch_size == 5
 
@@ -282,6 +397,8 @@ class TestProtocol:
             BatchedExecutor(max_branches=0)
         with pytest.raises(ValueError):
             BatchedExecutor(batch_size=0)
+        with pytest.raises(ValueError):
+            SerialExecutor(memory_budget=0)
 
     def test_non_unitary_heads_rejected(self):
         from repro.quantum.circuit import Instruction
@@ -329,3 +446,74 @@ class TestVectorizedScoring:
                 format(k, "02b"): p for k, p in enumerate(row) if p > 0
             }
             assert value == qvf_from_probabilities(mapping, ("00",))
+
+
+def _correct_states(circuit):
+    """Fault-free most-probable state(s), as a user would define QVF."""
+    probs = StatevectorSimulator().run(circuit).get_probabilities()
+    best = max(probs.values())
+    return tuple(s for s, p in probs.items() if p > best - 1e-9)
+
+
+class TestRandomCircuits:
+    """Property-based: the guarantee holds for arbitrary workloads."""
+
+    @given(
+        num_qubits=st.integers(min_value=2, max_value=3),
+        depth=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_engine_bit_identical_on_random_circuits(
+        self, num_qubits, depth, seed
+    ):
+        circuit = random_circuit(num_qubits, depth, seed=seed, measure=True)
+        correct = _correct_states(circuit)
+        for make_backend in (sv, lambda: dm(num_qubits)):
+
+            def run(executor):
+                return table_bytes(
+                    QuFI(make_backend(), executor=executor).run_campaign(
+                        circuit, correct_states=correct, faults=FAULTS
+                    )
+                )
+
+            reference = run(naive())
+            assert reference == run(BatchedExecutor())
+            assert reference == run(tiled(make_backend(), num_qubits))
+
+    @given(
+        depth=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_double_faults_on_random_circuits(self, depth, seed):
+        circuit = random_circuit(3, depth, seed=seed, measure=True)
+        correct = _correct_states(circuit)
+
+        def run(executor):
+            return table_bytes(
+                QuFI(sv(), executor=executor).run_double_campaign(
+                    circuit, COUPLES, correct_states=correct, faults=FAULTS
+                )
+            )
+
+        assert run(naive()) == run(BatchedExecutor())
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=6, deadline=None)
+    def test_packed_stable_on_random_circuits(self, seed):
+        circuit = random_circuit(3, 4, seed=seed, measure=True)
+        correct = _correct_states(circuit)
+        runs = [
+            table_bytes(
+                QuFI(sv(), executor=executor).run_campaign(
+                    circuit, correct_states=correct, faults=FAULTS
+                )
+            )
+            for executor in (
+                BatchedExecutor(segment_options=PACKED),
+                tiled(sv(), tile=1, segment_options=PACKED),
+            )
+        ]
+        assert runs[0] == runs[1]

@@ -65,25 +65,25 @@ class TestResume:
         assert partial.num_injections == len(faults)
 
         # Count executions on resume by watching the backend: every
-        # injection branches once from a prefix snapshot, and the first
-        # tail instruction is the injector gate on the target qubit.
-        tails = []
+        # injection is one branch of a batch from a prefix snapshot, and
+        # the branch head's first gate is the injector on the target qubit.
+        heads = []
         backend = qufi.backend
-        original = backend.run_from_snapshot
+        original = backend.run_branches_from_snapshot
 
-        def counting(snapshot, circuit, tail=None, **kwargs):
-            tails.append(tail)
-            return original(snapshot, circuit, tail, **kwargs)
+        def counting(snapshot, circuit, branch_heads, **kwargs):
+            heads.extend(branch_heads)
+            return original(snapshot, circuit, branch_heads, **kwargs)
 
-        backend.run_from_snapshot = counting  # type: ignore[method-assign]
+        backend.run_branches_from_snapshot = counting  # type: ignore[method-assign]
         try:
             full = runner.run(spec, faults=faults, points=points)
         finally:
-            backend.run_from_snapshot = original  # type: ignore[method-assign]
+            backend.run_branches_from_snapshot = original  # type: ignore[method-assign]
 
         # Only the second point's injections were executed.
-        assert len(tails) == len(faults)
-        assert all(tail[0].qubits == (1,) for tail in tails)
+        assert len(heads) == len(faults)
+        assert all(head[0].qubits == (1,) for head in heads)
         assert full.num_injections == 2 * len(faults)
 
     def test_resume_preserves_fault_free_qvf(self, qufi, spec, tmp_path):

@@ -290,25 +290,23 @@ class TestSegmentStoreRobustness:
             read_segments(path)
 
 
-def fused_tiled(tile=None):
-    """A fused BatchedExecutor budgeted down to ``tile`` branches.
+def budgeted(tile=None):
+    """A BatchedExecutor budgeted down to ``tile`` branches.
 
     ``None`` leaves the budget open (the full default batch). Budgets
     are sized against the statevector backend's 3-qubit branch states,
     matching the campaigns these tests run.
     """
     if tile is None:
-        return BatchedExecutor(fused=True)
+        return BatchedExecutor()
     nbytes = StatevectorSimulator().branch_state_nbytes(3)
-    return BatchedExecutor(
-        fused=True, memory_budget=TILE_WORKING_SET * tile * nbytes
-    )
+    return BatchedExecutor(memory_budget=TILE_WORKING_SET * tile * nbytes)
 
 
 class TestTilingInvariance:
     """Tile size is an execution detail: stores must not see it.
 
-    The same fused campaign run at tile sizes {1, 3, B} must leave
+    The same campaign run at tile sizes {1, 3, B} must leave
     byte-identical segment checkpoints on disk, and a campaign killed at
     one tile size then resumed at another must converge to the same
     bytes — record layout is pinned by ``docs/file_formats.md``, so
@@ -321,7 +319,7 @@ class TestTilingInvariance:
         blobs = {}
         for tile in (1, 3, None):
             path = str(tmp_path / f"tile-{tile}.ckpt")
-            run_checkpointed(path, spec, faults, fused_tiled(tile), None, None)
+            run_checkpointed(path, spec, faults, budgeted(tile), None, None)
             with open(path, "rb") as handle:
                 blobs[tile] = handle.read()
         assert blobs[1] == blobs[3] == blobs[None]
@@ -333,7 +331,7 @@ class TestTilingInvariance:
         faults = fault_grid(step_deg=90)
         reference_path = str(tmp_path / "reference.ckpt")
         reference = run_checkpointed(
-            reference_path, spec, faults, fused_tiled(), None, None
+            reference_path, spec, faults, budgeted(), None, None
         )
         path = str(tmp_path / "killed.ckpt")
         with pytest.raises(SimulatedKill):
@@ -341,12 +339,12 @@ class TestTilingInvariance:
                 path,
                 spec,
                 faults,
-                KillingExecutor(fused_tiled(3), kill_after=30),
+                KillingExecutor(budgeted(3), kill_after=30),
                 None,
                 None,
             )
         resumed = run_checkpointed(
-            path, spec, faults, fused_tiled(), None, None
+            path, spec, faults, budgeted(), None, None
         )
         assert_records_identical(
             resumed.sorted_records(), reference.sorted_records()
@@ -363,14 +361,14 @@ class TestTilingInvariance:
         blobs = []
         for tile in (1, None):
             path = str(tmp_path / f"sampled-{tile}.ckpt")
-            run_checkpointed(path, spec, faults, fused_tiled(tile), 128, 7)
+            run_checkpointed(path, spec, faults, budgeted(tile), 128, 7)
             with open(path, "rb") as handle:
                 blobs.append(handle.read())
         assert blobs[0] == blobs[1]
 
     def test_transpiled_scenario_tiling_invariance(self, tmp_path):
-        """The PR 5 transpiled path: fused + tiled checkpoints agree
-        byte for byte whatever the memory budget."""
+        """The transpiled path: tiled checkpoints on a shared compiler
+        agree byte for byte whatever the memory budget."""
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.factory import (
             FactoryCache,
@@ -389,13 +387,12 @@ class TestTilingInvariance:
             grid_step_deg=90.0,
             executor="batched",
             transpile={"optimization_level": 1, "seed": 7},
-            fused=True,
         )
         blobs = []
         for budget in (1024, None):
             cache = FactoryCache()
             algorithm = make_algorithm(scenario, cache)
-            executor = BatchedExecutor(fused=True, memory_budget=budget)
+            executor = BatchedExecutor(memory_budget=budget)
             executor.prime_segment_compiler(
                 make_segment_compiler(scenario, cache)
             )

@@ -404,6 +404,42 @@ class TestChunking:
         assert bounded_parallel.chunk_size == 5
         assert bounded_parallel.workers == 2
 
+    def test_bounded_copies_share_the_compiler_cache(self):
+        """Bounded copies compile into the primed compiler; pickled
+        copies (what pool workers receive) carry configuration only."""
+        import pickle
+
+        spec = bernstein_vazirani(3)
+        backend = StatevectorSimulator()
+        compiler = backend.tail_compiler(spec.circuit)
+        executor = SerialExecutor()
+        executor.prime_segment_compiler(compiler)
+        QuFI(backend, executor=executor.bounded(5)).run_campaign(
+            spec, faults=fault_grid(step_deg=90)
+        )
+        assert compiler.compiled_positions
+        assert pickle.loads(pickle.dumps(executor))._compilers == {}
+
+    def test_unprimed_runs_read_the_circuit_fresh(self):
+        """Only primed compilers are kept: a circuit edited in place
+        between two campaigns on one long-lived executor is compiled
+        afresh, never served from the first campaign's plans."""
+        from repro.quantum import gates
+
+        spec = bernstein_vazirani(3)
+        faults = fault_grid(step_deg=90)
+        executor = SerialExecutor()
+        qufi = QuFI(StatevectorSimulator(), executor=executor)
+        before = qufi.run_campaign(spec, faults=faults)
+        assert executor._compilers == {}
+        spec.circuit.insert(2, gates.XGate(), [0])
+        after = qufi.run_campaign(spec, faults=faults)
+        fresh = QuFI(
+            StatevectorSimulator(), executor=SerialExecutor()
+        ).run_campaign(spec, faults=faults)
+        assert after.table.data.tobytes() == fresh.table.data.tobytes()
+        assert after.table.data.tobytes() != before.table.data.tobytes()
+
     def test_worker_chunks_reseed_stateful_backends(self):
         """Pickled backend copies must not replay one random stream."""
         import pickle
@@ -430,7 +466,9 @@ class TestChunking:
             clone = pickle.loads(pickle.dumps(backend))
             return [
                 r.qvf
-                for r in _run_chunk(clone, plan, tasks, seed_material, True)
+                for r in _run_chunk(
+                    clone, plan, tasks, seed_material, SerialExecutor()
+                )
             ]
 
         # Identical clones, different chunk seeds -> different streams.
@@ -447,6 +485,20 @@ class TestChunking:
         assert backend._rng is not before
         # Backends without generator state are left alone.
         _reseed_backend(object(), np.random.default_rng(0))
+
+    def test_pool_workers_split_the_blas_threads(self):
+        """Workers split the parent's OpenBLAS threads, at least one
+        each — one apiece on a 2-core host."""
+        from repro.blas import blas_threads
+
+        threads = blas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS thread getter is loaded")
+        with ParallelExecutor(workers=2) as executor:
+            pool = executor._persistent_pool()
+            assert pool.submit(blas_threads).result(timeout=60) == max(
+                1, threads // 2
+            )
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ The fast path (tentpole d) compiles segments in ``complex64`` — and
 contracts through ``opt_einsum`` where installed — in exchange for the
 bit-identity guarantee. These tests pin both sides of that trade: QVF
 values stay within an explicit tolerance of the exact path on all six
-benchmark algorithms, and every layer (spec, executor) refuses the fast
-path until bit-identity is explicitly waived.
+benchmark algorithms, and the spec layer refuses the fast path until
+bit-identity is explicitly waived.
 """
 
 import numpy as np
@@ -53,7 +53,7 @@ class TestGoldenTolerance:
         ).run_campaign(spec, faults=FAULTS)
         fast = QuFI(
             StatevectorSimulator(),
-            executor=BatchedExecutor(fused=True, precision="float32"),
+            executor=BatchedExecutor(precision="float32"),
         ).run_campaign(spec, faults=FAULTS)
         np.testing.assert_allclose(
             fast.qvf_values(), exact.qvf_values(), atol=QVF_TOLERANCE
@@ -70,7 +70,7 @@ class TestGoldenTolerance:
         )
         fast = QuFI(
             DensityMatrixSimulator(light_noise_model(3)),
-            executor=BatchedExecutor(fused=True, precision="float32"),
+            executor=BatchedExecutor(precision="float32"),
         ).run_campaign(spec, faults=FAULTS)
         np.testing.assert_allclose(
             fast.qvf_values(), exact.qvf_values(), atol=QVF_TOLERANCE
@@ -87,9 +87,19 @@ class TestGoldenTolerance:
         assert plan.dtype == np.dtype(np.complex64)
         assert all(s.matrix.dtype == np.complex64 for s in plan.segments)
 
+    def test_executor_float32_compiles_narrow_packed_plans(self):
+        """Executor precision alone selects the fast path (the waiver
+        is enforced where campaigns are declared: the spec)."""
+        executor = BatchedExecutor(precision="float32")
+        compiler = executor._tail_compiler(
+            StatevectorSimulator(), qft(3).circuit
+        )
+        assert compiler.dtype == np.dtype(np.complex64)
+        assert compiler.pack
+
 
 class TestWaiverEnforcement:
-    """float32 is rejected anywhere bit-identity is still claimed."""
+    """float32 is rejected wherever a spec still claims bit-identity."""
 
     def test_spec_rejects_float32_with_bit_identity(self):
         with pytest.raises(ValueError, match="waives the bit-identity"):
@@ -116,18 +126,6 @@ class TestWaiverEnforcement:
         with pytest.raises(ValueError, match="unknown precision"):
             ScenarioSpec(algorithm="ghz", fused=True, precision="float16")
 
-    @pytest.mark.parametrize(
-        "make_executor",
-        [
-            lambda: SerialExecutor(precision="float32"),
-            lambda: BatchedExecutor(precision="float32"),
-        ],
-        ids=["serial", "batched"],
-    )
-    def test_executors_reject_float32_without_fusion(self, make_executor):
-        with pytest.raises(ValueError, match="requires fused=True"):
-            make_executor()
-
     def test_executors_reject_unknown_precision(self):
         with pytest.raises(ValueError, match="precision must be one of"):
-            SerialExecutor(fused=True, precision="double")
+            SerialExecutor(precision="double")

@@ -1,10 +1,10 @@
-"""Unit tests for the fused gate-segment compiler and plan kernels.
+"""Unit tests for the gate-segment compiler and plan kernels.
 
-The campaign-level guarantees (fused == unfused records, tiling
-invariance) live in ``tests/faults/test_fused_equivalence.py``; this
-module pins the compiler machinery itself — composition correctness,
-superoperator embedding, caching, determinism, and the validation
-errors that must match the unfused advance loops word for word.
+The campaign-level guarantees (engine == naive records, tiling
+invariance) live in ``tests/faults/test_batched.py``; this module pins
+the compiler machinery itself — composition correctness, superoperator
+embedding, caching, determinism, and the validation errors that must
+match the per-task advance loop word for word.
 """
 
 import numpy as np
@@ -18,12 +18,12 @@ from repro.quantum.linalg import (
 )
 from repro.quantum.random import random_statevector, random_unitary
 from repro.simulators import (
+    BatchedSnapshotBackend,
     DensityMatrixSimulator,
-    FusedSnapshotBackend,
     SegmentCompiler,
     StatevectorSimulator,
     depolarizing_channel,
-    supports_fused_segments,
+    supports_batched_branches,
 )
 from repro.simulators.noise import NoiseModel
 from repro.simulators.segments import (
@@ -61,15 +61,15 @@ def _full_unitary(circuit):
 
 
 class TestProtocol:
-    def test_exact_backends_support_fused_segments(self):
-        assert supports_fused_segments(StatevectorSimulator())
-        assert supports_fused_segments(DensityMatrixSimulator())
+    def test_exact_backends_compile_their_tails(self):
+        assert supports_batched_branches(StatevectorSimulator())
+        assert supports_batched_branches(DensityMatrixSimulator())
 
     def test_plain_objects_do_not(self):
-        assert not supports_fused_segments(object())
+        assert not supports_batched_branches(object())
 
     def test_protocol_is_runtime_checkable(self):
-        assert isinstance(StatevectorSimulator(), FusedSnapshotBackend)
+        assert isinstance(StatevectorSimulator(), BatchedSnapshotBackend)
 
     def test_branch_state_nbytes(self):
         assert StatevectorSimulator().branch_state_nbytes(3) == 16 * 8
@@ -284,8 +284,8 @@ class TestValidation:
         compiler = backend.tail_compiler(circuit)
         snapshot = backend.prefix_snapshot(circuit, stop=1)
         with pytest.raises(ValueError, match="cannot run from a snapshot"):
-            backend.run_from_snapshot(
-                snapshot, circuit, plan=compiler.tail_plan(3)
+            backend.run_branches_from_snapshot(
+                snapshot, circuit, [()], plan=compiler.tail_plan(3)
             )
 
     def test_plan_path_matches_plain_snapshot_run(self):
@@ -295,9 +295,9 @@ class TestValidation:
             for stop in range(len(circuit.instructions) + 1):
                 snapshot = backend.prefix_snapshot(circuit, stop=stop)
                 plain = backend.run_from_snapshot(snapshot, circuit)
-                fused = backend.run_from_snapshot(
-                    snapshot, circuit, plan=compiler.tail_plan(stop)
-                )
+                planned = backend.run_branches_from_snapshot(
+                    snapshot, circuit, [()], plan=compiler.tail_plan(stop)
+                ).result(0)
                 assert (
-                    plain.get_probabilities() == fused.get_probabilities()
+                    plain.get_probabilities() == planned.get_probabilities()
                 )

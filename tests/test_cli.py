@@ -155,9 +155,10 @@ class TestExportFormats:
 
 
 class TestCampaignExecutors:
-    def test_batched_flag_matches_serial_records(self, tmp_path, capsys):
-        """--batched selects the batched executor and reproduces the
-        default serial campaign record for record."""
+    def test_default_engine_matches_pooled_records(self, tmp_path, capsys):
+        """Without --workers the campaign runs the in-process engine,
+        recorded as the serial strategy; --workers 2 runs the same
+        engine in a pool and reproduces its records."""
 
         def run(path, *extra):
             code = main(
@@ -181,32 +182,25 @@ class TestCampaignExecutors:
                 return json.load(handle)
 
         serial = run(str(tmp_path / "serial.json"))
-        batched = run(str(tmp_path / "batched.json"), "--batched")
-        stdout = capsys.readouterr().out
-        assert "batched executor" in stdout
-        assert batched["metadata"]["executor"] == "batched"
-        assert batched["records"] == serial["records"]
-
-    def test_no_batched_flag_keeps_serial_executor(self, tmp_path, capsys):
-        output = str(tmp_path / "plain.json")
-        code = main(
-            [
-                "campaign",
-                "--algorithm",
-                "bv",
-                "--width",
-                "3",
-                "--grid-step",
-                "90",
-                "--noise",
-                "none",
-                "--no-batched",
-                "--output",
-                output,
-            ]
-        )
-        assert code == 0
         assert "serial executor" in capsys.readouterr().out
+        assert serial["metadata"]["executor"] == "serial"
+        pooled = run(str(tmp_path / "pooled.json"), "--workers", "2")
+        assert pooled["metadata"]["executor"] == "parallel"
+        assert pooled["records"] == serial["records"]
+
+    @pytest.mark.parametrize("flag", ["--batched", "--fused"])
+    def test_removed_engine_flags_are_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "campaign",
+                    "--algorithm",
+                    "bv",
+                    "--output",
+                    str(tmp_path / "x.json"),
+                    flag,
+                ]
+            )
 
     def test_workers_flag_runs_parallel_campaign(self, tmp_path, capsys):
         output = str(tmp_path / "par.json")
