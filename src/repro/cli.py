@@ -7,7 +7,7 @@ Examples::
     python -m repro campaign --algorithm bv --width 4 --grid-step 45 \\
         --noise light --output bv4.json
     python -m repro campaign --algorithm qft --width 5 --workers 4 \\
-        --checkpoint qft5.ckpt.json --output qft5.json
+        --checkpoint qft5.ckpt --output qft5.json
     python -m repro campaign --algorithm ghz --width 8 --noise none \\
         --memory-budget 512MB --output ghz8.json
     python -m repro campaign --algorithm qft --width 4 --noise light \\
@@ -58,7 +58,7 @@ from .analysis.query import (
     per_qubit_comparison,
 )
 from .analysis.report import campaign_report, suite_report
-from .faults import CampaignResult, CheckpointedRunner
+from .faults import CampaignResult
 from .quantum.qasm import circuit_to_qasm
 from .scenarios import (
     MACHINES,
@@ -68,21 +68,10 @@ from .scenarios import (
     SuiteSpec,
     TranspileSpec,
     load_suite_result,
-    make_algorithm,
-    make_executor,
-    make_faults,
-    make_injector,
     resolve_cache_dir,
     run_scenario,
 )
 from .scenarios.spec import BACKEND_KINDS, parse_memory_budget
-from .scenarios.factory import (
-    FactoryCache,
-    _scenario_points,
-    make_transpiled_campaign_inputs,
-    run_adaptive_scenario,
-    scenario_metadata,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -101,7 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     qasm.add_argument("--width", type=int, default=4)
 
     campaign = subparsers.add_parser(
-        "campaign", help="run a single-fault campaign and save JSON"
+        "campaign",
+        help=(
+            "run one campaign (single, double, strike, QEC, adaptive) and "
+            "save it as JSON, CSV or npz"
+        ),
     )
     campaign.add_argument(
         "--algorithm",
@@ -657,63 +650,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
     scenario = _scenario_from_args(args)
-    cache = FactoryCache()
-    if scenario.adaptive is not None:
-        # Adaptive campaigns own their checkpoint handling: every round
-        # streams through the same segment store, so --checkpoint is a
-        # parameter of the engine rather than a separate wrapper.
-        result = run_adaptive_scenario(
-            scenario, cache, checkpoint_path=args.checkpoint
-        )
-    elif args.checkpoint:
-        if scenario.strike is not None and scenario.strike.k >= 2:
-            raise SystemExit(
-                "--checkpoint does not support correlated (k>=2) strike "
-                "campaigns; run without --checkpoint, or as a suite (the "
-                "suite manifest is the resumable unit)"
-            )
-        # Checkpointed runs assemble the campaign pieces explicitly so
-        # the runner can stream segments; the layout metadata rides in
-        # the checkpoint store, keeping the .ckpt frame-convertible even
-        # when a kill makes it the only artefact.
-        spec = make_algorithm(scenario, cache)
-        qufi = make_injector(scenario, cache, executor=make_executor(scenario, cache))
-        faults = make_faults(scenario, cache)
-        extra_meta = scenario_metadata(scenario)
-        # Mirror run_scenario's physics-axis stamps so a checkpointed
-        # artefact is indistinguishable from the scenario layer's.
-        if scenario.strike is not None:
-            extra_meta["fault_source"] = "strike_sampling"
-            extra_meta["max_distance_um"] = scenario.strike.max_distance_um
-            extra_meta["strike"] = scenario.strike.to_dict()
-        if scenario.mitigation:
-            extra_meta["mitigation"] = True
-        if scenario.transpile is not None:
-            transpiled, points, transpile_meta = (
-                make_transpiled_campaign_inputs(scenario, cache)
-            )
-            target, states = transpiled.circuit, spec.correct_states
-            extra_meta.update(transpile_meta)
-        else:
-            target, states, points = spec, None, None
-            if scenario.qec is not None:
-                # QEC campaigns inject only at the encoder boundary, not
-                # after every gate — reuse the factory's point set so the
-                # checkpointed run matches run_scenario record for record.
-                points = _scenario_points(scenario, cache)
-                extra_meta["qec"] = scenario.qec.to_dict()
-        runner = CheckpointedRunner(qufi, args.checkpoint)
-        result = runner.run(
-            target,
-            correct_states=states,
-            faults=faults,
-            points=points,
-            metadata=extra_meta,
-        )
-    else:
-        # Everything else is exactly the scenario layer's single entry
-        # point — one construction path shared with suites/benchmarks.
-        result = run_scenario(scenario, cache)
+    result = run_scenario(scenario, checkpoint_path=args.checkpoint)
     if args.export == "csv":
         result.to_csv(args.output)
     elif args.export == "npz":

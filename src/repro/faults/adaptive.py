@@ -30,35 +30,35 @@ surface actually varies, in two modes:
 
 Determinism and resume
 ----------------------
-Every round is planned through the ordinary
-:class:`~repro.faults.executor.CampaignPlan` machinery with per-task
-seeding: tasks are enumerated over ``product(points, union_faults)``
-where ``union_faults`` is the canonical union of every round so far, so
-a task's ``(seed, index)`` derivation depends only on the round
-structure — never on where a previous invocation was killed. The round
-structure itself is a pure function of the recorded cells (refinement
-decisions consult only cells of lines active at that round; records a
-killed later round left behind lie on other lines), so a resumed
-campaign replays the same rounds, skips every recorded injection via
-:class:`~repro.faults.checkpoint.CheckpointedRunner`, and converges to
-a byte-identical segment store on the serial and batched strategies.
+Every round is an ordinary single-sweep plan
+(:func:`~repro.faults.plan.single_plan`) with per-task seeding: tasks are
+enumerated over ``product(points, union_faults)`` where ``union_faults``
+is the canonical union of every round so far, so a task's ``(seed,
+index)`` derivation depends only on the round structure — never on where
+a previous invocation was killed. The round structure itself is a pure
+function of the recorded cells (refinement decisions consult only cells
+of lines active at that round; records a killed later round left behind
+lie on other lines), so a resumed campaign replays the same rounds,
+skips every recorded injection (:func:`~repro.faults.checkpoint.run_plan` is
+given the previous round's rows in memory, or the checkpoint store's),
+and converges to a byte-identical segment store on the serial and
+batched strategies.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..algorithms.spec import AlgorithmSpec
 from ..quantum.circuit import QuantumCircuit
 from .campaign import CampaignResult
-from .checkpoint import CheckpointedRunner
-from .executor import BaseExecutor, CampaignPlan, InjectionTask
+from .checkpoint import load_checkpoint, run_plan
+from .executor import BaseExecutor
 from .fault_model import (
     FULL_GRID_STEP_DEG,
     PhaseShiftFault,
@@ -67,9 +67,9 @@ from .fault_model import (
 )
 from .injection_points import InjectionPoint, enumerate_injection_points
 from .injector import QuFI
+from .plan import resolve_target, single_plan
 from .records import RecordTable
 from .sampling import sample_strike_faults
-from .store import is_segment_file, read_segments
 
 __all__ = [
     "coarse_line_indices",
@@ -294,17 +294,6 @@ def refined_heatmap(
     return theta_axis.tolist(), phi_axis.tolist(), means
 
 
-def _resolve_target(
-    target: Union[AlgorithmSpec, QuantumCircuit],
-    correct_states: Optional[Sequence[str]],
-) -> Tuple[QuantumCircuit, Tuple[str, ...], str]:
-    if isinstance(target, AlgorithmSpec):
-        return target.circuit, tuple(target.correct_states), target.name
-    if correct_states is None:
-        raise ValueError("correct_states is required when passing a bare circuit")
-    return target, tuple(correct_states), target.name
-
-
 def _check_resume_config(
     checkpoint_path: Optional[str], config: Dict[str, object]
 ) -> None:
@@ -315,14 +304,12 @@ def _check_resume_config(
     campaigns' cells silently. Stores without an adaptive block (plain
     grid checkpoints) are rejected for the same reason.
     """
-    if checkpoint_path is None or not os.path.exists(checkpoint_path):
+    if checkpoint_path is None:
         return
-    if not is_segment_file(checkpoint_path):
-        return  # legacy JSON: CheckpointedRunner migrates or rejects it
-    meta, _ = read_segments(checkpoint_path)
-    if meta is None:
+    existing = load_checkpoint(checkpoint_path)
+    if existing is None:
         return
-    stored = (meta.get("metadata") or {}).get("adaptive")
+    stored = existing.metadata.get("adaptive")
     if stored is None:
         raise ValueError(
             "checkpoint holds a non-adaptive campaign; refusing to "
@@ -339,63 +326,6 @@ def _check_resume_config(
             f"configuration (differs on {mismatched}); refusing to mix "
             f"round structures — use a fresh checkpoint path"
         )
-
-
-class _MemoryRounds:
-    """In-memory round execution: the checkpoint path minus the disk.
-
-    Mirrors :class:`CheckpointedRunner` exactly — pending tasks keep
-    their rank over ``product(points, union_faults)`` and plans enable
-    per-task seeding — so both paths produce identical records.
-    """
-
-    def __init__(
-        self,
-        qufi: QuFI,
-        circuit: QuantumCircuit,
-        states: Tuple[str, ...],
-        points: Sequence[InjectionPoint],
-        executor: BaseExecutor,
-    ) -> None:
-        self.qufi = qufi
-        self.circuit = circuit
-        self.states = states
-        self.points = list(points)
-        self.executor = executor
-        self.fault_free = qufi.fault_free_qvf(circuit, states)
-        self._done: Set[Tuple[float, float, int, int]] = set()
-        self._tables: List[RecordTable] = [RecordTable.empty()]
-
-    def run_union(self, union: Sequence[PhaseShiftFault]) -> RecordTable:
-        """Run the union's missing injections; return the table so far."""
-        pending = tuple(
-            InjectionTask(index=index, point=point, fault=fault)
-            for index, (point, fault) in enumerate(
-                itertools.product(self.points, union)
-            )
-            if _fault_key(fault) + (point.position, point.qubit)
-            not in self._done
-        )
-        if pending:
-            plan = CampaignPlan(
-                circuit=self.circuit,
-                correct_states=self.states,
-                tasks=pending,
-                shots=self.qufi.shots,
-                seed=self.qufi.seed,
-                per_task_seeding=True,
-            )
-            self._tables.append(
-                self.executor.run(
-                    self.qufi.backend, plan, rng=self.qufi._rng
-                )
-            )
-            for task in pending:
-                self._done.add(
-                    _fault_key(task.fault)
-                    + (task.point.position, task.point.qubit)
-                )
-        return RecordTable.concatenate(self._tables)
 
 
 def run_adaptive_campaign(
@@ -430,10 +360,10 @@ def run_adaptive_campaign(
     checkpointed campaign resumes from where it stopped.
 
     With ``checkpoint_path``, every round streams through
-    :class:`CheckpointedRunner` into one segment store; a killed run —
-    between rounds or mid-round — resumes to the byte-identical store
-    an uninterrupted run produces (serial/batched executors). Without
-    it, the identical records are produced in memory.
+    :func:`~repro.faults.checkpoint.run_plan` into one segment store; a killed
+    run — between rounds or mid-round — resumes to the byte-identical
+    store an uninterrupted run produces (serial/batched executors).
+    Without it, the identical records are produced in memory.
 
     The result's ``metadata["adaptive"]`` block records the
     configuration and outcome (rounds run, active lines, injections
@@ -441,7 +371,7 @@ def run_adaptive_campaign(
     """
     if mode not in ("refine", "importance"):
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    circuit, states, name = _resolve_target(target, correct_states)
+    circuit = resolve_target(target, correct_states)[0]
     points = (
         list(points)
         if points is not None
@@ -470,28 +400,26 @@ def run_adaptive_campaign(
     }
     _check_resume_config(checkpoint_path, config)
 
-    runner: Optional[CheckpointedRunner] = None
-    memory: Optional[_MemoryRounds] = None
-    if checkpoint_path is not None:
-        runner = CheckpointedRunner(
-            qufi, checkpoint_path, save_every=save_every, executor=executor
-        )
-    else:
-        memory = _MemoryRounds(qufi, circuit, states, points, executor)
-
     def run_union(
-        union: Sequence[PhaseShiftFault], state: Dict[str, object]
-    ) -> Tuple[RecordTable, CampaignResult]:
-        if memory is not None:
-            return memory.run_union(union), None
-        result = runner.run(
-            target,
-            correct_states=correct_states,
-            faults=list(union),
-            points=points,
-            metadata={**(metadata or {}), "adaptive": {**config, **state}},
+        union: Sequence[PhaseShiftFault],
+        adaptive: Dict[str, object],
+        prior: Optional[CampaignResult],
+    ) -> CampaignResult:
+        """Run the union's missing injections (prior rows come from the
+        previous round, or from the store); return the campaign so far."""
+        plan = single_plan(
+            target, correct_states, union, points, qufi.shots, qufi.seed
         )
-        return result.table, result
+        plan = replace(plan, per_task_seeding=True)
+        plan.metadata.update({**(metadata or {}), "adaptive": adaptive})
+        return run_plan(
+            qufi,
+            plan,
+            prior=prior,
+            checkpoint_path=checkpoint_path,
+            save_every=save_every,
+            executor=executor,
+        )
 
     # ------------------------------------------------------------------
     # The round loop. Active sets / sampled batches are derived only
@@ -503,8 +431,7 @@ def run_adaptive_campaign(
     rounds_run = 0
     prev_estimate: Optional[np.ndarray] = None
     union: List[PhaseShiftFault] = []
-    table = RecordTable.empty()
-    last_result: Optional[CampaignResult] = None
+    last: Optional[CampaignResult] = None
 
     if mode == "refine":
         active_thetas = coarse_line_indices(theta_axis.size, coarse_points)
@@ -543,11 +470,9 @@ def run_adaptive_campaign(
                 sampled_batches.pop()
             break
         union = next_union
-        state = {
-            "round": round_index + 1,
-            "num_faults": len(union),
-        }
-        table, last_result = run_union(union, state)
+        state = {"round": round_index + 1, "num_faults": len(union)}
+        last = run_union(union, {**config, **state}, last)
+        table = last.table
         rounds_run = round_index + 1
 
         if mode == "refine":
@@ -596,31 +521,8 @@ def run_adaptive_campaign(
         outcome["active_thetas"] = [int(i) for i in active_thetas]
         outcome["active_phis"] = [int(i) for i in active_phis]
 
-    if memory is not None:
-        return CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=table,
-            fault_free_qvf=memory.fault_free,
-            backend_name=getattr(qufi.backend, "name", "backend"),
-            metadata={
-                "mode": "single",
-                "num_faults": len(union),
-                "num_points": len(points),
-                "shots": qufi.shots,
-                "executor": executor.name,
-                **(metadata or {}),
-                "adaptive": outcome,
-            },
-        )
-    # One more (workless) pass through the runner stamps the final
-    # adaptive outcome into the store's metadata segment and compacts —
-    # the same well-tested path every round went through, so the final
-    # bytes are a deterministic function of the round structure alone.
-    return runner.run(
-        target,
-        correct_states=correct_states,
-        faults=list(union),
-        points=points,
-        metadata={**(metadata or {}), "adaptive": outcome},
-    )
+    # One more (workless) pass stamps the final adaptive outcome — into
+    # the store's metadata segment too, compacted by the same path every
+    # round went through, so the final bytes are a deterministic
+    # function of the round structure alone.
+    return run_union(union, outcome, last)

@@ -1,49 +1,260 @@
-"""Resumable fault-injection campaigns.
+"""The one run path of campaign plans, and resumable checkpoints.
+
+:func:`run_plan` is the one way a :class:`~repro.faults.executor.
+CampaignPlan` runs. It is given the rows already recorded — none for a
+plain run, the previous round's for an adaptive one, a checkpoint
+store's when ``checkpoint_path`` is set — and runs only the tasks those
+rows lack, on the injector's executor and random stream.
 
 The paper's campaigns run to hundreds of millions of injections; at that
-scale interruption is the norm, not the exception. :class:`CheckpointedRunner`
-wraps :class:`~repro.faults.injector.QuFI` with a streaming checkpoint:
-re-running the same campaign skips every injection already recorded, so a
-killed job resumes where it stopped.
+scale interruption is the norm, not the exception. With a
+``checkpoint_path``, re-running the same campaign skips every injection
+already recorded, so a killed job resumes where it stopped — single,
+double and correlated-strike sweeps alike. :class:`CheckpointedRunner` is
+the single-fault front end to that path.
 
 Checkpoints are append-only binary segment files
-(:mod:`repro.faults.store`): every record block the executor delivers is
-appended as one self-contained segment — O(batch) per flush, where the
-historical JSON checkpoint re-serialised the whole campaign every time
-(O(n) per flush, O(n^2) over a sweep). On completion the file is
-compacted to a single metadata + record segment, atomically. Legacy JSON
-checkpoints still load (and are migrated to the segment format the first
-time a campaign resumes from one); JSON remains the *export* format —
-``CampaignResult.to_json`` / ``from_json`` are unchanged and
-``CampaignResult.load`` sniffs either format.
+(:mod:`repro.faults.store`): every flush appends one self-contained
+segment — O(batch), where the historical JSON checkpoint re-serialised
+the whole campaign every time (O(n^2) over a sweep) — and completion
+compacts the file atomically to one metadata and one record segment.
+Legacy JSON checkpoints still load (and are migrated the first time a
+campaign resumes from one); JSON remains the *export* format, and
+``CampaignResult.load`` sniffs either.
 
 Pending work keeps its original campaign rank (``InjectionTask.index``),
 and checkpointed plans enable per-task seeding: with a finite shot
 budget each task draws from a generator derived from ``(seed, index)``,
-so a resumed campaign reproduces the uninterrupted run bit for bit — on
+so a resumed campaign reproduces the uninterrupted run's records — on
 the serial, batched and parallel strategies alike.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from dataclasses import replace
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 from ..algorithms.spec import AlgorithmSpec
 from ..quantum.circuit import QuantumCircuit
-from .campaign import CampaignResult, RecordTable
+from .campaign import CampaignResult
 from .executor import BaseExecutor, CampaignPlan, InjectionTask
-from .fault_model import PhaseShiftFault, fault_grid
-from .injection_points import InjectionPoint, enumerate_injection_points
-from .injector import QuFI
+from .fault_model import PhaseShiftFault
+from .injection_points import InjectionPoint
+from .plan import single_plan
+from .records import RecordTable
 from .store import (
-    append_record_segment,
-    compact,
-    is_segment_file,
-    read_segments,
+    append_record_segment, compact, is_segment_file, read_segments,
 )
 
-__all__ = ["CheckpointedRunner", "load_completed_store"]
+if TYPE_CHECKING:
+    from .injector import QuFI
+
+__all__ = [
+    "CheckpointedRunner",
+    "completed_keys",
+    "load_checkpoint",
+    "load_completed_store",
+    "run_plan",
+]
+
+ProgressCallback = Callable[[int, int], None]
+
+#: Decimals of the angles in a resume key (float noise below that is
+#: the same injection).
+_DECIMALS = 9
+
+
+def _key(theta, phi, position, qubit, second=None) -> Tuple:
+    """A resume key: the recorded fault and its site, plus — for pair
+    rows — the second fault and qubit. The outer qubits of a k>=3 strike
+    need no column: each cluster starts with its own couple, and a
+    pattern's sampled phi identifies it."""
+    key = (round(theta, _DECIMALS), round(phi, _DECIMALS), position, qubit)
+    if second is None:
+        return key
+    theta2, phi2, qubit2 = second
+    return key + (round(theta2, _DECIMALS), round(phi2, _DECIMALS), qubit2)
+
+
+def _task_key(task: InjectionTask) -> Tuple:
+    fault, point, second = task.fault, task.point, task.second_fault
+    if second is not None:
+        second = (second.theta, second.phi, task.second_qubit)
+    return _key(fault.theta, fault.phi, point.position, point.qubit, second)
+
+
+def completed_keys(table: RecordTable) -> Set[Tuple]:
+    """The resume keys of recorded rows, straight off the columns."""
+    names = (
+        "theta", "phi", "position", "qubit",
+        "second_theta", "second_phi", "second_qubit",
+    )
+    return {
+        _key(*row, None if qubit2 < 0 else (theta2, phi2, qubit2))
+        for *row, theta2, phi2, qubit2 in zip(
+            *(table.column(name).tolist() for name in names)
+        )
+    }
+
+
+def load_checkpoint(path: str) -> Optional[CampaignResult]:
+    """The campaign a checkpoint holds so far — segment store or legacy
+    JSON — or ``None`` for a missing path or a store killed before its
+    metadata. Interior corruption raises: silently restarting a
+    hundred-million-injection campaign would be worse than failing."""
+    if not os.path.exists(path):
+        return None
+    if not is_segment_file(path):
+        return CampaignResult.from_json(path)
+    meta, table = read_segments(path)
+    if meta is None:
+        return None
+    return CampaignResult.from_table_meta(meta, table)
+
+
+def _check_resume(stored: CampaignResult, plan: CampaignPlan) -> None:
+    """Refuse to continue a checkpoint recorded for another campaign."""
+    if stored.circuit_name != plan.name:
+        raise ValueError(
+            f"checkpoint holds campaign {stored.circuit_name!r}, "
+            f"refusing to mix with {plan.name!r}"
+        )
+    # The circuit name alone cannot tell two routings of one circuit
+    # apart, but their positions and frame attribution differ; the
+    # recorded transpile block does.
+    if stored.metadata.get("transpile") != plan.metadata.get("transpile"):
+        raise ValueError(
+            "checkpoint was recorded for a different transpilation of this "
+            "circuit (machine, optimization level, basis or seed differ); "
+            "refusing to mix routings — use a fresh checkpoint path"
+        )
+    theirs = stored.metadata.get("scenario")
+    ours = plan.metadata.get("scenario")
+    if theirs is None or ours is None:
+        return
+    # Imported here: scenario specs live in the layer above this one.
+    from ..scenarios.spec import ScenarioSpec
+
+    theirs = ScenarioSpec.from_dict(theirs).resume_identity()
+    ours = ScenarioSpec.from_dict(ours).resume_identity()
+    if theirs != ours:
+        keys = {**ours, **theirs}
+        differs = sorted(k for k in keys if ours.get(k) != theirs.get(k))
+        raise ValueError(
+            f"checkpoint was recorded for another scenario (differs on "
+            f"{differs}); refusing to mix campaigns — use a fresh "
+            f"checkpoint path"
+        )
+
+
+# ----------------------------------------------------------------------
+# The one run path
+# ----------------------------------------------------------------------
+def run_plan(
+    qufi: QuFI,
+    plan: CampaignPlan,
+    prior: Optional[CampaignResult] = None,
+    checkpoint_path: Optional[str] = None,
+    save_every: int = 200,
+    executor: Optional[BaseExecutor] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> CampaignResult:
+    """Run ``plan``'s pending tasks on ``qufi``; return the whole campaign.
+
+    Prior rows come from ``prior`` or, with ``checkpoint_path``, from
+    the store there (which must hold the same campaign). Tasks whose
+    resume key a prior row holds are skipped, and the stored fault-free
+    QVF is reused; without prior rows the fault-free QVF is computed
+    first, drawing from the injector's stream before any task does.
+    Pending tasks keep their original rank, so with per-task seeding —
+    which every checkpointed run uses — sampled draws do not depend on
+    where an earlier run stopped.
+
+    A checkpointed run appends a segment every ``save_every`` rows (a
+    kill loses fewer than ``2 x save_every``: the unflushed buffer plus
+    one in-flight delivery) and compacts the store on completion; its
+    metadata gains ``checkpointed: true``. ``executor`` overrides the
+    injector's strategy, and the result's ``executor`` entry names it.
+    ``progress(done, total)`` is called per completed record.
+    """
+    executor = executor if executor is not None else qufi.executor
+    metadata = {**plan.metadata, "executor": executor.name}
+    if checkpoint_path is not None:
+        if save_every < 1:
+            raise ValueError("save_every must be positive")
+        prior = load_checkpoint(checkpoint_path)
+        if prior is not None:
+            _check_resume(prior, plan)
+        plan = replace(plan, per_task_seeding=True)
+        metadata["checkpointed"] = True
+        # Delivery batches are capped at save_every, so a kill loses at
+        # most save_every unflushed rows.
+        executor = executor.bounded(save_every)
+    if prior is None:
+        fault_free = qufi.fault_free_qvf(plan.circuit, plan.correct_states)
+        done_table, pending = RecordTable.empty(), plan.tasks
+    else:
+        fault_free, done_table = prior.fault_free_qvf, prior.table
+        done = completed_keys(done_table)
+        pending = tuple(t for t in plan.tasks if _task_key(t) not in done)
+    meta = {
+        "circuit_name": plan.name,
+        "correct_states": list(plan.correct_states),
+        "fault_free_qvf": fault_free,
+        "backend_name": getattr(qufi.backend, "name", "backend"),
+        "metadata": metadata,
+    }
+    if checkpoint_path is not None:
+        # Compacted before any append: a fresh path or a legacy JSON
+        # checkpoint becomes a segment store, and a torn tail segment a
+        # kill left behind is truncated away — appending after torn
+        # bytes would corrupt every later segment.
+        compact(checkpoint_path, meta, done_table)
+
+    buffered: List[RecordTable] = []
+    finished = 0
+
+    def on_batch(batch: RecordTable) -> None:
+        nonlocal finished
+        if checkpoint_path is not None:
+            # Batches accumulate until save_every rows are pending, then
+            # flush as one segment: save_every is the flush cadence.
+            buffered.append(batch)
+            if sum(map(len, buffered)) >= save_every:
+                flush()
+        if progress is not None:
+            for _ in range(len(batch)):
+                finished += 1
+                progress(finished, len(pending))
+
+    def flush() -> None:
+        append_record_segment(
+            checkpoint_path, RecordTable.concatenate(buffered)
+        )
+        buffered.clear()
+
+    # A plain run passes no callback: a pool that breaks before any
+    # delivery may then still finish the campaign in-process.
+    streaming = checkpoint_path is not None or progress is not None
+    records = RecordTable.empty()
+    if pending:
+        records = executor.run(
+            qufi.backend,
+            replace(plan, tasks=pending),
+            on_batch=on_batch if streaming else None,
+            rng=qufi._rng,
+        )
+        if buffered:
+            flush()
+    if prior is not None:
+        records = RecordTable.concatenate([done_table, records])
+    if checkpoint_path is not None:
+        compact(checkpoint_path, meta, records)
+    return CampaignResult.from_table_meta(meta, records)
 
 
 def load_completed_store(path: str) -> Optional[CampaignResult]:
@@ -54,42 +265,15 @@ def load_completed_store(path: str) -> Optional[CampaignResult]:
     persistent result cache: a missing file, non-store bytes, interior
     corruption, or a store with no metadata segment all come back as
     ``None``, and the caller recomputes-and-overwrites, repairing the
-    artefact in place. Contrast :class:`CheckpointedRunner`'s own resume
-    path, which must *not* swallow interior corruption (silently
-    restarting a hundred-million-injection campaign would be worse than
-    failing loudly).
+    artefact in place. Contrast the checkpoint resume path
+    (:func:`load_checkpoint`), which must *not* swallow interior
+    corruption (silently restarting a hundred-million-injection campaign
+    would be worse than failing loudly).
     """
     try:
-        meta, table = read_segments(path)
+        return load_checkpoint(path) if is_segment_file(path) else None
     except (OSError, ValueError):
         return None
-    if meta is None:
-        return None
-    return CampaignResult.from_table_meta(meta, table)
-
-_Key = Tuple[float, float, int, int]
-
-
-def _key(fault: PhaseShiftFault, point: InjectionPoint) -> _Key:
-    return (
-        round(fault.theta, 9),
-        round(fault.phi, 9),
-        point.position,
-        point.qubit,
-    )
-
-
-def _table_keys(table: RecordTable) -> Set[_Key]:
-    """Completed-injection keys straight off the columns."""
-    return {
-        (round(theta, 9), round(phi, 9), position, qubit)
-        for theta, phi, position, qubit in zip(
-            table.column("theta").tolist(),
-            table.column("phi").tolist(),
-            table.column("position").tolist(),
-            table.column("qubit").tolist(),
-        )
-    }
 
 
 class CheckpointedRunner:
@@ -109,24 +293,10 @@ class CheckpointedRunner:
         self.save_every = int(save_every)
         self.executor = executor
 
-    # ------------------------------------------------------------------
-    def _load_existing(self) -> Optional[CampaignResult]:
-        """The checkpointed campaign so far — segment or legacy JSON."""
-        path = self.checkpoint_path
-        if not os.path.exists(path):
-            return None
-        if not is_segment_file(path):
-            return CampaignResult.from_json(path)
-        meta, table = read_segments(path)
-        if meta is None:
-            return None
-        return CampaignResult.from_table_meta(meta, table)
-
-    def completed_keys(self) -> Set[_Key]:
-        existing = self._load_existing()
-        if existing is None:
-            return set()
-        return _table_keys(existing.table)
+    def completed_keys(self) -> Set[Tuple]:
+        """Resume keys of the injections the checkpoint already holds."""
+        existing = load_checkpoint(self.checkpoint_path)
+        return set() if existing is None else completed_keys(existing.table)
 
     def run(
         self,
@@ -137,151 +307,23 @@ class CheckpointedRunner:
         metadata: Optional[Dict[str, object]] = None,
     ) -> CampaignResult:
         """Run (or resume) the campaign, appending a checkpoint segment
-        every ``save_every`` completed injections (a kill loses fewer
-        than ``2 x save_every``: the unflushed buffer plus one in-flight
-        delivery batch). Returns the complete result.
+        every ``save_every`` completed injections. Returns the complete
+        result.
 
         ``metadata`` entries are merged into the campaign metadata and
         persisted in the checkpoint store's metadata segment — transpiled
         campaigns pass their layout map here, so the ``.ckpt`` artefact
         itself stays frame-convertible (including after a kill, when it
         is the only artefact)."""
-        if isinstance(target, AlgorithmSpec):
-            circuit, states, name = (
-                target.circuit,
-                tuple(target.correct_states),
-                target.name,
-            )
-        else:
-            if correct_states is None:
-                raise ValueError("correct_states required with a bare circuit")
-            circuit, states, name = target, tuple(correct_states), target.name
-
-        faults = list(faults) if faults is not None else fault_grid()
-        points = (
-            list(points)
-            if points is not None
-            else enumerate_injection_points(circuit)
+        qufi = self.qufi
+        plan = single_plan(
+            target, correct_states, faults, points, qufi.shots, qufi.seed
         )
-
-        existing = self._load_existing()
-        if existing is not None and existing.circuit_name != name:
-            raise ValueError(
-                f"checkpoint holds campaign {existing.circuit_name!r}, "
-                f"refusing to mix with {name!r}"
-            )
-        if existing is not None:
-            # The circuit name alone cannot distinguish two routings of
-            # the same circuit onto the same machine (e.g. different
-            # optimization levels) — but their positions and frame
-            # attribution differ, so mixing records would corrupt the
-            # campaign silently. The transpile block recorded in the
-            # store settles it.
-            stored_block = existing.metadata.get("transpile")
-            incoming_block = (metadata or {}).get("transpile")
-            if stored_block != incoming_block:
-                raise ValueError(
-                    "checkpoint was recorded for a different "
-                    "transpilation of this circuit (machine, "
-                    "optimization level, basis or seed differ); "
-                    "refusing to mix routings — use a fresh checkpoint "
-                    "path"
-                )
-        done_table = (
-            existing.table if existing is not None else RecordTable.empty()
+        plan.metadata.update(metadata or {})
+        return run_plan(
+            qufi,
+            plan,
+            checkpoint_path=self.checkpoint_path,
+            save_every=self.save_every,
+            executor=self.executor,
         )
-        done = _table_keys(done_table)
-        fault_free = (
-            existing.fault_free_qvf
-            if existing is not None
-            else self.qufi.fault_free_qvf(circuit, states)
-        )
-
-        # The executor's delivery batches are capped at save_every, so a
-        # kill loses at most save_every unflushed injections.
-        executor = (
-            self.executor if self.executor is not None else self.qufi.executor
-        ).bounded(self.save_every)
-
-        meta = {
-            "circuit_name": name,
-            "correct_states": list(states),
-            "fault_free_qvf": fault_free,
-            "backend_name": getattr(self.qufi.backend, "name", "backend"),
-            # Same metadata schema as QuFI.run_campaign plus the
-            # checkpoint marker, so consumers need no special-casing.
-            "metadata": {
-                "mode": "single",
-                "checkpointed": True,
-                "num_faults": len(faults),
-                "num_points": len(points),
-                "shots": self.qufi.shots,
-                "executor": executor.name,
-                **(metadata or {}),
-            },
-        }
-
-        # The store is compacted (atomically rewritten as meta + one
-        # record segment) before any appending: a fresh path or a legacy
-        # JSON checkpoint becomes a segment store, and — critically — a
-        # torn tail segment left by a kill mid-append is truncated away.
-        # Appending after torn bytes would corrupt every later segment.
-        compact(self.checkpoint_path, meta, done_table)
-
-        # Pending tasks keep their original campaign rank, which (with
-        # per-task seeding) makes sampled draws independent of where the
-        # previous run was killed.
-        pending = tuple(
-            InjectionTask(index=index, point=point, fault=fault)
-            for index, (point, fault) in enumerate(
-                (point, fault) for point in points for fault in faults
-            )
-            if _key(fault, point) not in done
-        )
-        new_table = RecordTable.empty()
-        if pending:
-            plan = CampaignPlan(
-                circuit=circuit,
-                correct_states=states,
-                tasks=pending,
-                shots=self.qufi.shots,
-                seed=self.qufi.seed,
-                per_task_seeding=True,
-            )
-            # Delivery batches accumulate until save_every records are
-            # pending, then flush as one segment — save_every is the
-            # flush cadence, not just a batch-size cap.
-            buffered: list = []
-            since_save = 0
-
-            def flush() -> None:
-                nonlocal since_save
-                append_record_segment(
-                    self.checkpoint_path, RecordTable.concatenate(buffered)
-                )
-                buffered.clear()
-                since_save = 0
-
-            def on_batch(batch: RecordTable) -> None:
-                nonlocal since_save
-                buffered.append(batch)
-                since_save += len(batch)
-                if since_save >= self.save_every:
-                    flush()
-
-            new_table = executor.run(
-                self.qufi.backend, plan, on_batch=on_batch, rng=self.qufi._rng
-            )
-            if buffered:
-                flush()
-
-        result = CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=RecordTable.concatenate([done_table, new_table]),
-            fault_free_qvf=fault_free,
-            backend_name=meta["backend_name"],
-            metadata=dict(meta["metadata"]),
-        )
-        compact(self.checkpoint_path, meta, result.table)
-        return result

@@ -35,8 +35,8 @@ the sweep without the redundancy:
   :class:`~repro.faults.records.RecordTable` column blocks (the ``qvf``
   column is the scoring array itself — no per-record dataclass on the hot
   path) and reach an ``on_batch`` callback as they complete, which is how
-  :class:`~repro.faults.checkpoint.CheckpointedRunner` appends checkpoint
-  segments in O(batch) and how progress flows during long campaigns (the
+  :func:`~repro.faults.checkpoint.run_plan` appends checkpoint segments in
+  O(batch) and how progress flows during long campaigns (the
   engine delivers every ``batch_size`` records, the pool every chunk).
   ``run`` returns the concatenated table.
 
@@ -70,8 +70,8 @@ import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,7 +167,8 @@ class InjectionTask:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """Everything an executor needs to run a campaign's injections.
+    """Everything an executor needs to run a campaign's injections,
+    plus the name and metadata of the result they make up.
 
     Plans are plain picklable data: parallel strategies ship them (in
     chunks) to worker processes unchanged.
@@ -186,6 +187,11 @@ class CampaignPlan:
     on what ran before it, so checkpointed campaigns resume
     bit-identically at the price of a stream that differs from the plain
     in-process one."""
+    name: str = ""
+    """The campaign's ``circuit_name``; executors ignore it."""
+    metadata: Dict[str, object] = field(default_factory=dict)
+    """The result's metadata in its stored key order; executors ignore
+    it, and the run stamps its ``executor`` entry."""
 
     @property
     def total(self) -> int:

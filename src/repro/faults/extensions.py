@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..algorithms.spec import AlgorithmSpec
 from ..quantum.circuit import QuantumCircuit
@@ -31,6 +31,7 @@ from .campaign import CampaignResult, InjectionRecord
 from .fault_model import PhaseShiftFault
 from .injection_points import InjectionPoint, enumerate_injection_points
 from .injector import QuFI
+from .plan import resolve_target
 
 __all__ = [
     "TIDModel",
@@ -123,12 +124,7 @@ def tid_dose_sweep(
     qualitative expectation that accumulated charge eventually corrupts the
     output, while small doses stay masked.
     """
-    if isinstance(target, AlgorithmSpec):
-        circuit, states = target.circuit, target.correct_states
-    else:
-        if correct_states is None:
-            raise ValueError("correct_states required with a bare circuit")
-        circuit, states = target, tuple(correct_states)
+    circuit, states, _ = resolve_target(target, correct_states)
     base = base_model or TIDModel()
     out = {}
     for scale in dose_scales:
@@ -154,17 +150,7 @@ def run_collapse_campaign(
     result reuses the campaign container with a sentinel fault of
     ``theta = pi, phi = 0`` recorded for bookkeeping.
     """
-    if isinstance(target, AlgorithmSpec):
-        circuit, states, name = (
-            target.circuit,
-            target.correct_states,
-            target.name,
-        )
-    else:
-        if correct_states is None:
-            raise ValueError("correct_states required with a bare circuit")
-        circuit, states, name = target, tuple(correct_states), target.name
-
+    circuit, states, name = resolve_target(target, correct_states)
     points = (
         list(points)
         if points is not None

@@ -7,12 +7,14 @@ output with QVF. Campaigns sweep the fault grid over every injection point;
 double-fault campaigns add a second, weaker U gate on a physically
 neighbouring qubit.
 
-Campaign sweeps are delegated to :mod:`repro.faults.executor`: the
-in-process engine (:class:`~repro.faults.executor.SerialExecutor`, also
-selectable as :class:`~repro.faults.executor.BatchedExecutor`) simulates
-each shared prefix once and evaluates all fault branches of an injection
-point as one stacked array on the exact simulators — bit-identical to the
-naive per-injection loop, which every other backend runs — and
+Each campaign method builds its plan (:mod:`repro.faults.plan`) and runs
+it through :func:`~repro.faults.checkpoint.run_plan`, which hands the tasks to
+:mod:`repro.faults.executor`: the in-process engine
+(:class:`~repro.faults.executor.SerialExecutor`, also selectable as
+:class:`~repro.faults.executor.BatchedExecutor`) simulates each shared
+prefix once and evaluates all fault branches of an injection point as one
+stacked array on the exact simulators — bit-identical to the naive
+per-injection loop, which every other backend runs — and
 :class:`~repro.faults.executor.ParallelExecutor` runs chunks of the sweep
 on that engine in worker processes.
 
@@ -30,19 +32,17 @@ True
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..algorithms.spec import AlgorithmSpec
 from ..quantum.circuit import QuantumCircuit
 from ..simulators.backend import Backend
-from .campaign import CampaignResult, InjectionRecord, RecordTable
+from .campaign import CampaignResult, InjectionRecord
+from .checkpoint import ProgressCallback, run_plan
 from .executor import (
     BaseExecutor,
-    CampaignPlan,
-    InjectionTask,
     SerialExecutor,
     build_double_faulty_circuit,
     build_faulty_circuit,
@@ -50,10 +50,9 @@ from .executor import (
 )
 from .fault_model import PhaseShiftFault, fault_grid
 from .injection_points import InjectionPoint, enumerate_injection_points
+from .plan import double_patterns, paired_plan, single_plan
 
 __all__ = ["QuFI"]
-
-ProgressCallback = Callable[[int, int], None]
 
 
 class QuFI:
@@ -147,47 +146,8 @@ class QuFI:
         )
 
     # ------------------------------------------------------------------
-    # Campaigns
+    # Campaigns: each builds its plan and runs it through run_plan
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(
-        target: Union[AlgorithmSpec, QuantumCircuit],
-        correct_states: Optional[Sequence[str]],
-    ) -> Tuple[QuantumCircuit, Tuple[str, ...], str]:
-        if isinstance(target, AlgorithmSpec):
-            return target.circuit, tuple(target.correct_states), target.name
-        if correct_states is None:
-            raise ValueError(
-                "correct_states is required when passing a bare circuit"
-            )
-        return target, tuple(correct_states), target.name
-
-    def _execute_plan(
-        self,
-        executor: BaseExecutor,
-        plan: CampaignPlan,
-        progress: Optional[ProgressCallback],
-    ) -> RecordTable:
-        """Run ``plan`` on the chosen executor, forwarding progress.
-
-        The executor hands back (and streams) columnar record blocks;
-        progress only needs their sizes, so no record object is
-        materialised on the way through.
-        """
-        if progress is None:
-            return executor.run(self.backend, plan, rng=self._rng)
-        done = 0
-
-        def on_batch(batch: RecordTable) -> None:
-            nonlocal done
-            for _ in range(len(batch)):
-                done += 1
-                progress(done, plan.total)
-
-        return executor.run(
-            self.backend, plan, on_batch=on_batch, rng=self._rng
-        )
-
     def run_campaign(
         self,
         target: Union[AlgorithmSpec, QuantumCircuit],
@@ -203,43 +163,10 @@ class QuFI:
         (gate, qubit) site of the circuit, executed by the injector's
         configured strategy (``executor`` overrides it per campaign).
         """
-        circuit, states, name = self._resolve(target, correct_states)
-        executor = executor if executor is not None else self.executor
-        faults = list(faults) if faults is not None else fault_grid()
-        points = (
-            list(points)
-            if points is not None
-            else enumerate_injection_points(circuit)
+        plan = single_plan(
+            target, correct_states, faults, points, self.shots, self.seed
         )
-        fault_free = self.fault_free_qvf(circuit, states)
-        tasks = tuple(
-            InjectionTask(index=index, point=point, fault=fault)
-            for index, (point, fault) in enumerate(
-                itertools.product(points, faults)
-            )
-        )
-        plan = CampaignPlan(
-            circuit=circuit,
-            correct_states=states,
-            tasks=tasks,
-            shots=self.shots,
-            seed=self.seed,
-        )
-        records = self._execute_plan(executor, plan, progress)
-        return CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=records,
-            fault_free_qvf=fault_free,
-            backend_name=getattr(self.backend, "name", "backend"),
-            metadata={
-                "mode": "single",
-                "num_faults": len(faults),
-                "num_points": len(points),
-                "shots": self.shots,
-                "executor": executor.name,
-            },
-        )
+        return run_plan(self, plan, executor=executor, progress=progress)
 
     def run_double_campaign(
         self,
@@ -261,87 +188,24 @@ class QuFI:
         ``faults``, filtered by the constraint per first fault.
 
         The second fault only targets qubits still *live* at the
-        injection position: once ``b`` has been measured, a phase shift
-        on it cannot influence the outcome (and the splice would be
-        invalid). Benchmark circuits measure terminally, so this changes
-        nothing for logical-circuit campaigns — but transpiled circuits
-        interleave measurements (single-qubit fusion defers gates past
-        other wires' measures), where the first-fault site can postdate
-        the neighbour's measurement.
+        injection position (see :func:`~repro.faults.plan.pair_sites`):
+        once ``b`` has been measured, a phase shift on it cannot
+        influence the outcome.
         """
-        circuit, states, name = self._resolve(target, correct_states)
-        executor = executor if executor is not None else self.executor
         if not couples:
             raise ValueError("at least one neighbour couple is required")
         faults = list(faults) if faults is not None else fault_grid()
-        second_pool = (
-            list(second_faults) if second_faults is not None else faults
+        patterns = double_patterns(faults, second_faults)
+        plan = paired_plan(
+            target,
+            [(couple, patterns) for couple in couples],
+            correct_states,
+            points,
+            self.shots,
+            self.seed,
+            shape={"num_faults": len(faults)},
         )
-        fault_free = self.fault_free_qvf(circuit, states)
-
-        combos: List[Tuple[PhaseShiftFault, PhaseShiftFault]] = []
-        for first in faults:
-            for second in second_pool:
-                if (
-                    second.theta <= first.theta + 1e-9
-                    and second.phi <= first.phi + 1e-9
-                ):
-                    combos.append((first, second))
-
-        first_measure: Dict[int, int] = {}
-        for position, inst in enumerate(circuit):
-            if inst.name == "measure":
-                first_measure.setdefault(inst.qubits[0], position)
-
-        tasks: List[InjectionTask] = []
-        for qubit_a, qubit_b in couples:
-            base_points = (
-                list(points)
-                if points is not None
-                else enumerate_injection_points(circuit, qubits=[qubit_a])
-            )
-            measured_at = first_measure.get(qubit_b)
-            for point in base_points:
-                if point.qubit != qubit_a:
-                    continue
-                if measured_at is not None and point.position >= measured_at:
-                    # The neighbour is already measured out here: no
-                    # quantum state left for the second fault to corrupt.
-                    continue
-                for first, second in combos:
-                    tasks.append(
-                        InjectionTask(
-                            index=len(tasks),
-                            point=point,
-                            fault=first,
-                            second_fault=second,
-                            second_qubit=qubit_b,
-                        )
-                    )
-
-        plan = CampaignPlan(
-            circuit=circuit,
-            correct_states=states,
-            tasks=tuple(tasks),
-            shots=self.shots,
-            seed=self.seed,
-        )
-        records = self._execute_plan(executor, plan, progress)
-
-        return CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=records,
-            fault_free_qvf=fault_free,
-            backend_name=getattr(self.backend, "name", "backend"),
-            metadata={
-                "mode": "double",
-                "couples": list(couples),
-                "num_faults": len(faults),
-                "shots": self.shots,
-                "executor": executor.name,
-            },
-        )
+        return run_plan(self, plan, executor=executor, progress=progress)
 
     def run_correlated_campaign(
         self,
@@ -362,103 +226,40 @@ class QuFI:
         farther qubits after), and each pattern supplies one
         physics-sampled fault per cluster slot, magnitude-ordered by hop
         distance (:func:`repro.faults.physics.sample_strike_patterns`).
-        The first two slots map onto the double-fault machinery — and its
-        record schema — so a two-qubit cluster produces records
-        indistinguishable from :meth:`run_double_campaign` rows with the
-        same fault pair. Remaining slots ride along as
+        The first two slots map onto the double-fault record schema, so
+        a two-qubit cluster produces records indistinguishable from
+        :meth:`run_double_campaign` rows with the same fault pair.
+        Remaining slots ride along as
         :attr:`~repro.faults.executor.InjectionTask.extra_faults`: they
         shape the physics of every execution but are not recorded as
-        columns.
-
-        Point enumeration and measured-out pruning mirror
-        :meth:`run_double_campaign`: points sweep the strike centre's
-        gates, a measured-out neighbour drops the site entirely, and
-        measured-out outer slots are dropped per point (no quantum state
-        left to corrupt).
+        columns. Measured-out outer slots are dropped per point.
         """
-        circuit, states, name = self._resolve(target, correct_states)
-        executor = executor if executor is not None else self.executor
-        strikes = [(tuple(cluster), list(patterns)) for cluster, patterns in strikes]
+        strikes = [(tuple(cluster), list(pats)) for cluster, pats in strikes]
         if not strikes:
             raise ValueError("at least one strike cluster is required")
-        for cluster, patterns in strikes:
-            if len(cluster) < 2:
-                raise ValueError(
-                    "strike clusters need at least two qubits (the centre "
-                    "and its pinned neighbour)"
-                )
-            for pattern in patterns:
-                if len(pattern) != len(cluster):
-                    raise ValueError(
-                        "each strike pattern must carry exactly one fault "
-                        "per cluster slot"
-                    )
-        fault_free = self.fault_free_qvf(circuit, states)
-
-        first_measure: Dict[int, int] = {}
-        for position, inst in enumerate(circuit):
-            if inst.name == "measure":
-                first_measure.setdefault(inst.qubits[0], position)
-
-        def live(qubit: int, position: int) -> bool:
-            measured_at = first_measure.get(qubit)
-            return measured_at is None or position < measured_at
-
-        tasks: List[InjectionTask] = []
-        couples: List[Tuple[int, int]] = []
-        for cluster, patterns in strikes:
-            qubit_a, qubit_b = cluster[0], cluster[1]
-            couples.append((qubit_a, qubit_b))
-            base_points = (
-                list(points)
-                if points is not None
-                else enumerate_injection_points(circuit, qubits=[qubit_a])
+        if any(len(cluster) < 2 for cluster, _ in strikes):
+            raise ValueError(
+                "strike clusters need at least two qubits (the centre "
+                "and its pinned neighbour)"
             )
-            for point in base_points:
-                if point.qubit != qubit_a:
-                    continue
-                if not live(qubit_b, point.position):
-                    continue
-                for pattern in patterns:
-                    extras = tuple(
-                        (qubit, fault)
-                        for qubit, fault in zip(cluster[2:], pattern[2:])
-                        if live(qubit, point.position)
-                    )
-                    tasks.append(
-                        InjectionTask(
-                            index=len(tasks),
-                            point=point,
-                            fault=pattern[0],
-                            second_fault=pattern[1],
-                            second_qubit=qubit_b,
-                            extra_faults=extras,
-                        )
-                    )
-
-        plan = CampaignPlan(
-            circuit=circuit,
-            correct_states=states,
-            tasks=tuple(tasks),
-            shots=self.shots,
-            seed=self.seed,
-        )
-        records = self._execute_plan(executor, plan, progress)
-        return CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=records,
-            fault_free_qvf=fault_free,
-            backend_name=getattr(self.backend, "name", "backend"),
-            metadata={
-                "mode": "double",
-                "couples": couples,
+        if any(len(p) != len(c) for c, pats in strikes for p in pats):
+            raise ValueError(
+                "each strike pattern must carry exactly one fault per "
+                "cluster slot"
+            )
+        plan = paired_plan(
+            target,
+            strikes,
+            correct_states,
+            points,
+            self.shots,
+            self.seed,
+            shape={
                 "num_faults": len(strikes[0][1]),
                 "cluster_size": max(len(cluster) for cluster, _ in strikes),
-                "shots": self.shots,
-                "executor": executor.name,
             },
         )
+        return run_plan(self, plan, executor=executor, progress=progress)
 
     def estimate_campaign_size(
         self,

@@ -49,6 +49,7 @@ from .factory import (
     make_injector,
     make_noise_model,
     make_transpiled,
+    plan_scenario,
     run_adaptive_scenario,
     run_scenario,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "make_injector",
     "make_transpiled",
     "estimate_scenario_injections",
+    "plan_scenario",
     "run_adaptive_scenario",
     "run_scenario",
     "SuiteRunner",

@@ -20,7 +20,7 @@ draws.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,12 @@ from ..algorithms import ALGORITHMS
 from ..algorithms.spec import AlgorithmSpec
 from ..faults.adaptive import run_adaptive_campaign
 from ..faults.campaign import CampaignResult
+from ..faults.checkpoint import run_plan
 from ..faults.double import adjacency_clusters, find_neighbor_couples
 from ..faults.executor import (
     BaseExecutor,
     BatchedExecutor,
+    CampaignPlan,
     ParallelExecutor,
     SerialExecutor,
     _compiler_options,
@@ -43,6 +45,7 @@ from ..faults.injection_points import (
 )
 from ..faults.injector import QuFI
 from ..faults.layout_map import TranspiledCircuit, map_transpiled
+from ..faults.plan import double_patterns, pair_sites, paired_plan, single_plan
 from ..faults.physics import sample_strike_patterns
 from ..faults.sampling import sample_strike_faults
 from ..qec import repetition as qec_repetition
@@ -85,6 +88,7 @@ __all__ = [
     "scenario_metadata",
     "transpile_metadata",
     "estimate_scenario_injections",
+    "plan_scenario",
     "run_adaptive_scenario",
     "run_scenario",
 ]
@@ -386,12 +390,9 @@ def make_transpiled(
 
 
 def scenario_metadata(spec: ScenarioSpec) -> Dict[str, object]:
-    """The scenario-identity metadata stamped on every campaign result.
-
-    One definition shared by :func:`run_scenario` and the CLI's
-    checkpointed path, so artefacts produced either way carry the same
-    keys (suite consumers match on ``spec_hash``).
-    """
+    """The scenario-identity metadata stamped on every campaign result
+    and checkpoint store (suite consumers match on ``spec_hash``; the
+    checkpoint resume guard compares ``scenario``)."""
     return {
         "scenario_id": spec.scenario_id,
         "spec_hash": spec.spec_hash(),
@@ -407,9 +408,7 @@ def transpile_metadata(
     Layout map plus the transpile block's basis and seed — everything a
     consumer needs to translate stored records between the wire,
     physical and logical frames (``CampaignResult.layout_map``) and to
-    re-derive the transpilation. The single definition shared by
-    :func:`run_scenario` and the CLI, so campaign artefacts and
-    checkpoint stores record the same schema.
+    re-derive the transpilation.
     """
     block = spec.transpile
     if block is None:
@@ -429,9 +428,8 @@ def make_transpiled_campaign_inputs(
     Returns ``(transpiled, points, extra_metadata)``: the
     :class:`~repro.faults.layout_map.TranspiledCircuit`, the
     frame-stamped injection points over it, and the ``{"transpile":
-    ...}`` metadata block. The single assembly shared by
-    :func:`run_scenario` and the CLI's checkpointed path, so both
-    produce identical points and artefact metadata.
+    ...}`` metadata block, shared by :func:`plan_scenario` and the
+    adaptive path.
     """
     transpiled = make_transpiled(spec, cache)
     points = enumerate_injection_points(
@@ -788,82 +786,43 @@ def _scenario_points(
     return enumerate_injection_points(make_algorithm(spec, cache).circuit)
 
 
-def _double_injection_count(
-    spec: ScenarioSpec, cache: Optional[FactoryCache]
-) -> int:
-    """Exact task count of the spec's double-fault sweep.
+def _campaign_target(spec: ScenarioSpec, cache: FactoryCache):
+    """``(target, correct states, points, metadata)`` of the sweep.
 
-    Mirrors :meth:`QuFI.run_double_campaign`'s enumeration — constrained
-    fault combos, per-couple point filtering, measured-out neighbour
-    pruning — without building a single task object.
+    Transpiled scenarios sweep the hardware-native circuit over
+    frame-stamped points and record the layout map as metadata; the
+    others sweep the benchmark circuit (an ``AlgorithmSpec``, bringing
+    its own ground truth) over :func:`_scenario_points`.
     """
-    faults = make_faults(spec, cache)
-    combos = sum(
-        1
-        for first in faults
-        for second in faults
-        if second.theta <= first.theta + 1e-9
-        and second.phi <= first.phi + 1e-9
+    if spec.transpile is None:
+        algorithm = make_algorithm(spec, cache)
+        return algorithm, None, _scenario_points(spec, cache), {}
+    transpiled, points, extra_meta = make_transpiled_campaign_inputs(
+        spec, cache
     )
-    circuit = _scenario_circuit(spec, cache)
-    points = (
-        _scenario_points(spec, cache) if spec.transpile is not None else None
-    )
-    first_measure: Dict[int, int] = {}
-    for position, inst in enumerate(circuit):
-        if inst.name == "measure":
-            first_measure.setdefault(inst.qubits[0], position)
-    sites = 0
-    for qubit_a, qubit_b in make_couples(spec, cache):
-        base_points = (
-            points
-            if points is not None
-            else enumerate_injection_points(circuit, qubits=[qubit_a])
-        )
-        measured_at = first_measure.get(qubit_b)
-        for point in base_points:
-            if point.qubit != qubit_a:
-                continue
-            if measured_at is not None and point.position >= measured_at:
-                continue
-            sites += 1
-    return sites * combos
+    states = make_algorithm(spec, cache).correct_states
+    return transpiled.circuit, states, points, extra_meta
 
 
-def _correlated_strike_injection_count(
+def _paired_strikes(
     spec: ScenarioSpec, cache: Optional[FactoryCache]
-) -> int:
-    """Exact task count of a correlated (k >= 2) strike sweep.
+) -> Optional[List[Tuple[Tuple[int, ...], list]]]:
+    """The ``(cluster, patterns)`` entries of a paired sweep, or ``None``.
 
-    Mirrors :meth:`QuFI.run_correlated_campaign`'s enumeration — one
-    task per (cluster, live centre point, pattern), with the
-    measured-out-neighbour pruning of the double-fault path — without
-    building a task object.
+    Double-fault scenarios pair every neighbour couple with the
+    constrained fault pairs of the grid; correlated (k >= 2) strikes
+    pair each adjacency cluster with the patterns sampled for its hop
+    geometry. Single sweeps return ``None``.
     """
-    circuit = _scenario_circuit(spec, cache)
-    points = (
-        _scenario_points(spec, cache) if spec.transpile is not None else None
-    )
-    first_measure: Dict[int, int] = {}
-    for position, inst in enumerate(circuit):
-        if inst.name == "measure":
-            first_measure.setdefault(inst.qubits[0], position)
-    sites = 0
-    for qubits, _ in _strike_clusters(spec, cache):
-        qubit_a, qubit_b = qubits[0], qubits[1]
-        base_points = (
-            points
-            if points is not None
-            else enumerate_injection_points(circuit, qubits=[qubit_a])
-        )
-        measured_at = first_measure.get(qubit_b)
-        for point in base_points:
-            if point.qubit != qubit_a:
-                continue
-            if measured_at is not None and point.position >= measured_at:
-                continue
-            sites += 1
-    return sites * spec.strike.count
+    if spec.strike is not None and spec.strike.k >= 2:
+        return [
+            (qubits, _strike_patterns(spec, hops, cache))
+            for qubits, hops in _strike_clusters(spec, cache)
+        ]
+    if spec.mode != "double":
+        return None
+    patterns = double_patterns(make_faults(spec, cache))
+    return [(tuple(couple), patterns) for couple in make_couples(spec, cache)]
 
 
 def estimate_scenario_injections(
@@ -871,29 +830,36 @@ def estimate_scenario_injections(
 ) -> int:
     """How many injections running ``spec`` costs, before running it.
 
-    Exact for uniform sweeps (single: ``faults x points``; double: the
-    real constrained-combo enumeration). Adaptive scenarios report their
-    *worst case* — the full grid for refinement (refined lines are
-    full-grid lines, so the grid is the ceiling), ``samples_per_round x
-    max_rounds x points`` for importance sampling — further clamped by
-    the spec's own ``budget.max_injections`` when set. The suite
-    runner's pre-run cost gate sums these.
+    Exact for uniform sweeps, and without building a task: a single
+    sweep costs ``faults x points``, a paired one (double faults,
+    correlated strikes) walks the sites its plan enumerates
+    (:func:`~repro.faults.plan.pair_sites`) times the patterns per site.
+    Adaptive scenarios report their *worst case* — the full grid for
+    refinement (refined lines are full-grid lines, so the grid is the
+    ceiling), ``samples_per_round x max_rounds x points`` for importance
+    sampling — further clamped by the spec's own
+    ``budget.max_injections`` when set. The suite runner's pre-run cost
+    gate sums these.
     """
-    points = len(_scenario_points(spec, cache))
+    points = _scenario_points(spec, cache)
     if spec.adaptive is not None:
         if spec.adaptive.mode == "importance":
             worst = spec.adaptive.samples_per_round * spec.adaptive.max_rounds
-            worst *= points
+            worst *= len(points)
         else:
-            worst = len(make_faults(spec, cache)) * points
+            worst = len(make_faults(spec, cache)) * len(points)
         if spec.budget is not None and spec.budget.max_injections is not None:
             worst = min(worst, spec.budget.max_injections)
         return worst
-    if spec.strike is not None and spec.strike.k >= 2:
-        return _correlated_strike_injection_count(spec, cache)
-    if spec.mode == "double":
-        return _double_injection_count(spec, cache)
-    return len(make_faults(spec, cache)) * points
+    strikes = _paired_strikes(spec, cache)
+    if strikes is None:
+        return len(make_faults(spec, cache)) * len(points)
+    sites = pair_sites(
+        _scenario_circuit(spec, cache),
+        [cluster for cluster, _ in strikes],
+        points,
+    )
+    return sum(len(strikes[index][1]) for index, _, _ in sites)
 
 
 def run_adaptive_scenario(
@@ -905,21 +871,24 @@ def run_adaptive_scenario(
 ) -> CampaignResult:
     """Run ``spec``'s adaptive campaign (the ``spec.adaptive`` path).
 
-    The adaptive analogue of :func:`run_scenario`'s body, shared with
-    the CLI's checkpointed path: maps the spec's ``adaptive`` and
-    ``budget`` blocks onto :func:`repro.faults.adaptive.run_adaptive_campaign`,
-    sweeps the transpiled circuit (with frame-stamped points and the
-    layout map in the persisted metadata) when the spec has a
-    ``transpile`` block, and stamps the scenario identity on the result.
+    Maps the spec's ``adaptive`` and ``budget`` blocks onto
+    :func:`repro.faults.adaptive.run_adaptive_campaign`, sweeps the
+    transpiled circuit (with frame-stamped points and the layout map in
+    the persisted metadata) when the spec has a ``transpile`` block, and
+    stamps the scenario identity on the result — and on the checkpoint
+    store, whose resume guard compares it.
     """
     block = spec.adaptive
     if block is None:
         raise ValueError(f"scenario {spec.scenario_id!r} has no adaptive block")
     cache = cache if cache is not None else FactoryCache()
-    algorithm = make_algorithm(spec, cache)
-    qufi = make_injector(spec, cache, executor)
+    target, states, points, extra_meta = _campaign_target(spec, cache)
     budget = spec.budget
-    kwargs = dict(
+    return run_adaptive_campaign(
+        make_injector(spec, cache, executor),
+        target,
+        correct_states=states,
+        points=points,
         grid_step_deg=spec.grid_step_deg,
         phi_max_deg=spec.phi_max_deg,
         include_phi_endpoint=spec.include_phi_endpoint,
@@ -933,23 +902,71 @@ def run_adaptive_scenario(
         max_seconds=None if budget is None else budget.max_seconds,
         checkpoint_path=checkpoint_path,
         save_every=save_every,
+        # The placeholder pins where the round loop's adaptive block
+        # lands: before the scenario identity, the stored key order.
+        metadata={**extra_meta, "adaptive": None, **scenario_metadata(spec)},
     )
-    if spec.transpile is None:
-        result = run_adaptive_campaign(qufi, algorithm, **kwargs)
+
+
+def plan_scenario(
+    spec: ScenarioSpec, cache: Optional[FactoryCache] = None
+) -> CampaignPlan:
+    """Compile a non-adaptive spec into its one campaign plan.
+
+    Scenarios with a ``transpile`` block sweep the *hardware-native*
+    circuit instead of the logical one: injection points enumerate the
+    transpiled gate list (stamped with their physical/logical frame
+    attribution), double-fault couples come from the device topology in
+    the campaign's own wire frame, and the layout map is recorded in
+    ``metadata["transpile"]`` so stored campaigns stay frame-convertible.
+
+    The physics axes route through the same two enumerations: a ``qec``
+    block sweeps the fault grid over the protected circuit's data wires
+    at the encoder boundary (records score logical error probability); a
+    ``strike`` block swaps the grid for physics-sampled faults (k=1) or
+    correlated per-cluster patterns (k>=2, a paired sweep over the
+    layout couples); and ``mitigation: true`` scores every execution
+    through the readout-corrected backend wrapper. Each stamps its
+    marker into the metadata (``qec``, ``strike``/``fault_source``,
+    ``mitigation``), and the scenario identity comes last.
+    """
+    if spec.adaptive is not None:
+        raise ValueError(
+            f"scenario {spec.scenario_id!r} is adaptive: its rounds are "
+            f"planned as they run (see run_adaptive_scenario)"
+        )
+    cache = cache if cache is not None else FactoryCache()
+    target, states, points, extra_meta = _campaign_target(spec, cache)
+    strikes = _paired_strikes(spec, cache)
+    if strikes is None:
+        faults = make_faults(spec, cache)
+        plan = single_plan(
+            target, states, faults, points, spec.shots, spec.seed
+        )
     else:
-        transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-            spec, cache
+        if spec.mode == "double":
+            shape = {"num_faults": len(make_faults(spec, cache))}
+        else:
+            shape = {
+                "num_faults": spec.strike.count,
+                "cluster_size": max(len(cluster) for cluster, _ in strikes),
+            }
+        plan = paired_plan(
+            target, strikes, states, points, spec.shots, spec.seed, shape=shape
         )
-        result = run_adaptive_campaign(
-            qufi,
-            transpiled.circuit,
-            correct_states=algorithm.correct_states,
-            points=points,
-            metadata=extra_meta,
-            **kwargs,
-        )
-    result.metadata.update(scenario_metadata(spec))
-    return result
+    plan.metadata.update(extra_meta)
+    if spec.strike is not None:
+        # The same stamps run_strike_campaign applies, plus the block —
+        # suite artefacts announce their fault source either way.
+        plan.metadata["fault_source"] = "strike_sampling"
+        plan.metadata["max_distance_um"] = spec.strike.max_distance_um
+        plan.metadata["strike"] = spec.strike.to_dict()
+    if spec.qec is not None:
+        plan.metadata["qec"] = spec.qec.to_dict()
+    if spec.mitigation:
+        plan.metadata["mitigation"] = True
+    plan.metadata.update(scenario_metadata(spec))
+    return plan
 
 
 def run_scenario(
@@ -957,51 +974,34 @@ def run_scenario(
     cache: Optional[FactoryCache] = None,
     executor: Optional[BaseExecutor] = None,
     progress=None,
+    checkpoint_path: Optional[str] = None,
 ) -> CampaignResult:
-    """Spec in, campaign result out — the single-scenario entry point.
+    """Spec in, campaign result out — the single-scenario entry point:
+    :func:`plan_scenario` plus :func:`~repro.faults.checkpoint.run_plan`.
 
     A fresh injector is built per call (its rng starts at the scenario
     seed), so running the same spec twice — or inside a suite versus
     standalone — produces bit-identical records. ``executor`` overrides
     the spec's strategy with an existing instance; the suite runner uses
     this to route all parallel scenarios through one long-lived pool.
+    ``checkpoint_path`` streams any sweep through a segment store and
+    resumes from it, refusing a store recorded for another scenario.
 
     Specs with an ``adaptive`` block dispatch to
-    :func:`run_adaptive_scenario` (coarse-to-fine refinement or
-    importance sampling instead of the uniform sweep; ``progress`` is
-    not threaded through the round loop). A ``budget.max_injections``
-    on a *non*-adaptive spec is a hard gate: an over-budget uniform
-    sweep raises before running anything, since truncating a grid
-    mid-sweep would silently change its records. ``budget.max_seconds``
-    is enforced by the suite runner's pre-run estimator and by the
-    adaptive round loop, not here — a uniform sweep's wall clock is not
-    checkable before it runs.
-
-    Scenarios with a ``transpile`` block sweep the *hardware-native*
-    circuit instead of the logical one: injection points enumerate the
-    transpiled gate list (stamped with their physical/logical frame
-    attribution), double-fault couples come from the device topology in
-    the campaign's own wire frame, and the layout map is recorded in
-    ``result.metadata["transpile"]`` so stored campaigns stay
-    frame-convertible.
-
-    The physics axes route through the same machinery: a ``qec`` block
-    sweeps the fault grid over the protected circuit's data wires at
-    the encoder boundary (records score logical error probability); a
-    ``strike`` block swaps the grid for physics-sampled faults (k=1)
-    or correlated per-cluster patterns (k>=2, via
-    :meth:`QuFI.run_correlated_campaign` over the layout couples); and
-    ``mitigation: true`` scores every execution through the
-    readout-corrected backend wrapper. Each stamps its marker into the
-    result metadata (``qec``, ``strike``/``fault_source``,
-    ``mitigation``).
+    :func:`run_adaptive_scenario` (``progress`` is not threaded through
+    the round loop). A ``budget.max_injections`` on a *non*-adaptive
+    spec is a hard gate: an over-budget uniform sweep raises before
+    running anything, since truncating a grid mid-sweep would silently
+    change its records. ``budget.max_seconds`` is enforced by the suite
+    runner's pre-run estimator and by the adaptive round loop, not here
+    — a uniform sweep's wall clock is not checkable before it runs.
     """
     # A throwaway cache still deduplicates within this call (the
     # transpiled artefact is consumed by the backend's noise model, the
     # injection points and the couples alike).
     cache = cache if cache is not None else FactoryCache()
     if spec.adaptive is not None:
-        return run_adaptive_scenario(spec, cache, executor)
+        return run_adaptive_scenario(spec, cache, executor, checkpoint_path)
     if spec.budget is not None and spec.budget.max_injections is not None:
         cost = estimate_scenario_injections(spec, cache)
         if cost > spec.budget.max_injections:
@@ -1012,81 +1012,10 @@ def run_scenario(
                 f"records — coarsen the grid, raise the budget, or add "
                 f"an adaptive block"
             )
-    algorithm = make_algorithm(spec, cache)
-    qufi = make_injector(spec, cache, executor)
-    if spec.strike is not None and spec.strike.k >= 2:
-        strikes = [
-            (qubits, _strike_patterns(spec, hops, cache))
-            for qubits, hops in _strike_clusters(spec, cache)
-        ]
-        if spec.transpile is None:
-            result = qufi.run_correlated_campaign(
-                algorithm, strikes, progress=progress
-            )
-        else:
-            transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-                spec, cache
-            )
-            result = qufi.run_correlated_campaign(
-                transpiled.circuit,
-                strikes,
-                correct_states=algorithm.correct_states,
-                points=points,
-                progress=progress,
-            )
-            result.metadata.update(extra_meta)
-    elif spec.transpile is None:
-        faults = make_faults(spec, cache)
-        if spec.mode == "double":
-            result = qufi.run_double_campaign(
-                algorithm,
-                couples=make_couples(spec, cache),
-                faults=faults,
-                progress=progress,
-            )
-        else:
-            result = qufi.run_campaign(
-                algorithm,
-                faults=faults,
-                points=(
-                    _scenario_points(spec, cache)
-                    if spec.qec is not None
-                    else None
-                ),
-                progress=progress,
-            )
-    else:
-        faults = make_faults(spec, cache)
-        transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-            spec, cache
-        )
-        if spec.mode == "double":
-            result = qufi.run_double_campaign(
-                transpiled.circuit,
-                couples=make_couples(spec, cache),
-                correct_states=algorithm.correct_states,
-                faults=faults,
-                points=points,
-                progress=progress,
-            )
-        else:
-            result = qufi.run_campaign(
-                transpiled.circuit,
-                correct_states=algorithm.correct_states,
-                faults=faults,
-                points=points,
-                progress=progress,
-            )
-        result.metadata.update(extra_meta)
-    if spec.strike is not None:
-        # The same stamps run_strike_campaign applies, plus the block —
-        # suite artefacts announce their fault source either way.
-        result.metadata["fault_source"] = "strike_sampling"
-        result.metadata["max_distance_um"] = spec.strike.max_distance_um
-        result.metadata["strike"] = spec.strike.to_dict()
-    if spec.qec is not None:
-        result.metadata["qec"] = spec.qec.to_dict()
-    if spec.mitigation:
-        result.metadata["mitigation"] = True
-    result.metadata.update(scenario_metadata(spec))
-    return result
+    plan = plan_scenario(spec, cache)
+    return run_plan(
+        make_injector(spec, cache, executor),
+        plan,
+        checkpoint_path=checkpoint_path,
+        progress=progress,
+    )

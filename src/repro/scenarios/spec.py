@@ -808,6 +808,25 @@ class ScenarioSpec:
                 data["machine"] = None
         return data
 
+    def resume_identity(self) -> Dict[str, object]:
+        """What a checkpoint of this campaign must agree on to resume.
+
+        The canonical dict without ``executor`` and ``workers`` —
+        checkpointed runs seed every task on its own, so the strategy
+        cannot move their records — and without the adaptive block's
+        ``max_rounds`` and ``tolerance``, which decide where the round
+        loop stops, never which rounds exist.
+        """
+        data = self.canonical_dict()
+        del data["executor"], data["workers"]
+        if self.adaptive is not None:
+            data["adaptive"] = {
+                key: value
+                for key, value in data["adaptive"].items()
+                if key not in ("max_rounds", "tolerance")
+            }
+        return data
+
     def spec_hash(self) -> str:
         """Content hash of the campaign this spec describes."""
         blob = json.dumps(self.canonical_dict(), sort_keys=True)

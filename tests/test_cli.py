@@ -344,17 +344,23 @@ class TestPhysicsFlags:
                 "--strike-count", "8",
             )
 
-    def test_checkpoint_refuses_correlated_strikes(self, tmp_path):
-        with pytest.raises(SystemExit, match="correlated"):
-            self.run_campaign(
-                tmp_path,
-                "--algorithm", "bv",
-                "--width", "3",
-                "--seed", "11",
-                "--strike-count", "2",
-                "--strike-k", "2",
-                "--checkpoint", str(tmp_path / "ck.ckpt"),
-            )
+    def test_checkpoint_runs_correlated_strikes(self, tmp_path):
+        """k>=2 strikes checkpoint like any campaign: same records as
+        the run without --checkpoint."""
+        strike = (
+            "--algorithm", "bv",
+            "--width", "3",
+            "--seed", "11",
+            "--strike-count", "2",
+            "--strike-k", "2",
+        )
+        plain = self.run_campaign(tmp_path, *strike)
+        checkpointed = self.run_campaign(
+            tmp_path, *strike, "--checkpoint", str(tmp_path / "ck.ckpt")
+        )
+        assert checkpointed["records"] == plain["records"]
+        assert checkpointed["metadata"]["checkpointed"] is True
+        assert checkpointed["metadata"]["cluster_size"] == 2
 
     def test_qec_checkpoint_matches_plain_run(self, tmp_path):
         plain = self.run_campaign(

@@ -20,7 +20,9 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 GATED_PATHS = (
     "scenarios",
     "qec",
+    os.path.join("faults", "checkpoint.py"),
     os.path.join("faults", "executor.py"),
+    os.path.join("faults", "plan.py"),
     os.path.join("faults", "layout_map.py"),
     os.path.join("faults", "physics.py"),
 )
