@@ -21,6 +21,8 @@ import numpy as np
 from repro.faults import CampaignResult, RecordTable
 from repro.faults.qvf import FaultClass
 
+from .speedup import best_speedup
+
 N_RECORDS = 120_000
 TIMINGS_PATH = "aggregation_timings.json"
 _ANGLE_TOL = 1e-9
@@ -85,16 +87,6 @@ def legacy_classification_counts(records):
     for record in records:
         counts[record.classification()] += 1
     return counts
-
-
-def best_speedup(measure, threshold, attempts=3):
-    """Best wall-clock ratio over a few attempts (CI timing is noisy)."""
-    best = 0.0
-    for _ in range(attempts):
-        best = max(best, measure())
-        if best >= threshold:
-            break
-    return best
 
 
 class TestAggregationSpeedup:

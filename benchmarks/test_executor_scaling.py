@@ -26,6 +26,8 @@ from repro.faults import (
 from repro.quantum import QuantumCircuit
 from repro.simulators import StatevectorSimulator
 
+from .speedup import best_speedup
+
 
 def deep_circuit(num_qubits: int = 6, layers: int = 5) -> QuantumCircuit:
     """Layered entangling circuit, depth ~5x layers (>= 20 at 5 layers)."""
@@ -51,21 +53,6 @@ def timed_campaign(executor, circuit, points, faults):
         circuit, correct_states=CORRECT, faults=faults, points=points
     )
     return result, time.perf_counter() - start
-
-
-def best_speedup(measure, threshold, attempts=3):
-    """Re-measure a wall-clock ratio up to ``attempts`` times.
-
-    Timing ratios on shared CI runners are noisy; one scheduler stall
-    must not fail the suite. The best observed ratio is the honest
-    measure of the optimisation's ceiling.
-    """
-    best = 0.0
-    for _ in range(attempts):
-        best = max(best, measure())
-        if best >= threshold:
-            break
-    return best
 
 
 class TestPrefixReuseSpeedup:

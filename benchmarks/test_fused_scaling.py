@@ -12,7 +12,10 @@ This bench pins the acceptance number on the deep-tail workload — the
 QFT(6) density-matrix campaign under the full 15-degree,
 312-configuration grid — requiring >= 2x from the fast path over the
 default (exact, unpacked) engine, with a softer regression pin on the
-exact packed compile, and archives the measured timings as
+exact packed compile. On a 2-core host the default engine runs this
+campaign in 20-22s; packed measures 1.9-2.0x and float32 2.6-2.9x over
+it.
+The bench archives the measured timings as
 ``fused_timings.json`` (uploaded by the bench-smoke CI job, kept out of
 git like the other timing artifacts).
 """
@@ -27,6 +30,8 @@ from repro.faults import BatchedExecutor, QuFI, SerialExecutor, fault_grid
 from repro.scenarios.factory import light_noise_model
 from repro.simulators import DensityMatrixSimulator
 
+from .speedup import best_speedup
+
 # Written at the repo root (the CI working directory) so the bench-smoke
 # job can archive it next to the aggregation and suite timings.
 TIMINGS_PATH = "fused_timings.json"
@@ -34,8 +39,10 @@ TIMINGS_PATH = "fused_timings.json"
 NUM_QUBITS = 6
 
 # The acceptance pin from the PR contract, and a softer regression pin
-# keeping the exact packed compile honest (measured ~1.7x locally; the
-# remaining cost is the per-segment superoperator contraction itself).
+# keeping the exact packed compile honest (measured 1.9-2.0x on a 2-core
+# host, against a default engine whose contractions no longer move axes
+# back; the remaining cost is the per-segment superoperator contraction
+# itself).
 FAST_PATH_PIN = 2.0
 PACKED_PIN = 1.2
 
@@ -49,21 +56,6 @@ def timed_campaign(executor, spec, faults):
     start = time.perf_counter()
     result = qufi.run_campaign(spec, faults=faults)
     return result, time.perf_counter() - start
-
-
-def best_speedup(measure, threshold, attempts=3):
-    """Re-measure a wall-clock ratio up to ``attempts`` times.
-
-    Timing ratios on shared CI runners are noisy; one scheduler stall
-    must not fail the suite. The best observed ratio is the honest
-    measure of the optimisation's ceiling.
-    """
-    best = 0.0
-    for _ in range(attempts):
-        best = max(best, measure())
-        if best >= threshold:
-            break
-    return best
 
 
 class TestFusedSpeedup:

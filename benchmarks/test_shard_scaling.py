@@ -32,6 +32,8 @@ import pytest
 from repro.blas import blas_threads
 from repro.scenarios import ScenarioSpec, SuiteRunner, SuiteSpec
 
+from .speedup import best_speedup
+
 TIMINGS_PATH = "shard_timings.json"
 THRESHOLD = 1.5
 JOBS = 2
@@ -114,16 +116,6 @@ def merge_timings(update):
     timings.update(update)
     with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
         json.dump(timings, handle, indent=2)
-
-
-def best_speedup(measure, threshold, attempts=3):
-    """Best wall-clock ratio over a few attempts (CI timing is noisy)."""
-    best = 0.0
-    for _ in range(attempts):
-        best = max(best, measure())
-        if best >= threshold:
-            break
-    return best
 
 
 class TestShardSpeedup:

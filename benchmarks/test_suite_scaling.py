@@ -19,6 +19,8 @@ import time
 
 from repro.scenarios import ScenarioSpec, SuiteRunner, SuiteSpec, run_scenario
 
+from .speedup import best_speedup
+
 TIMINGS_PATH = "suite_timings.json"
 THRESHOLD = 1.5
 
@@ -57,16 +59,6 @@ def paper_grid_slice(grid_step: float) -> SuiteSpec:
             )
         )
     return SuiteSpec.build("suite-scaling", scenarios)
-
-
-def best_speedup(measure, threshold, attempts=3):
-    """Best wall-clock ratio over a few attempts (CI timing is noisy)."""
-    best = 0.0
-    for _ in range(attempts):
-        best = max(best, measure())
-        if best >= threshold:
-            break
-    return best
 
 
 class TestSuiteSpeedup:

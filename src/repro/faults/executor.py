@@ -548,11 +548,14 @@ def _run_chunk(
 
 
 # Batch-sized arrays simultaneously alive while one tile advances: the
-# live batch, the kernels' axis-reordered working copy and contraction
-# result, the branched-head transient and the snapshot base state —
-# measured at ~6 batch-equivalents peak (tracemalloc, 10-qubit density
-# matrix); 8 leaves headroom for allocator slack. The memory-regression
-# test pins the budget claim against this factor.
+# batch as stacked from the snapshot, and the input and output of the
+# runner's current pass (a gather or a GEMM; each pass frees its input).
+# Measured with tracemalloc on the 10-qubit density matrix: 3 tile-sized
+# arrays plus the snapshot base state (7 branch states at a 2-branch
+# tile, 13 at 4), while the prefix advance's scalar kernels peak at ~6
+# branch states whatever the tile. 8 leaves headroom for allocator
+# slack. The memory-regression test pins the budget claim against this
+# factor.
 TILE_WORKING_SET = 8
 
 # The tile budget of an executor given no ``memory_budget``: 64 QFT-6

@@ -8,6 +8,14 @@ for qubit ``q`` (numpy orders axes most-significant first).
 Gate matrices are little-endian over their *own* qubit list: for an
 instruction applying gate ``G`` to ``(q_a, q_b)``, gate-qubit 0 (the LSB of
 the gate's basis index) is ``q_a``.
+
+These are the scalar kernels: one state, one operator, every axis moved
+back after each contraction. They run the per-task advance loops (the
+naive reference path) and are the oracle the batched runner is tested
+against. Branch batches do not come through here: they run as compiled
+plan steps (:func:`repro.simulators.segments.apply_plan`), which perform
+the same per-slice GEMMs with the same matrices but leave axes wherever
+the last contraction put them.
 """
 
 from __future__ import annotations
@@ -18,12 +26,9 @@ import numpy as np
 
 __all__ = [
     "apply_unitary_to_statevector",
-    "apply_unitary_to_statevector_batch",
     "apply_unitary_to_density",
-    "apply_unitary_to_density_batch",
     "apply_kraus_to_density",
     "apply_superop_to_density",
-    "apply_superop_to_density_batch",
     "kraus_to_superoperator",
     "expand_unitary",
     "basis_index_bits",
@@ -58,35 +63,6 @@ def apply_unitary_to_statevector(
     return tensor.reshape(2**num_qubits)
 
 
-def apply_unitary_to_statevector_batch(
-    states: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Apply a ``k``-qubit unitary across a ``(B, 2**n)`` statevector batch.
-
-    ``matrix`` is either one ``(2**k, 2**k)`` unitary shared by every batch
-    element or a ``(B, 2**k, 2**k)`` stack holding one unitary per element
-    (the fault injector's per-branch rotations); ``np.matmul`` broadcasts
-    both forms over the batch axis. Each row of the result is bit-identical
-    to :func:`apply_unitary_to_statevector` on that row alone: the per-slice
-    GEMM sees exactly the same operand shapes and values, so the batch is a
-    pure wall-clock optimisation, not a numerical approximation. (A single
-    ``einsum`` contraction is *not* used here precisely because its
-    accumulation order differs from the scalar kernel's.)
-    """
-    batch = states.shape[0]
-    k = len(targets)
-    axes = tuple(a + 1 for a in _front_axes(targets, num_qubits))
-    tensor = states.reshape([batch] + [2] * num_qubits)
-    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
-    shape = tensor.shape
-    tensor = matrix @ tensor.reshape(batch, 2**k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, k + 1), axes)
-    return tensor.reshape(batch, 2**num_qubits)
-
-
 def _apply_left(
     rho: np.ndarray,
     matrix: np.ndarray,
@@ -119,69 +95,6 @@ def apply_unitary_to_density(
     return _apply_left(
         sigma.conj().T, matrix, targets, num_qubits
     ).conj().T
-
-
-def _apply_left_batch(
-    rhos: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Batched :func:`_apply_left` over a ``(B, 2**n, 2**n)`` stack."""
-    dim = 2**num_qubits
-    batch = rhos.shape[0]
-    k = len(targets)
-    axes = tuple(a + 1 for a in _front_axes(targets, num_qubits))
-    tensor = rhos.reshape([batch] + [2] * num_qubits + [dim])
-    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
-    shape = tensor.shape
-    tensor = matrix @ tensor.reshape(batch, 2**k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, k + 1), axes)
-    return tensor.reshape(batch, dim, dim)
-
-
-def apply_unitary_to_density_batch(
-    rhos: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Apply ``U rho U^dagger`` across a ``(B, 2**n, 2**n)`` batch.
-
-    ``matrix`` may be one shared unitary or a ``(B, 2**k, 2**k)`` stack of
-    per-element unitaries. Mirrors :func:`apply_unitary_to_density` slice by
-    slice — same two contractions, same conjugate-transpose trick — so each
-    batch element is bit-identical to the scalar kernel's output.
-    """
-    sigma = _apply_left_batch(rhos, matrix, targets, num_qubits)
-    sigma = np.conj(np.swapaxes(sigma, -1, -2))
-    out = _apply_left_batch(sigma, matrix, targets, num_qubits)
-    return np.conj(np.swapaxes(out, -1, -2))
-
-
-def apply_superop_to_density_batch(
-    rhos: np.ndarray,
-    superop: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Batched :func:`apply_superop_to_density` over a density-matrix stack.
-
-    One broadcast ``(4**k, 4**k)`` contraction applies the channel to every
-    batch element; per-slice results match the scalar kernel bit for bit.
-    """
-    dim = 2**num_qubits
-    batch = rhos.shape[0]
-    k = len(targets)
-    row_axes = _front_axes(targets, num_qubits)
-    col_axes = tuple(a + num_qubits for a in row_axes)
-    axes = tuple(a + 1 for a in row_axes + col_axes)
-    tensor = rhos.reshape([batch] + [2] * (2 * num_qubits))
-    tensor = np.moveaxis(tensor, axes, range(1, 2 * k + 1))
-    shape = tensor.shape
-    tensor = superop @ tensor.reshape(batch, 4**k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, 2 * k + 1), axes)
-    return tensor.reshape(batch, dim, dim)
 
 
 def kraus_to_superoperator(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:

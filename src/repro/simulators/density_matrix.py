@@ -22,12 +22,7 @@ import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.linalg import (
-    apply_superop_to_density,
-    apply_superop_to_density_batch,
-    apply_unitary_to_density,
-    apply_unitary_to_density_batch,
-)
+from ..quantum.linalg import apply_superop_to_density, apply_unitary_to_density
 from ..quantum.states import DensityMatrix, format_bitstring
 from .backend import (
     BranchBatch,
@@ -49,8 +44,9 @@ from .sampler import Result
 from .segments import (
     SegmentCompiler,
     TailPlan,
-    apply_plan_to_density_batch,
+    apply_plan,
     channel_superop_plan as _channel_superop_plan,
+    gate_ops,
 )
 
 __all__ = ["DensityMatrixSimulator"]
@@ -165,10 +161,11 @@ class DensityMatrixSimulator:
         contractions, and the shared tail — gates, channels, resets —
         applies across the whole batch as ``plan``, the tail compiled for
         ``snapshot.position`` with this backend's noise model folded in
-        (compiled here, unpacked, when the caller passes none); readout
-        confusion follows. Row ``b`` of an unpacked run is bit-identical
-        to :meth:`run_from_snapshot` with the tail ``heads[b] +
-        circuit.instructions[snapshot.position:]``.
+        (compiled here, unpacked, when the caller passes none). Heads and
+        tail run through :func:`~repro.simulators.segments.apply_plan`;
+        readout confusion follows. Row ``b`` of an unpacked run is
+        bit-identical to :meth:`run_from_snapshot` with the tail
+        ``heads[b] + circuit.instructions[snapshot.position:]``.
         """
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
@@ -179,10 +176,10 @@ class DensityMatrixSimulator:
         batch = np.repeat(
             snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
         )
-        batch = self._apply_heads_batch(
+        head_ops = self._head_ops(
             batch, heads, set(snapshot.measured), num_qubits
         )
-        batch = apply_plan_to_density_batch(batch, plan, num_qubits)
+        batch = apply_plan(batch, plan, head_ops)
         measure_map.update(plan.measures)
         probs = self._batch_probabilities(batch)
         if probs.dtype != np.float64:
@@ -207,60 +204,46 @@ class DensityMatrixSimulator:
             },
         )
 
-    def _apply_heads_batch(
+    def _head_ops(
         self,
         batch: np.ndarray,
         heads: Sequence[Sequence[Instruction]],
         measured: Set[int],
         num_qubits: int,
-    ) -> np.ndarray:
-        """Apply each branch's private head (plus its noise) to its row.
+    ) -> list:
+        """The branches' private heads (plus their noise) as runner ops.
 
         Aligned heads (the campaign case: same qubits and gate name per
-        slot, different angles) use one stacked contraction per slot; the
-        noise channel for a slot is shared by construction, so it too
-        applies batched. Misaligned heads fall back to per-row application.
+        slot, different angles) become one unitary op per slot over the
+        stacked matrices; the noise channel for a slot is shared by
+        construction, so its superoperators follow as plain ops.
+        Misaligned heads are applied here instead, row by row in place
+        with the scalar kernels, and leave no ops.
         """
         noise = self.noise_model
         for head in heads:
             validate_branch_head(head, measured)
         slots = uniform_head_slots(heads)
         if slots is not None:
-            for qubits, name, matrices in slots:
-                batch = apply_unitary_to_density_batch(
-                    batch, matrices, qubits, num_qubits
-                )
-                channel = (
-                    noise.channel_for(name, qubits) if noise else None
-                )
-                if channel is not None:
-                    for superop, targets in _channel_superop_plan(
-                        channel, qubits, name
-                    ):
-                        batch = apply_superop_to_density_batch(
-                            batch, superop, targets, num_qubits
-                        )
-            return batch
+            return [
+                op
+                for qubits, name, matrices in slots
+                for op in gate_ops(name, qubits, matrices, noise)
+            ]
         for index, head in enumerate(heads):
             rho = batch[index]
             for inst in head:
-                rho = apply_unitary_to_density(
-                    rho, inst.gate.matrix, inst.qubits, num_qubits
-                )
-                channel = (
-                    noise.channel_for(inst.name, inst.qubits)
-                    if noise
-                    else None
-                )
-                if channel is not None:
-                    for superop, targets in _channel_superop_plan(
-                        channel, inst.qubits, inst.name
-                    ):
-                        rho = apply_superop_to_density(
-                            rho, superop, targets, num_qubits
-                        )
+                for kind, targets, matrix in gate_ops(
+                    inst.name, inst.qubits, inst.gate.matrix, noise
+                ):
+                    apply = (
+                        apply_unitary_to_density
+                        if kind == "unitary"
+                        else apply_superop_to_density
+                    )
+                    rho = apply(rho, matrix, targets, num_qubits)
             batch[index] = rho
-        return batch
+        return []
 
     @staticmethod
     def _batch_probabilities(batch: np.ndarray) -> np.ndarray:
@@ -298,7 +281,7 @@ class DensityMatrixSimulator:
                 0,
                 axis + 1,
             )
-        return tensor.reshape(probs.shape[0], -1)
+        return tensor.reshape(probs.shape)
 
     def tail_compiler(
         self, circuit: QuantumCircuit, **options

@@ -8,7 +8,11 @@ circuit into a :class:`TailPlan` of **segments** — unitaries
 (statevector) or superoperators (density matrix, noise channels folded
 in) — and a branch batch's tail always runs as such a plan: the matrix
 construction is hoisted out of the sweep, and packed plans apply one
-contraction per composed segment instead of one per gate.
+contraction per composed segment instead of one per gate. Each plan
+also carries its axis bookkeeping, compiled once into
+:class:`PlanStep` records that tell the one batch runner,
+:func:`apply_plan`, where each GEMM's target axes are and which copies
+it can skip.
 
 Compilation is a pure function of ``(circuit, noise model, options)``:
 two compilers over the same inputs produce bit-identical segment
@@ -28,17 +32,31 @@ only reachable through the same explicit waiver as the fast path
 equivalence tests in ``tests/faults/test_batched.py`` lock both
 guarantees down.
 
+The runner (:func:`apply_plan`) does not replay the scalar kernels' axis
+moves, yet gives the same bits, for two reasons:
+
+* each output element of a GEMM depends only on its own operand column
+  and the matrix, so contracting the same columns in another order —
+  the non-target axes wherever the previous step left them — gives
+  every element the same bits (the per-slice GEMM shape is unchanged);
+* conjugation is exact, so the density column side keeps the scalar
+  kernel's ``conj(U conj(sigma))`` form and its outer conjugation folds
+  into the next gather.
+
+``tests/simulators/test_segments.py`` checks every row of the runner's
+output against the scalar kernels, byte for byte, on random circuits.
+
 The opt-in ``float32`` fast path compiles segments in ``complex64`` and,
-when the optional ``opt_einsum`` package is installed, routes the
-batched contractions through it; without it the standard kernels run on
-the narrow dtype. Either way the fast path waives bit-identity and is
+when the optional ``opt_einsum`` package is installed, makes it the
+runner's contraction call for those plans; without it ``matmul`` runs
+on the narrow dtype. Either way the fast path waives bit-identity and is
 only reachable through an explicit waiver
 (``ScenarioSpec.bit_identical = False``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +65,6 @@ from ..quantum.circuit import QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
 from ..quantum.linalg import (
     _front_axes,
-    apply_superop_to_density_batch,
-    apply_unitary_to_density_batch,
-    apply_unitary_to_statevector_batch,
     expand_unitary,
     kraus_to_superoperator,
 )
@@ -73,8 +88,10 @@ __all__ = [
     "unitary_to_superoperator",
     "embed_unitary",
     "embed_superop",
-    "apply_plan_to_statevector_batch",
-    "apply_plan_to_density_batch",
+    "gate_ops",
+    "PlanStep",
+    "compile_steps",
+    "apply_plan",
 ]
 
 # Widest support a fused *unitary* segment may grow to: a (2**m, 2**m)
@@ -110,6 +127,29 @@ def channel_superop_plan(
         f"{channel.num_qubits} does not match gate "
         f"{gate_name} on {len(qubits)} qubit(s)"
     )
+
+
+def gate_ops(
+    name: str, qubits: Sequence[int], matrix: np.ndarray, noise_model=None
+) -> List[Tuple[str, Tuple[int, ...], np.ndarray]]:
+    """One gate as primitive ``(kind, targets, matrix)`` ops: its
+    unitary, then the superoperators of the noise channel
+    ``noise_model`` attaches to it. Tail compilation and batched heads
+    both build their ops here, so they apply the same operators in the
+    same order as the per-task advance loop."""
+    qubits = tuple(qubits)
+    ops = [("unitary", qubits, matrix)]
+    channel = (
+        noise_model.channel_for(name, qubits)
+        if noise_model is not None
+        else None
+    )
+    if channel is not None:
+        ops.extend(
+            ("superop", targets, superop)
+            for superop, targets in channel_superop_plan(channel, qubits, name)
+        )
+    return ops
 
 
 # Reset re-prepares |0> through this fixed two-operator Kraus channel.
@@ -198,13 +238,16 @@ class TailPlan:
     bookkeeping — ``(clbit, qubit)`` pairs in instruction order, applied
     after the segments (measurements are terminal and state-free in the
     exact backends, so deferring them cannot change the state).
-    ``dtype`` is the dtype the segment matrices were compiled in
-    (``complex64`` for the float32 fast path).
+    ``steps`` are the segments compiled for :func:`apply_plan`: one
+    :class:`PlanStep` per GEMM with its axis bookkeeping, closed by the
+    gather back to canonical order. ``dtype`` is the dtype the segment
+    matrices were compiled in (``complex64`` for the float32 fast path).
     """
 
     start: int
     segments: Tuple[FusedSegment, ...]
     measures: Tuple[Tuple[int, int], ...]
+    steps: Tuple[PlanStep, ...]
     dtype: np.dtype = field(default=np.dtype(np.complex128))
 
     @property
@@ -353,14 +396,7 @@ class SegmentCompiler:
                     )
                 ops.append(("superop", (inst.qubits[0],), RESET_SUPEROP))
                 continue
-            ops.append(("unitary", tuple(inst.qubits), gate.matrix))
-            if noise is not None:
-                channel = noise.channel_for(inst.name, inst.qubits)
-                if channel is not None:
-                    for superop, targets in channel_superop_plan(
-                        channel, inst.qubits, inst.name
-                    ):
-                        ops.append(("superop", targets, superop))
+            ops.extend(gate_ops(inst.name, inst.qubits, gate.matrix, noise))
         return ops, tuple(measures)
 
     def _compile(self, start: int) -> TailPlan:
@@ -371,7 +407,9 @@ class SegmentCompiler:
                 f"start {start} outside [0, {len(instructions)}]"
             )
         ops, measures = self._primitive_ops(start)
-        if not self.pack:
+        if self.pack:
+            segments = self._pack_ops(ops)
+        else:
             segments = tuple(
                 FusedSegment(
                     kind,
@@ -381,8 +419,12 @@ class SegmentCompiler:
                 )
                 for kind, targets, matrix in ops
             )
-            return TailPlan(start, segments, measures, self.dtype)
-        return TailPlan(start, self._pack_ops(ops), measures, self.dtype)
+        steps = compile_steps(
+            [(s.kind, s.targets, s.matrix) for s in segments],
+            self.circuit.num_qubits,
+            self.superop,
+        )
+        return TailPlan(start, segments, measures, steps, self.dtype)
 
     def _pack_ops(
         self, ops: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]]
@@ -481,104 +523,166 @@ def embed_if_needed(
 # ----------------------------------------------------------------------
 # Plan application
 # ----------------------------------------------------------------------
-def _fast_apply_statevector(
-    batch: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """The opt_einsum contraction of one unitary segment over a batch.
+@dataclass(frozen=True, slots=True)
+class PlanStep:
+    """One step of the branch-batch runner: an optional gather, then one GEMM.
 
-    Mirrors :func:`~repro.quantum.linalg.
-    apply_unitary_to_statevector_batch` but contracts through
-    ``opt_einsum``; only reached on the float32 fast path with
-    ``opt_einsum`` installed.
+    A batch runs as a contiguous ``(B, 2, ..., 2)`` tensor over the
+    state's canonical tensor axes — ``n`` for a statevector, ``2n`` (row
+    axes, then column axes) for a density matrix — held in some axis
+    order. ``layout`` is that order while this step's GEMM runs: per
+    slice, ``matrix @ x`` contracts the first ``width`` axes of ``x``
+    and its columns are the remaining axes, in whatever order they are.
+    ``conjugated`` says whether the buffer holds the complex conjugate
+    of the state. ``gather`` is the transpose (batch axis first) that
+    copies the previous step's buffer into ``layout``, conjugating on
+    the way when ``conj``; ``None`` when the previous buffer is already
+    in place. A step without a ``matrix`` is a plan's closing gather
+    back to canonical order.
     """
-    size = batch.shape[0]
-    k = len(targets)
-    axes = tuple(a + 1 for a in _front_axes(targets, num_qubits))
-    tensor = batch.reshape([size] + [2] * num_qubits)
-    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
-    shape = tensor.shape
-    tensor = _oe_contract(
-        "ij,bjr->bir", matrix, tensor.reshape(size, 2**k, -1)
-    )
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, k + 1), axes)
-    return tensor.reshape(size, 2**num_qubits)
+
+    matrix: Optional[np.ndarray]
+    width: int
+    layout: Tuple[int, ...]
+    conjugated: bool
+    gather: Optional[Tuple[int, ...]]
+    conj: bool
 
 
-def _fast_apply_superop(
-    batch: np.ndarray,
-    superop: np.ndarray,
-    targets: Sequence[int],
+def _gather(
+    layout: Tuple[int, ...],
+    conjugated: bool,
+    target: Tuple[int, ...],
+    target_conjugated: bool,
+) -> Tuple[Optional[Tuple[int, ...]], bool]:
+    """The ``(gather, conj)`` pair that takes a buffer held in ``layout``
+    into ``target``; ``(None, False)`` when it is already there."""
+    if layout == target and conjugated == target_conjugated:
+        return None, False
+    perm = (0,) + tuple(layout.index(axis) + 1 for axis in target)
+    return perm, conjugated != target_conjugated
+
+
+def compile_steps(
+    ops: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]],
     num_qubits: int,
-) -> np.ndarray:
-    """The opt_einsum contraction of one superop segment over a batch."""
-    dim = 2**num_qubits
-    size = batch.shape[0]
-    k = len(targets)
-    row_axes = _front_axes(targets, num_qubits)
-    col_axes = tuple(a + num_qubits for a in row_axes)
-    axes = tuple(a + 1 for a in row_axes + col_axes)
-    tensor = batch.reshape([size] + [2] * (2 * num_qubits))
-    tensor = np.moveaxis(tensor, axes, range(1, 2 * k + 1))
-    shape = tensor.shape
-    tensor = _oe_contract(
-        "ij,bjr->bir", superop, tensor.reshape(size, 4**k, -1)
-    )
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, 2 * k + 1), axes)
-    return tensor.reshape(size, dim, dim)
+    density: bool,
+    then: Optional[PlanStep] = None,
+) -> Tuple[PlanStep, ...]:
+    """Runner steps for ``ops`` on a batch that starts in canonical order.
 
-
-def apply_plan_to_statevector_batch(
-    batch: np.ndarray, plan: TailPlan, num_qubits: int
-) -> np.ndarray:
-    """Apply a tail plan across a ``(B, 2**n)`` statevector batch.
-
-    Exact (complex128) plans route every segment through the standard
-    per-slice GEMM kernel — the carrier of the batch==serial
-    bit-identity guarantee. float32 plans cast the batch down once and,
-    when ``opt_einsum`` is installed, contract through it instead.
+    Each ``(kind, targets, matrix)`` op contracts the target axes in the
+    order the scalar kernels bring them forward (gate MSB first). A
+    statevector unitary and a superoperator are one GEMM each; a
+    density-matrix unitary is two, exactly as
+    :func:`~repro.quantum.linalg.apply_unitary_to_density` computes
+    ``U rho U^dagger``: ``U`` on the row axes, then ``conj(U conj(sigma))``
+    on the column axes, whose outer conjugation is left to the next
+    gather. A step gathers only when its target axes are not already the
+    leading ones (or the conjugation flips); the gather moves them to
+    the front and keeps the other axes where the previous step left
+    them. The last step is ``then`` with its gather re-pointed at where
+    ``ops`` leave the batch; by default it is the closing gather back
+    to canonical order, unconjugated.
     """
-    fast = plan.dtype == np.dtype(np.complex64)
-    if fast and batch.dtype != plan.dtype:
-        batch = batch.astype(plan.dtype)
-    for segment in plan.segments:
-        if fast and _oe_contract is not None:
-            batch = _fast_apply_statevector(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
+    num_axes = 2 * num_qubits if density else num_qubits
+    canonical = tuple(range(num_axes))
+    layout, conjugated = canonical, False
+    steps: List[PlanStep] = []
+    for kind, targets, matrix in ops:
+        rows = _front_axes(targets, num_qubits)
+        cols = tuple(axis + num_qubits for axis in rows)
+        if kind == "superop":
+            fronts = ((rows + cols, False),)
+        elif density:
+            fronts = ((rows, False), (cols, True))
         else:
-            batch = apply_unitary_to_statevector_batch(
-                batch, segment.matrix, segment.targets, num_qubits
+            fronts = ((rows, False),)
+        for front, conj in fronts:
+            width = len(front)
+            target = layout
+            if layout[:width] != front:
+                target = front + tuple(a for a in layout if a not in front)
+            gather, flip = _gather(layout, conjugated, target, conj)
+            steps.append(PlanStep(matrix, width, target, conj, gather, flip))
+            layout, conjugated = target, conj
+    if then is None:
+        then = PlanStep(None, 0, canonical, False, None, False)
+    gather, flip = _gather(layout, conjugated, then.layout, then.conjugated)
+    steps.append(replace(then, gather=gather, conj=flip))
+    return tuple(steps)
+
+
+def _einsum_contract(matrix: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """The float32 fast path's contraction call: ``matrix @ batch`` per
+    slice, through ``opt_einsum``."""
+    return _oe_contract("ij,bjr->bir", matrix, batch)
+
+
+def _run_steps(
+    batch: np.ndarray, steps: Sequence[PlanStep], contract, dtype
+) -> np.ndarray:
+    """Apply ``steps`` to a contiguous batch; gathers allocate ``dtype``.
+
+    Each pass drops its input as soon as it is done with it, so at most
+    two batch-sized arrays of this loop are alive at once.
+    """
+    size = batch.shape[0]
+    num_axes = len(steps[-1].layout) if steps else 0
+    tensor = (size,) + (2,) * num_axes
+    total = 1 << num_axes
+    for step in steps:
+        if step.gather is not None:
+            source = batch.reshape(tensor).transpose(step.gather)
+            batch = np.empty(tensor, dtype)
+            if step.conj:
+                np.conjugate(source, out=batch)
+            else:
+                np.copyto(batch, source)
+            del source
+        if step.matrix is not None:
+            rows = 1 << step.width
+            batch = contract(
+                step.matrix, batch.reshape(size, rows, total // rows)
             )
     return batch
 
 
-def apply_plan_to_density_batch(
-    batch: np.ndarray, plan: TailPlan, num_qubits: int
+def apply_plan(
+    batch: np.ndarray,
+    plan: TailPlan,
+    heads: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]] = (),
 ) -> np.ndarray:
-    """Apply a tail plan across a ``(B, 2**n, 2**n)`` density batch.
+    """Run a branch batch through its aligned heads, then ``plan``.
 
-    Unitary segments apply as ``U rho U^dagger`` with the standard
-    batched kernel; superop segments as one doubled-space contraction.
-    The float32 fast path narrows the batch and, when ``opt_einsum`` is
-    installed, contracts superop segments through it.
+    ``batch`` is a canonical ``(B, 2**n)`` statevector or ``(B, 2**n,
+    2**n)`` density-matrix stack. ``heads`` are primitive ``(kind,
+    targets, matrix)`` ops (see :func:`gate_ops`) applied first; a
+    unitary's matrix may be a ``(B, 2**k, 2**k)`` stack, one per branch.
+    Heads contract in the batch's dtype with ``np.matmul``; the plan's
+    steps in ``plan.dtype``, through ``opt_einsum`` for a complex64 plan
+    when it is installed. The plan's first gather is re-pointed at
+    wherever the heads left the batch (and narrows it for a complex64
+    plan), so heads cost no extra pass. Returns the batch in its input
+    shape and canonical order.
     """
-    fast = plan.dtype == np.dtype(np.complex64)
-    if fast and batch.dtype != plan.dtype:
-        batch = batch.astype(plan.dtype)
-    for segment in plan.segments:
-        if segment.kind == "unitary":
-            batch = apply_unitary_to_density_batch(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
-        elif fast and _oe_contract is not None:
-            batch = _fast_apply_superop(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
-        else:
-            batch = apply_superop_to_density_batch(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
-    return batch
+    steps, head = plan.steps, ()
+    if heads or batch.dtype != plan.dtype:
+        num_qubits = batch.shape[1].bit_length() - 1
+        *head, first = compile_steps(
+            heads, num_qubits, batch.ndim == 3, then=steps[0]
+        )
+        if first.gather is None and batch.dtype != plan.dtype:
+            first = replace(first, gather=tuple(range(len(first.layout) + 1)))
+        steps = (first,) + steps[1:]
+    contract = np.matmul
+    if plan.dtype == np.dtype(np.complex64) and _oe_contract is not None:
+        contract = _einsum_contract
+    # Nested, so no frame here holds the heads' output while the tail runs.
+    out = _run_steps(
+        _run_steps(batch, head, np.matmul, batch.dtype),
+        steps,
+        contract,
+        plan.dtype,
+    )
+    return out.reshape(batch.shape)

@@ -8,10 +8,7 @@ import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.linalg import (
-    apply_unitary_to_statevector,
-    apply_unitary_to_statevector_batch,
-)
+from ..quantum.linalg import apply_unitary_to_statevector
 from ..quantum.states import Statevector, format_bitstring
 from .backend import (
     BranchBatch,
@@ -21,11 +18,7 @@ from .backend import (
     validate_branch_head,
 )
 from .sampler import Result
-from .segments import (
-    SegmentCompiler,
-    TailPlan,
-    apply_plan_to_statevector_batch,
-)
+from .segments import SegmentCompiler, TailPlan, apply_plan
 
 __all__ = ["StatevectorSimulator"]
 
@@ -180,9 +173,11 @@ class StatevectorSimulator:
         contraction over the batch axis, and the shared tail
         ``circuit.instructions[snapshot.position:]`` applies to the whole
         batch as ``plan`` — the tail compiled for ``snapshot.position``,
-        compiled here (unpacked) when the caller passes none. Row ``b`` of
-        an unpacked run is bit-identical to :meth:`run_from_snapshot` with
-        the tail ``heads[b] + circuit.instructions[snapshot.position:]``.
+        compiled here (unpacked) when the caller passes none. Heads and
+        tail run through :func:`~repro.simulators.segments.apply_plan`.
+        Row ``b`` of an unpacked run is bit-identical to
+        :meth:`run_from_snapshot` with the tail ``heads[b] +
+        circuit.instructions[snapshot.position:]``.
         """
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
@@ -193,10 +188,8 @@ class StatevectorSimulator:
         batch = np.repeat(
             snapshot.state.data[np.newaxis, :], len(heads), axis=0
         )
-        batch = _apply_heads_batch(
-            batch, heads, set(snapshot.measured), num_qubits
-        )
-        batch = apply_plan_to_statevector_batch(batch, plan, num_qubits)
+        head_ops = _head_ops(batch, heads, set(snapshot.measured), num_qubits)
+        batch = apply_plan(batch, plan, head_ops)
         measure_map.update(plan.measures)
         qubit_probs = np.abs(batch) ** 2
         if qubit_probs.dtype != np.float64:
@@ -265,28 +258,24 @@ class StatevectorSimulator:
         return 16 * 2**num_qubits
 
 
-def _apply_heads_batch(
+def _head_ops(
     batch: np.ndarray,
     heads: Sequence[Sequence[Instruction]],
     measured: Set[int],
     num_qubits: int,
-) -> np.ndarray:
-    """Apply each branch's private head to its row of the statevector batch.
+) -> list:
+    """The branches' private heads as ops for the batch runner.
 
     Campaign heads always align slot-wise (same qubits, different angles),
-    so each slot applies as one stacked ``(B, 2**k, 2**k) @ (B, 2**k, R)``
-    contraction. Misaligned heads fall back to per-row application with the
-    scalar kernel — bit-identical either way.
+    so each slot becomes one unitary op over a ``(B, 2**k, 2**k)`` stack.
+    Misaligned heads are applied here instead, row by row in place with
+    the scalar kernel, and leave no ops — bit-identical either way.
     """
     for head in heads:
         validate_branch_head(head, measured)
     slots = uniform_head_slots(heads)
     if slots is not None:
-        for qubits, _name, matrices in slots:
-            batch = apply_unitary_to_statevector_batch(
-                batch, matrices, qubits, num_qubits
-            )
-        return batch
+        return [("unitary", qubits, matrices) for qubits, _, matrices in slots]
     for index, head in enumerate(heads):
         row = batch[index]
         for inst in head:
@@ -294,7 +283,7 @@ def _apply_heads_batch(
                 row, inst.gate.matrix, inst.qubits, num_qubits
             )
         batch[index] = row
-    return batch
+    return []
 
 
 def _marginal_clbit_distribution(

@@ -1,23 +1,30 @@
-"""Unit tests for the gate-segment compiler and plan kernels.
+"""Unit tests for the gate-segment compiler and the plan runner.
 
 The campaign-level guarantees (engine == naive records, tiling
 invariance) live in ``tests/faults/test_batched.py``; this module pins
 the compiler machinery itself — composition correctness, superoperator
-embedding, caching, determinism, and the validation errors that must
-match the per-task advance loop word for word.
+embedding, caching, determinism, the validation errors that must match
+the per-task advance loop word for word — and the runner: every row of
+a batched plan application equals the scalar kernels on that row, byte
+for byte, and a density plan makes at most one gather per contraction.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import qft
 from repro.quantum import QuantumCircuit
 from repro.quantum.linalg import (
     apply_superop_to_density,
-    apply_unitary_to_statevector_batch,
+    apply_unitary_to_density,
+    apply_unitary_to_statevector,
     expand_unitary,
 )
 from repro.quantum.random import random_statevector, random_unitary
+from repro.scenarios.factory import light_noise_model
 from repro.simulators import (
+    HAVE_OPT_EINSUM,
     BatchedSnapshotBackend,
     DensityMatrixSimulator,
     SegmentCompiler,
@@ -25,12 +32,13 @@ from repro.simulators import (
     depolarizing_channel,
     supports_batched_branches,
 )
-from repro.simulators.noise import NoiseModel
+from repro.simulators.noise import NoiseModel, amplitude_damping_channel
 from repro.simulators.segments import (
     RESET_SUPEROP,
-    apply_plan_to_statevector_batch,
+    apply_plan,
     embed_superop,
     embed_unitary,
+    gate_ops,
     unitary_to_superoperator,
 )
 
@@ -131,15 +139,15 @@ class TestComposition:
         batch = np.stack(
             [random_statevector(3, seed=s).data for s in range(4)]
         )
-        fused = apply_plan_to_statevector_batch(batch.copy(), plan, 3)
-        manual = batch.copy()
-        for inst in circuit.instructions:
-            if inst.name == "measure":
-                continue
-            manual = apply_unitary_to_statevector_batch(
-                manual, inst.gate.matrix, tuple(inst.qubits), 3
-            )
-        assert fused.tobytes() == manual.tobytes()
+        fused = apply_plan(batch.copy(), plan)
+        for index, row in enumerate(batch):
+            for inst in circuit.instructions:
+                if inst.name == "measure":
+                    continue
+                row = apply_unitary_to_statevector(
+                    row, inst.gate.matrix, tuple(inst.qubits), 3
+                )
+            assert fused[index].tobytes() == row.tobytes()
 
 
 class TestSuperopEmbedding:
@@ -301,3 +309,201 @@ class TestValidation:
                 assert (
                     plain.get_probabilities() == planned.get_probabilities()
                 )
+
+
+# ----------------------------------------------------------------------
+# The plan runner against the scalar kernels
+# ----------------------------------------------------------------------
+def _runner_noise():
+    """1- and 2-qubit channels, including a 1-qubit channel on a 2-qubit
+    gate (applied per qubit) and one on the injector-style ``u`` head."""
+    model = NoiseModel("runner")
+    model.add_all_qubit_error(amplitude_damping_channel(0.05), ["h", "u"])
+    model.add_all_qubit_error(depolarizing_channel(0.02), ["rz"])
+    model.add_all_qubit_error(depolarizing_channel(0.04, 2), ["cx"])
+    model.add_all_qubit_error(amplitude_damping_channel(0.03), ["cp"])
+    return model
+
+
+def _runner_circuit(num_qubits, depth, rng, resets):
+    """Random 1- and 2-qubit gates (both orientations), optional resets,
+    then terminal measures on a random subset of the qubits."""
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    kinds = 5 if resets else 4
+    for _ in range(depth):
+        kind = int(rng.integers(kinds))
+        qubit = int(rng.integers(num_qubits))
+        angle = float(rng.uniform(0.0, 2 * np.pi))
+        if 2 <= kind < 4 and num_qubits > 1:
+            a, b = (int(q) for q in rng.choice(num_qubits, 2, replace=False))
+            if kind == 2:
+                qc.cx(a, b)
+            else:
+                qc.cp(angle, a, b)
+        elif kind == 4:
+            qc.reset(qubit)
+        elif kind == 0:
+            qc.h(qubit)
+        else:
+            qc.rz(angle, qubit)
+    measured = rng.permutation(num_qubits)[: int(rng.integers(num_qubits + 1))]
+    for clbit, qubit in enumerate(measured):
+        qc.measure(int(qubit), clbit)
+    return qc
+
+
+def _random_batch(rng, size, num_qubits, density):
+    shape = (size,) + (2**num_qubits,) * (2 if density else 1)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _scalar_row(row, heads, index, plan, num_qubits, density):
+    """One branch through the scalar kernels, op by op: its head (the
+    ``index``-th matrix of each stacked unitary), then the plan's
+    segments in the plan's dtype."""
+
+    def apply(state, kind, matrix, targets):
+        if kind == "superop":
+            return apply_superop_to_density(state, matrix, targets, num_qubits)
+        if density:
+            return apply_unitary_to_density(state, matrix, targets, num_qubits)
+        return apply_unitary_to_statevector(state, matrix, targets, num_qubits)
+
+    for kind, targets, matrix in heads:
+        stacked = kind == "unitary"
+        row = apply(row, kind, matrix[index] if stacked else matrix, targets)
+    row = row.astype(plan.dtype)
+    for segment in plan.segments:
+        row = apply(row, segment.kind, segment.matrix, segment.targets)
+    return row
+
+
+def _bits(array):
+    """The raw bytes of a complex array, read as its real components."""
+    return np.ascontiguousarray(array).view(array.real.dtype).tobytes()
+
+
+PLAN_OPTIONS = (
+    {},
+    {"pack": True},
+    {"dtype": np.complex64},
+    {"dtype": np.complex64, "pack": True},
+)
+
+
+class TestRunnerAgainstScalarKernels:
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=4),
+        depth=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.sampled_from([1, 3, 8]),
+        density=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_scalar_kernels(
+        self, num_qubits, depth, seed, size, density
+    ):
+        """Every tail start, with and without aligned heads: row ``b`` of
+        the runner's output is byte-equal to the scalar kernels applied
+        segment by segment to row ``b``."""
+        rng = np.random.default_rng(seed)
+        circuit = _runner_circuit(num_qubits, depth, rng, resets=density)
+        noise = _runner_noise() if density else None
+        qubit = int(rng.integers(num_qubits))
+        stack = np.stack(
+            [random_unitary(1, seed=seed + b) for b in range(size)]
+        )
+        head_cases = ([], gate_ops("u", (qubit,), stack, noise))
+        for options in PLAN_OPTIONS:
+            compiler = SegmentCompiler(
+                circuit, superop=density, noise_model=noise, **options
+            )
+            exact = not (
+                HAVE_OPT_EINSUM and compiler.dtype == np.complex64
+            )
+            for start in range(len(circuit.instructions) + 1):
+                plan = compiler.tail_plan(start)
+                for heads in head_cases:
+                    batch = _random_batch(rng, size, num_qubits, density)
+                    out = apply_plan(batch.copy(), plan, heads)
+                    assert out.shape == batch.shape
+                    assert out.dtype == plan.dtype
+                    for b in range(size):
+                        expected = _scalar_row(
+                            batch[b], heads, b, plan, num_qubits, density
+                        )
+                        if exact:
+                            assert _bits(out[b]) == _bits(expected)
+                        else:  # opt_einsum reorders the float32 sums
+                            np.testing.assert_allclose(
+                                out[b], expected, atol=1e-4
+                            )
+
+
+class TestStepStructure:
+    """The compiled axis bookkeeping: the passes a plan makes over the
+    full branch batch."""
+
+    @staticmethod
+    def _noisy_qft_compiler(num_qubits=4):
+        backend = DensityMatrixSimulator(light_noise_model(num_qubits))
+        circuit = qft(num_qubits).circuit
+        return circuit, backend.tail_compiler(circuit)
+
+    def test_density_plan_contractions_and_gathers(self):
+        circuit, compiler = self._noisy_qft_compiler()
+        canonical = tuple(range(2 * circuit.num_qubits))
+        skipped = 0
+        for start in range(len(circuit.instructions) + 1):
+            plan = compiler.tail_plan(start)
+            *contractions, closing = plan.steps
+            unitaries = sum(s.kind == "unitary" for s in plan.segments)
+            superops = len(plan.segments) - unitaries
+            assert len(contractions) == 2 * unitaries + superops
+            assert all(step.matrix is not None for step in contractions)
+            # The closing gather returns the batch to canonical order.
+            assert closing.matrix is None
+            assert closing.layout == canonical and not closing.conjugated
+            # One GEMM and at most one gather per contraction, plus the
+            # closing gather: a unitary costs at most 4 full-batch
+            # passes, a superoperator at most 2.
+            passes = sum(
+                1 + (step.gather is not None) for step in contractions
+            ) + (closing.gather is not None)
+            assert passes <= 4 * unitaries + 2 * superops + 1
+            skipped += sum(step.gather is None for step in contractions)
+        assert skipped > 0  # some contractions find their axes in front
+
+    def test_steps_share_segment_matrices(self):
+        """Steps reference the segments' matrices; they copy none."""
+        _, compiler = self._noisy_qft_compiler(3)
+        plan = compiler.tail_plan(0)
+        matrices = {id(s.matrix) for s in plan.segments}
+        assert all(
+            id(step.matrix) in matrices
+            for step in plan.steps
+            if step.matrix is not None
+        )
+
+    def test_statevector_plan_is_one_contraction_per_segment(self):
+        circuit = _bell_tail_circuit()
+        plan = SegmentCompiler(circuit, superop=False).tail_plan(0)
+        *contractions, closing = plan.steps
+        assert len(contractions) == len(plan.segments)
+        assert not any(step.conjugated for step in plan.steps)
+        assert closing.layout == tuple(range(circuit.num_qubits))
+
+
+class TestEmptyHeads:
+    @pytest.mark.parametrize("density", [False, True], ids=["sv", "dm"])
+    def test_empty_head_list_returns_empty_batch(self, density):
+        circuit = qft(3).circuit
+        backend = (
+            DensityMatrixSimulator(light_noise_model(3))
+            if density
+            else StatevectorSimulator()
+        )
+        snapshot = backend.prefix_snapshot(circuit, stop=2)
+        batch = backend.run_branches_from_snapshot(snapshot, circuit, [])
+        assert batch.size == 0
+        assert batch.probabilities.shape == (0, 2**batch.key_width)

@@ -4,8 +4,9 @@ An ``interrogate``-style check without the dependency: walk the AST of
 the gated modules and require a docstring on every public module, class,
 function and method. The threshold is pinned at 100% for the scenario
 layer and the campaign execution engine — the two surfaces external
-consumers script against — so an undocumented public symbol fails CI,
-not a style review.
+consumers script against — and for the segment compiler and batch
+runner the engine's hot path runs through, so an undocumented public
+symbol fails CI, not a style review.
 """
 
 import ast
@@ -25,6 +26,7 @@ GATED_PATHS = (
     os.path.join("faults", "plan.py"),
     os.path.join("faults", "layout_map.py"),
     os.path.join("faults", "physics.py"),
+    os.path.join("simulators", "segments.py"),
 )
 
 #: Pinned threshold. 100%: the gate is "no undocumented public symbol",
