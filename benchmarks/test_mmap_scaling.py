@@ -25,7 +25,7 @@ import pytest
 
 from repro.faults import CampaignResult, RecordTable
 from repro.faults.store import append_record_segment, write_meta_segment
-from repro.scenarios.runner import _result_meta
+from repro.scenarios.cache import result_store_meta
 
 N_ROWS = 1_048_576
 SEGMENT_ROWS = 65_536
@@ -101,7 +101,7 @@ def store_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("mmap") / "million.qfs")
     rng = np.random.default_rng(2022)
     first = synthetic_chunk(rng)
-    meta = _result_meta(
+    meta = result_store_meta(
         CampaignResult("synthetic", ("0" * 8,), first, 0.02)
     )
     write_meta_segment(path, meta)

@@ -23,10 +23,11 @@ that grid a value, not a script:
 * :mod:`repro.scenarios.cache` persists completed campaigns in an
   on-disk content-addressed :class:`ResultCache` keyed by spec hash, so
   matching scenarios are reused across suites, manifests and processes;
-* :mod:`repro.scenarios.shard` adds campaign-level sharding
-  (``SuiteRunner(jobs=N)``): distinct pending campaigns run concurrently
-  on a shard pool under a global worker budget, with manifests and
-  stores byte-identical to sequential execution.
+* :mod:`repro.scenarios.shard` holds the one compute-once campaign job
+  and campaign-level sharding around it (``SuiteRunner(jobs=N)``):
+  distinct pending campaigns run concurrently on a shard pool under a
+  global worker budget, with manifests and stores byte-identical to
+  ``jobs=1``, which runs the same job in process.
 """
 
 from .cache import (

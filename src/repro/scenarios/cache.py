@@ -55,7 +55,7 @@ from typing import Dict, List, Optional
 
 from ..faults.campaign import CampaignResult
 from ..faults.checkpoint import load_completed_store
-from ..faults.store import scan_store
+from ..faults.store import compact, scan_store
 
 try:  # POSIX advisory locking; absent on some exotic platforms.
     import fcntl
@@ -70,6 +70,7 @@ __all__ = [
     "ResultCache",
     "resolve_cache_dir",
     "result_store_meta",
+    "write_result_store",
 ]
 
 ENTRY_SUFFIX = ".qfs"
@@ -96,6 +97,11 @@ def result_store_meta(result: CampaignResult) -> Dict[str, object]:
         "backend_name": result.backend_name,
         "metadata": result.metadata,
     }
+
+
+def write_result_store(path: str, result: CampaignResult) -> None:
+    """Atomically write ``result`` as a compacted segment store at ``path``."""
+    compact(path, result_store_meta(result), result.table)
 
 
 def resolve_cache_dir(
@@ -271,8 +277,6 @@ class ResultCache:
         ``os.replace``), so concurrent writers cannot tear an entry and
         readers never see partial bytes.
         """
-        from ..faults.store import compact  # local: avoid cycle at import
-
         entry = self._entry_path(spec_hash)
         tmp = f"{entry}.{os.getpid()}.tmp"
         try:
@@ -282,7 +286,7 @@ class ResultCache:
                 except OSError:
                     shutil.copyfile(store_path, tmp)
             else:
-                compact(tmp, result_store_meta(result), result.table)
+                write_result_store(tmp, result)
             os.replace(tmp, entry)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - error cleanup

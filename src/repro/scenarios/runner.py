@@ -33,11 +33,11 @@ whenever a manifest directory exists), completed campaigns are published
 under their spec hash and later suites — any manifest, any process, any
 user sharing the cache directory — satisfy matching scenarios from the
 cached store instead of simulating (``source == "store"``). And
-``jobs=N`` turns the sequential campaign loop into campaign-level
-sharding (:mod:`repro.scenarios.shard`): distinct pending campaigns run
+``jobs=N`` runs the same suite loop with campaign-level sharding
+(:mod:`repro.scenarios.shard`): distinct pending campaigns run
 concurrently on a shard pool, while manifests and segment stores stay
-byte-identical to sequential execution and kill/resume keeps working at
-campaign granularity.
+byte-identical to ``jobs=1`` and kill/resume keeps working at campaign
+granularity.
 """
 
 from __future__ import annotations
@@ -48,22 +48,22 @@ import math
 import os
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.campaign import CampaignResult
 from ..faults.checkpoint import load_completed_store
 from ..faults.executor import BaseExecutor, ParallelExecutor
-from ..faults.store import compact, read_segments
-from .cache import ResultCache, resolve_cache_dir, result_store_meta
+from ..faults.store import read_segments
+from .cache import ResultCache, resolve_cache_dir, write_result_store
 from .factory import (
     FactoryCache,
     _segment_options,
     estimate_scenario_injections,
     make_executor,
-    run_scenario,
 )
-from .shard import ShardScheduler
+from .shard import ShardScheduler, adopt, campaign_job
 from .spec import ScenarioSpec, SuiteSpec
 
 __all__ = [
@@ -86,17 +86,6 @@ def _result_filename(scenario_id: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", scenario_id)[:80]
     tag = hashlib.sha256(scenario_id.encode("utf-8")).hexdigest()[:6]
     return f"{safe}-{tag}.qfs"
-
-
-def _result_meta(result: CampaignResult) -> Dict[str, object]:
-    """The segment store's metadata header for one campaign.
-
-    Now defined once in :func:`repro.scenarios.cache.result_store_meta`
-    (manifest stores and cache entries share the schema, which is what
-    lets cache hits hard-link); kept here as an alias for existing
-    consumers.
-    """
-    return result_store_meta(result)
 
 
 def _entry_digest(result: CampaignResult) -> Dict[str, object]:
@@ -196,8 +185,9 @@ class SuiteRunner:
     computed and checkpointed as it finishes.
 
     ``max_campaigns`` bounds how many campaigns this invocation may
-    *compute* (cache/manifest reuse is free); the suite returns with
-    ``complete=False`` when the budget stops it — re-running resumes.
+    *schedule* for compute (cache/manifest reuse is free); the suite
+    returns with ``complete=False`` when the budget stops it —
+    re-running resumes.
 
     ``budget_injections`` / ``budget_seconds`` gate the suite *before*
     it runs: :meth:`estimate_cost` prices every pending scenario (exact
@@ -207,6 +197,8 @@ class SuiteRunner:
     report (``budget_action="reject"``, the default) or truncated to the
     longest prefix that fits (``"truncate"`` — the suite returns
     ``complete=False`` and re-running with a larger budget resumes).
+    A truncating ``budget_seconds`` is also enforced while running: the
+    clock is checked before each campaign starts, at every ``jobs``.
 
     ``jobs`` shards the run at campaign granularity: distinct pending
     campaigns execute concurrently on a pool of ``jobs`` shard
@@ -214,9 +206,7 @@ class SuiteRunner:
     shard's intra-campaign parallelism capped so shards x workers never
     exceeds ``host_workers`` (default: the host's CPU count). Manifests
     and stores come out byte-identical to ``jobs=1``; only wall clock
-    (and the nondeterministic ``timings.json`` values) differ. The
-    run-time ``budget_seconds`` gate is sequential-only — a sharded run
-    bounds seconds through the pre-run estimate.
+    (and the nondeterministic ``timings.json`` values) differ.
 
     ``cache_dir`` / ``use_cache`` configure the persistent cross-suite
     result cache (:class:`~repro.scenarios.cache.ResultCache`).
@@ -394,14 +384,6 @@ class SuiteRunner:
             return None
         return load_completed_store(self._store_path(entry))
 
-    def _store_result(
-        self, entry: Dict[str, object], result: CampaignResult
-    ) -> None:
-        compact(self._store_path(entry), _result_meta(result), result.table)
-        entry["status"] = "done"
-        entry["digest"] = _entry_digest(result)
-        self._write_manifest()
-
     # ------------------------------------------------------------------
     # Pre-run cost estimation
     # ------------------------------------------------------------------
@@ -549,279 +531,150 @@ class SuiteRunner:
             self._pools[key] = make_executor(scenario, self.cache).start()
         return self._pools[key]
 
-    def _adopt(
-        self, scenario: ScenarioSpec, base: CampaignResult
-    ) -> CampaignResult:
-        """Re-badge a cached campaign for a relabelled duplicate spec.
-
-        The record table is shared (immutable); only the scenario
-        identity metadata differs.
-        """
-        return CampaignResult(
-            circuit_name=base.circuit_name,
-            correct_states=base.correct_states,
-            records=base.table,
-            fault_free_qvf=base.fault_free_qvf,
-            backend_name=base.backend_name,
-            metadata={
-                **base.metadata,
-                "scenario_id": scenario.scenario_id,
-                "scenario": scenario.to_dict(),
-            },
-        )
-
-    def _cache_hit(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> Optional[ScenarioRun]:
-        """A persistent-cache hit for ``scenario``, landed in the manifest.
-
-        Loads the cache entry under the scenario's spec hash (a corrupt
-        entry is discarded by the cache and reads as a miss, so the
-        caller recomputes — repairing it in place), re-badges the result
-        with this scenario's identity, and writes the manifest store: a
-        cache hit leaves the manifest byte-identical to a compute.
-        """
-        if self._cache is None:
-            return None
-        loaded = self._cache.load(scenario.spec_hash())
-        if loaded is None:
-            return None
-        result = self._adopt(scenario, loaded)
-        if persist:
-            self._store_result(entry, result)
-        return ScenarioRun(scenario, result, 0.0, "store")
-
-    def _simulate(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> ScenarioRun:
-        """Execute one campaign in-process and checkpoint it."""
-        tick = time.perf_counter()
-        result = run_scenario(
-            scenario,
-            cache=self.cache,
-            executor=self._shared_executor(scenario),
-        )
-        seconds = time.perf_counter() - tick
-        self._timings[scenario.scenario_id] = seconds
-        if persist:
-            self._store_result(entry, result)
-        return ScenarioRun(scenario, result, seconds, "computed")
-
-    def _compute_scenario(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> ScenarioRun:
-        """Run one campaign — or take a last-moment cache hit — and persist.
-
-        With a cache configured the whole check-compute-publish sequence
-        holds the spec hash's exclusive file lock, with a
-        post-acquisition re-check: two runners racing on a shared cache
-        compute each spec exactly once (the loser blocks, then loads the
-        winner's entry). Completed computes publish back to the cache,
-        hard-linking the just-written manifest store where possible.
-        """
-        if self._cache is None:
-            return self._simulate(entry, scenario, persist)
-        spec_hash = scenario.spec_hash()
-        with self._cache.lock(spec_hash):
-            hit = self._cache_hit(entry, scenario, persist)
-            if hit is not None:
-                return hit
-            run = self._simulate(entry, scenario, persist)
-            self._cache.put(
-                spec_hash,
-                run.result,
-                store_path=self._store_path(entry) if persist else None,
-            )
-        return run
-
-    def _run_sequential(
+    def _run_suite(
         self, outcome: SuiteResult, denied: set, persist: bool,
         started: float, progress,
     ) -> None:
-        """The ``jobs=1`` campaign loop (see :meth:`run`)."""
-        computed = 0
-        for index, scenario in enumerate(self.suite):
-            entry = self._entries[index]
-            spec_hash = scenario.spec_hash()
-            run = None
+        """The one suite loop, at every ``jobs`` value (see :meth:`run`).
 
+        Four stages. (1) *Scope*: walk the suite in order, landing what
+        needs no campaign job — manifest resumes and persistent-cache
+        hits — and queueing the distinct unresolved campaigns, stopping
+        at the first one the budgets deny or ``max_campaigns`` (which
+        counts queued campaigns) leaves out. (2) *Run*: start each queued
+        campaign as a :func:`~repro.scenarios.shard.campaign_job` —
+        on the shard pool when there is one, at most ``jobs`` in flight,
+        otherwise in process with this runner's factory cache and worker
+        pools — checking the ``budget_seconds`` clock before each start.
+        (3) *Land*: as jobs finish, in completion order, record each
+        one's manifest entry (the job wrote its store), so a kill mid-run
+        leaves exactly the finished campaigns resumable. (4) *Assemble*:
+        rebuild ``outcome.runs`` in suite order up to the cutoff,
+        adopting relabelled duplicates. Per-campaign determinism makes
+        manifests and stores byte-identical at every ``jobs``.
+        """
+        scenarios = self.suite.scenarios
+        resolved: Dict[int, ScenarioRun] = {}
+        landed = 0
+
+        def store_path(index: int) -> Optional[str]:
+            return self._store_path(self._entries[index]) if persist else None
+
+        def land(index: int, run: ScenarioRun) -> None:
+            nonlocal landed
+            resolved[index] = run
+            self._by_hash.setdefault(run.spec.spec_hash(), run.result)
+            if run.source == "computed":
+                self._timings[run.scenario_id] = run.seconds
+            if persist and run.source != "manifest":
+                entry = self._entries[index]
+                entry["status"] = "done"
+                entry["digest"] = _entry_digest(run.result)
+                self._write_manifest()
+            landed += 1
+            if progress is not None:
+                progress(landed, len(scenarios), run.scenario_id)
+
+        def land_adopted(
+            index: int, base: CampaignResult, source: str
+        ) -> None:
+            result = adopt(scenarios[index], base)
             if persist:
-                existing = self._load_completed(entry, scenario)
+                write_result_store(store_path(index), result)
+            land(index, ScenarioRun(scenarios[index], result, 0.0, source))
+
+        def land_job(index: int, job) -> None:
+            result, seconds, from_cache = job
+            source = "store" if from_cache else "computed"
+            land(index, ScenarioRun(scenarios[index], result, seconds, source))
+
+        # (1) Scope.
+        queue: List[int] = []
+        queued: set = set()
+        cutoff = len(scenarios)
+        for index, scenario in enumerate(scenarios):
+            spec_hash = scenario.spec_hash()
+            if persist:
+                existing = self._load_completed(self._entries[index], scenario)
                 if existing is not None:
                     run = ScenarioRun(scenario, existing, 0.0, "manifest")
+                    land(index, run)
+                    continue
+            if spec_hash in self._by_hash or spec_hash in queued:
+                continue  # relabelled duplicate: adopted during assembly
+            # A persistent-cache hit is admission-free (like manifest
+            # resume), so it precedes every budget gate below.
+            cached = self._cache and self._cache.load(spec_hash)
+            if cached is not None:
+                land_adopted(index, cached, "store")
+                continue
+            if scenario.scenario_id in denied or (
+                self.max_campaigns is not None
+                and len(queue) >= self.max_campaigns
+            ):
+                # The pre-run estimate truncated the suite here (prefix
+                # semantics: everything costed after it was denied too),
+                # or this invocation's campaign allowance is spent.
+                cutoff = index
+                break
+            queue.append(index)
+            queued.add(spec_hash)
 
-            if run is None and spec_hash in self._by_hash:
-                # Spec-hash cache: an identical campaign (relabelled
-                # duplicate, or loaded from the manifest) already ran.
-                result = self._adopt(scenario, self._by_hash[spec_hash])
-                run = ScenarioRun(scenario, result, 0.0, "cache")
-                if persist:
-                    self._store_result(entry, result)
+        # (2) Run and (3) land.
+        scheduler = self._scheduler = ShardScheduler(
+            jobs=self.jobs,
+            cache_dir=self._cache.root if self._cache is not None else None,
+            host_workers=self.host_workers,
+        )
+        pending = deque(queue)
 
-            if run is None:
-                # Persistent-cache fast path: a hit is admission-free
-                # (like manifest resume), so it precedes every budget
-                # gate below.
-                run = self._cache_hit(entry, scenario, persist)
+        def in_process(index: int) -> None:
+            scenario = scenarios[index]
+            executor = self._shared_executor(scenario)
+            land_job(index, campaign_job(
+                scenario, store_path(index), self._cache, self.cache, executor
+            ))
 
-            if run is None:
-                if (
-                    self.max_campaigns is not None
-                    and computed >= self.max_campaigns
-                ):
-                    outcome.complete = False
-                    break
-                if scenario.scenario_id in denied:
-                    # The pre-run estimate truncated the suite here;
-                    # everything costed after this point was denied
-                    # with it (prefix semantics), so stop cleanly —
-                    # re-running with a larger budget resumes.
-                    outcome.complete = False
-                    break
+        def start() -> None:
+            """Start pending campaigns until one is on the shard pool."""
+            nonlocal cutoff
+            while pending:
                 if (
                     self.budget_seconds is not None
                     and self.budget_action == "truncate"
-                    and time.perf_counter() - started
-                    > self.budget_seconds
+                    and time.perf_counter() - started > self.budget_seconds
                 ):
                     # Runtime seconds gate: estimates (or absent
-                    # history) can undershoot; degrade gracefully at
-                    # a campaign boundary instead of running long.
-                    outcome.complete = False
-                    break
-                run = self._compute_scenario(entry, scenario, persist)
-                if run.source == "computed":
-                    computed += 1
-
-            self._by_hash.setdefault(spec_hash, run.result)
-            outcome.runs.append(run)
-            if progress is not None:
-                progress(
-                    len(outcome.runs),
-                    len(self.suite),
-                    scenario.scenario_id,
-                )
-
-    def _run_sharded(
-        self, outcome: SuiteResult, denied: set, persist: bool, progress
-    ) -> None:
-        """The ``jobs>1`` path: distinct pending campaigns on a shard pool.
-
-        Four stages. (1) *Scope*: walk the suite in order, resolving
-        what never needs a shard — manifest resumes, persistent-cache
-        hits — and collecting the distinct unresolved first occurrences,
-        stopping at the first scenario the budgets deny (the same prefix
-        semantics as the sequential loop). (2) *Execute*: dispatch the
-        collected campaigns onto the shard pool; each shard computes (or
-        cache-loads) one whole campaign under the cache's per-spec lock.
-        (3) *Land*: as results arrive — in completion order — write each
-        one's store and manifest entry, so a kill mid-run leaves exactly
-        the completed campaigns resumable, like sequential execution.
-        (4) *Assemble*: rebuild ``outcome.runs`` in suite order,
-        adopting relabelled duplicates. Per-campaign determinism makes
-        the manifest and stores byte-identical to a ``jobs=1`` run.
-        """
-        scenarios = list(self.suite)
-        total = len(scenarios)
-        first_at = {index for index, _ in self.suite.first_occurrences()}
-        resolved: Dict[int, ScenarioRun] = {}
-        to_schedule: List[Tuple[int, ScenarioSpec]] = []
-        cutoff = total
-        ticked = 0
-
-        def tick(scenario_id: str) -> None:
-            nonlocal ticked
-            ticked += 1
-            if progress is not None:
-                progress(ticked, total, scenario_id)
-
-        for index, scenario in enumerate(scenarios):
-            entry = self._entries[index]
-            spec_hash = scenario.spec_hash()
-            if persist:
-                existing = self._load_completed(entry, scenario)
-                if existing is not None:
-                    resolved[index] = ScenarioRun(
-                        scenario, existing, 0.0, "manifest"
-                    )
-                    self._by_hash.setdefault(spec_hash, existing)
-                    tick(scenario.scenario_id)
-                    continue
-            if index not in first_at or spec_hash in self._by_hash:
-                # Relabelled duplicate — adopts its first occurrence's
-                # result during assembly.
-                continue
-            hit = self._cache_hit(entry, scenario, persist)
-            if hit is not None:
-                resolved[index] = hit
-                self._by_hash.setdefault(spec_hash, hit.result)
-                tick(scenario.scenario_id)
-                continue
-            if scenario.scenario_id in denied:
-                cutoff = index
-                break
-            if (
-                self.max_campaigns is not None
-                and len(to_schedule) >= self.max_campaigns
-            ):
-                cutoff = index
-                break
-            to_schedule.append((index, scenario))
-        if cutoff < total:
-            outcome.complete = False
-
-        if to_schedule:
-            scheduler = ShardScheduler(
-                jobs=self.jobs,
-                cache_dir=(
-                    self._cache.root if self._cache is not None else None
-                ),
-                host_workers=self.host_workers,
-            )
-            self._scheduler = scheduler
-            scheduler.start()
-            for index, scenario in to_schedule:
-                scheduler.submit(index, scenario)
-            for index, result, seconds, from_cache in scheduler.results():
+                    # history) can undershoot; stop at a campaign
+                    # boundary instead of running long.
+                    cutoff = pending[0]
+                    pending.clear()
+                    return
+                index = pending.popleft()
                 scenario = scenarios[index]
-                entry = self._entries[index]
-                if from_cache:
-                    result = self._adopt(scenario, result)
-                    run = ScenarioRun(scenario, result, 0.0, "store")
-                else:
-                    self._timings[scenario.scenario_id] = seconds
-                    run = ScenarioRun(scenario, result, seconds, "computed")
-                resolved[index] = run
-                self._by_hash.setdefault(scenario.spec_hash(), result)
-                if persist:
-                    self._store_result(entry, result)
-                tick(scenario.scenario_id)
-            scheduler.shutdown()
-            self._scheduler = None
+                if scheduler.submit(index, scenario, store_path(index)):
+                    return
+                in_process(index)
 
+        for _ in range(self.jobs):
+            start()
+        for index, job in scheduler.results():
+            if job is None:
+                in_process(index)  # the shard pool broke under it
+            else:
+                land_job(index, job)
+            start()
+
+        # (4) Assemble.
         for index in range(cutoff):
-            scenario = scenarios[index]
-            run = resolved.get(index)
-            if run is None:
-                # Duplicate: its first occurrence resolved above (it
-                # precedes the cutoff by construction).
-                result = self._adopt(
-                    scenario, self._by_hash[scenario.spec_hash()]
-                )
-                run = ScenarioRun(scenario, result, 0.0, "cache")
-                if persist:
-                    self._store_result(self._entries[index], result)
-                tick(scenario.scenario_id)
-            outcome.runs.append(run)
+            if index not in resolved:
+                # A relabelled duplicate: its first occurrence landed
+                # above (it precedes the cutoff by construction).
+                base = self._by_hash[scenarios[index].spec_hash()]
+                land_adopted(index, base, "cache")
+            outcome.runs.append(resolved[index])
+        if cutoff < len(scenarios):
+            outcome.complete = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -854,8 +707,9 @@ class SuiteRunner:
         """Execute (or resume) the suite and return the aggregate.
 
         ``progress`` is called as ``progress(done, total, scenario_id)``
-        after each scenario completes (suite order when sequential,
-        completion order when sharded).
+        as each scenario lands: manifest resumes and cache hits in suite
+        order, then computed campaigns in completion order, then
+        relabelled duplicates in suite order.
         """
         persist = self.manifest_dir is not None
         if persist:
@@ -888,12 +742,7 @@ class SuiteRunner:
         started = time.perf_counter()
         finished = False
         try:
-            if self.jobs > 1:
-                self._run_sharded(outcome, denied, persist, progress)
-            else:
-                self._run_sequential(
-                    outcome, denied, persist, started, progress
-                )
+            self._run_suite(outcome, denied, persist, started, progress)
             finished = True
         finally:
             self.close()

@@ -1,13 +1,17 @@
-"""Campaign-level sharding: whole scenarios as pool work units.
+"""The campaign job, and campaign-level sharding around it.
 
-``SuiteRunner`` has always parallelised *inside* a campaign (the
-``parallel`` executor fans injection chunks over a process pool), but
-executed campaigns one after another. A :class:`ShardScheduler` adds the
-outer level: independent campaigns — the suite's distinct spec hashes —
-are dispatched concurrently onto a shard pool of ``jobs`` processes,
-each shard executing one whole campaign end to end (scope → execute →
-publish, with the per-spec-hash lock of the result cache as the
-publish gate).
+A suite computes each pending campaign as one **campaign job**
+(:func:`campaign_job`): take the spec hash's cache lock, re-check the
+cache (adopting a hit), time ``run_scenario`` alone, write the
+manifest store, and publish the cache entry as a hard link of that
+store — so two suites (or two shards) racing on the same spec hash
+compute it exactly once between them, and every store is written once.
+
+``SuiteRunner`` runs the job in process at ``jobs=1``, with its own
+factory cache and long-lived worker pools. A :class:`ShardScheduler`
+runs it on a pool of ``jobs`` shard processes otherwise, each shard
+executing one whole campaign end to end with a factory cache of its
+own.
 
 Two properties make campaign-granularity shards safe:
 
@@ -23,83 +27,137 @@ Two properties make campaign-granularity shards safe:
   or BLAS threads never oversubscribes the host. The cap bounds
   *processes only*: chunk partitioning still follows the spec's
   ``workers``, which keeps sampled-campaign records byte-identical to
-  sequential execution.
-
-Shard workers coordinate through the persistent result cache when one
-is configured: each job takes the entry's ``flock`` before computing,
-re-checks the cache after acquiring, and publishes its completed store
-under the lock — so two suites (or two shards) racing on the same spec
-hash compute it exactly once between them.
+  in-process execution.
 
 Like the intra-campaign pool, the shard pool degrades gracefully:
-sandboxes that forbid subprocesses fall back to in-process execution of
-the queued jobs (with a ``RuntimeWarning``), preserving results at the
-cost of concurrency.
+sandboxes that forbid subprocesses, or a pool that dies mid-run, hand
+their jobs back to the caller's in-process branch (with a
+``RuntimeWarning``), preserving results at the cost of concurrency.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..blas import pin_blas_threads
 from ..faults.campaign import CampaignResult
-from .cache import ResultCache
+from ..faults.executor import BaseExecutor
+from .cache import ResultCache, write_result_store
 from .factory import FactoryCache, make_executor, run_scenario
 from .spec import ScenarioSpec
 
-__all__ = ["ShardScheduler"]
+__all__ = ["ShardScheduler", "adopt", "campaign_job"]
 
-#: One shard job's outcome: the campaign, its compute wall clock
-#: (0.0 for cache hits), and whether the persistent cache satisfied it.
+#: One campaign job's outcome: the campaign, the wall clock of
+#: ``run_scenario`` (0.0 for a cache hit), and whether the persistent
+#: cache satisfied it.
 _JobOutcome = Tuple[CampaignResult, float, bool]
 
 
-def _compute_job(
-    spec: ScenarioSpec, worker_cap: Optional[int]
-) -> Tuple[CampaignResult, float]:
-    """Run one campaign, honouring the shard's worker budget."""
-    factory_cache = FactoryCache()
-    executor = None
-    if spec.executor == "parallel":
-        executor = make_executor(spec, factory_cache, pool_cap=worker_cap)
-    tick = time.perf_counter()
-    result = run_scenario(spec, cache=factory_cache, executor=executor)
-    return result, time.perf_counter() - tick
+def adopt(scenario: ScenarioSpec, base: CampaignResult) -> CampaignResult:
+    """Re-badge a campaign computed for an equal spec (a relabelled
+    duplicate or a cache entry) as ``scenario``'s.
 
-
-def _execute_job(
-    spec: ScenarioSpec,
-    cache_dir: Optional[str],
-    worker_cap: Optional[int],
-) -> _JobOutcome:
-    """One shard's whole unit of work (runs inside a pool process).
-
-    With a cache: take the spec hash's exclusive lock, re-check the
-    cache (the loser of a cross-process race finds the winner's entry
-    here instead of recomputing), and otherwise compute and publish
-    under the lock. Without one: just compute.
+    The record table is shared (immutable); only the scenario identity
+    metadata differs.
     """
-    if cache_dir is None:
-        result, seconds = _compute_job(spec, worker_cap)
-        return result, seconds, False
-    cache = ResultCache(cache_dir)
-    spec_hash = spec.spec_hash()
-    with cache.lock(spec_hash):
-        loaded = cache.load(spec_hash)
+    return CampaignResult(
+        circuit_name=base.circuit_name,
+        correct_states=base.correct_states,
+        records=base.table,
+        fault_free_qvf=base.fault_free_qvf,
+        backend_name=base.backend_name,
+        metadata={
+            **base.metadata,
+            "scenario_id": scenario.scenario_id,
+            "scenario": scenario.to_dict(),
+        },
+    )
+
+
+def campaign_job(
+    scenario: ScenarioSpec,
+    store_path: Optional[str],
+    cache: Optional[ResultCache],
+    factory: FactoryCache,
+    executor: Optional[BaseExecutor],
+) -> _JobOutcome:
+    """Compute one campaign once: lock, re-check, run, write, publish.
+
+    With a ``cache`` the whole sequence holds the spec hash's exclusive
+    file lock, and the post-acquisition re-check adopts an entry another
+    runner or shard published meanwhile instead of recomputing. The
+    manifest store (``store_path``; ``None`` for in-memory suites) is
+    written here, where the result is made, and a computed campaign is
+    published as a hard link of it.
+    """
+    spec_hash = scenario.spec_hash()
+    with cache.lock(spec_hash) if cache is not None else nullcontext():
+        loaded = cache.load(spec_hash) if cache is not None else None
         if loaded is not None:
-            return loaded, 0.0, True
-        result, seconds = _compute_job(spec, worker_cap)
-        cache.put(spec_hash, result)
-    return result, seconds, False
+            result, seconds = adopt(scenario, loaded), 0.0
+        else:
+            tick = time.perf_counter()
+            result = run_scenario(scenario, cache=factory, executor=executor)
+            seconds = time.perf_counter() - tick
+        if store_path is not None:
+            write_result_store(store_path, result)
+        if cache is not None and loaded is None:
+            cache.put(spec_hash, result, store_path=store_path)
+    return result, seconds, loaded is not None
+
+
+def _shard_job(
+    scenario: ScenarioSpec,
+    store_path: Optional[str],
+    cache_dir: Optional[str],
+    worker_cap: int,
+) -> _JobOutcome:
+    """The campaign job inside a shard process (its own factory cache)."""
+    factory = FactoryCache()
+    executor = None
+    if scenario.executor == "parallel":
+        executor = make_executor(scenario, factory, pool_cap=worker_cap)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return campaign_job(scenario, store_path, cache, factory, executor)
+
+
+def _init_shard(worker_cap: int) -> None:
+    """Shard process set-up: pin OpenBLAS; forked children die with it.
+
+    A pool that loses one shard process terminates the others, and a
+    forked process outlives its parent: the workers of a terminated
+    shard's parallel executor would block for good on their task queue.
+    So every process a shard forks watches a pipe whose write end only
+    the shard holds, and exits when it closes.
+    """
+    pin_blas_threads(worker_cap)
+    if hasattr(os, "register_at_fork"):  # POSIX: shards can fork
+        lifeline, held = os.pipe()
+        os.register_at_fork(after_in_child=lambda: _watch(lifeline, held))
+
+
+def _watch(lifeline: int, held: int) -> None:
+    os.close(held)
+    threading.Thread(
+        target=_exit_with_shard, args=(lifeline,), daemon=True
+    ).start()
+
+
+def _exit_with_shard(lifeline: int) -> None:
+    os.read(lifeline, 1)  # end of file: the shard is gone
+    os._exit(1)
 
 
 class ShardScheduler:
-    """Dispatches independent campaigns onto a pool of shard processes.
+    """Runs campaign jobs on a pool of shard processes.
 
     ``jobs`` is the shard count; ``host_workers`` (default
     ``os.cpu_count()``) is the global worker budget divided between
@@ -107,13 +165,14 @@ class ShardScheduler:
     max(1, host_workers // jobs)`` threads, and its campaigns run their
     parallel executors capped at ``worker_cap`` pool processes.
     ``cache_dir`` routes every job through the persistent result cache's
-    compute-once locking (see :func:`_execute_job`).
+    compute-once locking (see :func:`campaign_job`).
 
-    Lifecycle: :meth:`start`, :meth:`submit` each job, drain
+    Lifecycle: :meth:`submit` jobs (the pool opens on the first), drain
     :meth:`results` (completion order), :meth:`shutdown` — or use the
-    scheduler as a context manager. A pool that cannot spawn (or dies
-    mid-run) degrades to in-process execution of the remaining jobs with
-    a ``RuntimeWarning``, mirroring ``ParallelExecutor``'s behaviour.
+    scheduler as a context manager. The scheduler keeps no in-process
+    queue: a job the pool cannot take is refused by :meth:`submit`, and
+    a job a broken pool lost comes back from :meth:`results` without an
+    outcome, for the caller to run in process.
     """
 
     def __init__(
@@ -138,8 +197,7 @@ class ShardScheduler:
         #: exceeds the host budget.
         self.worker_cap = max(1, host // jobs)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[object, Tuple[int, ScenarioSpec]] = {}
-        self._local: List[Tuple[int, ScenarioSpec]] = []
+        self._futures: Dict[object, int] = {}
         self._degraded = False
 
     # ------------------------------------------------------------------
@@ -151,26 +209,37 @@ class ShardScheduler:
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs,
-                    initializer=pin_blas_threads,
+                    initializer=_init_shard,
                     initargs=(self.worker_cap,),
                 )
             except OSError:
-                self._degraded = True
+                self._degrade()
         return self
+
+    def _degrade(self) -> None:
+        """Drop the pool for good: later jobs run in the caller's process."""
+        if not self._degraded:
+            warnings.warn(
+                "shard pool unavailable; campaigns degraded to "
+                "in-process execution",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        self._degraded = True
+        self._pool = None
 
     def shutdown(self) -> None:
         """Tear the pool down; queued-but-unstarted jobs are dropped.
 
         Idempotent, and safe to call while an exception unwinds through
         a half-drained :meth:`results` — running shards are awaited
-        (their manifests/caches stay consistent), queued ones are
-        cancelled.
+        (their stores and cache entries stay consistent), queued ones
+        are cancelled.
         """
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
         self._futures.clear()
-        self._local.clear()
 
     def __enter__(self) -> "ShardScheduler":
         """Context-manager entry: :meth:`start`."""
@@ -183,84 +252,66 @@ class ShardScheduler:
     # ------------------------------------------------------------------
     # Work
     # ------------------------------------------------------------------
-    def submit(self, index: int, scenario: ScenarioSpec) -> None:
-        """Queue one campaign; ``index`` tags it through :meth:`results`.
+    def submit(
+        self,
+        index: int,
+        scenario: ScenarioSpec,
+        store_path: Optional[str] = None,
+    ) -> bool:
+        """Start one campaign job on the pool; ``index`` tags its result.
 
-        Jobs land on the pool when one is up, and on the in-process
-        fallback queue otherwise (``jobs=1``, spawn-forbidden sandboxes,
-        or a pool that broke earlier).
+        Returns ``False`` when no pool can take it — ``jobs=1``, a
+        spawn-forbidden sandbox, or a pool that broke earlier — and the
+        caller then runs the job in process.
         """
         self.start()
-        if self._pool is not None:
-            try:
-                future = self._pool.submit(
-                    _execute_job, scenario, self.cache_dir, self.worker_cap
-                )
-            except (OSError, RuntimeError):
-                # submit runs no user code: any failure here is pool
-                # trouble (spawn refused, pool already broken/shut), so
-                # degrade rather than fail the suite.
-                self._degraded = True
-                self._pool = None
-                self._local.append((index, scenario))
-            else:
-                self._futures[future] = (index, scenario)
-        else:
-            self._local.append((index, scenario))
+        if self._pool is None:
+            return False
+        try:
+            future = self._pool.submit(
+                _shard_job, scenario, store_path, self.cache_dir,
+                self.worker_cap,
+            )
+        except (OSError, RuntimeError):
+            # submit runs no user code: any failure here is pool
+            # trouble (spawn refused, pool already broken/shut), so
+            # degrade rather than fail the suite.
+            self._degrade()
+            return False
+        self._futures[future] = index
+        return True
 
-    def results(self) -> Iterator[Tuple[int, CampaignResult, float, bool]]:
-        """Drain every submitted job, yielding in completion order.
+    def results(self) -> Iterator[Tuple[int, Optional[_JobOutcome]]]:
+        """Yield ``(index, outcome)`` per job, in completion order.
 
-        Yields ``(index, result, seconds, from_cache)`` per job —
-        ``seconds`` is the shard-measured compute wall clock (0.0 for
-        cache hits). Pool loss mid-drain (``BrokenProcessPool``/spawn
-        errors) re-executes the affected jobs in-process, in submission
-        order, after a ``RuntimeWarning``; a genuine scenario exception
+        Keeps draining while any job is in flight, including jobs
+        submitted between yields. Pool loss (``BrokenProcessPool``/spawn
+        errors) degrades the scheduler and yields every job it took down
+        with ``None`` for its outcome, in submission order, for the
+        caller to re-run in process; a genuine scenario exception
         propagates to the caller (who is expected to shut down).
         """
-        pending = dict(self._futures)
-        leftovers: List[Tuple[int, ScenarioSpec]] = list(self._local)
-        self._futures = {}
-        self._local = []
-        outstanding = set(pending)
-        while outstanding:
-            done, outstanding = wait(
-                outstanding, return_when=FIRST_COMPLETED
-            )
-            broken = False
+        while self._futures:
+            done, _ = wait(list(self._futures), return_when=FIRST_COMPLETED)
+            lost = []
             for future in done:
-                index, scenario = pending.pop(future)
+                index = self._futures.pop(future)
                 try:
-                    result, seconds, from_cache = future.result()
+                    outcome = future.result()
                 except (OSError, BrokenProcessPool):
                     # The pool died under this job (spawn refused, a
-                    # worker was killed). Every other outstanding job is
-                    # dead with it; queue them all for in-process
-                    # execution. A scenario's own OSError re-raises
-                    # identically when re-executed below.
-                    leftovers.append((index, scenario))
-                    broken = True
+                    # worker was killed), and every other job in flight
+                    # with it. A scenario's own OSError re-raises
+                    # identically when re-run in process.
+                    lost.append(index)
                 else:
-                    yield index, result, seconds, from_cache
-            if broken:
-                leftovers.extend(
-                    pending.pop(future) for future in list(outstanding)
-                )
-                outstanding = set()
-                self._degraded = True
-                self._pool = None
-        if leftovers and self._degraded:
-            warnings.warn(
-                "shard pool unavailable; campaigns degraded to "
-                "in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        for index, scenario in sorted(leftovers, key=lambda job: job[0]):
-            result, seconds, from_cache = _execute_job(
-                scenario, self.cache_dir, self.worker_cap
-            )
-            yield index, result, seconds, from_cache
+                    yield index, outcome
+            if lost:
+                lost.extend(self._futures.values())
+                self._futures.clear()
+                self._degrade()
+                for index in sorted(lost):
+                    yield index, None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

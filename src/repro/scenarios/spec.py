@@ -953,22 +953,6 @@ class SuiteSpec:
             ordered.setdefault(scenario.spec_hash())
         return list(ordered)
 
-    def first_occurrences(self) -> List[Tuple[int, ScenarioSpec]]:
-        """``(position, scenario)`` where each distinct hash first appears.
-
-        The candidate work list for campaign-level scheduling: a
-        relabelled duplicate always adopts its first occurrence's
-        result, so only these positions can ever need compute.
-        """
-        seen: Dict[str, None] = {}
-        ordered: List[Tuple[int, ScenarioSpec]] = []
-        for index, scenario in enumerate(self.scenarios):
-            spec_hash = scenario.spec_hash()
-            if spec_hash not in seen:
-                seen[spec_hash] = None
-                ordered.append((index, scenario))
-        return ordered
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.scenarios import SuiteRunner, SuiteSpec
-from repro.scenarios import runner as runner_module
+from repro.scenarios import shard as shard_module
 from repro.scenarios.runner import MANIFEST_NAME
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
@@ -71,7 +71,7 @@ class TestPhysicsSuiteResume:
         SuiteRunner(physics_suite, manifest_dir=reference_dir).run()
 
         killed_dir = str(tmp_path / "killed")
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
         computed = {"n": 0}
 
         def killing(spec, **kwargs):
@@ -80,10 +80,10 @@ class TestPhysicsSuiteResume:
             computed["n"] += 1
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", killing)
+        monkeypatch.setattr(shard_module, "run_scenario", killing)
         with pytest.raises(SimulatedKill):
             SuiteRunner(physics_suite, manifest_dir=killed_dir).run()
-        monkeypatch.setattr(runner_module, "run_scenario", real)
+        monkeypatch.setattr(shard_module, "run_scenario", real)
 
         partial = json.load(open(os.path.join(killed_dir, MANIFEST_NAME)))
         statuses = [e["status"] for e in partial["scenarios"]]

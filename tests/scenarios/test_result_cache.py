@@ -20,7 +20,7 @@ from repro.scenarios import (
     SuiteSpec,
     resolve_cache_dir,
 )
-from repro.scenarios import runner as runner_module
+from repro.scenarios import shard as shard_module
 from repro.scenarios.cache import CACHE_ENV, ENTRY_SUFFIX
 from repro.scenarios.runner import MANIFEST_NAME
 
@@ -103,13 +103,13 @@ class TestCrossSuiteReuse:
         assert cold.computed == 2 and cold.from_store == 0
 
         calls = []
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
 
         def counting(spec, **kwargs):
             calls.append(spec.scenario_id)
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", counting)
+        monkeypatch.setattr(shard_module, "run_scenario", counting)
         warm_dir = str(tmp_path / "warm")
         warm = SuiteRunner(
             suite, manifest_dir=warm_dir, cache_dir=cache_dir
@@ -197,13 +197,13 @@ class TestComputeOnceLocking:
         suite = small_suite()
         cache_dir = str(tmp_path / "cache")
         calls = []
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
 
         def counting(spec, **kwargs):
             calls.append(spec.spec_hash())
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", counting)
+        monkeypatch.setattr(shard_module, "run_scenario", counting)
         outcomes = []
         errors = []
 
@@ -242,7 +242,7 @@ class TestComputeOnceLocking:
         def dying(spec, **kwargs):
             raise RuntimeError("simulated mid-suite death")
 
-        monkeypatch.setattr(runner_module, "run_scenario", dying)
+        monkeypatch.setattr(shard_module, "run_scenario", dying)
         with pytest.raises(RuntimeError):
             SuiteRunner(suite, cache_dir=cache_dir).run()
         monkeypatch.undo()

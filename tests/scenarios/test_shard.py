@@ -8,12 +8,14 @@ spawn processes degrade to in-process execution with a warning instead
 of failing.
 """
 
+import json
 import os
 import warnings
 
 import pytest
 
 from repro.scenarios import (
+    ResultCache,
     ScenarioSpec,
     ShardScheduler,
     SuiteRunner,
@@ -95,6 +97,26 @@ class TestShardedByteIdentity:
         assert outcome.computed == 3  # duplicate adopted, not recomputed
         assert manifest_bytes(shard_dir) == manifest_bytes(seq_dir)
 
+    def test_sharded_cold_run_writes_each_store_once(self, tmp_path):
+        """The shard writes the manifest store; the cache links to it."""
+        manifest_dir = str(tmp_path / "m")
+        SuiteRunner(
+            shard_suite(),
+            manifest_dir=manifest_dir,
+            jobs=2,
+            cache_dir=str(tmp_path / "cache"),
+        ).run()
+        manifest = json.load(open(os.path.join(manifest_dir, MANIFEST_NAME)))
+        stores = {
+            entry["spec_hash"]: os.path.join(manifest_dir, entry["result_file"])
+            for entry in manifest["scenarios"]
+            if entry["id"] != "bv3-ideal-bis"  # the duplicate's own store
+        }
+        entries = ResultCache(str(tmp_path / "cache")).entries()
+        assert len(entries) == 3
+        for entry in entries:
+            assert os.path.samefile(entry.path, stores[entry.spec_hash])
+
     def test_sharded_outcome_in_suite_order(self, tmp_path):
         suite = shard_suite()
         outcome = SuiteRunner(
@@ -173,6 +195,97 @@ class TestShardedKillResume:
         reference_dir = str(tmp_path / "ref")
         SuiteRunner(suite, manifest_dir=reference_dir, use_cache=False).run()
         assert manifest_bytes(manifest_dir) == manifest_bytes(reference_dir)
+
+
+def parity_suite() -> SuiteSpec:
+    """Five distinct campaigns plus a relabelled duplicate."""
+    return SuiteSpec.build(
+        "parity-suite",
+        list(shard_suite())[:3]
+        + [
+            ScenarioSpec(
+                algorithm="bv",
+                width=3,
+                noise="none",
+                grid_step_deg=90.0,
+                executor="serial",
+                label="bv3-ideal-bis",
+            ),
+            ScenarioSpec(
+                algorithm="dj",
+                width=3,
+                noise="none",
+                grid_step_deg=90.0,
+                label="dj3-ideal",
+            ),
+            ScenarioSpec(
+                algorithm="grover",
+                width=3,
+                noise="none",
+                grid_step_deg=90.0,
+                label="grover3-ideal",
+            ),
+        ],
+    )
+
+
+def run_parity_case(root, jobs):
+    """One resume + cache-hit + duplicate + ``max_campaigns`` run.
+
+    The manifest already holds bv3-ideal and the cache already holds
+    ghz3-sampled, so the run resumes one, takes one cache hit, computes
+    qft3-parallel (its one allowed campaign), adopts bv3-ideal-bis and
+    stops before dj3-ideal.
+    """
+    suite = parity_suite()
+    cache_dir = os.path.join(root, "cache")
+    manifest_dir = os.path.join(root, "m")
+    SuiteRunner(
+        SuiteSpec.build("seed-cache", [suite.scenarios[1]]),
+        cache_dir=cache_dir,
+    ).run()
+    SuiteRunner(
+        suite, manifest_dir=manifest_dir, max_campaigns=1, use_cache=False
+    ).run()
+    outcome = SuiteRunner(
+        suite,
+        manifest_dir=manifest_dir,
+        cache_dir=cache_dir,
+        max_campaigns=1,
+        jobs=jobs,
+    ).run()
+    return outcome, manifest_bytes(manifest_dir)
+
+
+@pytest.fixture(scope="module")
+def parity_reference(tmp_path_factory):
+    return run_parity_case(str(tmp_path_factory.mktemp("parity-ref")), 1)
+
+
+class TestOnePathParity:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outcome_and_bytes_match_across_jobs(
+        self, tmp_path, jobs, parity_reference
+    ):
+        reference, reference_bytes = parity_reference
+        outcome, stored = run_parity_case(str(tmp_path), jobs)
+        sources = [(run.scenario_id, run.source) for run in outcome]
+        assert sources == [
+            ("bv3-ideal", "manifest"),
+            ("ghz3-sampled", "store"),
+            ("qft3-parallel", "computed"),
+            ("bv3-ideal-bis", "cache"),
+        ]
+        assert sources == [(r.scenario_id, r.source) for r in reference]
+        for attribute in ("complete", "computed", "reused", "from_store"):
+            assert getattr(outcome, attribute) == getattr(
+                reference, attribute
+            ), attribute
+        assert not outcome.complete
+        assert (outcome.computed, outcome.reused, outcome.from_store) == (
+            1, 3, 1
+        )
+        assert stored == reference_bytes
 
 
 class TestShardedBudgets:
@@ -284,6 +397,52 @@ class TestDegradation:
                 use_cache=False,
             ).run()
         assert outcome.complete
+        assert manifest_bytes(str(tmp_path / "m")) == manifest_bytes(seq_dir)
+
+    def test_pool_loss_mid_run_finishes_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard worker dying after campaigns landed degrades the rest.
+
+        The dying job and every job still pending re-run through the
+        runner's in-process branch; manifest and stores come out
+        byte-identical to ``jobs=1``.
+        """
+        suite = parity_suite()
+        seq_dir = str(tmp_path / "seq")
+        SuiteRunner(suite, manifest_dir=seq_dir, use_cache=False).run()
+
+        parent = os.getpid()
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        real = shard_module.run_scenario
+
+        def dying_in_worker(spec, **kwargs):
+            (marks / f"{spec.label}.{os.getpid()}").touch()
+            if spec.label == "dj3-ideal" and os.getpid() != parent:
+                os._exit(1)  # the shard process dies mid-campaign
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(shard_module, "run_scenario", dying_in_worker)
+        landed = []
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            outcome = SuiteRunner(
+                suite,
+                manifest_dir=str(tmp_path / "m"),
+                jobs=2,
+                use_cache=False,
+            ).run(progress=lambda done, total, sid: landed.append(sid))
+        assert outcome.complete
+        assert outcome.computed == 5
+        ran = [name.rsplit(".", 1) for name in os.listdir(marks)]
+        in_worker = {label for label, pid in ran if int(pid) != parent}
+        in_process = {label for label, pid in ran if int(pid) == parent}
+        # Campaigns landed from the pool before it broke (dj3-ideal is
+        # only started once one has), then the in-process branch took
+        # the dead job and everything after it.
+        assert {"bv3-ideal", "ghz3-sampled"} <= in_worker - in_process
+        assert landed.index("bv3-ideal") < landed.index("dj3-ideal")
+        assert {"dj3-ideal", "grover3-ideal"} <= in_process
         assert manifest_bytes(str(tmp_path / "m")) == manifest_bytes(seq_dir)
 
     def test_jobs_one_never_opens_a_pool(self, tmp_path, monkeypatch):

@@ -10,7 +10,10 @@ and duplicate specs are computed once.
 
 import json
 import os
+import time
+import types
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +28,9 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios import runner as runner_module
+from repro.scenarios import shard as shard_module
 from repro.scenarios.runner import MANIFEST_NAME, TIMINGS_NAME
+from repro.simulators.segments import SegmentCompiler
 
 
 def mixed_suite() -> SuiteSpec:
@@ -84,6 +89,17 @@ def tables(outcome):
     }
 
 
+def manifest_bytes(manifest_dir):
+    """Every store's bytes plus the manifest, keyed by file name."""
+    out = {}
+    for name in sorted(os.listdir(manifest_dir)):
+        path = os.path.join(manifest_dir, name)
+        if os.path.isfile(path):
+            out[name] = open(path, "rb").read()
+    out.pop(TIMINGS_NAME, None)
+    return out
+
+
 class SimulatedKill(Exception):
     pass
 
@@ -113,13 +129,13 @@ class TestSpecHashCaching:
     def test_duplicate_specs_computed_once(self, tmp_path, monkeypatch):
         suite = mixed_suite()
         calls = []
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
 
         def counting(spec, **kwargs):
             calls.append(spec.scenario_id)
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", counting)
+        monkeypatch.setattr(shard_module, "run_scenario", counting)
         outcome = SuiteRunner(suite, manifest_dir=str(tmp_path / "m")).run()
         assert len(calls) == 4  # 5 scenarios, 4 distinct campaigns
         assert "bv3-ideal-bis" not in calls
@@ -143,7 +159,7 @@ class TestSpecHashCaching:
 class TestKillAndResume:
     def _run_with_kill(self, suite, manifest_dir, kill_after, monkeypatch):
         """Kill the suite after ``kill_after`` computed campaigns."""
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
         computed = {"n": 0}
 
         def killing(spec, **kwargs):
@@ -152,10 +168,10 @@ class TestKillAndResume:
             computed["n"] += 1
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", killing)
+        monkeypatch.setattr(shard_module, "run_scenario", killing)
         with pytest.raises(SimulatedKill):
             SuiteRunner(suite, manifest_dir=manifest_dir).run()
-        monkeypatch.setattr(runner_module, "run_scenario", real)
+        monkeypatch.setattr(shard_module, "run_scenario", real)
 
     def test_resumed_suite_equals_uninterrupted(self, tmp_path, monkeypatch):
         suite = mixed_suite()
@@ -219,7 +235,7 @@ class TestKillAndResume:
         """A kill *inside* a campaign loses only that campaign."""
         suite = mixed_suite()
         manifest_dir = str(tmp_path / "m")
-        real = runner_module.run_scenario
+        real = shard_module.run_scenario
         seen = []
 
         def dying_third(spec, **kwargs):
@@ -228,10 +244,10 @@ class TestKillAndResume:
                 raise SimulatedKill("died mid-campaign")
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_scenario", dying_third)
+        monkeypatch.setattr(shard_module, "run_scenario", dying_third)
         with pytest.raises(SimulatedKill):
             SuiteRunner(suite, manifest_dir=manifest_dir).run()
-        monkeypatch.setattr(runner_module, "run_scenario", real)
+        monkeypatch.setattr(shard_module, "run_scenario", real)
         resumed = SuiteRunner(suite, manifest_dir=manifest_dir).run()
         assert resumed.complete
         # The two finished campaigns were loaded, the dead one recomputed.
@@ -402,6 +418,56 @@ class TestSuiteBudgets:
             assert scenario_id in report
         assert "10 injections" in report
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seconds_budget_enforced_while_running(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """Without timing history a truncating seconds budget admits the
+        whole suite pre-run; the clock must still stop it at the next
+        campaign start once it passes the budget, at every ``jobs``."""
+        suite = mixed_suite()
+        reference_dir = str(tmp_path / "reference")
+        SuiteRunner(suite, manifest_dir=reference_dir, use_cache=False).run()
+
+        landed = []
+        real_clock = time.perf_counter
+        # The runner's clock passes the budget once a campaign has landed.
+        clock = types.SimpleNamespace(
+            perf_counter=lambda: real_clock() + (3600.0 if landed else 0.0)
+        )
+        manifest_dir = str(tmp_path / "m")
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "time", clock)
+            partial = SuiteRunner(
+                suite,
+                manifest_dir=manifest_dir,
+                jobs=jobs,
+                use_cache=False,
+                budget_seconds=60.0,
+                budget_action="truncate",
+            ).run(progress=lambda done, total, sid: landed.append(sid))
+        assert not partial.complete
+        # At most ``jobs`` campaigns started before the clock check that
+        # stopped the run; each one finished and landed.
+        assert 1 <= partial.computed <= jobs
+        ids = [run.scenario_id for run in partial]
+        assert ids == [s.scenario_id for s in suite][: len(ids)]
+        assert set(ids) == set(landed)
+        # A campaign boundary: landed scenarios are done, the rest pending.
+        manifest = json.load(open(os.path.join(manifest_dir, MANIFEST_NAME)))
+        done = {
+            e["id"] for e in manifest["scenarios"] if e["status"] == "done"
+        }
+        assert done == set(ids)
+        timings = json.load(open(os.path.join(manifest_dir, TIMINGS_NAME)))
+        assert timings["complete"] is False
+
+        resumed = SuiteRunner(
+            suite, manifest_dir=manifest_dir, jobs=jobs, use_cache=False
+        ).run()
+        assert resumed.complete
+        assert manifest_bytes(manifest_dir) == manifest_bytes(reference_dir)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget_injections"):
             SuiteRunner(budget_suite(), budget_injections=0)
@@ -448,3 +514,41 @@ class TestPoolReuse:
                 assert np.array_equal(
                     run.result.qvf_values(), standalone.qvf_values()
                 )
+
+
+class TestFactorySharing:
+    def test_jobs_one_compiles_each_tail_once(self, tmp_path, monkeypatch):
+        """At ``jobs=1`` every campaign runs on the runner's factory cache.
+
+        Two campaigns over one circuit and noise model, differing only
+        in grid step, sweep the same injection positions: sharing the
+        suite's segment compiler compiles each tail plan once across
+        both. A factory cache per campaign would compile every one twice.
+        """
+        suite = SuiteSpec.build(
+            "shared-factory",
+            [
+                ScenarioSpec(
+                    algorithm="bv",
+                    width=3,
+                    noise="light",
+                    grid_step_deg=step,
+                    label=f"bv3-grid{step:g}",
+                )
+                for step in (90.0, 45.0)
+            ],
+        )
+        starts = []
+        real = SegmentCompiler._compile
+
+        def counting(self, start):
+            starts.append(start)
+            return real(self, start)
+
+        monkeypatch.setattr(SegmentCompiler, "_compile", counting)
+        outcome = SuiteRunner(
+            suite, manifest_dir=str(tmp_path / "m"), use_cache=False
+        ).run()
+        assert outcome.complete and outcome.computed == 2
+        assert starts
+        assert set(Counter(starts).values()) == {1}
