@@ -8,8 +8,8 @@ useful when separating *propagated fault* effects from *measurement*
 effects in a campaign.
 
 :class:`MitigatedReadoutBackend` lifts the post-processing into the
-campaign engine: it wraps any backend and mitigates every ``run``
-result against the noise model's readout confusion, so a scenario with
+campaign engine: it wraps any backend and mitigates every result against
+the noise model's readout confusion, so a scenario with
 ``mitigation: true`` scores QVF from corrected distributions. Pairing
 such a scenario with its raw twin and diffing through
 :func:`mitigation_delta` yields the mitigated-vs-raw QVF delta columns.
@@ -17,20 +17,28 @@ such a scenario with its raw twin and diffing through
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+import itertools
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..quantum.circuit import QuantumCircuit
+from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Measure
+from ..simulators.backend import (
+    BranchBatch,
+    SimulationSnapshot,
+    supports_batched_branches,
+)
 from ..simulators.noise import NoiseModel, ReadoutError
 from ..simulators.sampler import Result
 
 __all__ = [
     "mitigate_readout",
+    "mitigate_readout_rows",
     "mitigation_matrix",
     "mitigation_delta",
     "MitigatedReadoutBackend",
+    "BatchedMitigatedReadoutBackend",
 ]
 
 
@@ -73,17 +81,47 @@ def mitigate_readout(
                 f"bitstring {bitstring!r} does not match {num_qubits} qubits"
             )
         vector[int(bitstring, 2)] = value
-    mitigated = mitigation_matrix(errors) @ vector
-    if clip:
-        mitigated = np.clip(mitigated, 0.0, None)
-    total = mitigated.sum()
-    if total > 0:
-        mitigated = mitigated / total
+    mitigated = _mitigated_vector(mitigation_matrix(errors), vector, clip)
     return {
         format(index, f"0{num_qubits}b"): float(p)
         for index, p in enumerate(mitigated)
         if p > 1e-12
     }
+
+
+def _mitigated_vector(
+    inverse: np.ndarray, vector: np.ndarray, clip: bool = True
+) -> np.ndarray:
+    """One distribution vector through the inverse confusion matrix,
+    clipped onto the simplex (with ``clip``) and renormalised."""
+    mitigated = inverse @ vector
+    if clip:
+        mitigated = np.clip(mitigated, 0.0, None)
+    total = mitigated.sum()
+    if total > 0:
+        mitigated = mitigated / total
+    return mitigated
+
+
+def mitigate_readout_rows(
+    rows: np.ndarray,
+    errors: Sequence[Optional[ReadoutError]],
+) -> np.ndarray:
+    """:func:`mitigate_readout` over ``(B, 2**len(errors))`` distribution rows.
+
+    Column ``k`` of a row is the probability of bitstring ``k``. Each row
+    goes through the dictionary path's steps, one row at a time: the
+    product with the inverse confusion matrix, the clip, the
+    renormalisation and the ``> 1e-12`` cut. Row ``b`` of the result
+    holds the values ``mitigate_readout`` returns for row ``b`` and 0.0
+    where its dictionary has no entry.
+    """
+    inverse = mitigation_matrix(errors)
+    out = np.zeros(rows.shape)
+    for corrected, row in zip(out, rows):
+        mitigated = _mitigated_vector(inverse, row)
+        np.copyto(corrected, mitigated, where=mitigated > 1e-12)
+    return out
 
 
 class MitigatedReadoutBackend:
@@ -96,12 +134,22 @@ class MitigatedReadoutBackend:
     caller. Campaigns over this backend therefore score QVF from
     mitigated distributions with no change to the campaign engine.
 
-    The wrapper implements only the plain ``run`` protocol — no
-    snapshots, no batched branches — so executors drive it through the
-    naive per-task loop: exact, strategy-independent, and (for inner
-    backends marked ``per_run_seeding``, whose seed argument is
-    forwarded) deterministic across kill/resume boundaries as well.
+    Over a batch-capable inner backend (the exact simulators, the
+    machine) construction returns a
+    :class:`BatchedMitigatedReadoutBackend`, which the engine runs
+    batched. Over any other (the trajectory simulator, the emulator) the
+    wrapper implements only the plain ``run`` protocol, so executors
+    drive it through the naive per-task loop: exact,
+    strategy-independent, and (for inner backends marked
+    ``per_run_seeding``, whose seed argument is forwarded) deterministic
+    across kill/resume boundaries as well.
     """
+
+    def __new__(cls, backend=None, noise_model=None):
+        # Unpickling calls __new__ without arguments, on the final class.
+        if cls is MitigatedReadoutBackend and supports_batched_branches(backend):
+            cls = BatchedMitigatedReadoutBackend
+        return super().__new__(cls)
 
     def __init__(self, backend, noise_model: Optional[NoiseModel]) -> None:
         self.backend = backend
@@ -114,13 +162,14 @@ class MitigatedReadoutBackend:
         return bool(getattr(self.backend, "per_run_seeding", False))
 
     def _errors(
-        self, circuit: QuantumCircuit, num_clbits: int
+        self, instructions: Iterable[Instruction], num_clbits: int
     ) -> Sequence[Optional[ReadoutError]]:
-        """Per-clbit readout errors, routed through the measure map."""
+        """Per-clbit readout errors, routed through the measure map of
+        the executed ``instructions``."""
         errors: list = [None] * num_clbits
         if self.noise_model is None:
             return errors
-        for inst in circuit:
+        for inst in instructions:
             if isinstance(inst.gate, Measure):
                 clbit = inst.clbits[0]
                 if 0 <= clbit < num_clbits:
@@ -128,6 +177,21 @@ class MitigatedReadoutBackend:
                         inst.qubits[0]
                     )
         return errors
+
+    def _mitigated(
+        self, result: Result, instructions: Iterable[Instruction]
+    ) -> Result:
+        """``result`` with its readout confusion inverted."""
+        errors = self._errors(instructions, result.num_clbits)
+        if all(error is None for error in errors):
+            return result
+        corrected = mitigate_readout(result.get_probabilities(), errors)
+        return Result(
+            corrected,
+            num_clbits=result.num_clbits,
+            shots=result.shots,
+            metadata={**result.metadata, "mitigated": True},
+        )
 
     def run(
         self,
@@ -140,16 +204,75 @@ class MitigatedReadoutBackend:
             result = self.backend.run(circuit, shots=shots, seed=seed)
         else:
             result = self.backend.run(circuit, shots=shots)
-        errors = self._errors(circuit, result.num_clbits)
-        if all(error is None for error in errors):
-            return result
-        corrected = mitigate_readout(result.get_probabilities(), errors)
-        return Result(
-            corrected,
-            num_clbits=result.num_clbits,
-            shots=result.shots,
-            metadata={**result.metadata, "mitigated": True},
+        return self._mitigated(result, circuit)
+
+
+class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
+    """Readout mitigation over a batch-capable backend, itself batch-capable.
+
+    Snapshots, tail compilers and branch batches come from the inner
+    backend. Each probability row of a batch is then corrected through
+    :func:`mitigate_readout_rows`, so the engine scores the same values,
+    bit for bit, as the per-task loop scores the mitigated ``run``
+    results. Build it through :class:`MitigatedReadoutBackend`.
+    """
+
+    def prefix_snapshot(
+        self,
+        circuit: QuantumCircuit,
+        stop: Optional[int] = None,
+        base: Optional[SimulationSnapshot] = None,
+    ) -> SimulationSnapshot:
+        return self.backend.prefix_snapshot(circuit, stop=stop, base=base)
+
+    def run_from_snapshot(
+        self,
+        snapshot: SimulationSnapshot,
+        circuit: QuantumCircuit,
+        tail: Optional[Sequence[Instruction]] = None,
+        shots: Optional[int] = None,
+        seed=None,
+    ) -> Result:
+        if tail is None:
+            tail = circuit.instructions[snapshot.position :]
+        result = self.backend.run_from_snapshot(
+            snapshot, circuit, tail, shots=shots
         )
+        return self._mitigated(
+            result,
+            itertools.chain(circuit.instructions[: snapshot.position], tail),
+        )
+
+    def run_branches_from_snapshot(
+        self,
+        snapshot: SimulationSnapshot,
+        circuit: QuantumCircuit,
+        heads: Sequence[Sequence[Instruction]],
+        shots: Optional[int] = None,
+        plan: Optional[object] = None,
+    ) -> BranchBatch:
+        batch = self.backend.run_branches_from_snapshot(
+            snapshot, circuit, heads, shots=shots, plan=plan
+        )
+        # Heads are unitary, so the branches measure what ``circuit`` does.
+        errors = self._errors(circuit, batch.num_clbits)
+        if all(error is None for error in errors):
+            return batch
+        probabilities = mitigate_readout_rows(batch.result_probabilities(), errors)
+        return BranchBatch(
+            probabilities=probabilities,
+            present=probabilities > 1e-12,
+            key_width=batch.key_width,
+            num_clbits=batch.num_clbits,
+            shots=batch.shots,
+            metadata={**batch.metadata, "mitigated": True},
+        )
+
+    def tail_compiler(self, circuit: QuantumCircuit, **options):
+        return self.backend.tail_compiler(circuit, **options)
+
+    def branch_state_nbytes(self, num_qubits: int) -> int:
+        return self.backend.branch_state_nbytes(num_qubits)
 
 
 def mitigation_delta(raw, mitigated) -> Dict[str, object]:

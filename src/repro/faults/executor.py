@@ -10,7 +10,8 @@ the sweep without the redundancy:
 * **The engine** (:class:`SerialExecutor`) runs a plan in-process. On
   backends implementing the batched protocol
   (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
-  statevector and density-matrix simulators) it goes group → tile →
+  statevector and density-matrix simulators, the machine, and the
+  mitigation wrapper over any of them) it goes group → tile →
   snapshot → branch batch → score: tasks sharing an injection site form a
   group; the circuit is simulated once up to the site and frozen
   (consecutive sites extend one running prefix, so a campaign pays for
@@ -18,10 +19,12 @@ the sweep without the redundancy:
   2**n)`` / ``(B, 2**n, 2**n)`` array, tiled to the memory budget; the
   shared suffix runs as the backend's compiled segment plan
   (:mod:`repro.simulators.segments`); and the tile is scored with the
-  vectorized Michelson contrast. Every other backend — trajectory,
-  machine, emulator, the mitigation wrapper — and ``prefix_reuse=False``
-  take the per-task loop, which re-runs each task's full faulty circuit:
-  the naive reference the batched path is bit-identical to.
+  vectorized Michelson contrast. The backends that sample inside
+  ``run`` — the trajectory simulator (which batches a task's
+  trajectories inside ``run``) and the machine emulator — and
+  ``prefix_reuse=False`` take the per-task loop, which re-runs each
+  task's full faulty circuit: the naive reference the batched path is
+  bit-identical to.
   :class:`BatchedExecutor` is the same engine under the ``"batched"``
   name.
 
@@ -307,16 +310,8 @@ def score_branch_batch(
                 for i in range(batch.size)
             ]
         )
-    probabilities = batch.probabilities
-    # Result.__post_init__ renormalises distributions that drift from unit
-    # total; replicate that guard (it never fires for the exact backends).
-    totals = probabilities.sum(axis=-1)
-    off = (totals > 0) & (np.abs(totals - 1.0) > 1e-6)
-    if np.any(off):
-        probabilities = probabilities.copy()
-        probabilities[off] /= totals[off, np.newaxis]
     return qvf_from_probability_matrix(
-        probabilities, correct_states, batch.key_width
+        batch.result_probabilities(), correct_states, batch.key_width
     )
 
 

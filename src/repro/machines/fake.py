@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..quantum.circuit import QuantumCircuit
+from ..quantum.circuit import Instruction, QuantumCircuit
+from ..simulators.backend import BranchBatch, SimulationSnapshot
 from ..simulators.density_matrix import DensityMatrixSimulator
 from ..simulators.noise import (
     NoiseModel,
@@ -25,6 +26,7 @@ from ..simulators.noise import (
     thermal_relaxation_channel,
 )
 from ..simulators.sampler import Result
+from ..simulators.segments import SegmentCompiler, TailPlan
 from ..transpiler.topology import (
     CouplingMap,
     casablanca_topology,
@@ -38,6 +40,7 @@ from .calibration import DeviceCalibration, GateCalibration, QubitCalibration
 __all__ = [
     "FakeBackend",
     "noise_model_from_calibration",
+    "noise_model_on_qubits",
     "fake_casablanca",
     "fake_jakarta",
     "fake_lagos",
@@ -67,10 +70,48 @@ def noise_model_from_calibration(
     so each wire sees exactly the errors of the device qubit it occupies
     without simulating the idle remainder of the machine.
     """
-    model = NoiseModel(name=calibration.name)
     if wires is None:
         wires = range(calibration.num_qubits)
-    physical_to_wire = {int(phys): wire for wire, phys in enumerate(wires)}
+    return _calibrated_model(
+        calibration,
+        coupling,
+        {int(phys): wire for wire, phys in enumerate(wires)},
+    )
+
+
+def noise_model_on_qubits(
+    calibration: DeviceCalibration,
+    coupling: Optional[CouplingMap],
+    qubits: Sequence[int],
+) -> NoiseModel:
+    """The device-frame model of ``calibration``, built for ``qubits`` only.
+
+    Every gate and readout on these qubits (two-qubit gates on coupled
+    pairs of them included) finds the channel
+    ``noise_model_from_calibration(calibration, coupling)`` would give
+    it, built by the same statements; channels of the other device
+    qubits are never built. A circuit touching only ``qubits`` therefore
+    simulates bit-identically under either model.
+    """
+    return _calibrated_model(
+        calibration,
+        coupling,
+        {
+            int(qubit): int(qubit)
+            for qubit in qubits
+            if 0 <= int(qubit) < calibration.num_qubits
+        },
+    )
+
+
+def _calibrated_model(
+    calibration: DeviceCalibration,
+    coupling: Optional[CouplingMap],
+    physical_to_wire: Dict[int, int],
+) -> NoiseModel:
+    """Calibrated channels of the physical qubits in ``physical_to_wire``
+    (and of the coupled pairs among them), keyed by their wires."""
+    model = NoiseModel(name=calibration.name)
 
     one_q = calibration.gate_defaults.get("u", GateCalibration(3e-4, 35e-9))
     two_q = calibration.gate_defaults.get("cx", GateCalibration(1e-2, 300e-9))
@@ -109,7 +150,13 @@ def noise_model_from_calibration(
 
 
 class FakeBackend:
-    """A simulated IBM machine: topology + calibration + exact noisy engine."""
+    """A simulated IBM machine: topology + calibration + exact noisy engine.
+
+    Runs on one cached :class:`DensityMatrixSimulator` under the
+    calibrated noise model, and implements the batched branch protocol
+    by delegating to it, so machine campaigns take the campaign engine's
+    batched path with records bit-identical to the per-task loop.
+    """
 
     def __init__(
         self,
@@ -123,6 +170,7 @@ class FakeBackend:
         self.coupling = coupling
         self.calibration = calibration
         self._noise_model: Optional[NoiseModel] = None
+        self._simulator: Optional[DensityMatrixSimulator] = None
 
     @property
     def num_qubits(self) -> int:
@@ -137,7 +185,10 @@ class FakeBackend:
         return self._noise_model
 
     def simulator(self) -> DensityMatrixSimulator:
-        return DensityMatrixSimulator(self.noise_model)
+        """The exact noisy engine this machine runs on (one per machine)."""
+        if self._simulator is None:
+            self._simulator = DensityMatrixSimulator(self.noise_model)
+        return self._simulator
 
     def run(
         self,
@@ -149,6 +200,49 @@ class FakeBackend:
         result = self.simulator().run(circuit, shots=shots, seed=seed)
         result.metadata["machine"] = self.name
         return result
+
+    # -- snapshot and batched branch protocol, on the simulator ----------
+    def prefix_snapshot(
+        self,
+        circuit: QuantumCircuit,
+        stop: Optional[int] = None,
+        base: Optional[SimulationSnapshot] = None,
+    ) -> SimulationSnapshot:
+        return self.simulator().prefix_snapshot(circuit, stop=stop, base=base)
+
+    def run_from_snapshot(
+        self,
+        snapshot: SimulationSnapshot,
+        circuit: QuantumCircuit,
+        tail: Optional[Sequence[Instruction]] = None,
+        shots: Optional[int] = None,
+        seed: Optional[int] = None,
+    ) -> Result:
+        result = self.simulator().run_from_snapshot(
+            snapshot, circuit, tail, shots=shots, seed=seed
+        )
+        result.metadata["machine"] = self.name
+        return result
+
+    def run_branches_from_snapshot(
+        self,
+        snapshot: SimulationSnapshot,
+        circuit: QuantumCircuit,
+        heads: Sequence[Sequence[Instruction]],
+        shots: Optional[int] = None,
+        plan: Optional[TailPlan] = None,
+    ) -> BranchBatch:
+        batch = self.simulator().run_branches_from_snapshot(
+            snapshot, circuit, heads, shots=shots, plan=plan
+        )
+        batch.metadata["machine"] = self.name
+        return batch
+
+    def tail_compiler(self, circuit: QuantumCircuit, **options) -> SegmentCompiler:
+        return self.simulator().tail_compiler(circuit, **options)
+
+    def branch_state_nbytes(self, num_qubits: int) -> int:
+        return self.simulator().branch_state_nbytes(num_qubits)
 
     def __repr__(self) -> str:
         return f"FakeBackend({self.name!r}, qubits={self.num_qubits})"

@@ -661,14 +661,16 @@ def make_segment_compiler(
     backend kind, noise, effective pack, dtype)`` fragment, memoised in
     the :class:`FactoryCache` — so every scenario of a suite that shares
     a circuit and noise model also shares its compiled tail segments
-    instead of recompiling per campaign. Backends outside the batched
-    protocol (trajectory, machines, the mitigation wrapper) return
-    ``None``.
+    instead of recompiling per campaign; a mitigated scenario shares its
+    unmitigated twin's (the mitigation wrapper compiles its inner
+    backend's tails). Other backend kinds return ``None``: the machine
+    compiles per campaign, and the trajectory simulator and the emulator
+    run per task.
     """
     kind = spec.backend
     if kind == "auto":
         kind = "statevector" if spec.noise == "none" else "density-matrix"
-    if kind not in ("statevector", "density-matrix") or spec.mitigation:
+    if kind not in ("statevector", "density-matrix"):
         return None
     options = _compiler_options(spec.precision, _segment_options(spec))
 

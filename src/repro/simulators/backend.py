@@ -11,9 +11,11 @@ resulting state in a :class:`SimulationSnapshot`, and branch many
 continuations from it. The campaign executor
 (:mod:`repro.faults.executor`) uses this to amortise the shared prefix of
 every fault spliced at the same injection point, which is where campaign
-wall-clock time goes. Backends that sample hardware (the machine emulator,
-the trajectory simulator) simply do not implement it and campaigns fall
-back to whole-circuit execution.
+wall-clock time goes. The machine backend and the readout-mitigation
+wrapper over an exact backend implement it by delegation. Backends that
+sample inside ``run`` (the machine emulator, the trajectory simulator) do
+not implement it, and campaigns run them per task on whole circuits; the
+trajectory simulator batches a task's trajectories inside ``run``.
 
 On top of snapshots sits the *batched branch* protocol
 (:class:`BatchedSnapshotBackend`): evaluate many fault branches of one
@@ -157,6 +159,21 @@ class BranchBatch:
     @property
     def size(self) -> int:
         return int(self.probabilities.shape[0])
+
+    def result_probabilities(self) -> np.ndarray:
+        """``probabilities`` as each row's :class:`Result` holds them.
+
+        ``Result`` renormalises a distribution whose total drifts from 1
+        by more than 1e-6; the same guard applies here, row by row. It
+        never fires for the exact backends.
+        """
+        probabilities = self.probabilities
+        totals = probabilities.sum(axis=-1)
+        off = (totals > 0) & (np.abs(totals - 1.0) > 1e-6)
+        if np.any(off):
+            probabilities = probabilities.copy()
+            probabilities[off] /= totals[off, np.newaxis]
+        return probabilities
 
     def result(self, index: int) -> Result:
         """Materialise branch ``index`` as the equivalent serial Result.

@@ -91,6 +91,7 @@ __all__ = [
     "gate_ops",
     "PlanStep",
     "compile_steps",
+    "run_steps",
     "apply_plan",
 ]
 
@@ -646,6 +647,17 @@ def _run_steps(
                 step.matrix, batch.reshape(size, rows, total // rows)
             )
     return batch
+
+
+def run_steps(batch: np.ndarray, steps: Sequence[PlanStep]) -> np.ndarray:
+    """Apply :func:`compile_steps` output to a canonical batch.
+
+    The same per-slice ``np.matmul`` GEMMs as :func:`apply_plan`, in the
+    batch's own dtype; returns the batch in its input shape and canonical
+    order. The trajectory simulator evolves its statevector stacks
+    between Kraus draws with it.
+    """
+    return _run_steps(batch, steps, np.matmul, batch.dtype).reshape(batch.shape)
 
 
 def apply_plan(

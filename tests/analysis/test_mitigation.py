@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.mitigation import mitigate_readout, mitigation_matrix
+from repro.analysis.mitigation import (
+    mitigate_readout,
+    mitigate_readout_rows,
+    mitigation_matrix,
+)
 from repro.quantum import QuantumCircuit
 from repro.simulators import (
     DensityMatrixSimulator,
@@ -85,3 +89,26 @@ class TestMitigateReadout:
     def test_bitstring_width_validated(self):
         with pytest.raises(ValueError, match="does not match"):
             mitigate_readout({"001": 1.0}, [ReadoutError(0.1, 0.1)])
+
+
+class TestMitigateReadoutRows:
+    def test_rows_equal_the_dictionary_path_bit_for_bit(self):
+        """Each row holds exactly mitigate_readout's values, 0.0 elsewhere
+        — on exact rows, sparse rows and rows that clip."""
+        errors = [ReadoutError(0.1, 0.3), None, ReadoutError(0.25, 0.05)]
+        rng = np.random.default_rng(12)
+        rows = rng.dirichlet(np.ones(8), size=6)
+        rows[1, [0, 3, 5]] = 0.0
+        rows[1] /= rows[1].sum()
+        rows[2] = np.eye(8)[4]
+        rows[3] = [0.5, 0, 0, 0, 0, 0, 0, 0.5]
+        corrected = mitigate_readout_rows(rows, errors)
+        for row, got in zip(rows, corrected):
+            want = mitigate_readout(
+                {format(k, "03b"): v for k, v in enumerate(row) if v > 0},
+                errors,
+            )
+            expected = np.zeros(8)
+            for key, value in want.items():
+                expected[int(key, 2)] = value
+            assert got.tobytes() == expected.tobytes()

@@ -13,6 +13,7 @@ the naive path.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.algorithms import (
     qft,
     qpe,
 )
+from repro.analysis.mitigation import MitigatedReadoutBackend
 from repro.faults import (
     BatchedExecutor,
     CampaignPlan,
@@ -37,14 +39,17 @@ from repro.faults import (
     fault_grid,
 )
 from repro.faults.executor import TILE_WORKING_SET, score_branch_batch
+from repro.machines import fake_jakarta
 from repro.quantum import random_circuit
 from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios.factory import FactoryCache, make_segment_compiler
 from repro.simulators import (
     BranchBatch,
     DensityMatrixSimulator,
     NoiseModel,
     ReadoutError,
     StatevectorSimulator,
+    TrajectorySimulator,
     depolarizing_channel,
     supports_batched_branches,
     supports_snapshots,
@@ -84,6 +89,15 @@ def sv():
 
 def dm(num_qubits=3):
     return DensityMatrixSimulator(build_noise_model(num_qubits))
+
+
+def machine():
+    return fake_jakarta()
+
+
+def mitigated_dm(num_qubits=3):
+    model = build_noise_model(num_qubits)
+    return MitigatedReadoutBackend(DensityMatrixSimulator(model), model)
 
 
 def naive():
@@ -314,12 +328,83 @@ class TestTranspiled:
         )
 
 
+class TestMachineAndMitigation:
+    """The machine and the mitigation wrapper over an exact backend run
+    on the engine: records bit-identical to the naive per-task loop."""
+
+    SPECS = {
+        "machine": ScenarioSpec(
+            algorithm="bv",
+            width=3,
+            noise="calibrated",
+            backend="machine",
+            machine="jakarta",
+            grid_step_deg=90.0,
+            transpile={"optimization_level": 1, "seed": 7},
+            seed=7,
+        ),
+        "mitigation": ScenarioSpec(
+            algorithm="bv",
+            width=3,
+            noise="light",
+            grid_step_deg=90.0,
+            seed=7,
+            mitigation=True,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("shots", [None, 256], ids=["exact", "shots256"])
+    def test_engine_matches_naive(self, name, shots, tmp_path):
+        spec = dataclasses.replace(self.SPECS[name], shots=shots)
+        pooled = dataclasses.replace(spec, executor="parallel", workers=2)
+        assert table_bytes(run_scenario(spec, executor=naive())) == table_bytes(
+            run_scenario(spec)
+        )
+        # A pool draws sampled shots from per-task generators only in a
+        # checkpointed run; exact records need no checkpoint.
+        def checkpoint(label):
+            return None if shots is None else str(tmp_path / f"{label}.qfs")
+
+        assert table_bytes(
+            run_scenario(spec, executor=naive(), checkpoint_path=checkpoint("naive"))
+        ) == table_bytes(run_scenario(pooled, checkpoint_path=checkpoint("pool")))
+
+    def test_mitigated_spec_shares_its_twins_compiler(self):
+        cache = FactoryCache()
+        mitigated = self.SPECS["mitigation"]
+        twin = dataclasses.replace(mitigated, mitigation=False)
+        compiler = make_segment_compiler(mitigated, cache)
+        assert compiler is not None
+        assert make_segment_compiler(twin, cache) is compiler
+
+
 class TestProtocol:
     def test_batch_capable_backends(self):
         assert supports_batched_branches(StatevectorSimulator())
         assert supports_batched_branches(DensityMatrixSimulator())
+        assert supports_batched_branches(machine())
+        assert supports_batched_branches(mitigated_dm())
 
-    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_mitigated_trajectory_is_not_batch_capable(self):
+        """The wrapper advertises the protocol only when its inner
+        backend has it."""
+        model = build_noise_model(3)
+        wrapped = MitigatedReadoutBackend(TrajectorySimulator(model), model)
+        assert not supports_snapshots(wrapped)
+        assert not supports_batched_branches(wrapped)
+
+    def test_mitigated_wrapper_survives_pickling(self):
+        wrapped = mitigated_dm()
+        clone = pickle.loads(pickle.dumps(wrapped))
+        assert type(clone) is type(wrapped)
+        assert supports_batched_branches(clone)
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [sv, dm, machine, mitigated_dm],
+        ids=["sv", "dm", "machine", "mitigated-dm"],
+    )
     def test_branch_batch_rows_match_serial_results(self, make_backend):
         """Each BranchBatch row — its tail plan compiled by the backend —
         reproduces run_from_snapshot's dictionary: same keys (presence)
