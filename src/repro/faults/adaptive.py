@@ -31,25 +31,24 @@ surface actually varies, in two modes:
 Determinism and resume
 ----------------------
 Every round is an ordinary single-sweep plan
-(:func:`~repro.faults.plan.single_plan`) with per-task seeding: tasks are
-enumerated over ``product(points, union_faults)`` where ``union_faults``
-is the canonical union of every round so far, so a task's ``(seed,
-index)`` derivation depends only on the round structure — never on where
-a previous invocation was killed. The round structure itself is a pure
+(:func:`~repro.faults.plan.single_plan`): tasks are enumerated over
+``product(points, union_faults)`` where ``union_faults`` is the
+canonical union of every round so far, so a task's ``(seed, index)``
+generator depends only on the round structure — never on where a
+previous invocation was killed. The round structure itself is a pure
 function of the recorded cells (refinement decisions consult only cells
 of lines active at that round; records a killed later round left behind
 lie on other lines), so a resumed campaign replays the same rounds,
 skips every recorded injection (:func:`~repro.faults.checkpoint.run_plan` is
 given the previous round's rows in memory, or the checkpoint store's),
-and converges to a byte-identical segment store on the serial and
-batched strategies.
+and converges to a byte-identical segment store on every strategy,
+the pool included (it delivers rows in task order).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -362,8 +361,8 @@ def run_adaptive_campaign(
     With ``checkpoint_path``, every round streams through
     :func:`~repro.faults.checkpoint.run_plan` into one segment store; a killed
     run — between rounds or mid-round — resumes to the byte-identical
-    store an uninterrupted run produces (serial/batched executors).
-    Without it, the identical records are produced in memory.
+    store an uninterrupted run produces, on every executor. Without it,
+    the identical records are produced in memory.
 
     The result's ``metadata["adaptive"]`` block records the
     configuration and outcome (rounds run, active lines, injections
@@ -410,7 +409,6 @@ def run_adaptive_campaign(
         plan = single_plan(
             target, correct_states, union, points, qufi.shots, qufi.seed
         )
-        plan = replace(plan, per_task_seeding=True)
         plan.metadata.update({**(metadata or {}), "adaptive": adaptive})
         return run_plan(
             qufi,

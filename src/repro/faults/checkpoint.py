@@ -4,7 +4,7 @@
 CampaignPlan` runs. It is given the rows already recorded — none for a
 plain run, the previous round's for an adaptive one, a checkpoint
 store's when ``checkpoint_path`` is set — and runs only the tasks those
-rows lack, on the injector's executor and random stream.
+rows lack, on the injector's executor.
 
 The paper's campaigns run to hundreds of millions of injections; at that
 scale interruption is the norm, not the exception. With a
@@ -23,10 +23,11 @@ campaign resumes from one); JSON remains the *export* format, and
 ``CampaignResult.load`` sniffs either.
 
 Pending work keeps its original campaign rank (``InjectionTask.index``),
-and checkpointed plans enable per-task seeding: with a finite shot
-budget each task draws from a generator derived from ``(seed, index)``,
-so a resumed campaign reproduces the uninterrupted run's records — on
-the serial, batched and parallel strategies alike.
+and every task draws from a generator derived from ``(seed, index)``;
+executors deliver rows in task order. So a resumed campaign reproduces
+the uninterrupted run's store byte for byte — on the serial, batched and
+parallel strategies alike — and a completed checkpoint holds the same
+bytes as the plain run's result store.
 """
 
 from __future__ import annotations
@@ -169,15 +170,14 @@ def run_plan(
     the store there (which must hold the same campaign). Tasks whose
     resume key a prior row holds are skipped, and the stored fault-free
     QVF is reused; without prior rows the fault-free QVF is computed
-    first, drawing from the injector's stream before any task does.
-    Pending tasks keep their original rank, so with per-task seeding —
-    which every checkpointed run uses — sampled draws do not depend on
-    where an earlier run stopped.
+    first, from the injector's stream. Pending tasks keep their original
+    rank, and each draws from its own generator, so sampled draws do not
+    depend on where an earlier run stopped.
 
     A checkpointed run appends a segment every ``save_every`` rows (a
     kill loses fewer than ``2 x save_every``: the unflushed buffer plus
-    one in-flight delivery) and compacts the store on completion; its
-    metadata gains ``checkpointed: true``. ``executor`` overrides the
+    one in-flight delivery) and compacts the store on completion, to the
+    bytes the plain run's result store holds. ``executor`` overrides the
     injector's strategy, and the result's ``executor`` entry names it.
     ``progress(done, total)`` is called per completed record.
     """
@@ -189,8 +189,6 @@ def run_plan(
         prior = load_checkpoint(checkpoint_path)
         if prior is not None:
             _check_resume(prior, plan)
-        plan = replace(plan, per_task_seeding=True)
-        metadata["checkpointed"] = True
         # Delivery batches are capped at save_every, so a kill loses at
         # most save_every unflushed rows.
         executor = executor.bounded(save_every)
@@ -246,7 +244,6 @@ def run_plan(
             qufi.backend,
             replace(plan, tasks=pending),
             on_batch=on_batch if streaming else None,
-            rng=qufi._rng,
         )
         if buffered:
             flush()

@@ -31,37 +31,36 @@ the sweep without the redundancy:
 * **The pool** (:class:`ParallelExecutor`) cuts the canonical task list
   into contiguous chunks and runs each chunk on a copy of the engine in a
   ``ProcessPoolExecutor`` worker (the workers split the parent's
-  OpenBLAS threads), with a deterministic per-chunk rng. A one-chunk plan, or a pool that cannot
-  spawn, runs the same engine in-process.
+  OpenBLAS threads). A one-chunk plan, or a pool that cannot spawn, runs
+  the same engine in-process.
 
 * **Columnar streaming** — records travel as
   :class:`~repro.faults.records.RecordTable` column blocks (the ``qvf``
   column is the scoring array itself — no per-record dataclass on the hot
-  path) and reach an ``on_batch`` callback as they complete, which is how
-  :func:`~repro.faults.checkpoint.run_plan` appends checkpoint segments in
-  O(batch) and how progress flows during long campaigns (the
-  engine delivers every ``batch_size`` records, the pool every chunk).
-  ``run`` returns the concatenated table.
+  path) and reach an ``on_batch`` callback in canonical task order,
+  which is how :func:`~repro.faults.checkpoint.run_plan` appends
+  checkpoint segments in O(batch) and how progress flows during long
+  campaigns (the engine delivers every ``batch_size`` records, the pool
+  every chunk). ``run`` returns the concatenated table.
 
 Determinism contract
 --------------------
 With ``shots=None`` (exact distributions) every strategy produces records
-bit-identical to the naive per-injection loop. With a finite shot budget,
-the engine consumes the injector's random stream branch by branch in task
-order (bit-identical to the naive loop again), while the pool derives an
-independent generator per chunk from ``(seed, chunk_index)`` —
-reproducible for a fixed seed and chunk layout, but a different stream
-from the engine's. Plans with ``per_task_seeding`` (checkpointed
-campaigns) derive one generator per task from ``(seed, task.index)``
-instead, so a killed-and-resumed sampled sweep draws exactly what the
-uninterrupted run would have drawn, on every strategy.
+bit-identical to the naive per-injection loop. Every random draw of task
+``k`` comes from one generator, ``default_rng((plan.seed, task.index))``
+(:func:`_task_rng`): first the draws of a backend that samples inside
+``run`` (the trajectory simulator, marked ``per_run_seeding``, receives
+the generator itself as its run seed), then the shot re-sampling of
+scoring. A task's draws therefore depend on the task alone — not on the
+strategy, the tile size, the worker count, the chunk layout or where a
+checkpointed run was killed — so sampled records are bit-identical
+across all of them and equal the naive loop's.
 
-Backends that sample *inside* ``run`` (the trajectory simulator marks
-itself with ``per_run_seeding``) are driven through a per-task seed
-derived from ``(plan.seed, task.index)`` whenever the plan carries a
-seed: each task's noise realizations depend only on the task, never on
-execution order, so seeded trajectory campaigns are bit-identical across
-strategies and across kill/resume boundaries.
+Backends that keep a stream of their own (the machine emulator's per-run
+seed sequence) are the exception: a pool reseeds each chunk's copy from
+``(seed, chunk_index)``, so their records depend on the chunk layout. An
+unseeded plan scores from fresh entropy, task by task, and a sampling
+backend then keeps its own stream.
 """
 
 from __future__ import annotations
@@ -71,10 +70,12 @@ import itertools
 import math
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -140,9 +141,10 @@ class InjectionTask:
 
     ``index`` is the task's rank in the campaign's canonical order (point
     outer, fault inner — the legacy sweep order); executors return records
-    in exactly this order regardless of strategy. Resumed campaigns keep
-    the *original* ranks for their pending tasks (the sequence may have
-    holes), which is what makes per-task seeding resume-stable.
+    in exactly this order regardless of strategy, and the task's random
+    draws come from a generator keyed by it. Resumed campaigns keep the
+    *original* ranks for their pending tasks (the sequence may have
+    holes), so a resumed task draws what it would have drawn unkilled.
     """
 
     index: int
@@ -182,14 +184,7 @@ class CampaignPlan:
     tasks: Tuple[InjectionTask, ...]
     shots: Optional[int] = None
     seed: Optional[int] = None
-    per_task_seeding: bool = False
-    """Sampled-mode rng policy. False (the default) consumes one shared
-    stream in task order — bit-identical to the legacy loop on the
-    in-process engine. True derives an independent generator per task
-    from ``(seed, task.index)``; draws then depend only on the task, not
-    on what ran before it, so checkpointed campaigns resume
-    bit-identically at the price of a stream that differs from the plain
-    in-process one."""
+    """Keys every task's generator, ``(seed, task.index)``."""
     name: str = ""
     """The campaign's ``circuit_name``; executors ignore it."""
     metadata: Dict[str, object] = field(default_factory=dict)
@@ -293,21 +288,22 @@ def score_branch_batch(
     batch: BranchBatch,
     correct_states: Sequence[str],
     shots: Optional[int],
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
 ) -> np.ndarray:
     """Vectorized :func:`score_result` over one branch batch.
 
     Exact mode scores the probability rows directly with the vectorized
     Michelson contrast — bit-identical to scoring each branch's own
-    ``Result``. A finite shot budget re-samples branch by branch in task
-    order instead, so the random stream is consumed exactly as the
-    per-task loop consumes it.
+    ``Result``. A finite shot budget re-samples row ``i`` from the
+    ``i``-th generator of ``rngs`` instead, exactly as the per-task loop
+    scores that branch; ``rngs`` is consumed only then, so a lazy
+    iterable builds no generator for an exact batch.
     """
     if shots is not None and not batch.metadata.get("sampled"):
         return np.array(
             [
                 score_result(batch.result(i), correct_states, shots, rng)
-                for i in range(batch.size)
+                for i, rng in zip(range(batch.size), rngs)
             ]
         )
     return qvf_from_probability_matrix(
@@ -318,15 +314,16 @@ def score_branch_batch(
 # ----------------------------------------------------------------------
 # Task loops
 # ----------------------------------------------------------------------
-def _task_rng(
-    plan: CampaignPlan, task: InjectionTask, rng: np.random.Generator
-) -> np.random.Generator:
-    """The generator scoring ``task`` draws from (see ``per_task_seeding``)."""
-    if plan.per_task_seeding and plan.shots is not None:
-        return np.random.default_rng(
-            None if plan.seed is None else (plan.seed, task.index)
-        )
-    return rng
+def _task_rng(plan: CampaignPlan, task: InjectionTask) -> np.random.Generator:
+    """The one generator every random draw of ``task`` comes from.
+
+    Keyed by ``(plan.seed, task.index)``, so the draws depend on the task
+    alone (see the module's determinism contract); fresh entropy when
+    the plan has no seed.
+    """
+    return np.random.default_rng(
+        None if plan.seed is None else (plan.seed, task.index)
+    )
 
 
 def _table_from_tasks(
@@ -391,7 +388,6 @@ def _iter_scored_tasks(
     backend: Backend,
     plan: CampaignPlan,
     tasks: Sequence[InjectionTask],
-    rng: np.random.Generator,
 ) -> Iterator[Tuple[List[InjectionTask], List[float]]]:
     """The per-task loop: every task re-runs its full faulty circuit.
 
@@ -399,30 +395,22 @@ def _iter_scored_tasks(
     backends without the batched protocol and the naive reference
     (``prefix_reuse=False``) the batched path is pinned against.
     """
-    # Backends that sample inside ``run`` (``per_run_seeding`` marker,
-    # e.g. the trajectory simulator) take a per-task seed derived from
-    # ``(plan.seed, task.index)``: their draws then depend only on the
-    # task, so seeded campaigns are identical across strategies and
-    # across kill/resume boundaries. Without a plan seed the backend's
-    # own stream applies (legacy order-dependent behaviour).
+    # A backend that samples inside ``run`` (``per_run_seeding``, e.g.
+    # the trajectory simulator) draws from the task's generator, and
+    # scoring then continues on that same generator. Without a plan
+    # seed the backend's own stream applies.
     per_run = (
         getattr(backend, "per_run_seeding", False) and plan.seed is not None
     )
     for task in tasks:
         circuit = _task_circuit(plan.circuit, task)
+        rng = _task_rng(plan, task)
         if per_run:
-            result = backend.run(
-                circuit, shots=plan.shots, seed=(plan.seed, task.index)
-            )
+            result = backend.run(circuit, shots=plan.shots, seed=rng)
         else:
             result = backend.run(circuit, shots=plan.shots)
         yield [task], [
-            score_result(
-                result,
-                plan.correct_states,
-                plan.shots,
-                _task_rng(plan, task, rng),
-            )
+            score_result(result, plan.correct_states, plan.shots, rng)
         ]
 
 
@@ -430,7 +418,6 @@ def _iter_scored_groups(
     backend: Backend,
     plan: CampaignPlan,
     tasks: Sequence[InjectionTask],
-    rng: np.random.Generator,
     max_branches: int,
     compiler: SegmentCompiler,
 ) -> Iterator[Tuple[List[InjectionTask], np.ndarray]]:
@@ -474,28 +461,12 @@ def _iter_scored_groups(
                 shots=plan.shots,
                 plan=tail_plan,
             )
-            if (
-                plan.per_task_seeding
-                and plan.shots is not None
-                and not batch.metadata.get("sampled")
-            ):
-                # Resume-stable sampling: one generator per task, so the
-                # draws do not depend on batch boundaries or history.
-                qvfs = np.array(
-                    [
-                        score_result(
-                            batch.result(i),
-                            plan.correct_states,
-                            plan.shots,
-                            _task_rng(plan, sub[i], rng),
-                        )
-                        for i in range(batch.size)
-                    ]
-                )
-            else:
-                qvfs = score_branch_batch(
-                    batch, plan.correct_states, plan.shots, rng
-                )
+            qvfs = score_branch_batch(
+                batch,
+                plan.correct_states,
+                plan.shots,
+                (_task_rng(plan, task) for task in sub),
+            )
             yield sub, qvfs
 
 
@@ -505,7 +476,9 @@ def _reseed_backend(backend: Backend, rng: np.random.Generator) -> None:
     Pickling a stateful backend (trajectory simulator, machine emulator)
     duplicates its internal generator state; without reseeding, every
     chunk would replay the same noise/shot draws and silently correlate
-    the campaign's Monte-Carlo statistics. Backends exposing ``reseed``
+    the campaign's Monte-Carlo statistics. Only draws outside the task
+    generators use that stream: the emulator's runs, and a trajectory
+    simulator's under an unseeded plan. Backends exposing ``reseed``
     (the machine emulator's per-run seed-sequence scheme) are reseeded
     through it; otherwise the legacy ``_rng`` attribute convention
     applies.
@@ -527,19 +500,18 @@ def _run_chunk(
     """Worker-process entry point: run one chunk on the engine.
 
     ``plan`` arrives without its task list; the chunk plan is rebuilt
-    from ``tasks`` and run through ``engine``'s block stream with the
-    chunk's own rng. ``engine`` is the parent's engine pickled without
-    its compiler cache — compilation is deterministic, so the worker's
-    segments match the parent's bit for bit. Returns the chunk as one
-    columnar block: tables pickle back to the parent as a handful of
-    arrays instead of thousands of dataclasses.
+    from ``tasks`` and run through ``engine``'s block stream. Tasks draw
+    from their own generators; ``seed_material`` (the chunk's ``(seed,
+    index)``) only reseeds a backend that keeps a stream of its own.
+    ``engine`` is the parent's engine pickled without its compiler cache
+    — compilation is deterministic, so the worker's segments match the
+    parent's bit for bit. Returns the chunk as one columnar block:
+    tables pickle back to the parent as a handful of arrays instead of
+    thousands of dataclasses.
     """
-    rng = np.random.default_rng(seed_material)
-    _reseed_backend(backend, rng)
+    _reseed_backend(backend, np.random.default_rng(seed_material))
     chunk = replace(plan, tasks=tuple(tasks))
-    return RecordTable.concatenate(
-        list(engine._block_stream(backend, chunk, rng))
-    )
+    return RecordTable.concatenate(list(engine._block_stream(backend, chunk)))
 
 
 # Batch-sized arrays simultaneously alive while one tile advances: the
@@ -607,10 +579,10 @@ class BaseExecutor:
     ``run`` executes every task of ``plan`` on ``backend`` and returns one
     :class:`~repro.faults.records.RecordTable` in canonical task order.
     Each record is additionally delivered exactly once — grouped into
-    columnar blocks, not necessarily in canonical order — to ``on_batch``
-    while the campaign is still running; callers use the callback for
-    streaming (checkpoints, progress) and the return value for the final
-    result, not both accumulations at once.
+    columnar blocks, in canonical task order on every strategy — to
+    ``on_batch`` while the campaign is still running; callers use the
+    callback for streaming (checkpoints, progress) and the return value
+    for the final result, not both accumulations at once.
     """
 
     name = "base"
@@ -620,7 +592,6 @@ class BaseExecutor:
         backend: Backend,
         plan: CampaignPlan,
         on_batch: Optional[BatchCallback] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> RecordTable:
         """Execute every task of ``plan`` (see the class contract)."""
         raise NotImplementedError
@@ -741,10 +712,7 @@ class SerialExecutor(BaseExecutor):
         return self._compilers.get(compiler.key, compiler)
 
     def _block_stream(
-        self,
-        backend: Backend,
-        plan: CampaignPlan,
-        rng: np.random.Generator,
+        self, backend: Backend, plan: CampaignPlan
     ) -> Iterator[RecordTable]:
         """Columnar blocks of at most ``batch_size`` records, in canonical
         task order."""
@@ -759,12 +727,11 @@ class SerialExecutor(BaseExecutor):
                 backend,
                 plan,
                 plan.tasks,
-                rng,
                 limit,
                 self._tail_compiler(backend, plan.circuit),
             )
         else:
-            scored = _iter_scored_tasks(backend, plan, plan.tasks, rng)
+            scored = _iter_scored_tasks(backend, plan, plan.tasks)
         # Scored runs are cut into blocks of exactly ``batch_size``
         # records (the last may be short), whichever loop scored them.
         size = self.batch_size
@@ -790,12 +757,10 @@ class SerialExecutor(BaseExecutor):
         backend: Backend,
         plan: CampaignPlan,
         on_batch: Optional[BatchCallback] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> RecordTable:
         """Run the plan in-process, streaming blocks to ``on_batch``."""
-        rng = rng if rng is not None else np.random.default_rng(plan.seed)
         blocks: List[RecordTable] = []
-        for block in self._block_stream(backend, plan, rng):
+        for block in self._block_stream(backend, plan):
             blocks.append(block)
             if on_batch is not None and len(block):
                 on_batch(block)
@@ -819,23 +784,19 @@ class ParallelExecutor(BaseExecutor):
     (size-capped hard, so checkpoint consumers can bound their loss
     window); each runs on a copy of the in-process engine
     (:attr:`engine`), so chunks batch and tile exactly as an in-process
-    run does. ``on_batch`` sees chunk tables in completion order —
-    streaming never stalls behind a slow chunk — while the returned
-    table is reassembled in canonical task order, so exact (``shots is
-    None``) campaigns are identical to in-process execution. Workers
-    split the parent's OpenBLAS threads (``threads // processes``, at
-    least one), so processes times BLAS threads stays within the host.
-
-    Sampled campaigns draw from a per-chunk generator seeded by
-    ``(plan.seed, chunk_index)`` — deterministic for a fixed seed, but a
-    different stream from the in-process engine's.
+    run does, and every task draws from its own generator — records are
+    identical to in-process execution, exact and sampled alike. Chunks
+    are collected, and handed to ``on_batch``, in task order: a
+    checkpoint of a pool run holds a prefix of the task list whenever it
+    is killed. Workers split the parent's OpenBLAS threads (``threads //
+    processes``, at least one), so processes times BLAS threads stays
+    within the host.
 
     By default each ``run`` spawns (and tears down) its own process pool.
     Suite runs amortise that: :meth:`start` opens a **long-lived pool**
     that subsequent ``run`` calls share and :meth:`shutdown` closes (the
-    executor is also a context manager). Chunk seeding depends only on
-    ``(plan.seed, chunk_index)``, so records are identical whether the
-    pool is per-run or persistent.
+    executor is also a context manager); records are identical whether
+    the pool is per-run or persistent.
 
     A plan that fits one chunk, and a pool that cannot spawn (restricted
     sandboxes), run on the same engine in-process rather than failing the
@@ -863,12 +824,11 @@ class ParallelExecutor(BaseExecutor):
         self.workers = workers
         self.chunk_size = chunk_size
         #: Hard ceiling on *pool processes*, independent of ``workers``.
-        #: Chunk partitioning (and therefore per-chunk sampling seeds)
-        #: follows ``workers`` alone, so capping the pool changes only
-        #: concurrency, never records — which is what lets the suite
-        #: shard scheduler divide the host between campaign-level shards
-        #: while each shard's campaign stays byte-identical to an
-        #: uncapped run.
+        #: Chunk partitioning follows ``workers`` alone, so capping the
+        #: pool changes only concurrency, never records — which is what
+        #: lets the suite shard scheduler divide the host between
+        #: campaign-level shards while each shard's campaign stays
+        #: byte-identical to an uncapped run.
         self.pool_cap = pool_cap
         #: The in-process engine every chunk runs on, in the workers and
         #: in the in-process fallbacks alike.
@@ -952,31 +912,11 @@ class ParallelExecutor(BaseExecutor):
             return processes
         return max(1, min(processes, self.pool_cap))
 
-    def _run_in_process(
-        self,
-        backend: Backend,
-        plan: CampaignPlan,
-        on_batch: Optional[BatchCallback],
-    ) -> RecordTable:
-        """The engine, in-process, for one-chunk plans and dead pools.
-
-        The rng matches what a single worker chunk would draw from,
-        instead of the caller's live stream — so a campaign that falls
-        back still produces the same records as any other run of the
-        same seed in the same situation, and never consumes the
-        injector's in-process stream.
-        """
-        rng = np.random.default_rng(
-            None if plan.seed is None else (plan.seed, 0)
-        )
-        return self.engine.run(backend, plan, on_batch=on_batch, rng=rng)
-
     def run(
         self,
         backend: Backend,
         plan: CampaignPlan,
         on_batch: Optional[BatchCallback] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> RecordTable:
         """Fan the plan's chunks out over the worker pool (see class doc)."""
         tasks = plan.tasks
@@ -988,20 +928,19 @@ class ParallelExecutor(BaseExecutor):
         )
         chunks = _chunk_tasks(tasks, target)
         if workers <= 1 or len(chunks) <= 1:
-            return self._run_in_process(backend, plan, on_batch)
+            return self.engine.run(backend, plan, on_batch=on_batch)
         # Workers receive the plan without its task list; their chunk is the
         # only slice they need, and large campaigns should not pickle the
         # full sweep once per worker.
         core = replace(plan, tasks=())
-        completed: dict = {}
-        delivered = False
+        blocks: List[RecordTable] = []
         pool = self._persistent_pool()
         owns_pool = pool is None
         try:
             if owns_pool:
                 pool = self._new_pool(min(workers, len(chunks)))
             try:
-                future_index = {
+                futures = [
                     pool.submit(
                         _run_chunk,
                         backend,
@@ -1009,23 +948,14 @@ class ParallelExecutor(BaseExecutor):
                         chunk,
                         None if plan.seed is None else (plan.seed, index),
                         self.engine,
-                    ): index
-                    for index, chunk in enumerate(chunks)
-                }
-                # Stream batches in completion order so checkpoints and
-                # progress never stall behind the oldest outstanding chunk;
-                # the returned table is reassembled canonically below.
-                outstanding = set(future_index)
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
                     )
-                    for future in done:
-                        batch = future.result()
-                        completed[future_index[future]] = batch
-                        if on_batch is not None and len(batch):
-                            delivered = True
-                            on_batch(batch)
+                    for index, chunk in enumerate(chunks)
+                ]
+                for future in futures:
+                    block = future.result()
+                    blocks.append(block)
+                    if on_batch is not None and len(block):
+                        on_batch(block)
             finally:
                 if owns_pool:
                     pool.shutdown()
@@ -1051,7 +981,7 @@ class ParallelExecutor(BaseExecutor):
                 self.shutdown()
             # Only restart if nothing streamed yet — consumers must
             # never see a record twice.
-            if delivered:
+            if on_batch is not None and any(map(len, blocks)):
                 raise
             warnings.warn(
                 "process pool unavailable; parallel campaign degraded to "
@@ -1059,7 +989,5 @@ class ParallelExecutor(BaseExecutor):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return self._run_in_process(backend, plan, on_batch)
-        return RecordTable.concatenate(
-            [completed[index] for index in range(len(chunks))]
-        )
+            return self.engine.run(backend, plan, on_batch=on_batch)
+        return RecordTable.concatenate(blocks)

@@ -25,9 +25,10 @@ Two properties make campaign-granularity shards safe:
   (``ParallelExecutor.pool_cap``), and each shard process runs its
   OpenBLAS on ``worker_cap`` threads, so shards times per-shard workers
   or BLAS threads never oversubscribes the host. The cap bounds
-  *processes only*: chunk partitioning still follows the spec's
-  ``workers``, which keeps sampled-campaign records byte-identical to
-  in-process execution.
+  *processes only*: every task draws from its own generator, and chunk
+  partitioning still follows the spec's ``workers``, so even an
+  emulator campaign (whose own stream a pool reseeds per chunk) records
+  what an uncapped run records.
 
 Like the intra-campaign pool, the shard pool degrades gracefully:
 sandboxes that forbid subprocesses, or a pool that dies mid-run, hand

@@ -119,9 +119,10 @@ class AdaptiveSpec:
       standard error of the mean QVF reaches ``tolerance``.
 
     Both modes run every round through the ordinary
-    :class:`~repro.faults.executor.CampaignPlan` machinery with
-    per-task seeding, so adaptive campaigns stay deterministic,
-    checkpointable and kill/resume-safe like uniform ones.
+    :class:`~repro.faults.executor.CampaignPlan` machinery, where every
+    task draws from its own ``(seed, task.index)`` generator, so
+    adaptive campaigns stay deterministic, checkpointable and
+    kill/resume-safe like uniform ones.
     """
 
     coarse_points: int = 5
@@ -772,6 +773,13 @@ class ScenarioSpec:
                 "statevector" if self.noise == "none" else "density-matrix"
             )
         data["backend"] = backend
+        if self.shots is not None and backend != "machine-emulator":
+            # Sampled records follow one seeding rule: every draw of
+            # task k comes from ``default_rng((seed, k))``. Records drawn
+            # under the earlier stream rules differ, so the rule enters
+            # the hash and no manifest or cache entry made before it is
+            # served. The emulator keeps its own stream, and its hash.
+            data["seeding"] = "per-task"
         if backend != "trajectory":
             data["trajectories"] = None
         if backend != "machine-emulator":
@@ -811,9 +819,10 @@ class ScenarioSpec:
     def resume_identity(self) -> Dict[str, object]:
         """What a checkpoint of this campaign must agree on to resume.
 
-        The canonical dict without ``executor`` and ``workers`` —
-        checkpointed runs seed every task on its own, so the strategy
-        cannot move their records — and without the adaptive block's
+        The canonical dict without ``executor`` and ``workers`` — every
+        task draws from its own generator, so the strategy moves no
+        record (except the emulator's, whose own stream a pool reseeds
+        per chunk) — and without the adaptive block's
         ``max_rounds`` and ``tolerance``, which decide where the round
         loop stops, never which rounds exist.
         """

@@ -64,11 +64,13 @@ class TrajectorySimulator:
 
     per_run_seeding = True
     """Marker consumed by the campaign executors: ``run`` accepts a
-    ``seed`` argument that overrides the instance RNG for that single
-    call. Executors derive the seed from ``(plan.seed, task.index)`` so
-    every task's trajectories are independent of execution order —
-    Serial/Batched/Parallel and fresh-vs-resumed runs all sample the
-    same noise realizations per task."""
+    ``seed`` argument — anything ``np.random.default_rng`` takes, a
+    ``Generator`` included, which is then drawn from directly — that
+    overrides the instance RNG for that single call. Executors pass the
+    task's own ``(plan.seed, task.index)`` generator and score its shots
+    from the same generator afterwards, so every task's draws are
+    independent of execution order — Serial/Batched/Parallel and
+    fresh-vs-resumed runs all sample the same realizations per task."""
 
     def __init__(
         self,
@@ -93,7 +95,7 @@ class TrajectorySimulator:
         self,
         circuit: QuantumCircuit,
         shots: Optional[int] = None,
-        seed: Optional[int] = None,
+        seed=None,
     ) -> Result:
         rng = np.random.default_rng(seed) if seed is not None else self._rng
         num_qubits = circuit.num_qubits

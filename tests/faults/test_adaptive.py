@@ -10,6 +10,7 @@ injections.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.algorithms import ghz
 from repro.faults import (
     BatchedExecutor,
     CheckpointedRunner,
+    ParallelExecutor,
     QuFI,
     SerialExecutor,
     coarse_line_indices,
@@ -214,7 +216,7 @@ class TestCheckpointedAdaptive:
         assert stored["injections"] == result.num_injections
         assert stored["mode"] == "refine"
 
-    @pytest.mark.parametrize("executor_name", ["serial", "batched"])
+    @pytest.mark.parametrize("executor_name", ["serial", "batched", "parallel"])
     @pytest.mark.parametrize(
         "shots,seed", [(None, None), (128, 7)], ids=["exact", "sampled"]
     )
@@ -222,45 +224,51 @@ class TestCheckpointedAdaptive:
         self, tmp_path, executor_name, shots, seed
     ):
         def executor():
-            return (
-                BatchedExecutor()
-                if executor_name == "batched"
-                else SerialExecutor()
-            )
+            if executor_name == "parallel":
+                return ParallelExecutor(workers=2, chunk_size=10)
+            if executor_name == "batched":
+                return BatchedExecutor()
+            return SerialExecutor()
 
         reference_path = str(tmp_path / "reference.ckpt")
-        run_adaptive_campaign(
-            make_qufi(shots, seed),
-            ghz(3),
-            checkpoint_path=reference_path,
-            save_every=10,
-            executor=executor(),
-            **GRID,
-        )
-        path = str(tmp_path / "killed.ckpt")
-        with pytest.raises(SimulatedKill):
+        with warnings.catch_warnings():
+            # Sandboxes without process pools degrade to in-process
+            # runs; the stores must not notice.
+            warnings.simplefilter("ignore", RuntimeWarning)
             run_adaptive_campaign(
                 make_qufi(shots, seed),
                 ghz(3),
-                checkpoint_path=path,
+                checkpoint_path=reference_path,
                 save_every=10,
-                executor=KillingExecutor(executor(), kill_after=25),
+                executor=executor(),
                 **GRID,
             )
-        meta, partial = read_segments(path)
-        assert 0 < len(partial) < 105
-        run_adaptive_campaign(
-            make_qufi(shots, seed),
-            ghz(3),
-            checkpoint_path=path,
-            save_every=10,
-            executor=executor(),
-            **GRID,
-        )
-        with open(reference_path, "rb") as handle:
-            reference_bytes = handle.read()
-        with open(path, "rb") as handle:
-            assert handle.read() == reference_bytes
+            with open(reference_path, "rb") as handle:
+                reference_bytes = handle.read()
+            # Kill points in the coarse round and in later rounds.
+            for kill_after in (5, 25, 60, 90):
+                path = str(tmp_path / f"killed-{kill_after}.ckpt")
+                with pytest.raises(SimulatedKill):
+                    run_adaptive_campaign(
+                        make_qufi(shots, seed),
+                        ghz(3),
+                        checkpoint_path=path,
+                        save_every=10,
+                        executor=KillingExecutor(executor(), kill_after),
+                        **GRID,
+                    )
+                meta, partial = read_segments(path)
+                assert 0 < len(partial) < 105
+                run_adaptive_campaign(
+                    make_qufi(shots, seed),
+                    ghz(3),
+                    checkpoint_path=path,
+                    save_every=10,
+                    executor=executor(),
+                    **GRID,
+                )
+                with open(path, "rb") as handle:
+                    assert handle.read() == reference_bytes, kill_after
 
     def test_round_capped_resume_continues_campaign(self, tmp_path):
         """A run stopped by max_rounds resumes under a larger cap to the

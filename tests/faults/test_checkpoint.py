@@ -13,6 +13,7 @@ from repro.faults import (
     QuFI,
     fault_grid,
 )
+from repro.scenarios.cache import write_result_store
 from repro.simulators import DensityMatrixSimulator
 
 
@@ -35,10 +36,18 @@ class TestFreshRun:
         # The checkpoint is a binary segment store; load() sniffs it.
         loaded = CampaignResult.load(path)
         assert loaded.num_injections == result.num_injections
-        assert loaded.metadata["checkpointed"] is True
         assert [r.qvf for r in loaded.records] == [
             r.qvf for r in result.records
         ]
+        # A completed checkpoint holds the plain run's result store.
+        plain = QuFI(DensityMatrixSimulator()).run_campaign(
+            spec, faults=faults
+        )
+        assert loaded.metadata == plain.metadata
+        plain_path = str(tmp_path / "plain.qfs")
+        write_result_store(plain_path, plain)
+        with open(path, "rb") as a, open(plain_path, "rb") as b:
+            assert a.read() == b.read()
 
     def test_matches_direct_campaign(self, qufi, spec, tmp_path):
         path = str(tmp_path / "run.json")

@@ -1,12 +1,14 @@
 """The campaign execution engine: equivalence, determinism, streaming."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.algorithms import bernstein_vazirani
 from repro.faults import (
+    BatchedExecutor,
     CampaignPlan,
     CampaignResult,
     CheckpointedRunner,
@@ -20,11 +22,14 @@ from repro.faults import (
     run_strike_campaign,
 )
 from repro.faults.executor import _chunk_tasks, _reseed_backend, _run_chunk
+from repro.faults.qvf import qvf_from_probabilities
+from repro.scenarios import FactoryCache, ScenarioSpec, run_scenario
 from repro.simulators import (
     DensityMatrixSimulator,
     NoiseModel,
     ReadoutError,
     StatevectorSimulator,
+    TrajectorySimulator,
     depolarizing_channel,
     supports_snapshots,
 )
@@ -56,6 +61,32 @@ def legacy_sweep(qufi, spec, faults, points=None):
         for point in points
         for fault in faults
     ]
+
+
+def per_task_reference(backend, spec, faults, shots, seed):
+    """QVFs of the naive loop under the one seeding rule.
+
+    Task ``k`` (point outer, fault inner) re-runs its full faulty
+    circuit, and every random draw of it comes from one generator,
+    ``default_rng((seed, k))``: a backend that samples inside ``run``
+    receives it as the run seed, then the shots are re-sampled from it.
+    """
+    points = enumerate_injection_points(spec.circuit)
+    per_run = getattr(backend, "per_run_seeding", False)
+    qvfs = []
+    for k, (point, fault) in enumerate(
+        (point, fault) for point in points for fault in faults
+    ):
+        rng = np.random.default_rng((seed, k))
+        circuit = QuFI.build_faulty_circuit(spec.circuit, point, fault)
+        result = (
+            backend.run(circuit, seed=rng) if per_run else backend.run(circuit)
+        )
+        counts = result.sample_counts(shots, rng)
+        qvfs.append(
+            qvf_from_probabilities(counts.probabilities(), spec.correct_states)
+        )
+    return qvfs
 
 
 def assert_records_identical(left, right):
@@ -160,22 +191,58 @@ class TestEquivalence:
         assert_records_identical(campaign.records, reference.records)
 
 
+# One backend of each kind the engine drives: the exact simulators, the
+# transpiled machine and readout mitigation on the batched path, and the
+# trajectory simulator on the per-task path.
+PARITY_BACKENDS = {
+    "statevector": dict(algorithm="bv", width=3, noise="none"),
+    "density-matrix": dict(algorithm="ghz", width=3, noise="light"),
+    "machine": dict(
+        algorithm="bv",
+        width=3,
+        noise="calibrated",
+        backend="machine",
+        machine="jakarta",
+        transpile={"optimization_level": 1, "seed": 7},
+    ),
+    "mitigated": dict(algorithm="bv", width=3, noise="light", mitigation=True),
+    "trajectory": dict(
+        algorithm="bv",
+        width=3,
+        noise="light",
+        backend="trajectory",
+        trajectories=8,
+    ),
+}
+
+
 class TestDeterminism:
     def test_serial_sampled_campaign_matches_legacy_rng_stream(self):
-        """With a shot budget, the serial executor consumes the injector's
-        random stream in legacy order — same seed, same records."""
+        """With a shot budget, the serial executor scores task k from
+        ``default_rng((seed, k))``, as the naive per-task reference does."""
         spec = bernstein_vazirani(3)
         faults = fault_grid(step_deg=90)
         backend = StatevectorSimulator()
 
-        manual = QuFI(backend, shots=256, seed=11)
-        manual.fault_free_qvf(spec.circuit, spec.correct_states)
-        legacy = legacy_sweep(manual, spec, faults)
-
+        reference = per_task_reference(backend, spec, faults, 256, 11)
         campaign = QuFI(backend, shots=256, seed=11).run_campaign(
             spec, faults=faults
         )
-        assert_records_identical(legacy, campaign.records)
+        assert campaign.qvf_values().tolist() == reference
+
+    def test_trajectory_with_shots_scores_from_the_run_generator(self):
+        """A trajectory task draws its noise realisations and then its
+        shots from one generator, in that order."""
+        model = build_noise_model(3)
+        spec = bernstein_vazirani(3)
+        faults = fault_grid(step_deg=90)
+        reference = per_task_reference(
+            TrajectorySimulator(model, trajectories=8), spec, faults, 128, 7
+        )
+        campaign = QuFI(
+            TrajectorySimulator(model, trajectories=8), shots=128, seed=7
+        ).run_campaign(spec, faults=faults)
+        assert campaign.qvf_values().tolist() == reference
 
     def test_parallel_sampled_campaign_deterministic_per_seed(self):
         spec = bernstein_vazirani(3)
@@ -219,22 +286,52 @@ class TestDeterminism:
 
             assert_records_identical(run().records, run().records)
 
-    def test_parallel_chunk_streams_stable_across_worker_counts(self):
-        """Per-chunk (seed, chunk_index) generators depend on the chunk
-        layout, not the pool size: a fixed chunk_size yields identical
-        sampled records whether 2 or 3 workers drain the queue."""
-        spec = bernstein_vazirani(3)
-        faults = fault_grid(step_deg=90)
+    @pytest.mark.parametrize("mode", ["single", "double"])
+    @pytest.mark.parametrize("backend", sorted(PARITY_BACKENDS))
+    def test_parallel_chunk_streams_stable_across_worker_counts(
+        self, tmp_path, backend, mode
+    ):
+        """Sampled records depend on the spec alone: every strategy —
+        in process, tiled one branch at a time, pools of 2 and 3 workers
+        at two chunk sizes, checkpointed — equals the naive loop."""
+        spec = ScenarioSpec(
+            **PARITY_BACKENDS[backend],
+            mode=mode,
+            # The 90-degree double campaign on the 7-qubit machine takes
+            # ten times longer than any other case, so it sweeps 180.
+            grid_step_deg=(
+                180.0 if (backend, mode) == ("machine", "double") else 90.0
+            ),
+            shots=128,
+            seed=7,
+        )
+        cache = FactoryCache()
 
-        def run(workers):
-            return QuFI(
-                StatevectorSimulator(),
-                shots=128,
-                seed=13,
-                executor=ParallelExecutor(workers=workers, chunk_size=16),
-            ).run_campaign(spec, faults=faults)
+        def table_bytes(executor, checkpoint_path=None):
+            with warnings.catch_warnings():
+                # Sandboxes without process pools degrade to in-process
+                # runs; the records must not notice.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = run_scenario(
+                    spec,
+                    cache=cache,
+                    executor=executor,
+                    checkpoint_path=checkpoint_path,
+                )
+            return result.table.data.tobytes()
 
-        assert_records_identical(run(2).records, run(3).records)
+        naive = table_bytes(SerialExecutor(prefix_reuse=False))
+        strategies = {
+            "serial": SerialExecutor(),
+            "batched": BatchedExecutor(),
+            "one-branch": SerialExecutor(max_branches=1),
+            "workers2": ParallelExecutor(workers=2, chunk_size=16),
+            "workers3": ParallelExecutor(workers=3, chunk_size=7),
+        }
+        for name, executor in strategies.items():
+            assert table_bytes(executor) == naive, name
+        checkpoint = str(tmp_path / "run.ckpt")
+        assert table_bytes(SerialExecutor(), checkpoint) == naive
 
     def test_executor_recorded_in_metadata(self):
         spec = bernstein_vazirani(3)

@@ -19,10 +19,11 @@ import warnings
 import pytest
 
 from repro.cli import main
-from repro.faults import CampaignResult, ParallelExecutor, SerialExecutor
+from repro.faults import ParallelExecutor, SerialExecutor
 from repro.faults.executor import InjectionTask
 from repro.faults.checkpoint import run_plan
 from repro.faults.store import read_segments
+from repro.scenarios.cache import write_result_store
 from repro.scenarios import (
     FactoryCache,
     ScenarioSpec,
@@ -110,25 +111,37 @@ class TestPairCampaignsResume:
             _, partial = read_segments(path)
             assert 0 < len(partial) < total
             resumed = run_checkpointed(spec, path, make_engine(engine))
-            assert_records_identical(
-                resumed.sorted_records(), reference.sorted_records()
-            )
-            if engine == "serial":
-                with open(path, "rb") as a, open(reference_path, "rb") as b:
-                    assert a.read() == b.read()
+            assert_records_identical(resumed.records, reference.records)
+            with open(path, "rb") as a, open(reference_path, "rb") as b:
+                assert a.read() == b.read()
 
     @pytest.mark.parametrize("shape", sorted(PAIR_SPECS) + sorted(OTHER_SPECS))
     def test_checkpointed_records_equal_plain_run(self, tmp_path, shape):
-        spec = ScenarioSpec(**{**PAIR_SPECS, **OTHER_SPECS}[shape])
-        path = str(tmp_path / "c.ckpt")
-        checkpointed = run_scenario(spec, checkpoint_path=path)
-        assert_records_identical(
-            checkpointed.records, run_scenario(spec).records
-        )
-        assert checkpointed.metadata["checkpointed"] is True
-        assert CampaignResult.load(path).num_injections == len(
-            checkpointed.table
-        )
+        """A completed checkpoint is the plain run's result store, byte
+        for byte: exact and sampled, in process and on a pool."""
+        fields = {**PAIR_SPECS, **OTHER_SPECS}[shape]
+        for shots in (None, 64):
+            for executor in ("serial", "parallel"):
+                spec = ScenarioSpec(
+                    **{
+                        **fields,
+                        "seed": fields.get("seed", 7),
+                        "shots": shots,
+                        "executor": executor,
+                        "workers": 2 if executor == "parallel" else None,
+                    }
+                )
+                path = str(tmp_path / f"{shots}-{executor}.ckpt")
+                plain_path = str(tmp_path / f"{shots}-{executor}.qfs")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    checkpointed = run_scenario(spec, checkpoint_path=path)
+                    plain = run_scenario(spec)
+                assert_records_identical(checkpointed.records, plain.records)
+                assert checkpointed.metadata == plain.metadata
+                write_result_store(plain_path, plain)
+                with open(path, "rb") as a, open(plain_path, "rb") as b:
+                    assert a.read() == b.read(), (shots, executor)
 
 
 class TestScenarioGuard:

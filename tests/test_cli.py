@@ -6,6 +6,17 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import CampaignResult
+from repro.scenarios.cache import write_result_store
+
+
+def assert_store_is_plain_result(store_path, plain_output, tmp_path):
+    """A completed checkpoint holds the bytes ``write_result_store``
+    writes for the plain run's result (read back from its JSON)."""
+    plain_store = str(tmp_path / "plain.qfs")
+    write_result_store(plain_store, CampaignResult.load(plain_output))
+    with open(store_path, "rb") as a, open(plain_store, "rb") as b:
+        assert a.read() == b.read()
 
 
 class TestParser:
@@ -247,7 +258,8 @@ class TestCampaignExecutors:
     def test_checkpoint_flag_resumes(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "ck.json")
         output = str(tmp_path / "out.json")
-        args = [
+        plain_output = str(tmp_path / "plain.json")
+        campaign = [
             "campaign",
             "--algorithm",
             "bv",
@@ -257,11 +269,8 @@ class TestCampaignExecutors:
             "90",
             "--noise",
             "none",
-            "--checkpoint",
-            checkpoint,
-            "--output",
-            output,
         ]
+        args = campaign + ["--checkpoint", checkpoint, "--output", output]
         assert main(args) == 0
         with open(output) as handle:
             first = json.load(handle)
@@ -270,7 +279,13 @@ class TestCampaignExecutors:
         with open(output) as handle:
             second = json.load(handle)
         assert len(second["records"]) == len(first["records"])
-        assert second["metadata"]["checkpointed"] is True
+        # ... and the same campaign as the run without a checkpoint.
+        assert main(campaign + ["--output", plain_output]) == 0
+        with open(plain_output) as handle:
+            plain = json.load(handle)
+        assert second["metadata"] == plain["metadata"]
+        assert second["records"] == plain["records"]
+        assert_store_is_plain_result(checkpoint, plain_output, tmp_path)
 
 
 class TestPhysicsFlags:
@@ -355,12 +370,17 @@ class TestPhysicsFlags:
             "--strike-k", "2",
         )
         plain = self.run_campaign(tmp_path, *strike)
+        plain_output = str(tmp_path / "plain.json")
+        with open(plain_output, "w") as handle:
+            json.dump(plain, handle)
+        checkpoint = str(tmp_path / "ck.ckpt")
         checkpointed = self.run_campaign(
-            tmp_path, *strike, "--checkpoint", str(tmp_path / "ck.ckpt")
+            tmp_path, *strike, "--checkpoint", checkpoint
         )
         assert checkpointed["records"] == plain["records"]
-        assert checkpointed["metadata"]["checkpointed"] is True
+        assert checkpointed["metadata"] == plain["metadata"]
         assert checkpointed["metadata"]["cluster_size"] == 2
+        assert_store_is_plain_result(checkpoint, plain_output, tmp_path)
 
     def test_qec_checkpoint_matches_plain_run(self, tmp_path):
         plain = self.run_campaign(
