@@ -25,7 +25,6 @@ import pytest
 
 from repro.faults import CampaignResult, RecordTable
 from repro.faults.store import append_record_segment, write_meta_segment
-from repro.scenarios.cache import result_store_meta
 
 N_ROWS = 1_048_576
 SEGMENT_ROWS = 65_536
@@ -101,9 +100,7 @@ def store_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("mmap") / "million.qfs")
     rng = np.random.default_rng(2022)
     first = synthetic_chunk(rng)
-    meta = result_store_meta(
-        CampaignResult("synthetic", ("0" * 8,), first, 0.02)
-    )
+    meta = CampaignResult("synthetic", ("0" * 8,), first, 0.02).table_meta()
     write_meta_segment(path, meta)
     append_record_segment(path, first)
     for _ in range(N_ROWS // SEGMENT_ROWS - 1):

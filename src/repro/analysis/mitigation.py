@@ -250,9 +250,11 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
         plan: Optional[object] = None,
+        basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         batch = self.backend.run_branches_from_snapshot(
-            snapshot, circuit, heads, shots=shots, plan=plan
+            snapshot, circuit, heads, shots=shots, plan=plan,
+            basis_tile=basis_tile,
         )
         # Heads are unitary, so the branches measure what ``circuit`` does.
         errors = self._errors(circuit, batch.num_clbits)
@@ -268,8 +270,8 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
             metadata={**batch.metadata, "mitigated": True},
         )
 
-    def tail_compiler(self, circuit: QuantumCircuit, **options):
-        return self.backend.tail_compiler(circuit, **options)
+    def tail_compiler(self, circuit: QuantumCircuit):
+        return self.backend.tail_compiler(circuit)
 
     def branch_state_nbytes(self, num_qubits: int) -> int:
         return self.backend.branch_state_nbytes(num_qubits)

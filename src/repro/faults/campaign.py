@@ -706,7 +706,10 @@ class CampaignResult:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def _header(self) -> Dict[str, object]:
+    def table_meta(self) -> Dict[str, object]:
+        """The header :meth:`from_table_meta` decodes: everything but the
+        records. Exports and segment stores (checkpoints, suite manifests,
+        cache entries) carry it, so a stored result rehydrates whole."""
         return {
             "circuit_name": self.circuit_name,
             "correct_states": list(self.correct_states),
@@ -746,7 +749,7 @@ class CampaignResult:
             yield from chunk.row_dicts()
 
     def to_dict(self) -> Dict[str, object]:
-        return {**self._header(), "records": list(self._row_dicts())}
+        return {**self.table_meta(), "records": list(self._row_dicts())}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignResult":
@@ -807,7 +810,7 @@ class CampaignResult:
                 handle,
                 records=self.table.data,
                 gate_names=np.asarray(self.table.gate_names, dtype=np.str_),
-                header=np.asarray(json.dumps(self._header())),
+                header=np.asarray(json.dumps(self.table_meta())),
             )
         os.replace(tmp_path, path)
 

@@ -140,7 +140,20 @@ def _check_resume(stored: CampaignResult, plan: CampaignPlan) -> None:
     # Imported here: scenario specs live in the layer above this one.
     from ..scenarios.spec import ScenarioSpec
 
-    theirs = ScenarioSpec.from_dict(theirs).resume_identity()
+    recorded = ScenarioSpec.from_dict(theirs)
+    # A hash salt marks a change in how records are computed (the
+    # response-basis waiver, the per-task seeding rule): a store whose
+    # recorded hash its own scenario no longer reproduces holds rows
+    # made under the earlier rule.
+    if stored.metadata.get("spec_hash", recorded.spec_hash()) != (
+        recorded.spec_hash()
+    ):
+        raise ValueError(
+            "checkpoint was recorded under earlier record rules (its "
+            "scenario now hashes differently); refusing to mix records — "
+            "use a fresh checkpoint path"
+        )
+    theirs = recorded.resume_identity()
     ours = ScenarioSpec.from_dict(ours).resume_identity()
     if theirs != ours:
         keys = {**ours, **theirs}

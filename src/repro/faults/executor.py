@@ -28,6 +28,15 @@ the sweep without the redundancy:
   :class:`BatchedExecutor` is the same engine under the ``"batched"``
   name.
 
+* **The response basis** (``response_basis=True``, the spec's
+  ``bit_identical=False`` waiver) changes one thing: every single-fault
+  site runs its whole group in one backend call on the linear response
+  basis — the tail runs once per matrix unit on the fault qubit (4
+  statevector or 16 density-matrix responses, built in tiles no larger
+  than the tile limit) and each branch combines them. The choice is by
+  site shape, not size, so a task takes the same path whatever group
+  the engine sees it in; pair and cluster sites keep the direct path.
+
 * **The pool** (:class:`ParallelExecutor`) cuts the canonical task list
   into contiguous chunks and runs each chunk on a copy of the engine in a
   ``ProcessPoolExecutor`` worker (the workers split the parent's
@@ -61,10 +70,17 @@ seed sequence) are the exception: a pool reseeds each chunk's copy from
 ``(seed, chunk_index)``, so their records depend on the chunk layout. An
 unseeded plan scores from fresh entropy, task by task, and a sampling
 backend then keeps its own stream.
+
+Under the response basis, single-fault records lie within 1e-10 QVF of
+the naive loop's instead (about 1e-15 in practice) and are byte-identical
+across strategies, tile sizes, chunk layouts and resumed checkpoints:
+the combination is elementwise, so a row's bits do not depend on the
+rows combined with it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
@@ -91,7 +107,7 @@ from ..simulators.segments import SegmentCompiler
 from .fault_model import PhaseShiftFault
 from .injection_points import InjectionPoint
 from .qvf import qvf_from_probabilities, qvf_from_probability_matrix
-from .records import InjectionRecord, RecordTable
+from .records import RecordTable
 
 __all__ = [
     "InjectionTask",
@@ -107,29 +123,6 @@ __all__ = [
 ]
 
 BatchCallback = Callable[[RecordTable], None]
-
-# Numeric modes of the engine's segment plans. ``"exact"`` compiles
-# complex128 segments and keeps the bit-identity guarantees; ``"float32"``
-# compiles complex64 segments (contracted through opt_einsum where
-# installed) and waives bit-identity, which the scenario layer only
-# allows behind an explicit spec-level waiver.
-_PRECISIONS = ("exact", "float32")
-
-
-def _compiler_options(precision: str, segment_options: Optional[dict]) -> dict:
-    """Constructor options for a backend's segment compiler.
-
-    ``segment_options`` (``pack``, support caps, ...) pass through
-    verbatim; the precision decides the compilation dtype unless the
-    caller pinned one explicitly.
-    """
-    options = dict(segment_options or {})
-    if precision == "float32":
-        # The fast path has already waived bit-identity, so it also
-        # defaults to packed composition — the fastest compile.
-        options.setdefault("dtype", np.complex64)
-        options.setdefault("pack", True)
-    return options
 
 
 # ----------------------------------------------------------------------
@@ -158,16 +151,6 @@ class InjectionTask:
     participate fully in the simulated physics (and therefore in the
     QVF), but the recorded columns remain the primary pair: the record
     schema is unchanged and downstream consumers keep working."""
-
-    def to_record(self, qvf: float) -> InjectionRecord:
-        """Materialise this task's scored outcome as a record object."""
-        return InjectionRecord(
-            fault=self.fault,
-            point=self.point,
-            qvf=qvf,
-            second_fault=self.second_fault,
-            second_qubit=self.second_qubit,
-        )
 
 
 @dataclass(frozen=True)
@@ -420,6 +403,7 @@ def _iter_scored_groups(
     tasks: Sequence[InjectionTask],
     max_branches: int,
     compiler: SegmentCompiler,
+    response_basis: bool = False,
 ) -> Iterator[Tuple[List[InjectionTask], np.ndarray]]:
     """The batched loop: one stacked branch batch per injection site.
 
@@ -431,11 +415,14 @@ def _iter_scored_groups(
     bound peak memory (a density-matrix branch is ``16 * 4**n`` bytes).
     The prefix snapshot extends across groups, and the shared tail of
     every tile runs as ``compiler``'s segment plan for that position.
-    Yields each tile with its scored QVF array.
+    With ``response_basis``, a single-fault group runs whole, in one
+    call on the linear response basis whose responses are built at most
+    ``max_branches`` at a time. Yields each tile with its scored QVF
+    array.
     """
     circuit = plan.circuit
     snapshot = None
-    for (position, _, _, _), group in itertools.groupby(
+    for (position, _, second_qubit, extra), group in itertools.groupby(
         tasks,
         key=lambda task: (
             task.point.position,
@@ -452,14 +439,17 @@ def _iter_scored_groups(
         )
         tail_plan = compiler.tail_plan(position + 1)
         chunk = list(group)
-        for start in range(0, len(chunk), max_branches):
-            sub = chunk[start : start + max_branches]
+        basis = response_basis and second_qubit is None and not extra
+        tile = len(chunk) if basis else max_branches
+        for start in range(0, len(chunk), tile):
+            sub = chunk[start : start + tile]
             batch = backend.run_branches_from_snapshot(
                 snapshot,
                 circuit,
                 [_branch_head(task) for task in sub],
                 shots=plan.shots,
                 plan=tail_plan,
+                basis_tile=max_branches if basis else None,
             )
             qvfs = score_branch_batch(
                 batch,
@@ -541,12 +531,11 @@ def _tile_limit(
     """Largest branch-tile size the memory budget admits.
 
     Divides the budget (:data:`DEFAULT_TILE_BUDGET` when ``None``) by
-    :data:`TILE_WORKING_SET` batch-sized arrays per branch (complex128
-    is assumed even on the float32 fast path — heads apply exact before
-    the narrowing cast, so the wide batch exists transiently). The floor
-    is one branch: a budget below a single branch's working set cannot
-    be met, only approached. Backends that cannot report their
-    per-branch footprint ignore the budget.
+    :data:`TILE_WORKING_SET` batch-sized arrays per branch. The floor is
+    one branch: a budget below a single branch's working set cannot be
+    met, only approached. Backends that cannot report their per-branch
+    footprint ignore the budget. The response basis builds its
+    responses in tiles of the same limit.
     """
     nbytes_of = getattr(backend, "branch_state_nbytes", None)
     if nbytes_of is None:
@@ -613,15 +602,12 @@ class SerialExecutor(BaseExecutor):
     ``prefix_reuse=False``, it runs the per-task loop — the naive
     per-injection re-simulation, kept as the reference path.
 
-    Segment plans compile *unpacked* complex128 by default: one segment
-    per primitive operation, bit-identical to walking the tail gate by
-    gate. ``segment_options`` forward to the backend's
-    :class:`~repro.simulators.segments.SegmentCompiler` (``pack``,
-    support caps); ``{"pack": True}`` composes runs of operations into
-    one matrix each, which waives bit-identity against the per-task loop
-    (records stay bitwise-stable across strategies and tile sizes).
-    ``precision="float32"`` compiles complex64 segments, packed unless
-    told otherwise — the fastest mode, within ~1e-4 QVF of exact.
+    Segment plans compile one complex128 segment per primitive
+    operation, bit-identical to walking the tail gate by gate.
+    ``response_basis=True`` runs every single-fault site on the linear
+    response basis (see the module docstring), which waives bit-identity
+    against the per-task loop; its records stay byte-identical across
+    strategies, tile sizes and chunk layouts.
 
     ``max_branches`` caps how many branches stack at once;
     ``memory_budget`` (bytes, :data:`DEFAULT_TILE_BUDGET` when unset)
@@ -634,8 +620,8 @@ class SerialExecutor(BaseExecutor):
     model edited in place between runs is always read fresh. Only
     compilers registered through :meth:`prime_segment_compiler` — how
     the scenario factory shares one compilation across a suite — are
-    kept, keyed by circuit, noise model and compile options and shared
-    with :meth:`bounded` copies; pickled copies (what pool workers
+    kept, keyed by circuit and noise model and shared with
+    :meth:`bounded` copies; pickled copies (what pool workers
     receive) carry the configuration only.
     """
 
@@ -645,27 +631,19 @@ class SerialExecutor(BaseExecutor):
         self,
         prefix_reuse: bool = True,
         batch_size: int = 64,
-        precision: str = "exact",
-        segment_options: Optional[dict] = None,
+        response_basis: bool = False,
         max_branches: int = 64,
         memory_budget: Optional[int] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {_PRECISIONS}, got {precision!r}"
-            )
         if max_branches < 1:
             raise ValueError("max_branches must be positive")
         if memory_budget is not None and memory_budget < 1:
             raise ValueError("memory_budget must be positive")
         self.prefix_reuse = bool(prefix_reuse)
         self.batch_size = int(batch_size)
-        self.precision = precision
-        self.segment_options = (
-            dict(segment_options) if segment_options else None
-        )
+        self.response_basis = bool(response_basis)
         self.max_branches = int(max_branches)
         self.memory_budget = (
             None if memory_budget is None else int(memory_budget)
@@ -690,9 +668,9 @@ class SerialExecutor(BaseExecutor):
     def prime_segment_compiler(self, compiler: SegmentCompiler) -> None:
         """Register an externally built compiler.
 
-        Campaigns over that exact circuit and noise model, with the same
-        compile options, then reuse the primed compiler (and its
-        already-compiled tail plans) instead of compiling from scratch.
+        Campaigns over that exact circuit and noise model then reuse the
+        primed compiler (and its already-compiled tail plans) instead of
+        compiling from scratch.
         """
         self._compilers[compiler.key] = compiler
 
@@ -706,9 +684,7 @@ class SerialExecutor(BaseExecutor):
         compiled on demand, so only the primed compiler's plans are
         built when it matches.
         """
-        compiler = backend.tail_compiler(
-            circuit, **_compiler_options(self.precision, self.segment_options)
-        )
+        compiler = backend.tail_compiler(circuit)
         return self._compilers.get(compiler.key, compiler)
 
     def _block_stream(
@@ -729,6 +705,7 @@ class SerialExecutor(BaseExecutor):
                 plan.tasks,
                 limit,
                 self._tail_compiler(backend, plan.circuit),
+                self.response_basis,
             )
         else:
             scored = _iter_scored_tasks(backend, plan, plan.tasks)
@@ -810,8 +787,7 @@ class ParallelExecutor(BaseExecutor):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         prefix_reuse: bool = True,
-        precision: str = "exact",
-        segment_options: Optional[dict] = None,
+        response_basis: bool = False,
         memory_budget: Optional[int] = None,
         pool_cap: Optional[int] = None,
     ) -> None:
@@ -835,8 +811,7 @@ class ParallelExecutor(BaseExecutor):
         self.engine = SerialExecutor(
             prefix_reuse=prefix_reuse,
             batch_size=chunk_size or 64,
-            precision=precision,
-            segment_options=segment_options,
+            response_basis=response_basis,
             memory_budget=memory_budget,
         )
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -929,36 +904,67 @@ class ParallelExecutor(BaseExecutor):
         chunks = _chunk_tasks(tasks, target)
         if workers <= 1 or len(chunks) <= 1:
             return self.engine.run(backend, plan, on_batch=on_batch)
-        # Workers receive the plan without its task list; their chunk is the
-        # only slice they need, and large campaigns should not pickle the
-        # full sweep once per worker.
-        core = replace(plan, tasks=())
         blocks: List[RecordTable] = []
-        pool = self._persistent_pool()
-        owns_pool = pool is None
         try:
-            if owns_pool:
-                pool = self._new_pool(min(workers, len(chunks)))
-            try:
-                futures = [
-                    pool.submit(
-                        _run_chunk,
-                        backend,
-                        core,
-                        chunk,
-                        None if plan.seed is None else (plan.seed, index),
-                        self.engine,
-                    )
-                    for index, chunk in enumerate(chunks)
-                ]
-                for future in futures:
-                    block = future.result()
+            with contextlib.closing(
+                self._pooled_blocks(backend, plan, chunks, workers)
+            ) as pooled:
+                for block in pooled:
                     blocks.append(block)
                     if on_batch is not None and len(block):
                         on_batch(block)
-            finally:
-                if owns_pool:
-                    pool.shutdown()
+        except _PoolLost as lost:
+            # Only restart if nothing streamed yet — consumers must
+            # never see a record twice.
+            if on_batch is not None and any(map(len, blocks)):
+                raise lost.error
+            warnings.warn(
+                "process pool unavailable; parallel campaign degraded to "
+                "in-process execution",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return self.engine.run(backend, plan, on_batch=on_batch)
+        return RecordTable.concatenate(blocks)
+
+    def _pooled_blocks(
+        self,
+        backend: Backend,
+        plan: CampaignPlan,
+        chunks: List[Tuple[InjectionTask, ...]],
+        workers: int,
+    ) -> Iterator[RecordTable]:
+        """The chunks' blocks in task order, computed on the pool.
+
+        Closing the generator early — the consumer raised, say a failed
+        checkpoint append — cancels every chunk that has not started and
+        shuts an owned pool down without running them, so a persistent
+        pool does not keep computing dropped work. Losing the pool raises
+        :class:`_PoolLost`.
+        """
+        # Workers receive the plan without its task list; their chunk is
+        # the only slice they need, and large campaigns should not pickle
+        # the full sweep once per worker.
+        core = replace(plan, tasks=())
+        pool = self._persistent_pool()
+        owns_pool = pool is None
+        futures = []
+        try:
+            if owns_pool:
+                pool = self._new_pool(min(workers, len(chunks)))
+            futures = [
+                pool.submit(
+                    _run_chunk,
+                    backend,
+                    core,
+                    chunk,
+                    None if plan.seed is None else (plan.seed, index),
+                    self.engine,
+                )
+                for index, chunk in enumerate(chunks)
+            ]
+            for future in futures:
+                yield future.result()
         except (OSError, RuntimeError) as error:
             # Process pools are unavailable in some sandboxes (spawn may
             # fail outright, or the worker may be killed after spawning);
@@ -979,15 +985,17 @@ class ParallelExecutor(BaseExecutor):
                 # so every sharer rebuilds instead of resubmitting to a
                 # broken pool.
                 self.shutdown()
-            # Only restart if nothing streamed yet — consumers must
-            # never see a record twice.
-            if on_batch is not None and any(map(len, blocks)):
-                raise
-            warnings.warn(
-                "process pool unavailable; parallel campaign degraded to "
-                "in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return self.engine.run(backend, plan, on_batch=on_batch)
-        return RecordTable.concatenate(blocks)
+            raise _PoolLost(error) from error
+        finally:
+            for future in futures:
+                future.cancel()
+            if owns_pool and pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+
+class _PoolLost(Exception):
+    """The process pool broke or could not start; ``error`` says how."""
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(str(error))
+        self.error = error

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .campaign import CampaignResult
+from .campaign import CampaignResult, _nearest_indices
 from .fault_model import PhaseShiftFault
 from .physics import CHARGE_DECAY_UM
 
@@ -147,20 +147,6 @@ def run_strike_campaign(
     return result
 
 
-def _nearest_cells(axis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of the nearest axis entry per value (ties -> lower index).
-
-    Vectorized replacement for the historical per-fault
-    ``np.argmin(np.abs(axis - value))`` scan, with identical
-    tie-breaking: ``argmin`` keeps the first minimum, i.e. the lower
-    index.
-    """
-    pos = np.clip(np.searchsorted(axis, values), 0, axis.size - 1)
-    prev = np.maximum(pos - 1, 0)
-    take_prev = np.abs(values - axis[prev]) <= np.abs(axis[pos] - values)
-    return np.where(take_prev, prev, pos)
-
-
 def expected_qvf(
     result: CampaignResult,
     rng: Optional[np.random.Generator] = None,
@@ -188,8 +174,8 @@ def expected_qvf(
     sample_thetas = strike_theta_samples(samples, rng, max_distance_um)
     sample_phis = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     values = grid[
-        _nearest_cells(phi_axis, sample_phis),
-        _nearest_cells(theta_axis, sample_thetas),
+        _nearest_indices(phi_axis, sample_phis),
+        _nearest_indices(theta_axis, sample_thetas),
     ]
     values = values[~np.isnan(values)]
     if not values.size:

@@ -231,15 +231,17 @@ class FakeBackend:
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
+        basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         batch = self.simulator().run_branches_from_snapshot(
-            snapshot, circuit, heads, shots=shots, plan=plan
+            snapshot, circuit, heads, shots=shots, plan=plan,
+            basis_tile=basis_tile,
         )
         batch.metadata["machine"] = self.name
         return batch
 
-    def tail_compiler(self, circuit: QuantumCircuit, **options) -> SegmentCompiler:
-        return self.simulator().tail_compiler(circuit, **options)
+    def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
+        return self.simulator().tail_compiler(circuit)
 
     def branch_state_nbytes(self, num_qubits: int) -> int:
         return self.simulator().branch_state_nbytes(num_qubits)

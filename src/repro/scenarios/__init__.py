@@ -34,7 +34,6 @@ from .cache import (
     CacheEntry,
     ResultCache,
     resolve_cache_dir,
-    result_store_meta,
 )
 from .factory import (
     MACHINES,
@@ -106,6 +105,5 @@ __all__ = [
     "CacheEntry",
     "ResultCache",
     "resolve_cache_dir",
-    "result_store_meta",
     "ShardScheduler",
 ]

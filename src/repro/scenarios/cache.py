@@ -69,7 +69,6 @@ __all__ = [
     "CacheEntry",
     "ResultCache",
     "resolve_cache_dir",
-    "result_store_meta",
     "write_result_store",
 ]
 
@@ -82,26 +81,9 @@ LOCK_SUFFIX = ".lock"
 CACHE_ENV = "REPRO_CACHE"
 
 
-def result_store_meta(result: CampaignResult) -> Dict[str, object]:
-    """The segment store's metadata header for one campaign.
-
-    The persisted counterpart of :meth:`CampaignResult.from_table_meta`:
-    everything a store needs to rehydrate the result object. Shared by
-    the suite manifest writer and the cache writer so manifest stores
-    and cache entries carry the same schema (and can hard-link).
-    """
-    return {
-        "circuit_name": result.circuit_name,
-        "correct_states": list(result.correct_states),
-        "fault_free_qvf": result.fault_free_qvf,
-        "backend_name": result.backend_name,
-        "metadata": result.metadata,
-    }
-
-
 def write_result_store(path: str, result: CampaignResult) -> None:
     """Atomically write ``result`` as a compacted segment store at ``path``."""
-    compact(path, result_store_meta(result), result.table)
+    compact(path, result.table_meta(), result.table)
 
 
 def resolve_cache_dir(

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..algorithms import ALGORITHMS
 from ..algorithms.spec import AlgorithmSpec
 from ..faults.adaptive import run_adaptive_campaign
@@ -36,7 +34,6 @@ from ..faults.executor import (
     CampaignPlan,
     ParallelExecutor,
     SerialExecutor,
-    _compiler_options,
 )
 from ..faults.fault_model import PhaseShiftFault, fault_grid
 from ..faults.injection_points import (
@@ -639,18 +636,6 @@ def _scenario_circuit(spec: ScenarioSpec, cache: Optional[FactoryCache]):
     return make_algorithm(spec, cache).circuit
 
 
-def _segment_options(spec: ScenarioSpec) -> Dict[str, object]:
-    """The spec's segment-compiler options (``pack`` from the waivers).
-
-    Segments compile packed only when a fused spec waives bit-identity
-    (``fused=True, bit_identical=False``): the fastest compile, whose
-    records are bitwise-stable across executors and tile sizes but not
-    against the per-task loop. Every other spec compiles unpacked —
-    records bit-identical to the naive per-injection sweep.
-    """
-    return {"pack": spec.fused and not spec.bit_identical}
-
-
 def make_segment_compiler(
     spec: ScenarioSpec, cache: Optional[FactoryCache] = None
 ):
@@ -658,21 +643,20 @@ def make_segment_compiler(
 
     Scenarios on the exact simulator backends get one
     :class:`~repro.simulators.segments.SegmentCompiler` per ``(circuit,
-    backend kind, noise, effective pack, dtype)`` fragment, memoised in
-    the :class:`FactoryCache` — so every scenario of a suite that shares
-    a circuit and noise model also shares its compiled tail segments
+    backend kind, noise)`` fragment, memoised in the
+    :class:`FactoryCache` — so every scenario of a suite that shares a
+    circuit and noise model also shares its compiled tail segments
     instead of recompiling per campaign; a mitigated scenario shares its
     unmitigated twin's (the mitigation wrapper compiles its inner
-    backend's tails). Other backend kinds return ``None``: the machine
-    compiles per campaign, and the trajectory simulator and the emulator
-    run per task.
+    backend's tails), and a waived spec its exact twin's. Other backend
+    kinds return ``None``: the machine compiles per campaign, and the
+    trajectory simulator and the emulator run per task.
     """
     kind = spec.backend
     if kind == "auto":
         kind = "statevector" if spec.noise == "none" else "density-matrix"
     if kind not in ("statevector", "density-matrix"):
         return None
-    options = _compiler_options(spec.precision, _segment_options(spec))
 
     def build():
         circuit = _scenario_circuit(spec, cache)
@@ -682,7 +666,7 @@ def make_segment_compiler(
             backend = DensityMatrixSimulator(
                 _scenario_noise_model(spec, cache)
             )
-        return backend.tail_compiler(circuit, **options)
+        return backend.tail_compiler(circuit)
 
     if cache is None:
         return build()
@@ -704,8 +688,6 @@ def make_segment_compiler(
         spec.noise,
         spec.effective_machine,
         transpile_key,
-        options["pack"],
-        np.dtype(options.get("dtype", np.complex128)),
     )
     return cache.get(key, build)
 
@@ -717,8 +699,8 @@ def make_executor(
 ) -> BaseExecutor:
     """The spec's execution strategy (fresh, config-only instance).
 
-    Every strategy runs the same engine configuration — precision,
-    segment packing and memory budget; with a ``cache``, the
+    Every strategy runs the same engine configuration — the response
+    basis under the waiver, and the memory budget; with a ``cache``, the
     suite-shared segment compiler is primed onto the executor so
     campaigns over the same circuit reuse one compilation. ``pool_cap``
     bounds a parallel strategy's *pool processes* without touching its
@@ -727,8 +709,7 @@ def make_executor(
     in-process strategies ignore it.
     """
     engine = dict(
-        precision=spec.precision,
-        segment_options=_segment_options(spec),
+        response_basis=spec.response_basis,
         memory_budget=spec.memory_budget,
     )
     if spec.executor == "serial":

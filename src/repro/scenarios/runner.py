@@ -57,12 +57,7 @@ from ..faults.checkpoint import load_completed_store
 from ..faults.executor import BaseExecutor, ParallelExecutor
 from ..faults.store import read_segments
 from .cache import ResultCache, resolve_cache_dir, write_result_store
-from .factory import (
-    FactoryCache,
-    _segment_options,
-    estimate_scenario_injections,
-    make_executor,
-)
+from .factory import FactoryCache, estimate_scenario_injections, make_executor
 from .shard import ShardScheduler, adopt, campaign_job
 from .spec import ScenarioSpec, SuiteSpec
 
@@ -512,8 +507,8 @@ class SuiteRunner:
         In-process strategies are cheap config objects — a fresh
         instance per campaign costs nothing. Parallel strategies own a
         process pool, so all parallel scenarios of a suite that agree on
-        worker count and engine configuration (precision, segment
-        packing, memory budget) share one started executor instead of
+        worker count and engine configuration (response basis, memory
+        budget) share one started executor instead of
         paying pool spawn/teardown per campaign (``ParallelExecutor.run``
         degrades gracefully if the sandbox forbids subprocesses). The
         pool is built by :func:`~repro.scenarios.factory.make_executor`,
@@ -523,8 +518,7 @@ class SuiteRunner:
             return None
         key = (
             scenario.workers,
-            scenario.precision,
-            _segment_options(scenario)["pack"],
+            scenario.response_basis,
             scenario.memory_budget,
         )
         if key not in self._pools:

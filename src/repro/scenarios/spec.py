@@ -24,7 +24,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Type, Union
 
 __all__ = [
     "AdaptiveSpec",
@@ -49,7 +49,6 @@ BACKEND_KINDS = (
 )
 EXECUTORS = ("serial", "batched", "parallel")
 MODES = ("single", "double")
-PRECISIONS = ("exact", "float32")
 
 _MEMORY_UNITS = {
     "": 1,
@@ -93,11 +92,48 @@ def parse_memory_budget(value: Union[int, float, str, None]) -> Optional[int]:
     return budget
 
 
+class _StrictFields:
+    """Strict dict construction, shared by the scenario and its blocks.
+
+    ``_what`` names the block in the unknown-field error.
+    """
+
+    _what = ""
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]):
+        """Build from a JSON object, rejecting unknown fields."""
+        known = {field.name for field in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ValueError(
+                f"unknown {cls._what} field(s) {sorted(unknown)}; "
+                f"expected a subset of {sorted(known)}"
+            )
+        return cls(**data)
+
+
+def _coerce_block(spec: "ScenarioSpec", name: str, block: Type) -> None:
+    """Replace the dict form of ``spec``'s ``name`` block by a ``block``.
+
+    A JSON spec (or ``expand_grid`` entry) supplies blocks as plain
+    dicts; coercing them here keeps ``from_dict`` at ``cls(**data)``.
+    """
+    value = getattr(spec, name)
+    if isinstance(value, dict):
+        object.__setattr__(spec, name, block.from_dict(value))
+    elif value is not None and not isinstance(value, block):
+        raise ValueError(
+            f"{name} must be a {block.__name__} (or its dict form), "
+            f"got {type(value).__name__}"
+        )
+
+
 ADAPTIVE_MODES = ("refine", "importance")
 
 
 @dataclass(frozen=True)
-class AdaptiveSpec:
+class AdaptiveSpec(_StrictFields):
     """How an adaptive campaign explores the theta-phi fault surface.
 
     Instead of sweeping the full ``grid_step_deg`` grid uniformly, an
@@ -124,6 +160,8 @@ class AdaptiveSpec:
     adaptive campaigns stay deterministic, checkpointable and
     kill/resume-safe like uniform ones.
     """
+
+    _what = "adaptive"
 
     coarse_points: int = 5
     gradient_threshold: float = 0.05
@@ -156,21 +194,9 @@ class AdaptiveSpec:
         """Plain-JSON form."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AdaptiveSpec":
-        """Build from a JSON object, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown adaptive field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class BudgetSpec:
+class BudgetSpec(_StrictFields):
     """A cost ceiling for one scenario's campaign.
 
     ``max_injections`` caps executed injections; ``max_seconds`` caps
@@ -186,6 +212,8 @@ class BudgetSpec:
     budgeted re-run of a cached scenario still hits the cache.
     """
 
+    _what = "budget"
+
     max_injections: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -199,21 +227,9 @@ class BudgetSpec:
         """Plain-JSON form."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BudgetSpec":
-        """Build from a JSON object, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown budget field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TranspileSpec:
+class TranspileSpec(_StrictFields):
     """How a scenario's circuit is mapped onto hardware before injection.
 
     QuFI injects into the *transpiled* circuit — the gate list a machine
@@ -238,6 +254,8 @@ class TranspileSpec:
       current passes are deterministic; the seed still participates in
       the spec hash so future stochastic passes cannot silently collide).
     """
+
+    _what = "transpile"
 
     machine: Optional[str] = None
     optimization_level: int = 3
@@ -271,24 +289,12 @@ class TranspileSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TranspileSpec":
-        """Build from a JSON object, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown transpile field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
-
 
 QEC_CODES = ("bit_flip", "phase_flip", "none")
 
 
 @dataclass(frozen=True)
-class QECSpec:
+class QECSpec(_StrictFields):
     """Route a campaign through an error-correction-protected circuit.
 
     Instead of sweeping faults over a named algorithm, a QEC campaign
@@ -316,6 +322,8 @@ class QECSpec:
       axis so both X- and Z-type faults are visible.
     """
 
+    _what = "qec"
+
     code: str = "bit_flip"
     distance: int = 3
     decode: bool = True
@@ -341,21 +349,9 @@ class QECSpec:
         """Plain-JSON form."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "QECSpec":
-        """Build from a JSON object, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown qec field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class StrikeSpec:
+class StrikeSpec(_StrictFields):
     """Sample fault parameters from the radiation-strike physics.
 
     Replaces the uniform theta-phi grid with ``count`` fault
@@ -384,6 +380,8 @@ class StrikeSpec:
       recorded columns remain the primary pair.
     """
 
+    _what = "strike"
+
     count: int = 64
     k: int = 1
     max_distance_um: float = 0.5
@@ -409,21 +407,9 @@ class StrikeSpec:
         """Plain-JSON form."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StrikeSpec":
-        """Build from a JSON object, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown strike field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_StrictFields):
     """One campaign, declaratively.
 
     ``noise`` picks a profile: ``none`` (ideal), ``light``/``heavy``
@@ -437,6 +423,8 @@ class ScenarioSpec:
     paper's scenario 3). ``mode="double"`` sweeps fault pairs over the
     physically adjacent couples of the ``machine``'s topology.
     """
+
+    _what = "scenario"
 
     algorithm: str
     width: int = 4
@@ -455,27 +443,27 @@ class ScenarioSpec:
     trajectories: int = 256
     transpile: Optional[TranspileSpec] = None
     fused: bool = False
-    """Arms the segment waivers. Every campaign on the exact simulators
-    runs its tails as compiled segment plans; ``fused`` only lets
-    ``bit_identical=False`` pack them and ``precision="float32"``
-    narrow them. With the default ``bit_identical=True`` a fused spec
-    runs exactly the plans an unfused one does (the field still
-    participates in the spec hash when set, so stored hashes stay
-    valid)."""
+    """Arms the ``bit_identical`` waiver. Every campaign on the exact
+    simulators runs its tails as compiled segment plans; ``fused`` only
+    lets ``bit_identical=False`` move them onto the linear response
+    basis. With the default ``bit_identical=True`` a fused spec runs
+    exactly what an unfused one does (the field still participates in
+    the spec hash when set, so stored hashes stay valid)."""
     precision: str = "exact"
-    """Numeric mode: ``exact`` (complex128, the bit-identity default) or
-    ``float32`` (complex64 segments, requires ``fused`` and a
-    ``bit_identical=False`` waiver)."""
+    """Numeric mode; ``exact`` (complex128) is the only one. The field
+    stays so stored specs still load; any other value raises, naming
+    the ``bit_identical`` waiver that replaced the float32 mode."""
     bit_identical: bool = True
     """Whether this campaign holds the repo's bit-identity guarantee.
-    ``True`` (the default) compiles segments *unpacked* — one segment
-    per primitive operation — so records stay bit-identical to the
-    naive per-injection sweep. Waiving it on a fused spec
-    (``bit_identical=False``) unlocks packed segment composition (and
-    is required before ``precision="float32"``): the fastest mode,
-    whose records are still bitwise-stable across executors and tile
-    sizes but reorder floating-point products against the per-gate
-    loop."""
+    ``True`` (the default) keeps records bit-identical to the naive
+    per-injection sweep. Waiving it on a fused spec
+    (``bit_identical=False``) runs every single-fault site on the linear
+    response basis: the tail runs once per matrix unit on the fault
+    qubit (4 statevector or 16 density-matrix responses, whatever the
+    grid) and each fault combines them. Such records lie within 1e-10
+    QVF of the exact ones and stay byte-identical across executors,
+    tile sizes, pools and resumed checkpoints; pair and cluster sites
+    keep the exact path. Waived specs carry a salt in their hash."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
     strings). Caps the engine's branch-tile size, in process and in pool
@@ -540,78 +528,24 @@ class ScenarioSpec:
             raise ValueError("shots must be positive when given")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive when given")
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r} "
-                f"(choose from {PRECISIONS})"
-            )
         if self.precision != "exact":
-            if not self.fused:
-                raise ValueError(
-                    "precision='float32' runs on fused segments; "
-                    "set fused=true as well"
-                )
-            if self.bit_identical:
-                raise ValueError(
-                    "precision='float32' waives the bit-identity "
-                    "guarantee; set bit_identical=false to acknowledge"
-                )
+            raise ValueError(
+                f"precision={self.precision!r} is no longer supported: "
+                f"campaigns run in complex128, and the speed waiver is "
+                f"bit_identical=false with fused=true (single-fault sites "
+                f"on the linear response basis)"
+            )
         object.__setattr__(
             self, "memory_budget", parse_memory_budget(self.memory_budget)
         )
-        # A JSON spec (or expand_grid entry) supplies the transpile block
-        # as a plain dict; coerce it here so from_dict stays cls(**data).
-        if isinstance(self.transpile, dict):
-            object.__setattr__(
-                self, "transpile", TranspileSpec.from_dict(self.transpile)
-            )
-        elif self.transpile is not None and not isinstance(
-            self.transpile, TranspileSpec
+        for name, block in (
+            ("transpile", TranspileSpec),
+            ("adaptive", AdaptiveSpec),
+            ("budget", BudgetSpec),
+            ("qec", QECSpec),
+            ("strike", StrikeSpec),
         ):
-            raise ValueError(
-                f"transpile must be a TranspileSpec (or its dict form), "
-                f"got {type(self.transpile).__name__}"
-            )
-        if isinstance(self.adaptive, dict):
-            object.__setattr__(
-                self, "adaptive", AdaptiveSpec.from_dict(self.adaptive)
-            )
-        elif self.adaptive is not None and not isinstance(
-            self.adaptive, AdaptiveSpec
-        ):
-            raise ValueError(
-                f"adaptive must be an AdaptiveSpec (or its dict form), "
-                f"got {type(self.adaptive).__name__}"
-            )
-        if isinstance(self.budget, dict):
-            object.__setattr__(
-                self, "budget", BudgetSpec.from_dict(self.budget)
-            )
-        elif self.budget is not None and not isinstance(
-            self.budget, BudgetSpec
-        ):
-            raise ValueError(
-                f"budget must be a BudgetSpec (or its dict form), "
-                f"got {type(self.budget).__name__}"
-            )
-        if isinstance(self.qec, dict):
-            object.__setattr__(self, "qec", QECSpec.from_dict(self.qec))
-        elif self.qec is not None and not isinstance(self.qec, QECSpec):
-            raise ValueError(
-                f"qec must be a QECSpec (or its dict form), "
-                f"got {type(self.qec).__name__}"
-            )
-        if isinstance(self.strike, dict):
-            object.__setattr__(
-                self, "strike", StrikeSpec.from_dict(self.strike)
-            )
-        elif self.strike is not None and not isinstance(
-            self.strike, StrikeSpec
-        ):
-            raise ValueError(
-                f"strike must be a StrikeSpec (or its dict form), "
-                f"got {type(self.strike).__name__}"
-            )
+            _coerce_block(self, name, block)
         if self.adaptive is not None and self.mode != "single":
             raise ValueError(
                 "adaptive campaigns support mode='single' only: the "
@@ -695,6 +629,12 @@ class ScenarioSpec:
             object.__setattr__(self, "noise", "none")
 
     @property
+    def response_basis(self) -> bool:
+        """Whether single-fault sites run on the linear response basis:
+        the ``bit_identical=False`` waiver, armed by ``fused``."""
+        return self.fused and not self.bit_identical
+
+    @property
     def effective_machine(self) -> str:
         """The machine every topology-aware consumer of this spec uses.
 
@@ -724,14 +664,14 @@ class ScenarioSpec:
         data = asdict(self)
         data.pop("label")
         # memory_budget only tiles execution (tiling cannot change
-        # records), so it always drops. ``fused``/``precision``/
-        # ``bit_identical`` CAN move records — waiving bit-identity
-        # packs segment composition, which reorders floating-point
-        # products — so they participate when set, but drop at their
-        # defaults so every spec hash computed before these fields
+        # records), so it always drops. ``fused``/``bit_identical`` CAN
+        # move records — waiving bit-identity runs single-fault sites on
+        # the response basis — so they participate when set, but drop at
+        # their defaults so every spec hash computed before these fields
         # existed stays valid and half-finished suite manifests keep
         # resuming. A waived guarantee also drops when fusion is off
-        # entirely: packing is inert there.
+        # entirely: the waiver is inert there. ``precision`` has one
+        # legal value and always drops.
         data.pop("memory_budget")
         # ``budget`` bounds how much of a campaign runs, never what a
         # completed campaign's records are — always hash-excluded, so a
@@ -765,8 +705,13 @@ class ScenarioSpec:
             data.pop("bit_identical")
         if not self.fused:
             data.pop("fused")
-        if self.precision == "exact":
-            data.pop("precision")
+        data.pop("precision")
+        if self.response_basis:
+            # Waived records once came from packed segments and now come
+            # from the response basis, so the path enters the hash and no
+            # manifest, cache entry or checkpoint made before it is
+            # served or resumed.
+            data["basis"] = "linear-response"
         backend = self.backend
         if backend == "auto":
             backend = (
@@ -858,18 +803,6 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, object]:
         """Full dict (including label); defaults are kept explicit."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Build a spec from its dict form, rejecting unknown fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown scenario field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**data)
 
     def relabel(self, label: Optional[str]) -> "ScenarioSpec":
         """A copy under a new label (same campaign, same spec hash)."""

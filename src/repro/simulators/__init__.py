@@ -19,12 +19,7 @@ from .backend import (
     supports_snapshots,
 )
 from .density_matrix import DensityMatrixSimulator
-from .segments import (
-    HAVE_OPT_EINSUM,
-    FusedSegment,
-    SegmentCompiler,
-    TailPlan,
-)
+from .segments import FusedSegment, SegmentCompiler, TailPlan
 from .noise import (
     NoiseModel,
     QuantumChannel,
@@ -49,7 +44,6 @@ __all__ = [
     "SegmentCompiler",
     "TailPlan",
     "FusedSegment",
-    "HAVE_OPT_EINSUM",
     "supports_snapshots",
     "supports_batched_branches",
     "StatevectorSimulator",

@@ -24,9 +24,14 @@ snapshot as a single stacked array — ``(B, 2**n)`` statevectors or
 rotation as one contraction across the batch and the shared tail as a
 compiled segment plan. The result is a :class:`BranchBatch` of
 clbit-basis probability rows ready for vectorized QVF scoring. Batched
-evaluation is a wall-clock optimisation only: with the default unpacked
-plans every row is bit-identical to what
-:meth:`SnapshotBackend.run_from_snapshot` would produce for that branch.
+evaluation is a wall-clock optimisation only: every row is
+bit-identical to what :meth:`SnapshotBackend.run_from_snapshot` would
+produce for that branch. The ``basis_tile`` keyword runs a single-fault
+site on the linear response basis instead: the tail runs once per
+matrix unit on the fault qubit (4 statevector or 16 density-matrix
+responses, whatever the number of branches) and each branch combines
+them. The rows then agree with the direct ones to rounding, not bit for
+bit: that is the ``bit_identical=False`` waiver.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "supports_snapshots",
     "supports_batched_branches",
     "uniform_head_slots",
+    "single_fault_slot",
     "validate_branch_head",
     "batched_clbit_marginals",
 ]
@@ -216,6 +222,7 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
         plan: Optional[object] = None,
+        basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         """Branch from ``snapshot`` once per head, batched.
 
@@ -223,19 +230,21 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         prefix (the injector gate(s); unitary instructions only); all
         branches then share the tail ``circuit.instructions[snapshot.
         position:]``, applied as ``plan`` (the tail compiled for
-        ``snapshot.position``; compiled unpacked when ``None``). With an
-        unpacked plan, row ``b`` of the returned batch is bit-identical
-        to :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] +
-        tail``.
+        ``snapshot.position``; compiled here when ``None``). Row ``b``
+        of the returned batch is bit-identical to
+        :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] +
+        tail``. With ``basis_tile`` set, every head must be one
+        single-qubit gate on the same qubit, and the rows come from the
+        linear response basis instead, its responses built at most
+        ``basis_tile`` at a time.
         """
         ...
 
-    def tail_compiler(self, circuit: QuantumCircuit, **options):
+    def tail_compiler(self, circuit: QuantumCircuit):
         """A segment compiler for ``circuit`` matching this backend's
         state representation (unitary segments for statevectors,
         superoperator segments with noise folded in for density
-        matrices). ``options`` forward to the compiler constructor
-        (``dtype``, ``pack``, support caps)."""
+        matrices)."""
         ...
 
     def branch_state_nbytes(self, num_qubits: int) -> int:
@@ -271,6 +280,26 @@ def validate_branch_head(
                 f"gate {inst.name} on already-measured qubit(s) {touched}; "
                 "only terminal measurements are supported"
             )
+
+
+def single_fault_slot(
+    heads: Sequence[Sequence[Instruction]], measured: AbstractSet[int]
+) -> Tuple[Tuple[int, ...], str, np.ndarray]:
+    """The one slot of a single-fault site's heads: ``(qubits, gate name,
+    (B, 2, 2) matrix stack)``.
+
+    The response basis needs every branch to be one single-qubit gate on
+    the same qubit; anything else raises.
+    """
+    for head in heads:
+        validate_branch_head(head, measured)
+    slots = uniform_head_slots(heads)
+    if not slots or len(slots) != 1 or len(slots[0][0]) != 1:
+        raise ValueError(
+            "the response basis runs single-fault sites only: every head "
+            "must be one single-qubit gate on the same qubit"
+        )
+    return slots[0]
 
 
 def batched_clbit_marginals(

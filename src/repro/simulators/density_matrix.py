@@ -28,6 +28,7 @@ from .backend import (
     BranchBatch,
     SimulationSnapshot,
     batched_clbit_marginals,
+    single_fault_slot,
     uniform_head_slots,
     validate_branch_head,
 )
@@ -46,10 +47,16 @@ from .segments import (
     TailPlan,
     apply_plan,
     channel_superop_plan as _channel_superop_plan,
+    combine_responses,
     gate_ops,
+    unitary_to_superoperator,
 )
 
 __all__ = ["DensityMatrixSimulator"]
+
+# The superoperator matrix units of one qubit, in row-major order: a
+# single-qubit channel's superoperator S is sum_k S.flat[k] * _UNITS[k].
+_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
 
 
 class DensityMatrixSimulator:
@@ -152,6 +159,7 @@ class DensityMatrixSimulator:
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
+        basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         """Evaluate one fault branch per head as a density-matrix batch.
 
@@ -161,11 +169,19 @@ class DensityMatrixSimulator:
         contractions, and the shared tail — gates, channels, resets —
         applies across the whole batch as ``plan``, the tail compiled for
         ``snapshot.position`` with this backend's noise model folded in
-        (compiled here, unpacked, when the caller passes none). Heads and
-        tail run through :func:`~repro.simulators.segments.apply_plan`;
-        readout confusion follows. Row ``b`` of an unpacked run is
-        bit-identical to :meth:`run_from_snapshot` with the tail
-        ``heads[b] + circuit.instructions[snapshot.position:]``.
+        (compiled here when the caller passes none). Heads and tail run
+        through :func:`~repro.simulators.segments.apply_plan`; readout
+        confusion follows. Row ``b`` is bit-identical to
+        :meth:`run_from_snapshot` with the tail ``heads[b] +
+        circuit.instructions[snapshot.position:]``.
+
+        With ``basis_tile`` set, a single-fault site runs on the linear
+        response basis instead: the tail, preceded by the injector
+        gate's noise, runs on the 16 operators ``E_k rho`` (``E_k`` the
+        superoperator matrix units on the fault qubit, at most
+        ``basis_tile`` at a time), only each response's diagonal is
+        kept, and branch ``U`` takes the diagonal ``sum_k c_k d_k`` with
+        ``c`` the flattened superoperator of ``U``.
         """
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
@@ -173,19 +189,20 @@ class DensityMatrixSimulator:
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
-        batch = np.repeat(
-            snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
-        )
-        head_ops = self._head_ops(
-            batch, heads, set(snapshot.measured), num_qubits
-        )
-        batch = apply_plan(batch, plan, head_ops)
         measure_map.update(plan.measures)
-        probs = self._batch_probabilities(batch)
-        if probs.dtype != np.float64:
-            probs = probs.astype(np.float64)
+        if basis_tile is None:
+            batch = np.repeat(
+                snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
+            )
+            head_ops = self._head_ops(
+                batch, heads, set(snapshot.measured), num_qubits
+            )
+            batch = apply_plan(batch, plan, head_ops)
+            probs = np.real(np.diagonal(batch, axis1=-2, axis2=-1)).copy()
+        else:
+            probs = self._basis_diagonals(snapshot, heads, plan, basis_tile)
         probs = self._apply_readout_confusion_batch(
-            probs, measure_map, num_qubits
+            _clip_and_normalise(probs), measure_map, num_qubits
         )
         probabilities, present, key_width = batched_clbit_marginals(
             probs, measure_map, circuit
@@ -203,6 +220,37 @@ class DensityMatrixSimulator:
                 ),
             },
         )
+
+    def _basis_diagonals(
+        self,
+        snapshot: SimulationSnapshot,
+        heads: Sequence[Sequence[Instruction]],
+        plan: TailPlan,
+        tile: int,
+    ) -> np.ndarray:
+        """Real diagonals of a single-fault site's final states, from the
+        tail's responses to the superoperator matrix units."""
+        qubits, name, matrices = single_fault_slot(heads, snapshot.measured)
+        _, *noise = gate_ops(name, qubits, _UNITS, self.noise_model)
+        state = snapshot.state.data[np.newaxis, :, :]
+        responses = np.concatenate(
+            [
+                np.diagonal(
+                    apply_plan(
+                        np.repeat(state, len(units), axis=0),
+                        plan,
+                        [("superop", qubits, units), *noise],
+                    ),
+                    axis1=-2,
+                    axis2=-1,
+                ).copy()
+                for units in np.split(_UNITS, range(tile, len(_UNITS), tile))
+            ]
+        )
+        weights = np.stack(
+            [unitary_to_superoperator(u).reshape(-1) for u in matrices]
+        )
+        return combine_responses(weights, responses)
 
     def _head_ops(
         self,
@@ -245,18 +293,6 @@ class DensityMatrixSimulator:
             batch[index] = rho
         return []
 
-    @staticmethod
-    def _batch_probabilities(batch: np.ndarray) -> np.ndarray:
-        """Diagonal distributions of a density-matrix stack, row by row
-        exactly as :meth:`~repro.quantum.states.DensityMatrix.
-        probabilities` computes them (clip negatives, normalise)."""
-        probs = np.real(np.diagonal(batch, axis1=-2, axis2=-1)).copy()
-        probs[probs < 0] = 0.0
-        totals = probs.sum(axis=-1)
-        positive = totals > 0
-        probs[positive] /= totals[positive, np.newaxis]
-        return probs
-
     def _apply_readout_confusion_batch(
         self,
         probs: np.ndarray,
@@ -283,18 +319,11 @@ class DensityMatrixSimulator:
             )
         return tensor.reshape(probs.shape)
 
-    def tail_compiler(
-        self, circuit: QuantumCircuit, **options
-    ) -> SegmentCompiler:
+    def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
         """A superoperator segment compiler for ``circuit`` with this
-        backend's noise model folded into the segments. ``options``
-        forward to :class:`~repro.simulators.segments.SegmentCompiler`
-        (``dtype``, ``pack``, support caps)."""
+        backend's noise model folded into the segments."""
         return SegmentCompiler(
-            circuit,
-            superop=True,
-            noise_model=self.noise_model,
-            **options,
+            circuit, superop=True, noise_model=self.noise_model
         )
 
     def branch_state_nbytes(self, num_qubits: int) -> int:
@@ -388,3 +417,14 @@ class DensityMatrixSimulator:
             key = "".join(bits)
             out[key] = out.get(key, 0.0) + float(prob)
         return out
+
+
+def _clip_and_normalise(probs: np.ndarray) -> np.ndarray:
+    """Diagonal distributions, row by row exactly as
+    :meth:`~repro.quantum.states.DensityMatrix.probabilities` computes
+    them: clip negatives, normalise (in place)."""
+    probs[probs < 0] = 0.0
+    totals = probs.sum(axis=-1)
+    positive = totals > 0
+    probs[positive] /= totals[positive, np.newaxis]
+    return probs

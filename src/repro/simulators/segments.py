@@ -6,31 +6,22 @@ applying every shared tail operation to every branch. This module
 compiles the operations between an injection position and the end of the
 circuit into a :class:`TailPlan` of **segments** — unitaries
 (statevector) or superoperators (density matrix, noise channels folded
-in) — and a branch batch's tail always runs as such a plan: the matrix
-construction is hoisted out of the sweep, and packed plans apply one
-contraction per composed segment instead of one per gate. Each plan
-also carries its axis bookkeeping, compiled once into
+in), one per primitive operation — and a branch batch's tail always runs
+as such a plan: the matrix construction is hoisted out of the sweep.
+Each plan also carries its axis bookkeeping, compiled once into
 :class:`PlanStep` records that tell the one batch runner,
 :func:`apply_plan`, where each GEMM's target axes are and which copies
 it can skip.
 
-Compilation is a pure function of ``(circuit, noise model, options)``:
-two compilers over the same inputs produce bit-identical segment
-matrices, which is what lets the in-process engine and its pool workers
-(which rebuild their own compiler) agree bit for bit.
-
-Bit-identity fine print
------------------------
-With ``pack=False`` — the default — the compiler emits one segment per
-primitive operation: exactly the matrices, targets and order the
-per-task advance loops use, so campaign records are bit-identical to
-the naive per-injection re-simulation. Floating-point matrix composition
-is not associative, so a *packed* plan agrees with it to ~1e-12 only,
-while staying bit-identical across strategies and tile sizes; packing is
-only reachable through the same explicit waiver as the fast path
-(``ScenarioSpec.bit_identical = False``). The engine-versus-naive
-equivalence tests in ``tests/faults/test_batched.py`` lock both
-guarantees down.
+Compilation is a pure function of ``(circuit, noise model)``: two
+compilers over the same inputs produce bit-identical segment matrices,
+which is what lets the in-process engine and its pool workers (which
+rebuild their own compiler) agree bit for bit. A plan applies exactly
+the matrices, targets and order the per-task advance loops use, so
+campaign records are bit-identical to the naive per-injection
+re-simulation (``tests/faults/test_batched.py``). The
+``bit_identical=False`` waiver runs the same plans, on the linear
+response basis of :func:`combine_responses`.
 
 The runner (:func:`apply_plan`) does not replay the scalar kernels' axis
 moves, yet gives the same bits, for two reasons:
@@ -45,40 +36,20 @@ moves, yet gives the same bits, for two reasons:
 
 ``tests/simulators/test_segments.py`` checks every row of the runner's
 output against the scalar kernels, byte for byte, on random circuits.
-
-The opt-in ``float32`` fast path compiles segments in ``complex64`` and,
-when the optional ``opt_einsum`` package is installed, makes it the
-runner's contraction call for those plans; without it ``matmul`` runs
-on the narrow dtype. Either way the fast path waives bit-identity and is
-only reachable through an explicit waiver
-(``ScenarioSpec.bit_identical = False``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..quantum.circuit import QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.linalg import (
-    _front_axes,
-    expand_unitary,
-    kraus_to_superoperator,
-)
-
-try:  # pragma: no cover - exercised only where opt_einsum is installed
-    from opt_einsum import contract as _oe_contract
-
-    HAVE_OPT_EINSUM = True
-except ImportError:  # the supported baseline: plain numpy
-    _oe_contract = None
-    HAVE_OPT_EINSUM = False
+from ..quantum.linalg import _front_axes, kraus_to_superoperator
 
 __all__ = [
-    "HAVE_OPT_EINSUM",
     "RESET_KRAUS",
     "RESET_SUPEROP",
     "FusedSegment",
@@ -86,25 +57,13 @@ __all__ = [
     "SegmentCompiler",
     "channel_superop_plan",
     "unitary_to_superoperator",
-    "embed_unitary",
-    "embed_superop",
     "gate_ops",
     "PlanStep",
     "compile_steps",
     "run_steps",
     "apply_plan",
+    "combine_responses",
 ]
-
-# Widest support a fused *unitary* segment may grow to: a (2**m, 2**m)
-# matrix applied per branch stays cheap up to the ~10-qubit circuits the
-# exact backends handle.
-DEFAULT_UNITARY_QUBITS = 10
-
-# Widest support a fused *superoperator* segment may grow to. A superop
-# on m qubits is (4**m, 4**m): m=4 is 65536 entries (1 MB complex), m=6
-# would be 4 GB — composition cost explodes long before application
-# wins, so noisy tails fuse in support-bounded runs.
-DEFAULT_SUPEROP_QUBITS = 4
 
 
 def channel_superop_plan(
@@ -175,60 +134,19 @@ def unitary_to_superoperator(matrix: np.ndarray) -> np.ndarray:
     return np.kron(matrix, matrix.conj())
 
 
-def embed_unitary(
-    matrix: np.ndarray, qubits: Sequence[int], support: Sequence[int]
-) -> np.ndarray:
-    """Embed a gate on ``qubits`` into the space spanned by ``support``.
-
-    ``support`` is an ascending tuple of circuit qubits defining a local
-    little-endian space (circuit qubit ``support[i]`` is local qubit
-    ``i``); ``qubits`` keeps the gate's own qubit order, so arbitrary
-    gate orientations embed correctly.
-    """
-    support = tuple(support)
-    local = tuple(support.index(q) for q in qubits)
-    if local == tuple(range(len(support))):
-        return np.asarray(matrix, dtype=complex)
-    return expand_unitary(matrix, local, len(support))
-
-
-def embed_superop(
-    superop: np.ndarray, qubits: Sequence[int], support: Sequence[int]
-) -> np.ndarray:
-    """Embed a ``k``-qubit superoperator into ``support``'s doubled space.
-
-    The doubled space treats the combined index ``R * 2**m + C`` of an
-    ``m``-qubit support as ``2m`` little-endian qubits: qubit ``j < m``
-    is bit ``j`` of the column (bra) index, qubit ``m + j`` is bit ``j``
-    of the row (ket) index — exactly the grouping
-    :func:`~repro.quantum.linalg.apply_superop_to_density` contracts
-    over. A superop acting on local positions ``p_i`` therefore embeds
-    as a ``2m``-qubit gate on ``(p_0..p_{k-1}, m+p_0..m+p_{k-1})``.
-    """
-    support = tuple(support)
-    m = len(support)
-    local = tuple(support.index(q) for q in qubits)
-    doubled = local + tuple(m + p for p in local)
-    if doubled == tuple(range(2 * m)):
-        return np.asarray(superop, dtype=complex)
-    return expand_unitary(superop, doubled, 2 * m)
-
-
 @dataclass(frozen=True)
 class FusedSegment:
-    """One precomposed operator covering a run of tail instructions.
+    """One primitive tail operation, as the runner applies it.
 
     ``kind`` is ``"unitary"`` (a ``(2**k, 2**k)`` matrix applied as
     ``U rho U^dagger`` / ``U |psi>``) or ``"superop"`` (a ``(4**k,
-    4**k)`` matrix over the doubled space); ``targets`` is the ascending
-    circuit-qubit support; ``count`` records how many primitive
-    operations (gates, channel applications, resets) were folded in.
+    4**k)`` matrix over the doubled space); ``targets`` are the circuit
+    qubits in the gate's own order.
     """
 
     kind: str
     targets: Tuple[int, ...]
     matrix: np.ndarray
-    count: int
 
 
 @dataclass(frozen=True)
@@ -241,20 +159,13 @@ class TailPlan:
     exact backends, so deferring them cannot change the state).
     ``steps`` are the segments compiled for :func:`apply_plan`: one
     :class:`PlanStep` per GEMM with its axis bookkeeping, closed by the
-    gather back to canonical order. ``dtype`` is the dtype the segment
-    matrices were compiled in (``complex64`` for the float32 fast path).
+    gather back to canonical order.
     """
 
     start: int
     segments: Tuple[FusedSegment, ...]
     measures: Tuple[Tuple[int, int], ...]
     steps: Tuple[PlanStep, ...]
-    dtype: np.dtype = field(default=np.dtype(np.complex128))
-
-    @property
-    def num_operations(self) -> int:
-        """Primitive operations this plan folds into its segments."""
-        return sum(segment.count for segment in self.segments)
 
     def check_start(self, position: int) -> None:
         """A plan only substitutes for the suffix it was compiled from."""
@@ -279,16 +190,9 @@ class SegmentCompiler:
     ``superop=False`` compiles pure-unitary segments (the statevector
     backend); ``superop=True`` additionally folds the ``noise_model``'s
     gate channels and ``Reset`` into superoperator segments (the
-    density-matrix backend). ``pack=False`` — the default — disables
-    composition: every primitive operation becomes its own segment,
-    which keeps plan execution bit-identical to the per-task advance
-    loops (the repo's headline guarantee).
-    ``pack=True`` additionally composes runs of compatible operations
-    into one matrix per segment — the fastest mode, whose records are
-    still bitwise-stable across executors and tile sizes but reorder
-    floating-point products relative to the per-gate loops.
-    ``max_unitary_qubits`` / ``max_superop_qubits`` bound how wide a
-    packed segment's support may grow.
+    density-matrix backend). Every primitive operation becomes its own
+    complex128 segment, which keeps plan execution bit-identical to the
+    per-task advance loops (the repo's headline guarantee).
     """
 
     def __init__(
@@ -297,28 +201,10 @@ class SegmentCompiler:
         *,
         superop: bool,
         noise_model=None,
-        dtype=np.complex128,
-        pack: bool = False,
-        max_unitary_qubits: Optional[int] = None,
-        max_superop_qubits: Optional[int] = None,
     ) -> None:
         self.circuit = circuit
         self.superop = bool(superop)
         self.noise_model = noise_model if self.superop else None
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
-            raise ValueError(
-                f"segment dtype must be complex64 or complex128, "
-                f"got {self.dtype}"
-            )
-        self.pack = bool(pack)
-        num_qubits = circuit.num_qubits
-        self.max_unitary_qubits = min(
-            num_qubits, max_unitary_qubits or DEFAULT_UNITARY_QUBITS
-        )
-        self.max_superop_qubits = min(
-            num_qubits, max_superop_qubits or DEFAULT_SUPEROP_QUBITS
-        )
         self._plans: Dict[int, TailPlan] = {}
         # Qubits measured before each position, so tail compilation can
         # enforce the terminal-measurement rule exactly as the serial
@@ -346,15 +232,7 @@ class SegmentCompiler:
         bit-identical plans. Holds the identities of the circuit and the
         noise model, which the compiler keeps alive, so a live key can
         never alias another circuit."""
-        return (
-            id(self.circuit),
-            self.superop,
-            id(self.noise_model),
-            self.dtype,
-            self.pack,
-            self.max_unitary_qubits,
-            self.max_superop_qubits,
-        )
+        return (id(self.circuit), self.superop, id(self.noise_model))
 
     @property
     def compiled_positions(self) -> Tuple[int, ...]:
@@ -408,117 +286,16 @@ class SegmentCompiler:
                 f"start {start} outside [0, {len(instructions)}]"
             )
         ops, measures = self._primitive_ops(start)
-        if self.pack:
-            segments = self._pack_ops(ops)
-        else:
-            segments = tuple(
-                FusedSegment(
-                    kind,
-                    targets,
-                    np.asarray(matrix).astype(self.dtype, copy=False),
-                    1,
-                )
-                for kind, targets, matrix in ops
-            )
+        segments = tuple(
+            FusedSegment(kind, targets, np.asarray(matrix, dtype=complex))
+            for kind, targets, matrix in ops
+        )
         steps = compile_steps(
             [(s.kind, s.targets, s.matrix) for s in segments],
             self.circuit.num_qubits,
             self.superop,
         )
-        return TailPlan(start, segments, measures, steps, self.dtype)
-
-    def _pack_ops(
-        self, ops: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]]
-    ) -> Tuple[FusedSegment, ...]:
-        """Greedily compose consecutive ops into support-bounded segments.
-
-        A pending segment absorbs the next op whenever the merged
-        support fits the relevant cap (unitary-with-unitary keeps the
-        cheap unitary form; anything involving a superop promotes to a
-        superoperator). Composition order is ``later @ earlier``, and
-        supports are kept ascending, so the packing is deterministic —
-        identical matrices bit for bit on every rebuild.
-        """
-        segments: List[FusedSegment] = []
-        kind: Optional[str] = None
-        support: Tuple[int, ...] = ()
-        acc: Optional[np.ndarray] = None
-        count = 0
-
-        def flush() -> None:
-            if acc is not None:
-                segments.append(
-                    FusedSegment(
-                        kind, support, acc.astype(self.dtype, copy=False), count
-                    )
-                )
-
-        for op_kind, targets, matrix in ops:
-            matrix = np.asarray(matrix, dtype=complex)
-            if acc is None:
-                kind, support, acc, count = (
-                    op_kind,
-                    tuple(sorted(targets)),
-                    embed_if_needed(op_kind, matrix, targets),
-                    1,
-                )
-                continue
-            merged = tuple(sorted(set(support) | set(targets)))
-            merged_kind = (
-                "superop"
-                if "superop" in (kind, op_kind)
-                else "unitary"
-            )
-            cap = (
-                self.max_superop_qubits
-                if merged_kind == "superop"
-                else self.max_unitary_qubits
-            )
-            if len(merged) > cap:
-                flush()
-                kind, support, acc, count = (
-                    op_kind,
-                    tuple(sorted(targets)),
-                    embed_if_needed(op_kind, matrix, targets),
-                    1,
-                )
-                continue
-            if merged_kind == "unitary":
-                acc = embed_unitary(matrix, targets, merged) @ embed_unitary(
-                    acc, support, merged
-                )
-            else:
-                acc_superop = (
-                    acc if kind == "superop" else unitary_to_superoperator(acc)
-                )
-                op_superop = (
-                    matrix
-                    if op_kind == "superop"
-                    else unitary_to_superoperator(matrix)
-                )
-                acc = embed_superop(op_superop, targets, merged) @ embed_superop(
-                    acc_superop, support, merged
-                )
-            kind, support, count = merged_kind, merged, count + 1
-        flush()
-        return tuple(segments)
-
-
-def embed_if_needed(
-    kind: str, matrix: np.ndarray, targets: Sequence[int]
-) -> np.ndarray:
-    """Reorder a fresh segment's matrix onto its ascending support.
-
-    Segments store their support sorted ascending; a gate declared on
-    e.g. ``(2, 0)`` must be re-expressed over ``(0, 2)`` before it can
-    seed a segment.
-    """
-    support = tuple(sorted(targets))
-    if tuple(targets) == support:
-        return matrix
-    if kind == "unitary":
-        return embed_unitary(matrix, targets, support)
-    return embed_superop(matrix, targets, support)
+        return TailPlan(start, segments, measures, steps)
 
 
 # ----------------------------------------------------------------------
@@ -614,16 +391,8 @@ def compile_steps(
     return tuple(steps)
 
 
-def _einsum_contract(matrix: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """The float32 fast path's contraction call: ``matrix @ batch`` per
-    slice, through ``opt_einsum``."""
-    return _oe_contract("ij,bjr->bir", matrix, batch)
-
-
-def _run_steps(
-    batch: np.ndarray, steps: Sequence[PlanStep], contract, dtype
-) -> np.ndarray:
-    """Apply ``steps`` to a contiguous batch; gathers allocate ``dtype``.
+def _run_steps(batch: np.ndarray, steps: Sequence[PlanStep]) -> np.ndarray:
+    """Apply ``steps`` to a contiguous batch with per-slice ``np.matmul``.
 
     Each pass drops its input as soon as it is done with it, so at most
     two batch-sized arrays of this loop are alive at once.
@@ -635,7 +404,7 @@ def _run_steps(
     for step in steps:
         if step.gather is not None:
             source = batch.reshape(tensor).transpose(step.gather)
-            batch = np.empty(tensor, dtype)
+            batch = np.empty(tensor, source.dtype)
             if step.conj:
                 np.conjugate(source, out=batch)
             else:
@@ -643,7 +412,7 @@ def _run_steps(
             del source
         if step.matrix is not None:
             rows = 1 << step.width
-            batch = contract(
+            batch = np.matmul(
                 step.matrix, batch.reshape(size, rows, total // rows)
             )
     return batch
@@ -657,7 +426,7 @@ def run_steps(batch: np.ndarray, steps: Sequence[PlanStep]) -> np.ndarray:
     order. The trajectory simulator evolves its statevector stacks
     between Kraus draws with it.
     """
-    return _run_steps(batch, steps, np.matmul, batch.dtype).reshape(batch.shape)
+    return _run_steps(batch, steps).reshape(batch.shape)
 
 
 def apply_plan(
@@ -669,32 +438,39 @@ def apply_plan(
 
     ``batch`` is a canonical ``(B, 2**n)`` statevector or ``(B, 2**n,
     2**n)`` density-matrix stack. ``heads`` are primitive ``(kind,
-    targets, matrix)`` ops (see :func:`gate_ops`) applied first; a
-    unitary's matrix may be a ``(B, 2**k, 2**k)`` stack, one per branch.
-    Heads contract in the batch's dtype with ``np.matmul``; the plan's
-    steps in ``plan.dtype``, through ``opt_einsum`` for a complex64 plan
-    when it is installed. The plan's first gather is re-pointed at
-    wherever the heads left the batch (and narrows it for a complex64
-    plan), so heads cost no extra pass. Returns the batch in its input
-    shape and canonical order.
+    targets, matrix)`` ops (see :func:`gate_ops`) applied first; a head's
+    matrix may be a ``(B, 2**k, 2**k)`` (or ``(B, 4**k, 4**k)``) stack,
+    one per branch. The plan's first gather is re-pointed at wherever
+    the heads left the batch, so heads cost no extra pass. Returns the
+    batch in its input shape and canonical order.
     """
-    steps, head = plan.steps, ()
-    if heads or batch.dtype != plan.dtype:
+    steps = plan.steps
+    if heads:
         num_qubits = batch.shape[1].bit_length() - 1
-        *head, first = compile_steps(
+        steps = compile_steps(
             heads, num_qubits, batch.ndim == 3, then=steps[0]
-        )
-        if first.gather is None and batch.dtype != plan.dtype:
-            first = replace(first, gather=tuple(range(len(first.layout) + 1)))
-        steps = (first,) + steps[1:]
-    contract = np.matmul
-    if plan.dtype == np.dtype(np.complex64) and _oe_contract is not None:
-        contract = _einsum_contract
-    # Nested, so no frame here holds the heads' output while the tail runs.
-    out = _run_steps(
-        _run_steps(batch, head, np.matmul, batch.dtype),
-        steps,
-        contract,
-        plan.dtype,
-    )
-    return out.reshape(batch.shape)
+        ) + steps[1:]
+    return _run_steps(batch, steps).reshape(batch.shape)
+
+
+def combine_responses(
+    weights: np.ndarray, responses: np.ndarray
+) -> np.ndarray:
+    """The real part of ``weights @ responses``, one response at a time.
+
+    ``weights`` is a ``(B, K)`` complex stack (one row per branch) and
+    ``responses`` a ``(K, M)`` complex stack; row ``b`` of the result is
+    ``Re(sum_k weights[b, k] * responses[k])``. This is how a
+    single-fault site runs on the linear response basis: a fault is a
+    single-qubit unitary and everything after it is linear, so every
+    branch's output is a fixed combination of the tail's responses to
+    the matrix units on the fault qubit. The sum is accumulated
+    elementwise in real arithmetic, response by response, so each
+    element's bits depend on its own row alone — not on how many rows
+    are combined at once, as a GEMM's blocking might.
+    """
+    total = np.zeros((weights.shape[0], responses.shape[1]))
+    for k in range(weights.shape[1]):
+        total += weights.real[:, k, np.newaxis] * responses.real[k]
+        total -= weights.imag[:, k, np.newaxis] * responses.imag[k]
+    return total

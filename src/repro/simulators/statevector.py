@@ -14,11 +14,12 @@ from .backend import (
     BranchBatch,
     SimulationSnapshot,
     batched_clbit_marginals,
+    single_fault_slot,
     uniform_head_slots,
     validate_branch_head,
 )
 from .sampler import Result
-from .segments import SegmentCompiler, TailPlan, apply_plan
+from .segments import SegmentCompiler, TailPlan, apply_plan, combine_responses
 
 __all__ = ["StatevectorSimulator"]
 
@@ -165,6 +166,7 @@ class StatevectorSimulator:
         heads: Sequence[Sequence[Instruction]],
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
+        basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         """Evaluate one fault branch per head as a single statevector batch.
 
@@ -173,27 +175,34 @@ class StatevectorSimulator:
         contraction over the batch axis, and the shared tail
         ``circuit.instructions[snapshot.position:]`` applies to the whole
         batch as ``plan`` — the tail compiled for ``snapshot.position``,
-        compiled here (unpacked) when the caller passes none. Heads and
-        tail run through :func:`~repro.simulators.segments.apply_plan`.
-        Row ``b`` of an unpacked run is bit-identical to
-        :meth:`run_from_snapshot` with the tail ``heads[b] +
-        circuit.instructions[snapshot.position:]``.
+        compiled here when the caller passes none. Heads and tail run
+        through :func:`~repro.simulators.segments.apply_plan`. Row ``b``
+        is bit-identical to :meth:`run_from_snapshot` with the tail
+        ``heads[b] + circuit.instructions[snapshot.position:]``.
+
+        With ``basis_tile`` set, a single-fault site runs on the linear
+        response basis instead: the tail runs on the four states
+        ``|a><b|_q psi`` (at most ``basis_tile`` at a time), and branch
+        ``U`` takes the amplitudes ``sum_ab U_ab R_ab``.
         """
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
         plan.check_start(snapshot.position)
         heads = [tuple(head) for head in heads]
-        num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
-        batch = np.repeat(
-            snapshot.state.data[np.newaxis, :], len(heads), axis=0
-        )
-        head_ops = _head_ops(batch, heads, set(snapshot.measured), num_qubits)
-        batch = apply_plan(batch, plan, head_ops)
         measure_map.update(plan.measures)
-        qubit_probs = np.abs(batch) ** 2
-        if qubit_probs.dtype != np.float64:
-            qubit_probs = qubit_probs.astype(np.float64)
+        if basis_tile is None:
+            batch = np.repeat(
+                snapshot.state.data[np.newaxis, :], len(heads), axis=0
+            )
+            head_ops = _head_ops(
+                batch, heads, set(snapshot.measured), circuit.num_qubits
+            )
+            qubit_probs = np.abs(apply_plan(batch, plan, head_ops)) ** 2
+        else:
+            qubit_probs = _basis_probabilities(
+                snapshot, heads, plan, basis_tile
+            )
         probabilities, present, key_width = batched_clbit_marginals(
             qubit_probs, measure_map, circuit
         )
@@ -243,14 +252,10 @@ class StatevectorSimulator:
         """Final pure state of the measurement-free part of ``circuit``."""
         return Statevector.from_circuit(circuit)
 
-    def tail_compiler(
-        self, circuit: QuantumCircuit, **options
-    ) -> SegmentCompiler:
+    def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
         """A unitary segment compiler for ``circuit`` (pure states carry
-        no noise, so segments are plain unitaries). ``options``
-        forward to :class:`~repro.simulators.segments.SegmentCompiler`
-        (``dtype``, ``pack``, support caps)."""
-        return SegmentCompiler(circuit, superop=False, **options)
+        no noise, so segments are plain unitaries)."""
+        return SegmentCompiler(circuit, superop=False)
 
     def branch_state_nbytes(self, num_qubits: int) -> int:
         """Bytes per branch in an exact batch: one complex128 amplitude
@@ -284,6 +289,39 @@ def _head_ops(
             )
         batch[index] = row
     return []
+
+
+# The matrix units |a><b| of one qubit, in row-major order: a single-qubit
+# unitary is sum_k U.flat[k] * _UNITS[k].
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+
+
+def _basis_probabilities(
+    snapshot: SimulationSnapshot,
+    heads: Sequence[Sequence[Instruction]],
+    plan: TailPlan,
+    tile: int,
+) -> np.ndarray:
+    """Qubit-basis probabilities of a single-fault site's branches, from
+    the tail's responses to the matrix units on the fault qubit."""
+    qubits, _, matrices = single_fault_slot(heads, snapshot.measured)
+    state = snapshot.state.data[np.newaxis, :]
+    responses = np.concatenate(
+        [
+            apply_plan(
+                np.repeat(state, len(units), axis=0),
+                plan,
+                [("unitary", qubits, units)],
+            )
+            for units in np.split(_UNITS, range(tile, len(_UNITS), tile))
+        ]
+    )
+    weights = matrices.reshape(len(matrices), len(_UNITS))
+    real = combine_responses(weights, responses)
+    # -1j * w swaps and negates w's components exactly: Re of the
+    # combination with it is the imaginary part of the amplitudes.
+    imag = combine_responses(-1j * weights, responses)
+    return real * real + imag * imag
 
 
 def _marginal_clbit_distribution(

@@ -6,10 +6,10 @@ vectorized scoring — produces records bit-identical to the naive
 per-injection re-simulation (``prefix_reuse=False``, the per-task loop).
 These tests pin it on every benchmark algorithm, for single- and
 double-fault campaigns, exact and sampled, at any tile size, through the
-process pool and the transpiled path, and on random circuits. Packed
-segments (the ``bit_identical=False`` waiver) keep a weaker guarantee:
-bitwise-stable across strategies and tile sizes, numerically close to
-the naive path.
+process pool and the transpiled path, and on random circuits. The
+response basis (the ``bit_identical=False`` waiver) keeps a weaker
+guarantee: bitwise-stable across strategies, tile sizes and pools,
+numerically close to the naive path.
 """
 
 import dataclasses
@@ -66,7 +66,7 @@ ALGORITHM_BUILDERS = [
 
 FAULTS = fault_grid(step_deg=90)
 COUPLES = [(0, 1), (1, 2)]
-PACKED = {"pack": True}
+BASIS = {"response_basis": True}
 
 
 def build_noise_model(num_qubits: int) -> NoiseModel:
@@ -114,6 +114,13 @@ def tiled(backend, num_qubits=3, tile=3, **options):
 def table_bytes(result):
     """A campaign's records as raw bytes — the bit-identity comparator."""
     return result.table.data.tobytes()
+
+
+def fault_columns(result):
+    """A campaign's records as raw bytes, QVF column zeroed."""
+    data = result.table.data.copy()
+    data["qvf"] = 0.0
+    return data.tobytes()
 
 
 def single(make_backend, executor, target, **kwargs):
@@ -283,30 +290,67 @@ class TestPool:
         assert pooled.data.tobytes() == in_process.data.tobytes()
 
 
-class TestPackedWaiver:
-    """Packed segments: bitwise-stable across strategies, close to naive."""
+class TestResponseBasis:
+    """Single-fault sites on the response basis: bitwise-stable across
+    strategies, tiles and pools, close to the naive reference."""
 
-    def test_packed_stable_across_strategies_and_tiles(self):
+    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_stable_across_strategies_tiles_and_pools(self, make_backend):
         spec = qft(3)
-        runs = [
-            table_bytes(single(dm, executor, spec))
-            for executor in (
-                SerialExecutor(segment_options=PACKED),
-                BatchedExecutor(segment_options=PACKED),
-                tiled(dm(), segment_options=PACKED),
-            )
-        ]
-        with ParallelExecutor(workers=2, segment_options=PACKED) as pool:
-            runs.append(table_bytes(single(dm, pool, spec)))
-        assert runs[0] == runs[1] == runs[2] == runs[3]
+        runs = {
+            name: table_bytes(single(make_backend, executor, spec))
+            for name, executor in {
+                "serial": SerialExecutor(**BASIS),
+                "batched": BatchedExecutor(**BASIS),
+                "tile-3": tiled(make_backend(), **BASIS),
+                "tile-1": tiled(make_backend(), tile=1, **BASIS),
+            }.items()
+        }
+        # Sites hold 12 faults, so chunks of 5 and 7 cut through them.
+        for workers, chunk in ((2, 5), (3, 7)):
+            with ParallelExecutor(
+                workers=workers, chunk_size=chunk, **BASIS
+            ) as pool:
+                runs[f"workers{workers}"] = table_bytes(
+                    single(make_backend, pool, spec)
+                )
+        assert len(set(runs.values())) == 1, runs.keys()
 
-    def test_packed_close_to_naive(self):
-        spec = qft(3)
-        exact = single(dm, naive(), spec)
-        packed = single(dm, BatchedExecutor(segment_options=PACKED), spec)
+    @pytest.mark.parametrize(
+        "builder", ALGORITHM_BUILDERS, ids=lambda b: b.__name__
+    )
+    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_close_to_naive(self, builder, make_backend):
+        spec = builder(3)
+        exact = single(make_backend, naive(), spec)
+        basis = single(make_backend, BatchedExecutor(**BASIS), spec)
         np.testing.assert_allclose(
-            packed.qvf_values(), exact.qvf_values(), atol=1e-9
+            basis.qvf_values(), exact.qvf_values(), rtol=0, atol=1e-10
         )
+        assert fault_columns(basis) == fault_columns(exact)
+
+    def test_pair_sites_keep_the_exact_plans(self):
+        spec = qft(3)
+        assert table_bytes(double(dm, naive(), spec)) == table_bytes(
+            double(dm, BatchedExecutor(**BASIS), spec)
+        )
+
+    def test_one_call_per_single_fault_site(self):
+        """The basis runs a whole site in one backend call, whatever the
+        tile limit, with its responses tiled to that limit."""
+        calls = []
+
+        class Recording(DensityMatrixSimulator):
+            def run_branches_from_snapshot(self, *args, **kwargs):
+                calls.append((len(args[2]), kwargs["basis_tile"]))
+                return super().run_branches_from_snapshot(*args, **kwargs)
+
+        spec = qft(3)
+        recording = Recording(build_noise_model(3))
+        executor = tiled(recording, tile=2, **BASIS)
+        QuFI(recording, executor=executor).run_campaign(spec, faults=FAULTS)
+        assert calls
+        assert all(call == (len(FAULTS), 2) for call in calls)
 
 
 class TestTranspiled:
@@ -581,18 +625,21 @@ class TestRandomCircuits:
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=6, deadline=None)
-    def test_packed_stable_on_random_circuits(self, seed):
+    def test_basis_stable_on_random_circuits(self, seed):
         circuit = random_circuit(3, 4, seed=seed, measure=True)
         correct = _correct_states(circuit)
-        runs = [
-            table_bytes(
-                QuFI(sv(), executor=executor).run_campaign(
+        for make_backend in (sv, dm):
+
+            def run(executor):
+                return QuFI(make_backend(), executor=executor).run_campaign(
                     circuit, correct_states=correct, faults=FAULTS
                 )
+
+            basis = run(BatchedExecutor(**BASIS))
+            assert table_bytes(basis) == table_bytes(
+                run(tiled(make_backend(), tile=1, **BASIS))
             )
-            for executor in (
-                BatchedExecutor(segment_options=PACKED),
-                tiled(sv(), tile=1, segment_options=PACKED),
+            np.testing.assert_allclose(
+                basis.qvf_values(), run(naive()).qvf_values(),
+                rtol=0, atol=1e-10,
             )
-        ]
-        assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 """The campaign execution engine: equivalence, determinism, streaming."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -604,6 +605,104 @@ class TestChunking:
             ParallelExecutor(workers=0)
         with pytest.raises(ValueError):
             ParallelExecutor(chunk_size=0)
+
+
+class CountingEngine(SerialExecutor):
+    """An engine that logs each chunk it starts to a file, then takes a
+    while over it, so later chunks are still queued when the first one
+    is delivered."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__()
+        self.path = path
+
+    def _block_stream(self, backend, plan):
+        with open(self.path, "a") as handle:
+            handle.write(f"{plan.tasks[0].index}\n")
+        time.sleep(0.2)
+        return super()._block_stream(backend, plan)
+
+
+class DeliveryFailed(Exception):
+    """Raised by the test's ``on_batch`` at its first delivery."""
+
+
+def _small_plan():
+    spec = bernstein_vazirani(3)
+    points = enumerate_injection_points(spec.circuit)
+    tasks = tuple(
+        InjectionTask(index=i, point=p, fault=f)
+        for i, (p, f) in enumerate(
+            (p, f) for p in points for f in fault_grid(step_deg=90)
+        )
+    )
+    return CampaignPlan(
+        circuit=spec.circuit,
+        correct_states=tuple(spec.correct_states),
+        tasks=tasks,
+    )
+
+
+class TestPoolDeliveryErrors:
+    """An error raised while delivering a block stops the pool's work
+    and reaches the caller unchanged."""
+
+    def test_failed_delivery_cancels_the_queued_chunks(self, tmp_path):
+        plan = _small_plan()
+        chunk_size = math.ceil(len(plan.tasks) / 10)
+        submitted = len(_chunk_tasks(plan.tasks, chunk_size))
+        assert submitted >= 8
+        starts = tmp_path / "starts.log"
+        with ParallelExecutor(workers=2, chunk_size=chunk_size) as executor:
+            executor.engine = CountingEngine(str(starts))
+
+            def fail(block):
+                raise DeliveryFailed
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DeliveryFailed):
+                    executor.run(StatevectorSimulator(), plan, on_batch=fail)
+                # The persistent pool survives and runs the next plan.
+                executor.engine = CountingEngine(str(tmp_path / "next.log"))
+                again = executor.run(StatevectorSimulator(), plan)
+        reference = SerialExecutor().run(StatevectorSimulator(), plan)
+        assert again.data.tobytes() == reference.data.tobytes()
+        assert len(starts.read_text().split()) < submitted
+
+    def test_delivery_oserror_is_not_pool_loss(self):
+        """A failed checkpoint append (an OSError from ``on_batch``)
+        propagates as is; it neither degrades the run in process nor
+        tears down the persistent pool."""
+        plan = _small_plan()
+
+        def fail(block):
+            raise OSError("disk full")
+
+        with ParallelExecutor(workers=2, chunk_size=10) as executor:
+            pool = executor._persistent_pool()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(OSError, match="disk full"):
+                    executor.run(StatevectorSimulator(), plan, on_batch=fail)
+            assert executor._persistent_pool() is pool
+
+    def test_owned_pool_failed_delivery_skips_the_queued_chunks(
+        self, tmp_path
+    ):
+        plan = _small_plan()
+        chunk_size = math.ceil(len(plan.tasks) / 10)
+        submitted = len(_chunk_tasks(plan.tasks, chunk_size))
+        starts = tmp_path / "starts.log"
+        executor = ParallelExecutor(workers=2, chunk_size=chunk_size)
+        executor.engine = CountingEngine(str(starts))
+
+        def fail(block):
+            raise DeliveryFailed
+
+        with pytest.raises(DeliveryFailed):
+            executor.run(StatevectorSimulator(), plan, on_batch=fail)
+        assert len(starts.read_text().split()) < submitted
 
 
 class TestMergeAndSampling:

@@ -119,6 +119,18 @@ class TestMemoryBudget:
         assert result.num_injections == len(fault_grid(step_deg=90.0))
         assert peak < BUDGET
 
+    def test_waived_default_engine_fits_budget(self):
+        """Under the waiver a whole fault group is one basis call: its 16
+        responses (256 MiB together at 10 qubits) are built one branch
+        tile at a time, inside the same peak."""
+        peak, result = traced_peak(
+            SerialExecutor(response_basis=True),
+            points=slice(-1, None),
+            step_deg=90.0,
+        )
+        assert result.num_injections == len(fault_grid(step_deg=90.0))
+        assert peak < BUDGET
+
     def test_default_pool_workers_fit_budget(self):
         """Each worker of a default 2-worker pool, handed one whole fault
         group per chunk, stays under the stated peak RSS."""

@@ -29,7 +29,6 @@ from repro.faults.store import (
     write_meta_segment,
 )
 from repro.scenarios import ScenarioSpec, TranspileSpec, run_scenario
-from repro.scenarios.cache import result_store_meta
 
 ALGOS = sorted(ALGORITHMS)
 
@@ -55,7 +54,7 @@ def campaign(algorithm: str, variant: str) -> CampaignResult:
 def store_of(result: CampaignResult, tmp_path, chunk: int = 17) -> str:
     """Write ``result`` as a multi-segment store (chunked appends)."""
     path = str(tmp_path / "campaign.qfs")
-    write_meta_segment(path, result_store_meta(result))
+    write_meta_segment(path, result.table_meta())
     table = result.table
     for start in range(0, len(table), chunk):
         stop = min(start + chunk, len(table))
@@ -181,7 +180,7 @@ class TestStoreView:
         assert view.store_format == STORE_FORMAT
         # The version key is a store detail, not campaign metadata.
         assert "store_format" not in view.meta
-        assert view.meta == result_store_meta(result)
+        assert view.meta == result.table_meta()
 
     def test_record_row_matches_table(self, tmp_path):
         result = campaign("bv", "single-exact")
@@ -212,7 +211,7 @@ class TestStoreView:
         for name in RECORD_DTYPE_V1.names:
             v1[name] = table.data[name]
         path = str(tmp_path / "mixed.qfs")
-        write_meta_segment(path, result_store_meta(result))
+        write_meta_segment(path, result.table_meta())
         with open(path, "ab") as handle:
             # A v1 segment: no "columns" key, unaligned legacy layout.
             handle.write(

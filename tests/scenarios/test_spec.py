@@ -134,7 +134,6 @@ class TestFusionFields:
         spec = ScenarioSpec(
             algorithm="bv",
             fused=True,
-            precision="float32",
             bit_identical=False,
             memory_budget="1gb",
         )
@@ -173,23 +172,26 @@ class TestFusionFields:
             algorithm="bv", width=3, fused=True, memory_budget="64mb"
         ).spec_hash()
 
-    def test_float32_requires_fusion_and_waiver(self):
-        with pytest.raises(ValueError, match="set fused=true"):
-            ScenarioSpec(
-                algorithm="bv", precision="float32", bit_identical=False
+    def test_float32_fails_loudly_naming_the_waiver(self):
+        for fields in (
+            dict(precision="float32", fused=True, bit_identical=False),
+            dict(precision="float32"),
+            dict(precision="float16", fused=True),
+        ):
+            with pytest.raises(ValueError, match="bit_identical=false"):
+                ScenarioSpec(algorithm="bv", **fields)
+        with pytest.raises(ValueError, match="bit_identical=false"):
+            ScenarioSpec.from_dict(
+                {"algorithm": "bv", "fused": True, "precision": "float32"}
             )
-        with pytest.raises(ValueError, match="waives the bit-identity"):
-            ScenarioSpec(algorithm="bv", fused=True, precision="float32")
 
-    def test_float32_changes_the_hash(self):
-        assert ScenarioSpec(
-            algorithm="bv", fused=True, bit_identical=False
-        ).spec_hash() != ScenarioSpec(
-            algorithm="bv",
-            fused=True,
-            precision="float32",
-            bit_identical=False,
-        ).spec_hash()
+    def test_stored_exact_precision_still_loads(self):
+        """The field stays, so stored specs load and keep their hash."""
+        stored = ScenarioSpec.from_dict(
+            {"algorithm": "bv", "precision": "exact"}
+        )
+        assert stored == ScenarioSpec(algorithm="bv")
+        assert stored.spec_hash() == ScenarioSpec(algorithm="bv").spec_hash()
 
 
 class TestAdaptiveSpec:

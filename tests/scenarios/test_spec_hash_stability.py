@@ -139,6 +139,38 @@ class TestSeedingRuleSalt:
         assert "seeding" not in emulator.canonical_dict()
 
 
+class TestResponseBasisSalt:
+    """Waived specs moved from packed segments to the response basis, so
+    their hashes moved; exact specs (every committed one) did not."""
+
+    # The hash of this waived spec when the waiver still packed segments.
+    PACKED_ERA = ("d84a2da74fab1927", dict(noise="light"))
+
+    def test_waived_spec_hash_moved(self):
+        expected, fields = self.PACKED_ERA
+        waived = ScenarioSpec(
+            algorithm="bv", width=3, fused=True, bit_identical=False, **fields
+        )
+        assert waived.canonical_dict()["basis"] == "linear-response"
+        assert waived.spec_hash() != expected
+
+    def test_salt_follows_the_waiver(self):
+        for fields in (
+            dict(),
+            dict(fused=True),
+            dict(bit_identical=False),
+            dict(fused=True, bit_identical=True),
+        ):
+            spec = ScenarioSpec(algorithm="bv", width=3, **fields)
+            assert not spec.response_basis
+            assert "basis" not in spec.canonical_dict()
+
+    def test_no_committed_suite_is_waived(self):
+        for name in ("mini_suite", "paper_suite", "physics_suite"):
+            suite = SuiteSpec.from_json(os.path.join(EXAMPLES, f"{name}.json"))
+            assert not any(spec.response_basis for spec in suite), name
+
+
 class TestHashNeutralityWhenAbsent:
     def test_new_blocks_absent_from_canonical_dict(self):
         spec = ScenarioSpec(algorithm="bv")

@@ -2,11 +2,13 @@
 
 The campaign-level guarantees (engine == naive records, tiling
 invariance) live in ``tests/faults/test_batched.py``; this module pins
-the compiler machinery itself — composition correctness, superoperator
-embedding, caching, determinism, the validation errors that must match
-the per-task advance loop word for word — and the runner: every row of
-a batched plan application equals the scalar kernels on that row, byte
-for byte, and a density plan makes at most one gather per contraction.
+the compiler machinery itself — one segment per primitive operation,
+superoperators, caching, determinism, the validation errors that must
+match the per-task advance loop word for word — the runner: every row
+of a batched plan application equals the scalar kernels on that row,
+byte for byte, and a density plan makes at most one gather per
+contraction — and the response-basis combination, whose rows do not
+depend on the rows combined with them.
 """
 
 import numpy as np
@@ -19,12 +21,10 @@ from repro.quantum.linalg import (
     apply_superop_to_density,
     apply_unitary_to_density,
     apply_unitary_to_statevector,
-    expand_unitary,
 )
 from repro.quantum.random import random_statevector, random_unitary
 from repro.scenarios.factory import light_noise_model
 from repro.simulators import (
-    HAVE_OPT_EINSUM,
     BatchedSnapshotBackend,
     DensityMatrixSimulator,
     SegmentCompiler,
@@ -36,8 +36,7 @@ from repro.simulators.noise import NoiseModel, amplitude_damping_channel
 from repro.simulators.segments import (
     RESET_SUPEROP,
     apply_plan,
-    embed_superop,
-    embed_unitary,
+    combine_responses,
     gate_ops,
     unitary_to_superoperator,
 )
@@ -48,24 +47,6 @@ def _bell_tail_circuit():
     qc.h(0).cx(0, 1).rz(0.3, 2).cx(1, 2).h(2)
     qc.measure_all()
     return qc
-
-
-def _full_unitary(circuit):
-    """The circuit's unitary (measurements dropped), via matrix products."""
-    dim = 2**circuit.num_qubits
-    total = np.eye(dim, dtype=complex)
-    for inst in circuit.instructions:
-        if inst.name in ("measure", "barrier"):
-            continue
-        total = (
-            expand_unitary(
-                inst.gate.matrix,
-                tuple(inst.qubits),
-                circuit.num_qubits,
-            )
-            @ total
-        )
-    return total
 
 
 class TestProtocol:
@@ -85,54 +66,15 @@ class TestProtocol:
 
 
 class TestComposition:
-    def test_packed_plan_equals_circuit_unitary(self):
-        circuit = _bell_tail_circuit()
-        compiler = SegmentCompiler(circuit, superop=False, pack=True)
-        plan = compiler.tail_plan(0)
-        dim = 2**circuit.num_qubits
-        total = np.eye(dim, dtype=complex)
-        for segment in plan.segments:
-            total = (
-                expand_unitary(
-                    segment.matrix, segment.targets, circuit.num_qubits
-                )
-                @ total
-            )
-        np.testing.assert_allclose(
-            total, _full_unitary(circuit), atol=1e-12
-        )
-
-    def test_packed_plan_folds_every_primitive(self):
-        circuit = _bell_tail_circuit()
-        compiler = SegmentCompiler(circuit, superop=False, pack=True)
-        plan = compiler.tail_plan(0)
-        assert plan.num_operations == 5  # the five non-measure gates
-        # A 3-qubit circuit under the 10-qubit cap packs into one segment.
-        assert len(plan.segments) == 1
-
-    def test_unpacked_plan_is_one_segment_per_primitive(self):
+    def test_plan_is_one_segment_per_primitive(self):
         circuit = _bell_tail_circuit()
         compiler = SegmentCompiler(circuit, superop=False)
         plan = compiler.tail_plan(0)
-        assert compiler.pack is False  # unpacked is the default
-        assert len(plan.segments) == 5
-        assert all(s.count == 1 for s in plan.segments)
+        assert len(plan.segments) == 5  # the five non-measure gates
+        assert all(s.matrix.dtype == np.complex128 for s in plan.segments)
 
-    def test_support_cap_splits_segments(self):
-        circuit = _bell_tail_circuit()
-        compiler = SegmentCompiler(
-            circuit, superop=False, pack=True, max_unitary_qubits=2
-        )
-        plan = compiler.tail_plan(0)
-        assert len(plan.segments) > 1
-        assert all(len(s.targets) <= 2 for s in plan.segments)
-        total = np.eye(8, dtype=complex)
-        for segment in plan.segments:
-            total = expand_unitary(segment.matrix, segment.targets, 3) @ total
-        np.testing.assert_allclose(total, _full_unitary(circuit), atol=1e-12)
-
-    def test_unpacked_application_is_bitwise_per_gate(self):
-        """pack=False plans replay exactly the unfused kernel calls."""
+    def test_application_is_bitwise_per_gate(self):
+        """Plans replay exactly the per-gate kernel calls."""
         circuit = _bell_tail_circuit()
         compiler = SegmentCompiler(circuit, superop=False)
         plan = compiler.tail_plan(0)
@@ -150,7 +92,7 @@ class TestComposition:
             assert fused[index].tobytes() == row.tobytes()
 
 
-class TestSuperopEmbedding:
+class TestSuperoperators:
     def test_unitary_to_superoperator_matches_conjugation(self):
         u = random_unitary(1, seed=5)
         rho = np.outer(
@@ -162,33 +104,6 @@ class TestSuperopEmbedding:
         )
         np.testing.assert_allclose(via_superop, u @ rho @ u.conj().T, atol=1e-12)
 
-    def test_embed_superop_matches_direct_application(self):
-        """Embedding onto a wider support commutes with application."""
-        channel = depolarizing_channel(0.1)
-        rho = np.outer(
-            random_statevector(2, seed=9).data,
-            random_statevector(2, seed=9).data.conj(),
-        )
-        direct = apply_superop_to_density(
-            rho, channel.superoperator, (1,), 2
-        )
-        embedded = embed_superop(channel.superoperator, (1,), (0, 1))
-        via_embed = apply_superop_to_density(rho, embedded, (0, 1), 2)
-        np.testing.assert_allclose(via_embed, direct, atol=1e-12)
-
-    def test_embed_unitary_respects_gate_orientation(self):
-        """A CX declared on (1, 0) embeds differently from (0, 1)."""
-        qc = QuantumCircuit(2)
-        qc.cx(1, 0)
-        cx = qc.instructions[0].gate.matrix
-        flipped = embed_unitary(cx, (1, 0), (0, 1))
-        straight = embed_unitary(cx, (0, 1), (0, 1))
-        assert not np.allclose(flipped, straight)
-        # |01> (qubit 0 = 1) leaves control qubit 1 untouched.
-        state = np.zeros(4, dtype=complex)
-        state[0b01] = 1.0
-        np.testing.assert_allclose(flipped @ state, state, atol=1e-12)
-
     def test_noise_channels_fold_into_superop_plans(self):
         model = NoiseModel("seg")
         model.add_all_qubit_error(depolarizing_channel(0.02), ["h"])
@@ -198,7 +113,6 @@ class TestSuperopEmbedding:
         compiler = SegmentCompiler(qc, superop=True, noise_model=model)
         plan = compiler.tail_plan(0)
         # h, its channel, cx: three primitives; the channel is a superop.
-        assert plan.num_operations == 3
         assert [s.kind for s in plan.segments] == [
             "unitary",
             "superop",
@@ -228,15 +142,14 @@ class TestCachingAndDeterminism:
         """Two compilers over the same inputs agree bit for bit — the
         property that lets parallel workers rebuild their own compiler."""
         circuit = _bell_tail_circuit()
-        for pack in (False, True):
-            a = SegmentCompiler(circuit, superop=False, pack=pack)
-            b = SegmentCompiler(circuit, superop=False, pack=pack)
-            for start in range(len(circuit.instructions) + 1):
-                pa, pb = a.tail_plan(start), b.tail_plan(start)
-                assert len(pa.segments) == len(pb.segments)
-                for sa, sb in zip(pa.segments, pb.segments):
-                    assert sa.targets == sb.targets
-                    assert sa.matrix.tobytes() == sb.matrix.tobytes()
+        a = SegmentCompiler(circuit, superop=False)
+        b = SegmentCompiler(circuit, superop=False)
+        for start in range(len(circuit.instructions) + 1):
+            pa, pb = a.tail_plan(start), b.tail_plan(start)
+            assert len(pa.segments) == len(pb.segments)
+            for sa, sb in zip(pa.segments, pb.segments):
+                assert sa.targets == sb.targets
+                assert sa.matrix.tobytes() == sb.matrix.tobytes()
 
     def test_measures_defer_to_plan_bookkeeping(self):
         circuit = _bell_tail_circuit()
@@ -244,23 +157,8 @@ class TestCachingAndDeterminism:
         plan = compiler.tail_plan(len(circuit.instructions) - 3)
         assert plan.measures == ((0, 0), (1, 1), (2, 2))
 
-    def test_float32_plans_compile_narrow(self):
-        circuit = _bell_tail_circuit()
-        compiler = SegmentCompiler(
-            circuit, superop=False, dtype=np.complex64, pack=True
-        )
-        plan = compiler.tail_plan(0)
-        assert plan.dtype == np.dtype(np.complex64)
-        assert all(s.matrix.dtype == np.complex64 for s in plan.segments)
-
 
 class TestValidation:
-    def test_rejects_unknown_dtype(self):
-        with pytest.raises(ValueError, match="complex64 or complex128"):
-            SegmentCompiler(
-                _bell_tail_circuit(), superop=False, dtype=np.float64
-            )
-
     def test_rejects_out_of_range_start(self):
         compiler = SegmentCompiler(_bell_tail_circuit(), superop=False)
         with pytest.raises(ValueError, match="outside"):
@@ -360,7 +258,7 @@ def _random_batch(rng, size, num_qubits, density):
 def _scalar_row(row, heads, index, plan, num_qubits, density):
     """One branch through the scalar kernels, op by op: its head (the
     ``index``-th matrix of each stacked unitary), then the plan's
-    segments in the plan's dtype."""
+    segments."""
 
     def apply(state, kind, matrix, targets):
         if kind == "superop":
@@ -372,7 +270,6 @@ def _scalar_row(row, heads, index, plan, num_qubits, density):
     for kind, targets, matrix in heads:
         stacked = kind == "unitary"
         row = apply(row, kind, matrix[index] if stacked else matrix, targets)
-    row = row.astype(plan.dtype)
     for segment in plan.segments:
         row = apply(row, segment.kind, segment.matrix, segment.targets)
     return row
@@ -381,14 +278,6 @@ def _scalar_row(row, heads, index, plan, num_qubits, density):
 def _bits(array):
     """The raw bytes of a complex array, read as its real components."""
     return np.ascontiguousarray(array).view(array.real.dtype).tobytes()
-
-
-PLAN_OPTIONS = (
-    {},
-    {"pack": True},
-    {"dtype": np.complex64},
-    {"dtype": np.complex64, "pack": True},
-)
 
 
 class TestRunnerAgainstScalarKernels:
@@ -414,30 +303,19 @@ class TestRunnerAgainstScalarKernels:
             [random_unitary(1, seed=seed + b) for b in range(size)]
         )
         head_cases = ([], gate_ops("u", (qubit,), stack, noise))
-        for options in PLAN_OPTIONS:
-            compiler = SegmentCompiler(
-                circuit, superop=density, noise_model=noise, **options
-            )
-            exact = not (
-                HAVE_OPT_EINSUM and compiler.dtype == np.complex64
-            )
-            for start in range(len(circuit.instructions) + 1):
-                plan = compiler.tail_plan(start)
-                for heads in head_cases:
-                    batch = _random_batch(rng, size, num_qubits, density)
-                    out = apply_plan(batch.copy(), plan, heads)
-                    assert out.shape == batch.shape
-                    assert out.dtype == plan.dtype
-                    for b in range(size):
-                        expected = _scalar_row(
-                            batch[b], heads, b, plan, num_qubits, density
-                        )
-                        if exact:
-                            assert _bits(out[b]) == _bits(expected)
-                        else:  # opt_einsum reorders the float32 sums
-                            np.testing.assert_allclose(
-                                out[b], expected, atol=1e-4
-                            )
+        compiler = SegmentCompiler(circuit, superop=density, noise_model=noise)
+        for start in range(len(circuit.instructions) + 1):
+            plan = compiler.tail_plan(start)
+            for heads in head_cases:
+                batch = _random_batch(rng, size, num_qubits, density)
+                out = apply_plan(batch.copy(), plan, heads)
+                assert out.shape == batch.shape
+                assert out.dtype == np.complex128
+                for b in range(size):
+                    expected = _scalar_row(
+                        batch[b], heads, b, plan, num_qubits, density
+                    )
+                    assert _bits(out[b]) == _bits(expected)
 
 
 class TestStepStructure:
@@ -507,3 +385,91 @@ class TestEmptyHeads:
         batch = backend.run_branches_from_snapshot(snapshot, circuit, [])
         assert batch.size == 0
         assert batch.probabilities.shape == (0, 2**batch.key_width)
+
+
+class TestResponseBasis:
+    """The linear response basis: responses and their combination."""
+
+    def test_combination_is_the_real_part_of_the_product(self):
+        rng = np.random.default_rng(3)
+        weights = rng.normal(size=(9, 16)) + 1j * rng.normal(size=(9, 16))
+        responses = rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))
+        np.testing.assert_allclose(
+            combine_responses(weights, responses),
+            (weights @ responses).real,
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_combined_rows_do_not_depend_on_their_neighbours(self):
+        """Each row's bits come from its own weights alone: combining in
+        chunks of 7, or row by row, gives the same bytes."""
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(40, 16)) + 1j * rng.normal(size=(40, 16))
+        responses = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
+        whole = combine_responses(weights, responses)
+        for size in (7, 1):
+            chunked = np.concatenate(
+                [
+                    combine_responses(weights[i : i + size], responses)
+                    for i in range(0, len(weights), size)
+                ]
+            )
+            assert chunked.tobytes() == whole.tobytes()
+
+    def test_responses_do_not_depend_on_their_tile(self):
+        """Unit superoperator heads through a noisy tail: tiles of 16, 3
+        and 1 give byte-equal responses."""
+        circuit = qft(3).circuit
+        backend = DensityMatrixSimulator(light_noise_model(3))
+        snapshot = backend.prefix_snapshot(circuit, stop=2)
+        plan = backend.tail_compiler(circuit).tail_plan(2)
+        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        state = snapshot.state.data[np.newaxis]
+
+        def responses(tile):
+            return np.concatenate(
+                [
+                    apply_plan(
+                        np.repeat(state, len(part), axis=0),
+                        plan,
+                        [("superop", (1,), part)],
+                    )
+                    for part in np.split(units, range(tile, 16, tile))
+                ]
+            )
+
+        whole = responses(16)
+        for tile in (3, 1):
+            assert responses(tile).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("density", [False, True], ids=["sv", "dm"])
+    def test_basis_rows_match_direct_rows(self, density):
+        """A site's branches on the basis equal the direct batch's to
+        rounding, and the basis rejects pair heads."""
+        from repro.faults import fault_grid
+        from repro.quantum.circuit import Instruction
+
+        circuit = qft(3).circuit
+        backend = (
+            DensityMatrixSimulator(light_noise_model(3))
+            if density
+            else StatevectorSimulator()
+        )
+        snapshot = backend.prefix_snapshot(circuit, stop=3)
+        heads = [
+            [Instruction(fault.as_gate(), (1,))]
+            for fault in fault_grid(step_deg=45)
+        ]
+        direct = backend.run_branches_from_snapshot(snapshot, circuit, heads)
+        basis = backend.run_branches_from_snapshot(
+            snapshot, circuit, heads, basis_tile=5
+        )
+        np.testing.assert_allclose(
+            basis.probabilities, direct.probabilities, rtol=0, atol=1e-14
+        )
+        pairs = [head + [Instruction(head[0].gate, (2,))] for head in heads]
+        with pytest.raises(ValueError, match="single-fault sites only"):
+            backend.run_branches_from_snapshot(
+                snapshot, circuit, pairs, basis_tile=5
+            )
