@@ -9,8 +9,8 @@ with the vectorized Michelson contrast.
 This bench pins the acceptance number on the paper-scale workloads —
 GHZ(8) and QFT(6) under the full 15-degree, 312-configuration grid —
 requiring >= 3x over the naive reference path
-(``SerialExecutor(prefix_reuse=False)``) while the records stay
-bit-identical (the engine's standing invariant).
+(``SerialExecutor(prefix_reuse=False)``) from the exact per-branch plans
+(``response_basis=False``), whose records stay bit-identical to it.
 """
 
 import time
@@ -41,7 +41,7 @@ class TestBatchedSpeedup:
                 SerialExecutor(prefix_reuse=False), spec, faults
             )
             batched, t_batched = timed_campaign(
-                BatchedExecutor(), spec, faults
+                BatchedExecutor(response_basis=False), spec, faults
             )
             outputs["naive"], outputs["batched"] = naive, batched
             print(

@@ -11,7 +11,9 @@ suffix per injection. The expected gain is ``depth / mean(suffix)``:
   regime that dominates deep circuits.
 
 This bench pins both numbers on a depth >= 20 circuit and checks the two
-paths agree bit-for-bit while disagreeing on wall-clock.
+paths agree bit-for-bit while disagreeing on wall-clock. Both run the
+exact per-branch plans (``response_basis=False``): the bench measures
+prefix reuse, not the response basis.
 """
 
 import time
@@ -75,7 +77,7 @@ class TestPrefixReuseSpeedup:
 
         def compare():
             reused, t_fast = timed_campaign(
-                SerialExecutor(), circuit, points, faults
+                SerialExecutor(response_basis=False), circuit, points, faults
             )
             naive, t_slow = timed_campaign(
                 SerialExecutor(prefix_reuse=False), circuit, points, faults
@@ -107,7 +109,7 @@ class TestPrefixReuseSpeedup:
 
         def compare():
             _, t_fast = timed_campaign(
-                SerialExecutor(), circuit, points, faults
+                SerialExecutor(response_basis=False), circuit, points, faults
             )
             _, t_slow = timed_campaign(
                 SerialExecutor(prefix_reuse=False), circuit, points, faults

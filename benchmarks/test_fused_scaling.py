@@ -1,22 +1,22 @@
-"""Waiver scaling: the linear response basis against the default engine.
+"""Response-basis scaling: the default engine against the opt-out.
 
-The engine runs every branch batch's tail as a compiled segment plan,
-one segment per primitive operation, so records stay bit-identical to
-the naive per-injection sweep — and every fault branch pays for the
-whole tail. The ``bit_identical=False`` waiver runs each single-fault
-site on the linear response basis instead: a fault is a single-qubit
-unitary and everything after it is linear, so the tail runs once per
-superoperator matrix unit on the fault qubit (16 density-matrix
-responses) and each fault combines them, whatever the grid.
+By default the engine runs each single-fault site on the linear
+response basis: a fault is a single-qubit unitary and everything after
+it is linear, so the tail runs once per distinct superoperator matrix
+unit on the fault qubit (10 density-matrix responses) and each fault
+combines them, whatever the grid. The ``bit_identical: true`` opt-out
+(``response_basis=False``) runs every branch's tail as the exact
+compiled plan, one segment per primitive operation, so its records
+stay bit-identical to the naive per-injection sweep — and every fault
+branch pays for the whole tail.
 
 This bench pins the acceptance number on the deep-tail workload — the
 QFT(6) density-matrix campaign under the full 15-degree,
-312-configuration grid — requiring >= 3x from the basis over the
-default engine, with QVF within 1e-10. On a 2-core host the default
-engine runs this campaign in about 19 s and the basis in about 1.7 s.
-The bench archives the measured timings as ``fused_timings.json``
-(uploaded by the bench-smoke CI job, kept out of git like the other
-timing artifacts).
+312-configuration grid — requiring >= 5x from the default over the
+opt-out, with QVF within 1e-10. On a 2-core host the opt-out runs this
+campaign in about 19 s. The bench archives the measured timings as
+``fused_timings.json`` (uploaded by the bench-smoke CI job, kept out of
+git like the other timing artifacts).
 """
 
 import json
@@ -37,8 +37,8 @@ TIMINGS_PATH = "fused_timings.json"
 
 NUM_QUBITS = 6
 
-# The acceptance pin: the basis over the default engine on the full grid.
-BASIS_PIN = 3.0
+# The acceptance pin: the default over the opt-out on the full grid.
+BASIS_PIN = 5.0
 
 
 def make_backend():
@@ -53,7 +53,8 @@ def timed_campaign(executor, spec, faults):
 
 
 class TestResponseBasisSpeedup:
-    """Acceptance: the basis >= 3x on the QFT(6) full-grid DM campaign."""
+    """Acceptance: the default >= 5x the opt-out on the QFT(6) full-grid
+    DM campaign."""
 
     def test_qft6_full_grid_density(self, benchmark):
         spec = qft(NUM_QUBITS)
@@ -61,19 +62,19 @@ class TestResponseBasisSpeedup:
         outputs = {}
 
         def measure():
-            baseline, t_base = timed_campaign(BatchedExecutor(), spec, faults)
-            basis, t_basis = timed_campaign(
-                BatchedExecutor(response_basis=True), spec, faults
+            baseline, t_base = timed_campaign(
+                BatchedExecutor(response_basis=False), spec, faults
             )
+            basis, t_basis = timed_campaign(BatchedExecutor(), spec, faults)
             outputs.update(baseline=baseline, basis=basis)
             outputs["seconds"] = {
-                "default_engine": t_base,
+                "opt_out": t_base,
                 "response_basis": t_basis,
             }
             print(
-                f"\nwaiver sweep, {spec.name}(6) DM, full grid: "
-                f"{len(baseline.records)} injections, default "
-                f"{t_base:.2f}s vs basis {t_basis:.2f}s "
+                f"\nbasis sweep, {spec.name}(6) DM, full grid: "
+                f"{len(baseline.records)} injections, opt-out "
+                f"{t_base:.2f}s vs default {t_basis:.2f}s "
                 f"({t_base / t_basis:.2f}x)"
             )
             return t_base / t_basis
@@ -85,7 +86,7 @@ class TestResponseBasisSpeedup:
         )
 
         baseline = outputs["baseline"]
-        # The waiver trades bit-identity for a different summation
+        # The basis trades bit-identity for a different summation
         # order, not for accuracy.
         np.testing.assert_allclose(
             outputs["basis"].qvf_values(),
@@ -107,8 +108,8 @@ class TestResponseBasisSpeedup:
         assert speedup >= BASIS_PIN
 
     def test_default_engine_stays_bit_identical(self):
-        """The default plans trade speed for a hard guarantee: records
-        bit-identical to the naive reference path.
+        """The opt-out's exact plans trade speed for a hard guarantee:
+        records bit-identical to the naive reference path.
         ``tests/faults/test_batched.py`` sweeps this exhaustively at
         width 3 — this is the paper-scale spot check."""
         spec = qft(NUM_QUBITS)
@@ -116,5 +117,7 @@ class TestResponseBasisSpeedup:
         naive, _ = timed_campaign(
             SerialExecutor(prefix_reuse=False), spec, faults
         )
-        engine, _ = timed_campaign(BatchedExecutor(), spec, faults)
+        engine, _ = timed_campaign(
+            BatchedExecutor(response_basis=False), spec, faults
+        )
         assert engine.table.data.tobytes() == naive.table.data.tobytes()

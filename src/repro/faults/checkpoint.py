@@ -27,7 +27,9 @@ and every task draws from a generator derived from ``(seed, index)``;
 executors deliver rows in task order. So a resumed campaign reproduces
 the uninterrupted run's store byte for byte — on the serial, batched and
 parallel strategies alike — and a completed checkpoint holds the same
-bytes as the plain run's result store.
+bytes as the plain run's result store. The machine emulator draws from
+a seed sequence of its own instead, which a resumed run would restart,
+so its checkpoints are refused rather than resumed.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _check_resume(stored: CampaignResult, plan: CampaignPlan) -> None:
 
     recorded = ScenarioSpec.from_dict(theirs)
     # A hash salt marks a change in how records are computed (the
-    # response-basis waiver, the per-task seeding rule): a store whose
+    # response basis, the per-task seeding rule): a store whose
     # recorded hash its own scenario no longer reproduces holds rows
     # made under the earlier rule.
     if stored.metadata.get("spec_hash", recorded.spec_hash()) != (
@@ -185,7 +187,8 @@ def run_plan(
     QVF is reused; without prior rows the fault-free QVF is computed
     first, from the injector's stream. Pending tasks keep their original
     rank, and each draws from its own generator, so sampled draws do not
-    depend on where an earlier run stopped.
+    depend on where an earlier run stopped. A store that a run on the
+    machine emulator (a backend with ``reseed``) would resume is refused.
 
     A checkpointed run appends a segment every ``save_every`` rows (a
     kill loses fewer than ``2 x save_every``: the unflushed buffer plus
@@ -199,9 +202,22 @@ def run_plan(
     if checkpoint_path is not None:
         if save_every < 1:
             raise ValueError("save_every must be positive")
+        resuming = prior is None
         prior = load_checkpoint(checkpoint_path)
         if prior is not None:
             _check_resume(prior, plan)
+            if resuming and callable(getattr(qufi.backend, "reseed", None)):
+                # A caller passing ``prior`` (a later adaptive round)
+                # continues rows it wrote itself; a store found without
+                # one was left by an earlier run.
+                raise ValueError(
+                    "checkpoint holds a campaign on a backend that draws "
+                    "from a seed sequence of its own (the machine "
+                    "emulator): a resumed run would restart that "
+                    "sequence and its rows would differ from an "
+                    "uninterrupted run's; refusing to resume — use a "
+                    "fresh checkpoint path"
+                )
         # Delivery batches are capped at save_every, so a kill loses at
         # most save_every unflushed rows.
         executor = executor.bounded(save_every)

@@ -23,19 +23,20 @@ the sweep without the redundancy:
   ``run`` — the trajectory simulator (which batches a task's
   trajectories inside ``run``) and the machine emulator — and
   ``prefix_reuse=False`` take the per-task loop, which re-runs each
-  task's full faulty circuit: the naive reference the batched path is
-  bit-identical to.
+  task's full faulty circuit: the naive reference.
   :class:`BatchedExecutor` is the same engine under the ``"batched"``
   name.
 
-* **The response basis** (``response_basis=True``, the spec's
-  ``bit_identical=False`` waiver) changes one thing: every single-fault
-  site runs its whole group in one backend call on the linear response
-  basis — the tail runs once per matrix unit on the fault qubit (4
-  statevector or 16 density-matrix responses, built in tiles no larger
-  than the tile limit) and each branch combines them. The choice is by
-  site shape, not size, so a task takes the same path whatever group
-  the engine sees it in; pair and cluster sites keep the direct path.
+* **The response basis** (``response_basis=True``, the default) runs
+  every single-fault site's whole group in one backend call: a fault is
+  a single-qubit unitary and everything after it is linear, so the tail
+  runs once per matrix unit on the fault qubit (4 statevector or 10
+  density-matrix responses, built in tiles no larger than the tile
+  limit) and each branch combines them. The choice is by site shape,
+  not size, so a task takes the same path whatever group the engine
+  sees it in. Pair and cluster sites, and every site under
+  ``response_basis=False`` (the spec's ``bit_identical: true``), run
+  the exact per-branch plans.
 
 * **The pool** (:class:`ParallelExecutor`) cuts the canonical task list
   into contiguous chunks and runs each chunk on a copy of the engine in a
@@ -54,8 +55,14 @@ the sweep without the redundancy:
 
 Determinism contract
 --------------------
-With ``shots=None`` (exact distributions) every strategy produces records
-bit-identical to the naive per-injection loop. Every random draw of task
+Single-fault records on the response basis lie within 1e-12 QVF of the
+naive reference (``tests/oracle.py``: dense full-size matrices, one
+faulty circuit per task) and are byte-identical across strategies, tile
+sizes, chunk layouts and resumed checkpoints: the combination is
+elementwise, so a row's bits do not depend on the rows combined with
+it. Pair and cluster records, and every record under
+``response_basis=False``, are bit-identical to the naive per-injection
+loop (``prefix_reuse=False``). Every random draw of task
 ``k`` comes from one generator, ``default_rng((plan.seed, task.index))``
 (:func:`_task_rng`): first the draws of a backend that samples inside
 ``run`` (the trajectory simulator, marked ``per_run_seeding``, receives
@@ -63,19 +70,13 @@ the generator itself as its run seed), then the shot re-sampling of
 scoring. A task's draws therefore depend on the task alone — not on the
 strategy, the tile size, the worker count, the chunk layout or where a
 checkpointed run was killed — so sampled records are bit-identical
-across all of them and equal the naive loop's.
+across all of them.
 
 Backends that keep a stream of their own (the machine emulator's per-run
 seed sequence) are the exception: a pool reseeds each chunk's copy from
 ``(seed, chunk_index)``, so their records depend on the chunk layout. An
 unseeded plan scores from fresh entropy, task by task, and a sampling
 backend then keeps its own stream.
-
-Under the response basis, single-fault records lie within 1e-10 QVF of
-the naive loop's instead (about 1e-15 in practice) and are byte-identical
-across strategies, tile sizes, chunk layouts and resumed checkpoints:
-the combination is elementwise, so a row's bits do not depend on the
-rows combined with it.
 """
 
 from __future__ import annotations
@@ -604,10 +605,11 @@ class SerialExecutor(BaseExecutor):
 
     Segment plans compile one complex128 segment per primitive
     operation, bit-identical to walking the tail gate by gate.
-    ``response_basis=True`` runs every single-fault site on the linear
-    response basis (see the module docstring), which waives bit-identity
-    against the per-task loop; its records stay byte-identical across
-    strategies, tile sizes and chunk layouts.
+    ``response_basis`` (on by default) runs every single-fault site on
+    the linear response basis (see the module docstring): within 1e-12
+    QVF of the per-task loop, and byte-identical across strategies,
+    tile sizes and chunk layouts. ``response_basis=False`` keeps every
+    site on the exact plans, bit-identical to the per-task loop.
 
     ``max_branches`` caps how many branches stack at once;
     ``memory_budget`` (bytes, :data:`DEFAULT_TILE_BUDGET` when unset)
@@ -631,7 +633,7 @@ class SerialExecutor(BaseExecutor):
         self,
         prefix_reuse: bool = True,
         batch_size: int = 64,
-        response_basis: bool = False,
+        response_basis: bool = True,
         max_branches: int = 64,
         memory_budget: Optional[int] = None,
     ) -> None:
@@ -787,7 +789,7 @@ class ParallelExecutor(BaseExecutor):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         prefix_reuse: bool = True,
-        response_basis: bool = False,
+        response_basis: bool = True,
         memory_budget: Optional[int] = None,
         pool_cap: Optional[int] = None,
     ) -> None:

@@ -700,13 +700,13 @@ def make_executor(
     """The spec's execution strategy (fresh, config-only instance).
 
     Every strategy runs the same engine configuration — the response
-    basis under the waiver, and the memory budget; with a ``cache``, the
-    suite-shared segment compiler is primed onto the executor so
-    campaigns over the same circuit reuse one compilation. ``pool_cap``
-    bounds a parallel strategy's *pool processes* without touching its
-    chunk partitioning (records stay byte-identical) — the shard
-    scheduler's way of dividing the host between concurrent campaigns;
-    in-process strategies ignore it.
+    basis unless the spec opts out, and the memory budget; with a
+    ``cache``, the suite-shared segment compiler is primed onto the
+    executor so campaigns over the same circuit reuse one compilation.
+    ``pool_cap`` bounds a parallel strategy's *pool processes* without
+    touching its chunk partitioning (records stay byte-identical) — the
+    shard scheduler's way of dividing the host between concurrent
+    campaigns; in-process strategies ignore it.
     """
     engine = dict(
         response_basis=spec.response_basis,

@@ -443,27 +443,26 @@ class ScenarioSpec(_StrictFields):
     trajectories: int = 256
     transpile: Optional[TranspileSpec] = None
     fused: bool = False
-    """Arms the ``bit_identical`` waiver. Every campaign on the exact
-    simulators runs its tails as compiled segment plans; ``fused`` only
-    lets ``bit_identical=False`` move them onto the linear response
-    basis. With the default ``bit_identical=True`` a fused spec runs
-    exactly what an unfused one does (the field still participates in
-    the spec hash when set, so stored hashes stay valid)."""
+    """Inert. It once armed the ``bit_identical`` waiver; the response
+    basis is now the default, so the field changes neither records nor
+    the spec hash. It stays so stored specs still load."""
     precision: str = "exact"
     """Numeric mode; ``exact`` (complex128) is the only one. The field
-    stays so stored specs still load; any other value raises, naming
-    the ``bit_identical`` waiver that replaced the float32 mode."""
-    bit_identical: bool = True
-    """Whether this campaign holds the repo's bit-identity guarantee.
-    ``True`` (the default) keeps records bit-identical to the naive
-    per-injection sweep. Waiving it on a fused spec
-    (``bit_identical=False``) runs every single-fault site on the linear
-    response basis: the tail runs once per matrix unit on the fault
-    qubit (4 statevector or 16 density-matrix responses, whatever the
-    grid) and each fault combines them. Such records lie within 1e-10
-    QVF of the exact ones and stay byte-identical across executors,
-    tile sizes, pools and resumed checkpoints; pair and cluster sites
-    keep the exact path. Waived specs carry a salt in their hash."""
+    stays so stored specs still load; any other value raises."""
+    bit_identical: bool = False
+    """Whether single-fault records must be bit-identical to the naive
+    per-injection sweep. By default (``False``) every single-fault site
+    on the statevector, density-matrix and ``machine`` backends (and the
+    mitigation wrapper over them) runs on the linear response basis:
+    the tail runs once per matrix unit on the fault qubit (4 statevector
+    or 10 density-matrix responses, whatever the grid) and each fault
+    combines them. Such records lie within 1e-12 QVF of the naive
+    reference and stay byte-identical across executors, tile sizes,
+    pools and resumed checkpoints. ``True`` opts out: every site runs
+    the exact per-branch plans, bit-identical to the naive sweep, and
+    the spec hashes as it did before the basis became the default. Pair
+    and cluster sites, and the sampling backends, run as they do either
+    way."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
     strings). Caps the engine's branch-tile size, in process and in pool
@@ -531,9 +530,8 @@ class ScenarioSpec(_StrictFields):
         if self.precision != "exact":
             raise ValueError(
                 f"precision={self.precision!r} is no longer supported: "
-                f"campaigns run in complex128, and the speed waiver is "
-                f"bit_identical=false with fused=true (single-fault sites "
-                f"on the linear response basis)"
+                f"campaigns run in complex128, and single-fault sites run "
+                f"on the linear response basis unless bit_identical=true"
             )
         object.__setattr__(
             self, "memory_budget", parse_memory_budget(self.memory_budget)
@@ -603,19 +601,14 @@ class ScenarioSpec(_StrictFields):
                     "strike campaigns sample fault parameters and need "
                     "an explicit seed to stay reproducible"
                 )
-        if self.mitigation:
-            if self.fused:
-                raise ValueError(
-                    "mitigation routes execution through a wrapping "
-                    "backend and cannot run on fused segments; set "
-                    "fused=false"
-                )
-            if self.backend in ("machine", "machine-emulator"):
-                raise ValueError(
-                    "mitigation needs the scenario noise model's readout "
-                    "confusion; machine backends own their readout "
-                    "physics and cannot be wrapped"
-                )
+        if self.mitigation and self.backend in (
+            "machine", "machine-emulator"
+        ):
+            raise ValueError(
+                "mitigation needs the scenario noise model's readout "
+                "confusion; machine backends own their readout "
+                "physics and cannot be wrapped"
+            )
         # Normalize the noise profile the chosen backend actually runs
         # under, so the spec, its hash and the manifest all tell the
         # truth: machine backends always execute their calibration's
@@ -627,12 +620,23 @@ class ScenarioSpec(_StrictFields):
             object.__setattr__(self, "noise", "calibrated")
         elif self.backend == "statevector":
             object.__setattr__(self, "noise", "none")
+        # The same for the response basis: pair and cluster sites, and
+        # the backends that sample inside ``run``, are bit-identical to
+        # the naive sweep whatever the field says.
+        if (
+            self.mode != "single"
+            or self.backend in ("trajectory", "machine-emulator")
+            or (self.strike is not None and self.strike.k >= 2)
+        ):
+            object.__setattr__(self, "bit_identical", True)
 
     @property
     def response_basis(self) -> bool:
-        """Whether single-fault sites run on the linear response basis:
-        the ``bit_identical=False`` waiver, armed by ``fused``."""
-        return self.fused and not self.bit_identical
+        """Whether the engine runs this campaign's single-fault sites on
+        the linear response basis: unless ``bit_identical`` opts out, or
+        the campaign has no site the basis can run (``bit_identical`` is
+        then normalised to ``True``)."""
+        return not self.bit_identical
 
     @property
     def effective_machine(self) -> str:
@@ -664,14 +668,11 @@ class ScenarioSpec(_StrictFields):
         data = asdict(self)
         data.pop("label")
         # memory_budget only tiles execution (tiling cannot change
-        # records), so it always drops. ``fused``/``bit_identical`` CAN
-        # move records — waiving bit-identity runs single-fault sites on
-        # the response basis — so they participate when set, but drop at
-        # their defaults so every spec hash computed before these fields
-        # existed stays valid and half-finished suite manifests keep
-        # resuming. A waived guarantee also drops when fusion is off
-        # entirely: the waiver is inert there. ``precision`` has one
-        # legal value and always drops.
+        # records), so it always drops. ``fused`` is inert and
+        # ``precision`` has one legal value: both always drop.
+        # ``bit_identical`` drops too; the path it selects enters the
+        # hash as the ``basis`` salt below, on the specs whose records
+        # it moves.
         data.pop("memory_budget")
         # ``budget`` bounds how much of a campaign runs, never what a
         # completed campaign's records are — always hash-excluded, so a
@@ -701,23 +702,21 @@ class ScenarioSpec(_StrictFields):
             data["include_phi_endpoint"] = None
         if not self.mitigation:
             data.pop("mitigation")
-        if self.bit_identical or not self.fused:
-            data.pop("bit_identical")
-        if not self.fused:
-            data.pop("fused")
-        data.pop("precision")
-        if self.response_basis:
-            # Waived records once came from packed segments and now come
-            # from the response basis, so the path enters the hash and no
-            # manifest, cache entry or checkpoint made before it is
-            # served or resumed.
-            data["basis"] = "linear-response"
+        del data["bit_identical"], data["fused"], data["precision"]
         backend = self.backend
         if backend == "auto":
             backend = (
                 "statevector" if self.noise == "none" else "density-matrix"
             )
         data["backend"] = backend
+        if self.response_basis:
+            # Single-fault sites on the batched engine run on the
+            # response basis by default, so their records moved: the
+            # salt keeps every manifest, cache entry and checkpoint made
+            # on the exact plans (or by the 16-response basis, salted
+            # "linear-response") from being served or resumed. Opted-out,
+            # pair, cluster and sampling-backend specs keep their hashes.
+            data["basis"] = "linear-response-default"
         if self.shots is not None and backend != "machine-emulator":
             # Sampled records follow one seeding rule: every draw of
             # task k comes from ``default_rng((seed, k))``. Records drawn
@@ -766,10 +765,11 @@ class ScenarioSpec(_StrictFields):
 
         The canonical dict without ``executor`` and ``workers`` — every
         task draws from its own generator, so the strategy moves no
-        record (except the emulator's, whose own stream a pool reseeds
-        per chunk) — and without the adaptive block's
-        ``max_rounds`` and ``tolerance``, which decide where the round
-        loop stops, never which rounds exist.
+        record — and without the adaptive block's ``max_rounds`` and
+        ``tolerance``, which decide where the round loop stops, never
+        which rounds exist. The emulator draws from a stream of its own,
+        which a resumed run would restart, so its checkpoints do not
+        resume at all (:func:`~repro.faults.checkpoint.run_plan`).
         """
         data = self.canonical_dict()
         del data["executor"], data["workers"]

@@ -28,10 +28,11 @@ evaluation is a wall-clock optimisation only: every row is
 bit-identical to what :meth:`SnapshotBackend.run_from_snapshot` would
 produce for that branch. The ``basis_tile`` keyword runs a single-fault
 site on the linear response basis instead: the tail runs once per
-matrix unit on the fault qubit (4 statevector or 16 density-matrix
+matrix unit on the fault qubit (4 statevector or 10 density-matrix
 responses, whatever the number of branches) and each branch combines
 them. The rows then agree with the direct ones to rounding, not bit for
-bit: that is the ``bit_identical=False`` waiver.
+bit; the campaign engine takes this path by default, and a spec's
+``bit_identical: true`` opts out of it.
 """
 
 from __future__ import annotations

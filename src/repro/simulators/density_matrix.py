@@ -11,7 +11,11 @@ Like the statevector engine, this backend implements the snapshot/branch
 protocol (:class:`~repro.simulators.backend.SnapshotBackend`): the mixed
 state after a circuit prefix — noise channels included — is frozen once and
 every fault continuation branches from it, producing results bit-identical
-to re-simulating the whole faulty circuit.
+to re-simulating the whole faulty circuit. A single-fault site can run on
+the linear response basis instead (``basis_tile``, the campaign engine's
+default): 10 tail runs on the superoperator matrix units that Hermitian
+symmetry leaves distinct, combined per fault, within rounding of the
+direct rows.
 """
 
 from __future__ import annotations
@@ -49,14 +53,23 @@ from .segments import (
     channel_superop_plan as _channel_superop_plan,
     combine_responses,
     gate_ops,
-    unitary_to_superoperator,
 )
 
 __all__ = ["DensityMatrixSimulator"]
 
 # The superoperator matrix units of one qubit, in row-major order: a
 # single-qubit channel's superoperator S is sum_k S.flat[k] * _UNITS[k].
+# Unit k = 8r + 4c + 2r' + c' maps entry (r', c') of the fault qubit's
+# block to entry (r, c); unit 8c + 4r + 2c' + r' maps the adjoint input.
+# The noise and the tail preserve Hermiticity, so that unit's response
+# is the adjoint of unit k's, and its weight in U (x) U* the conjugate:
+# the pair contributes 2 Re(c_k d_k). The basis keeps the four
+# self-adjoint units (0, 3, 12, 15) and one unit of each of the six
+# adjoint pairs, whose weights it doubles.
 _UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
+_KEPT = np.array([0, 1, 3, 4, 5, 6, 7, 12, 13, 15])
+_BASIS_UNITS = _UNITS[_KEPT]
+_PAIR_FACTOR = np.where(np.isin(_KEPT, (0, 3, 12, 15)), 1.0, 2.0)
 
 
 class DensityMatrixSimulator:
@@ -177,11 +190,13 @@ class DensityMatrixSimulator:
 
         With ``basis_tile`` set, a single-fault site runs on the linear
         response basis instead: the tail, preceded by the injector
-        gate's noise, runs on the 16 operators ``E_k rho`` (``E_k`` the
-        superoperator matrix units on the fault qubit, at most
-        ``basis_tile`` at a time), only each response's diagonal is
-        kept, and branch ``U`` takes the diagonal ``sum_k c_k d_k`` with
-        ``c`` the flattened superoperator of ``U``.
+        gate's noise, runs on 10 operators ``E_k rho`` (``E_k`` the
+        superoperator matrix units on the fault qubit that Hermitian
+        symmetry leaves distinct, at most ``basis_tile`` at a time),
+        only each response's diagonal is kept, and branch ``U`` takes
+        the diagonal ``Re sum_k c_k d_k`` with ``c`` the flattened
+        superoperator of ``U``, doubled on the units that stand for an
+        adjoint pair.
         """
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
@@ -229,28 +244,32 @@ class DensityMatrixSimulator:
         tile: int,
     ) -> np.ndarray:
         """Real diagonals of a single-fault site's final states, from the
-        tail's responses to the superoperator matrix units."""
+        tail's responses to the 10 distinct superoperator matrix units."""
         qubits, name, matrices = single_fault_slot(heads, snapshot.measured)
-        _, *noise = gate_ops(name, qubits, _UNITS, self.noise_model)
+        _, *noise = gate_ops(name, qubits, _BASIS_UNITS, self.noise_model)
         state = snapshot.state.data[np.newaxis, :, :]
         responses = np.concatenate(
             [
                 np.diagonal(
                     apply_plan(
-                        np.repeat(state, len(units), axis=0),
+                        np.repeat(state, len(part), axis=0),
                         plan,
-                        [("superop", qubits, units), *noise],
+                        [("superop", qubits, part), *noise],
                     ),
                     axis1=-2,
                     axis2=-1,
                 ).copy()
-                for units in np.split(_UNITS, range(tile, len(_UNITS), tile))
+                for part in np.split(
+                    _BASIS_UNITS, range(tile, len(_BASIS_UNITS), tile)
+                )
             ]
         )
-        weights = np.stack(
-            [unitary_to_superoperator(u).reshape(-1) for u in matrices]
-        )
-        return combine_responses(weights, responses)
+        # Row b is U_b (x) conj(U_b) flattened, the products np.kron forms.
+        weights = (
+            matrices[:, :, np.newaxis, :, np.newaxis]
+            * matrices.conj()[:, np.newaxis, :, np.newaxis, :]
+        ).reshape(len(matrices), len(_UNITS))
+        return combine_responses(weights[:, _KEPT] * _PAIR_FACTOR, responses)
 
     def _head_ops(
         self,

@@ -18,10 +18,11 @@ compilers over the same inputs produce bit-identical segment matrices,
 which is what lets the in-process engine and its pool workers (which
 rebuild their own compiler) agree bit for bit. A plan applies exactly
 the matrices, targets and order the per-task advance loops use, so
-campaign records are bit-identical to the naive per-injection
-re-simulation (``tests/faults/test_batched.py``). The
-``bit_identical=False`` waiver runs the same plans, on the linear
-response basis of :func:`combine_responses`.
+records of branches run through it are bit-identical to the naive
+per-injection re-simulation (``tests/faults/test_batched.py``). By
+default a single-fault site runs the same plans once per matrix unit on
+the fault qubit instead, and combines the responses per fault with
+:func:`combine_responses` (the linear response basis).
 
 The runner (:func:`apply_plan`) does not replay the scalar kernels' axis
 moves, yet gives the same bits, for two reasons:

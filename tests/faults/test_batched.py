@@ -1,15 +1,17 @@
 """The campaign engine against the naive reference path.
 
-The engine's standing invariant: on the exact simulators, the batched
-path — group, tile, snapshot, branch batch, compiled segment plan,
-vectorized scoring — produces records bit-identical to the naive
+The exact plans' standing invariant: on the exact simulators, the
+batched path — group, tile, snapshot, branch batch, compiled segment
+plan, vectorized scoring — with ``response_basis=False`` (the spec's
+``bit_identical: true``) produces records bit-identical to the naive
 per-injection re-simulation (``prefix_reuse=False``, the per-task loop).
 These tests pin it on every benchmark algorithm, for single- and
 double-fault campaigns, exact and sampled, at any tile size, through the
 process pool and the transpiled path, and on random circuits. The
-response basis (the ``bit_identical=False`` waiver) keeps a weaker
-guarantee: bitwise-stable across strategies, tile sizes and pools,
-numerically close to the naive path.
+default response basis keeps a different guarantee: bitwise-stable
+across strategies, tile sizes and pools, numerically close to the naive
+path (``tests/scenarios/test_response_basis.py`` states it against the
+oracle).
 """
 
 import dataclasses
@@ -67,6 +69,7 @@ ALGORITHM_BUILDERS = [
 FAULTS = fault_grid(step_deg=90)
 COUPLES = [(0, 1), (1, 2)]
 BASIS = {"response_basis": True}
+EXACT = {"response_basis": False}
 
 
 def build_noise_model(num_qubits: int) -> NoiseModel:
@@ -155,7 +158,7 @@ def assert_records_identical(left, right):
 
 
 class TestSingleFaultEquivalence:
-    """Engine == naive, exact mode, every benchmark algorithm."""
+    """Exact plans == naive, exact mode, every benchmark algorithm."""
 
     @pytest.mark.parametrize(
         "builder", ALGORITHM_BUILDERS, ids=lambda b: b.__name__
@@ -169,9 +172,9 @@ class TestSingleFaultEquivalence:
             reference.records,
         )
         for executor in (
-            SerialExecutor(),
-            BatchedExecutor(),
-            tiled(make_backend()),
+            SerialExecutor(**EXACT),
+            BatchedExecutor(**EXACT),
+            tiled(make_backend(), **EXACT),
         ):
             assert table_bytes(reference) == table_bytes(
                 single(make_backend, executor, spec)
@@ -180,7 +183,7 @@ class TestSingleFaultEquivalence:
     def test_tile_size_one_still_matches(self):
         spec = qft(3)
         assert table_bytes(single(dm, naive(), spec)) == table_bytes(
-            single(dm, tiled(dm(), tile=1), spec)
+            single(dm, tiled(dm(), tile=1, **EXACT), spec)
         )
 
 
@@ -224,7 +227,9 @@ class TestDoubleFaultEquivalence:
 
         reference = run(naive())
         assert reference.num_injections > 0
-        assert table_bytes(reference) == table_bytes(run(BatchedExecutor()))
+        assert table_bytes(reference) == table_bytes(
+            run(BatchedExecutor(**EXACT))
+        )
 
 
 class TestSampledMode:
@@ -238,7 +243,7 @@ class TestSampledMode:
         assert table_bytes(
             single(sv, naive(), spec, shots=128, seed=11)
         ) == table_bytes(
-            single(sv, BatchedExecutor(), spec, shots=128, seed=11)
+            single(sv, BatchedExecutor(**EXACT), spec, shots=128, seed=11)
         )
 
 
@@ -256,7 +261,7 @@ class TestPool:
     """The pool runs the engine: same records as in process and naive."""
 
     def test_parallel_matches_naive(self):
-        executor = ParallelExecutor(workers=2).start()
+        executor = ParallelExecutor(workers=2, **EXACT).start()
         try:
             for builder in ALGORITHM_BUILDERS:
                 spec = builder(3)
@@ -291,8 +296,9 @@ class TestPool:
 
 
 class TestResponseBasis:
-    """Single-fault sites on the response basis: bitwise-stable across
-    strategies, tiles and pools, close to the naive reference."""
+    """Single-fault sites on the response basis (the default):
+    bitwise-stable across strategies, tiles and pools, close to the
+    naive reference."""
 
     @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
     def test_stable_across_strategies_tiles_and_pools(self, make_backend):
@@ -355,8 +361,8 @@ class TestResponseBasis:
 
 class TestTranspiled:
     def test_transpiled_engine_matches_naive(self):
-        """Transpiled campaigns take the same engine; a fused spec that
-        keeps bit-identity compiles the same unpacked plans."""
+        """Transpiled campaigns take the same engine; an opted-out spec
+        runs the exact plans, fused or not."""
         spec = ScenarioSpec(
             algorithm="ghz",
             width=3,
@@ -364,6 +370,7 @@ class TestTranspiled:
             grid_step_deg=90.0,
             executor="batched",
             transpile={"optimization_level": 1, "seed": 7},
+            bit_identical=True,
         )
         reference = table_bytes(run_scenario(spec, executor=naive()))
         assert reference == table_bytes(run_scenario(spec))
@@ -374,7 +381,8 @@ class TestTranspiled:
 
 class TestMachineAndMitigation:
     """The machine and the mitigation wrapper over an exact backend run
-    on the engine: records bit-identical to the naive per-task loop."""
+    on the engine: opted-out records bit-identical to the naive per-task
+    loop."""
 
     SPECS = {
         "machine": ScenarioSpec(
@@ -386,6 +394,7 @@ class TestMachineAndMitigation:
             grid_step_deg=90.0,
             transpile={"optimization_level": 1, "seed": 7},
             seed=7,
+            bit_identical=True,
         ),
         "mitigation": ScenarioSpec(
             algorithm="bv",
@@ -394,6 +403,7 @@ class TestMachineAndMitigation:
             grid_step_deg=90.0,
             seed=7,
             mitigation=True,
+            bit_identical=True,
         ),
     }
 
@@ -503,9 +513,9 @@ class TestProtocol:
         campaign = QuFI(
             backend, executor=BatchedExecutor()
         ).run_campaign(spec, faults=FAULTS)
-        reference = QuFI(StatevectorSimulator()).run_campaign(
-            spec, faults=FAULTS
-        )
+        reference = QuFI(
+            StatevectorSimulator(), executor=SerialExecutor(**EXACT)
+        ).run_campaign(spec, faults=FAULTS)
         assert_records_identical(campaign.records, reference.records)
 
     def test_bounded_preserves_strategy(self):
@@ -602,8 +612,10 @@ class TestRandomCircuits:
                 )
 
             reference = run(naive())
-            assert reference == run(BatchedExecutor())
-            assert reference == run(tiled(make_backend(), num_qubits))
+            assert reference == run(BatchedExecutor(**EXACT))
+            assert reference == run(
+                tiled(make_backend(), num_qubits, **EXACT)
+            )
 
     @given(
         depth=st.integers(min_value=1, max_value=4),

@@ -36,6 +36,10 @@ from repro.simulators import (
 )
 
 
+# The exact per-branch plans: bit-identical to the naive per-task loop.
+EXACT = {"response_basis": False}
+
+
 def build_noise_model(num_qubits: int) -> NoiseModel:
     model = NoiseModel("executor-test")
     model.add_all_qubit_error(
@@ -105,16 +109,18 @@ class TestEquivalence:
 
     def test_bv_statevector_serial_parallel_legacy_identical(self):
         """BV + fault_grid(45) on statevector: identical records under
-        SerialExecutor, ParallelExecutor(workers=4), and the legacy loop."""
+        SerialExecutor, ParallelExecutor(workers=4), and the legacy loop,
+        on the exact plans (``response_basis=False``)."""
         spec = bernstein_vazirani(4)
         faults = fault_grid(step_deg=45)
 
         legacy = legacy_sweep(QuFI(StatevectorSimulator()), spec, faults)
         serial = QuFI(
-            StatevectorSimulator(), executor=SerialExecutor()
+            StatevectorSimulator(), executor=SerialExecutor(**EXACT)
         ).run_campaign(spec, faults=faults)
         parallel = QuFI(
-            StatevectorSimulator(), executor=ParallelExecutor(workers=4)
+            StatevectorSimulator(),
+            executor=ParallelExecutor(workers=4, **EXACT),
         ).run_campaign(spec, faults=faults)
 
         assert_records_identical(legacy, serial.records)
@@ -164,9 +170,9 @@ class TestEquivalence:
         legacy = legacy_sweep(
             QuFI(StatevectorSimulator()), spec, faults, points=shuffled
         )
-        campaign = QuFI(StatevectorSimulator()).run_campaign(
-            spec, faults=faults, points=shuffled
-        )
+        campaign = QuFI(
+            StatevectorSimulator(), executor=SerialExecutor(**EXACT)
+        ).run_campaign(spec, faults=faults, points=shuffled)
         assert_records_identical(legacy, campaign.records)
 
     def test_fallback_backend_without_snapshots(self):
@@ -186,9 +192,9 @@ class TestEquivalence:
         spec = bernstein_vazirani(3)
         faults = fault_grid(step_deg=90)
         campaign = QuFI(backend).run_campaign(spec, faults=faults)
-        reference = QuFI(StatevectorSimulator()).run_campaign(
-            spec, faults=faults
-        )
+        reference = QuFI(
+            StatevectorSimulator(), executor=SerialExecutor(**EXACT)
+        ).run_campaign(spec, faults=faults)
         assert_records_identical(campaign.records, reference.records)
 
 
@@ -226,9 +232,9 @@ class TestDeterminism:
         backend = StatevectorSimulator()
 
         reference = per_task_reference(backend, spec, faults, 256, 11)
-        campaign = QuFI(backend, shots=256, seed=11).run_campaign(
-            spec, faults=faults
-        )
+        campaign = QuFI(
+            backend, shots=256, seed=11, executor=SerialExecutor(**EXACT)
+        ).run_campaign(spec, faults=faults)
         assert campaign.qvf_values().tolist() == reference
 
     def test_trajectory_with_shots_scores_from_the_run_generator(self):
@@ -294,7 +300,10 @@ class TestDeterminism:
     ):
         """Sampled records depend on the spec alone: every strategy —
         in process, tiled one branch at a time, pools of 2 and 3 workers
-        at two chunk sizes, checkpointed — equals the naive loop."""
+        at two chunk sizes, checkpointed — gives the same bytes: the
+        naive loop's, or on the response basis (single-fault sites on
+        the batched engine) the serial engine's, while the exact plans
+        there equal the naive loop."""
         spec = ScenarioSpec(
             **PARITY_BACKENDS[backend],
             mode=mode,
@@ -321,7 +330,10 @@ class TestDeterminism:
                 )
             return result.table.data.tobytes()
 
-        naive = table_bytes(SerialExecutor(prefix_reuse=False))
+        reference = naive = table_bytes(SerialExecutor(prefix_reuse=False))
+        if spec.response_basis:
+            assert table_bytes(SerialExecutor(**EXACT)) == naive
+            reference = table_bytes(SerialExecutor())
         strategies = {
             "serial": SerialExecutor(),
             "batched": BatchedExecutor(),
@@ -330,9 +342,9 @@ class TestDeterminism:
             "workers3": ParallelExecutor(workers=3, chunk_size=7),
         }
         for name, executor in strategies.items():
-            assert table_bytes(executor) == naive, name
+            assert table_bytes(executor) == reference, name
         checkpoint = str(tmp_path / "run.ckpt")
-        assert table_bytes(SerialExecutor(), checkpoint) == naive
+        assert table_bytes(SerialExecutor(), checkpoint) == reference
 
     def test_executor_recorded_in_metadata(self):
         spec = bernstein_vazirani(3)

@@ -97,36 +97,40 @@ class TestMemoryBudget:
     def test_budget_actually_bites(self):
         """The same campaign under a budget too large to bite allocates
         well past it — the regression this module guards against going
-        unnoticed."""
-        peak, _ = traced_peak(BatchedExecutor(memory_budget=UNBOUNDED))
+        unnoticed. The exact plans stack every branch of a site."""
+        peak, _ = traced_peak(
+            BatchedExecutor(memory_budget=UNBOUNDED, response_basis=False)
+        )
         assert peak > BUDGET
 
     def test_budgeted_records_match_unbudgeted(self):
+        exact = dict(response_basis=False)
         _, budgeted = traced_peak(
-            BatchedExecutor(memory_budget=BUDGET)
+            BatchedExecutor(memory_budget=BUDGET, **exact)
         )
-        _, free = traced_peak(BatchedExecutor(memory_budget=UNBOUNDED))
+        _, free = traced_peak(BatchedExecutor(memory_budget=UNBOUNDED, **exact))
         assert (
             budgeted.table.data.tobytes() == free.table.data.tobytes()
         )
 
     def test_default_engine_fits_budget(self):
-        """The default engine, given no budget, runs a whole fault group
-        (every fault of the grid at one site) inside the same peak."""
+        """The exact plans (``response_basis=False``), given no budget,
+        run a whole fault group (every fault of the grid at one site)
+        inside the same peak."""
         peak, result = traced_peak(
-            SerialExecutor(), points=slice(-1, None), step_deg=90.0
+            SerialExecutor(response_basis=False),
+            points=slice(-1, None),
+            step_deg=90.0,
         )
         assert result.num_injections == len(fault_grid(step_deg=90.0))
         assert peak < BUDGET
 
     def test_waived_default_engine_fits_budget(self):
-        """Under the waiver a whole fault group is one basis call: its 16
-        responses (256 MiB together at 10 qubits) are built one branch
-        tile at a time, inside the same peak."""
+        """The default engine runs a whole fault group as one basis call:
+        its 10 responses (160 MiB together at 10 qubits) are built one
+        branch tile at a time, inside the same peak."""
         peak, result = traced_peak(
-            SerialExecutor(response_basis=True),
-            points=slice(-1, None),
-            step_deg=90.0,
+            SerialExecutor(), points=slice(-1, None), step_deg=90.0
         )
         assert result.num_injections == len(fault_grid(step_deg=90.0))
         assert peak < BUDGET

@@ -2,8 +2,9 @@
 
 The acceptance criterion of topology-aware injection: a campaign over a
 transpiled circuit produces **bit-identical** record tables across the
-Serial, Batched and Parallel executors, and the frame columns survive
-every serialisation round trip.
+Serial, Batched and Parallel executors — on the default response basis
+and on the exact plans of the ``bit_identical: true`` opt-out alike —
+and the frame columns survive every serialisation round trip.
 """
 
 import os
@@ -43,20 +44,28 @@ def _spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
+@pytest.mark.parametrize(
+    "bit_identical", [False, True], ids=["basis", "opted-out"]
+)
 class TestExecutorBitIdentity:
     @pytest.mark.parametrize("mode", ["single", "double"])
-    def test_serial_batched_parallel_identical(self, mode):
+    def test_serial_batched_parallel_identical(self, mode, bit_identical):
         results = {
-            executor: run_scenario(_spec(mode=mode, executor=executor))
+            executor: run_scenario(
+                _spec(
+                    mode=mode, executor=executor, bit_identical=bit_identical
+                )
+            )
             for executor in ("serial", "batched", "parallel")
         }
         serial = results["serial"].table.data
         assert tables_equal(serial, results["batched"].table.data)
         assert tables_equal(serial, results["parallel"].table.data)
 
-    def test_sampled_serial_vs_batched_identical(self):
-        serial = run_scenario(_spec(executor="serial", shots=128, seed=11))
-        batched = run_scenario(_spec(executor="batched", shots=128, seed=11))
+    def test_sampled_serial_vs_batched_identical(self, bit_identical):
+        sampled = dict(shots=128, seed=11, bit_identical=bit_identical)
+        serial = run_scenario(_spec(executor="serial", **sampled))
+        batched = run_scenario(_spec(executor="batched", **sampled))
         assert tables_equal(serial.table.data, batched.table.data)
 
 

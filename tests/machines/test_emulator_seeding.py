@@ -6,13 +6,27 @@ second scenario scheduled in the same process, an interleaved fault-free
 run) shifted every subsequent draw — campaigns through the emulator were
 only deterministic if nothing else ran. Runs now draw from per-run
 children of a seed sequence: run k of a seeded emulator is the same
-whatever happened in between.
+whatever happened in between. A resumed checkpoint would restart that
+sequence, so emulator checkpoints are refused rather than resumed.
 """
 
 import numpy as np
+import pytest
 
+from repro.faults import SerialExecutor
+from repro.faults.checkpoint import run_plan
+from repro.faults.store import read_segments
 from repro.machines import PhysicalMachineEmulator, fake_jakarta
 from repro.quantum.circuit import QuantumCircuit
+from repro.scenarios import (
+    FactoryCache,
+    ScenarioSpec,
+    make_injector,
+    plan_scenario,
+    run_scenario,
+)
+from repro.scenarios.factory import run_adaptive_scenario
+from tests.faults.test_checkpoint_resume import KillingExecutor, SimulatedKill
 
 
 def bell() -> QuantumCircuit:
@@ -69,3 +83,65 @@ class TestPerRunSeeding:
         clone = PhysicalMachineEmulator(fake_jakarta(), seed=9)
         clone.reseed(12345)
         assert run_probs(parent) != run_probs(clone)
+
+
+EMULATOR = dict(
+    algorithm="bv",
+    width=3,
+    noise="calibrated",
+    backend="machine-emulator",
+    machine="jakarta",
+    transpile={},
+    grid_step_deg=90.0,
+    seed=2022,
+)
+
+
+class TestCheckpointResume:
+    """Run k of the emulator draws child k of its own seed sequence, so a
+    resumed run would restart at child 0 and record other draws than an
+    uninterrupted run: a store the emulator would resume is refused."""
+
+    def test_killed_checkpoint_is_refused(self, tmp_path):
+        spec = ScenarioSpec(**EMULATOR)
+        cache = FactoryCache()
+        path = str(tmp_path / "emulator.ckpt")
+        killer = KillingExecutor(SerialExecutor(), kill_after=25)
+        with pytest.raises(SimulatedKill):
+            run_plan(
+                make_injector(spec, cache, killer),
+                plan_scenario(spec, cache),
+                checkpoint_path=path,
+                save_every=10,
+            )
+        _, partial = read_segments(path)
+        assert 0 < len(partial) < len(plan_scenario(spec, cache).tasks)
+        with pytest.raises(ValueError, match="seed sequence of its own"):
+            run_plan(
+                make_injector(spec, cache),
+                plan_scenario(spec, cache),
+                checkpoint_path=path,
+                save_every=10,
+            )
+
+    def test_killed_adaptive_checkpoint_is_refused(self, tmp_path):
+        spec = ScenarioSpec(
+            **EMULATOR,
+            adaptive={"coarse_points": 3, "gradient_threshold": 0.01},
+        )
+        path = str(tmp_path / "adaptive.ckpt")
+        killer = KillingExecutor(SerialExecutor(), kill_after=25)
+        with pytest.raises(SimulatedKill):
+            run_adaptive_scenario(
+                spec, FactoryCache(), killer, path, save_every=10
+            )
+        _, partial = read_segments(path)
+        assert len(partial) > 0
+        with pytest.raises(ValueError, match="fresh checkpoint path"):
+            run_scenario(spec, checkpoint_path=path)
+
+    def test_fresh_path_runs(self, tmp_path):
+        spec = ScenarioSpec(**{**EMULATOR, "grid_step_deg": 180.0})
+        plain = run_scenario(spec)
+        stored = run_scenario(spec, checkpoint_path=str(tmp_path / "new.ckpt"))
+        assert stored.table.data.tobytes() == plain.table.data.tobytes()

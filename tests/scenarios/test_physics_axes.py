@@ -75,8 +75,9 @@ def sorted_rows(table, columns, mask=None):
 
 class TestQECAxis:
     def test_records_match_protected_circuit_bitwise(self):
-        """Every campaign QVF is score_result of the standalone circuit."""
-        spec = qec_spec()
+        """Every campaign QVF is score_result of the standalone circuit,
+        bit for bit on the exact plans (``bit_identical: true``)."""
+        spec = qec_spec(bit_identical=True)
         cache = FactoryCache()
         result = run_scenario(spec, cache)
         assert result.fault_free_qvf == 0.0

@@ -1,19 +1,24 @@
-"""The ``bit_identical=False`` waiver: single-fault sites on the basis.
+"""The response-basis contract: single-fault sites run on the basis.
 
 A fault is a single-qubit unitary and everything after it is linear, so
-the waived engine runs each single-fault site once per matrix unit on
-the fault qubit and combines the responses per fault. The contract:
+by default the engine runs each single-fault site once per matrix unit
+on the fault qubit (4 statevector or 10 density-matrix responses) and
+combines the responses per fault. The contract, stated against the
+naive oracle of ``tests/oracle.py``:
 
-* waived single-fault records lie within 1e-10 QVF of the exact
-  engine's — every benchmark algorithm at width 3 on the statevector,
-  the light-noise density matrix and a transpiled machine, and strike
-  k=1, QEC and adaptive refine campaigns;
-* waived records, exact and sampled, are byte-identical across serial,
+* default single-fault records lie within 1e-12 QVF of the oracle —
+  every benchmark algorithm at width 3 on the statevector, the
+  light-noise density matrix and a transpiled machine (a seeded sample
+  of tasks), and strike k=1 and QEC campaigns;
+* mitigated and adaptive-refine default records lie within 1e-10 QVF
+  of the ``bit_identical: true`` opt-out;
+* default records, exact and sampled, are byte-identical across serial,
   batched, one-branch tiles, pools whose chunks cut through sites and a
   killed-and-resumed checkpoint;
-* waived pair and cluster sites run the exact plans, so their records
-  equal the exact run's byte for byte;
-* a checkpoint recorded while the waiver packed segments is refused.
+* pair, cluster and opted-out records equal the naive loop's bytes;
+* ``fused`` changes neither records nor hashes;
+* a checkpoint recorded while an earlier basis packed segments is
+  refused.
 """
 
 import dataclasses
@@ -28,11 +33,13 @@ from repro.faults.store import compact, read_segments
 from repro.scenarios import (
     FactoryCache,
     ScenarioSpec,
+    make_backend,
     make_injector,
     plan_scenario,
     run_scenario,
 )
 from tests.faults.test_checkpoint_resume import KillingExecutor, SimulatedKill
+from tests.oracle import oracle_qvfs
 
 ALGORITHMS = ("bv", "dj", "ghz", "grover", "qft", "qpe")
 
@@ -49,6 +56,8 @@ BACKENDS = {
         grid_step_deg=180.0,
     ),
 }
+# How many seeded tasks of each grid the oracle checks (None: all).
+SAMPLES = {"statevector": None, "density-matrix": 160, "machine": 4}
 
 # Campaigns whose faults do not come from the uniform grid.
 KINDS = {
@@ -60,13 +69,21 @@ KINDS = {
         algorithm="qec", noise="light", grid_step_deg=45.0, seed=7,
         qec={"code": "bit_flip", "distance": 3},
     ),
+}
+
+# Default campaigns the oracle does not model: compared with the opt-out.
+NEAR_OPT_OUT = {
+    "mitigated": dict(
+        algorithm="bv", width=4, noise="light", grid_step_deg=45.0,
+        seed=2022, mitigation=True,
+    ),
     "adaptive-refine": dict(
         algorithm="ghz", width=3, noise="light", grid_step_deg=30.0,
         adaptive={"coarse_points": 3, "gradient_threshold": 0.2},
     ),
 }
 
-# Pair and cluster sites: the waiver leaves them on the exact plans.
+# Pair and cluster sites: the basis leaves them on the exact plans.
 PAIRS = {
     "double-sv": dict(algorithm="bv", width=3, noise="none", mode="double",
                       grid_step_deg=90.0),
@@ -79,8 +96,8 @@ PAIRS = {
 }
 
 
-def waived(spec):
-    return dataclasses.replace(spec, fused=True, bit_identical=False)
+def opted_out(spec):
+    return dataclasses.replace(spec, bit_identical=True)
 
 
 def run(spec, executor=None, cache=None):
@@ -98,9 +115,36 @@ def fault_columns(result):
     return data.tobytes()
 
 
-def assert_close_to_exact(spec):
-    exact = run(spec)
-    basis = run(waived(spec))
+def assert_close_to_oracle(spec, sample=None):
+    """The default engine's rows for ``spec`` (all of them, or a seeded
+    sample of ``sample`` tasks) lie within 1e-12 QVF of the oracle."""
+    assert spec.response_basis
+    cache = FactoryCache()
+    plan = plan_scenario(spec, cache)
+    tasks = plan.tasks
+    if sample is not None and sample < len(tasks):
+        picked = np.random.default_rng(2022).choice(len(tasks), sample, False)
+        tasks = tuple(tasks[i] for i in sorted(picked))
+    # A sample runs alone: rows do not depend on their neighbours.
+    result = run_plan(
+        make_injector(spec, cache), dataclasses.replace(plan, tasks=tasks)
+    )
+    assert result.num_injections == len(tasks) > 0
+    backend = make_backend(spec, cache)
+    expected = oracle_qvfs(
+        plan,
+        getattr(backend, "noise_model", None),
+        density=spec.noise != "none",
+        tasks=tasks,
+    )
+    np.testing.assert_allclose(
+        result.qvf_values(), expected, rtol=0, atol=1e-12
+    )
+
+
+def assert_close_to_opt_out(spec):
+    exact = run(opted_out(spec))
+    basis = run(spec)
     assert basis.num_injections == exact.num_injections > 0
     assert fault_columns(basis) == fault_columns(exact)
     np.testing.assert_allclose(
@@ -108,17 +152,41 @@ def assert_close_to_exact(spec):
     )
 
 
-class TestCloseToExact:
+class TestAgainstOracle:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_grid(self, algorithm, backend):
-        assert_close_to_exact(
-            ScenarioSpec(algorithm=algorithm, width=3, **BACKENDS[backend])
+        assert_close_to_oracle(
+            ScenarioSpec(algorithm=algorithm, width=3, **BACKENDS[backend]),
+            SAMPLES[backend],
         )
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_campaign_kinds(self, kind):
-        assert_close_to_exact(ScenarioSpec(**KINDS[kind]))
+        assert_close_to_oracle(ScenarioSpec(**KINDS[kind]), 160)
+
+    def test_oracle_equals_the_exact_engine(self):
+        """The oracle itself: the opt-out (bit-identical to the naive
+        loop) agrees with it on a noisy density matrix."""
+        spec = ScenarioSpec(
+            algorithm="qft", width=3, noise="light", grid_step_deg=90.0,
+            bit_identical=True,
+        )
+        cache = FactoryCache()
+        expected = oracle_qvfs(
+            plan_scenario(spec, cache),
+            make_backend(spec, cache).noise_model,
+            density=True,
+        )
+        np.testing.assert_allclose(
+            run(spec, cache=cache).qvf_values(), expected, rtol=0, atol=1e-12
+        )
+
+
+class TestCloseToOptOut:
+    @pytest.mark.parametrize("kind", sorted(NEAR_OPT_OUT))
+    def test_campaign_kinds(self, kind):
+        assert_close_to_opt_out(ScenarioSpec(**NEAR_OPT_OUT[kind]))
 
 
 class TestByteStable:
@@ -126,21 +194,19 @@ class TestByteStable:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_across_strategies_and_resume(self, tmp_path, backend, shots):
         fields = dict(BACKENDS[backend], grid_step_deg=90.0)
-        spec = waived(
-            ScenarioSpec(
-                algorithm="bv", width=3, shots=shots, seed=7, **fields
-            )
+        spec = ScenarioSpec(
+            algorithm="bv", width=3, shots=shots, seed=7, **fields
         )
+        assert spec.response_basis
         cache = FactoryCache()
         reference = run(spec, cache=cache)
-        basis = dict(response_basis=True)
         # Sites hold 12 faults, so chunks of 5 and 7 cut through them.
         strategies = {
-            "serial": SerialExecutor(**basis),
-            "batched": BatchedExecutor(**basis),
-            "one-branch": SerialExecutor(max_branches=1, **basis),
-            "workers2": ParallelExecutor(workers=2, chunk_size=5, **basis),
-            "workers3": ParallelExecutor(workers=3, chunk_size=7, **basis),
+            "serial": SerialExecutor(),
+            "batched": BatchedExecutor(),
+            "one-branch": SerialExecutor(max_branches=1),
+            "workers2": ParallelExecutor(workers=2, chunk_size=5),
+            "workers3": ParallelExecutor(workers=3, chunk_size=7),
         }
         for name, executor in strategies.items():
             result = run(spec, executor=executor, cache=cache)
@@ -150,7 +216,7 @@ class TestByteStable:
 
         # Killed mid-site, then resumed from the checkpoint.
         path = str(tmp_path / "killed.ckpt")
-        killer = KillingExecutor(SerialExecutor(batch_size=5, **basis), 17)
+        killer = KillingExecutor(SerialExecutor(batch_size=5), 17)
         with pytest.raises(SimulatedKill):
             run_plan(
                 make_injector(spec, cache, killer),
@@ -170,10 +236,9 @@ class TestByteStable:
         assert resumed.table.data.tobytes() == reference.table.data.tobytes()
 
     def test_packed_era_checkpoint_is_refused(self, tmp_path):
-        spec = waived(
-            ScenarioSpec(
-                algorithm="bv", width=3, noise="light", grid_step_deg=90.0
-            )
+        spec = ScenarioSpec(
+            algorithm="bv", width=3, noise="light", grid_step_deg=90.0,
+            fused=True,
         )
         path = str(tmp_path / "packed.ckpt")
         run_scenario(spec, checkpoint_path=path)
@@ -185,12 +250,45 @@ class TestByteStable:
             run_scenario(spec, checkpoint_path=path)
 
 
+def naive(spec):
+    """``spec`` on the naive per-task loop."""
+    return run(spec, executor=SerialExecutor(prefix_reuse=False))
+
+
 class TestPairAndClusterSites:
     @pytest.mark.parametrize("shape", sorted(PAIRS))
     def test_waived_pairs_equal_the_exact_run(self, shape):
+        """Pair and cluster sites stay on the exact plans, bit-identical
+        to the naive loop, and hash alike whatever ``bit_identical``
+        says."""
         spec = ScenarioSpec(**PAIRS[shape])
-        exact = run(spec)
-        assert exact.table.has_second().all()
-        assert run(waived(spec)).table.data.tobytes() == (
-            exact.table.data.tobytes()
+        assert opted_out(spec).spec_hash() == spec.spec_hash()
+        result = run(spec)
+        assert result.table.has_second().all()
+        assert result.table.data.tobytes() == (
+            naive(spec).table.data.tobytes()
         )
+
+
+class TestOptOut:
+    @pytest.mark.parametrize("backend", ["statevector", "density-matrix"])
+    def test_opted_out_equals_the_naive_loop(self, backend):
+        spec = opted_out(
+            ScenarioSpec(algorithm="qft", width=3, **BACKENDS[backend])
+        )
+        assert not spec.response_basis
+        assert run(spec).table.data.tobytes() == (
+            naive(spec).table.data.tobytes()
+        )
+
+    def test_fused_moves_neither_records_nor_hash(self):
+        spec = ScenarioSpec(
+            algorithm="bv", width=3, noise="light", grid_step_deg=90.0
+        )
+        for bit_identical in (False, True):
+            plain = dataclasses.replace(spec, bit_identical=bit_identical)
+            fused = dataclasses.replace(plain, fused=True)
+            assert fused.spec_hash() == plain.spec_hash()
+            assert run(fused).table.data.tobytes() == (
+                run(plain).table.data.tobytes()
+            )

@@ -123,7 +123,8 @@ class TestFusionFields:
         spec = ScenarioSpec(algorithm="bv")
         assert spec.fused is False
         assert spec.precision == "exact"
-        assert spec.bit_identical is True
+        assert spec.bit_identical is False
+        assert spec.response_basis
         assert spec.memory_budget is None
 
     def test_memory_budget_strings_parse(self):
@@ -147,24 +148,25 @@ class TestFusionFields:
         for name in ("fused", "precision", "bit_identical", "memory_budget"):
             assert name not in canonical
 
-    def test_fused_changes_the_hash(self):
-        base = ScenarioSpec(algorithm="bv", width=3)
-        assert base.spec_hash() != ScenarioSpec(
-            algorithm="bv", width=3, fused=True
-        ).spec_hash()
+    def test_fused_never_changes_the_hash(self):
+        for bit_identical in (False, True):
+            base = ScenarioSpec(
+                algorithm="bv", width=3, bit_identical=bit_identical
+            )
+            assert base.spec_hash() == ScenarioSpec(
+                algorithm="bv", width=3, fused=True,
+                bit_identical=bit_identical,
+            ).spec_hash()
 
-    def test_waiver_changes_the_hash_only_when_fused(self):
-        base = ScenarioSpec(algorithm="bv", width=3)
-        # Packing changes records, so the waiver participates when fused...
-        assert ScenarioSpec(
-            algorithm="bv", width=3, fused=True
-        ).spec_hash() != ScenarioSpec(
-            algorithm="bv", width=3, fused=True, bit_identical=False
-        ).spec_hash()
-        # ... but is inert (and hash-neutral) without fusion.
-        assert base.spec_hash() == ScenarioSpec(
-            algorithm="bv", width=3, bit_identical=False
-        ).spec_hash()
+    def test_opt_out_changes_the_hash_whatever_fused(self):
+        # The response basis moves records, so opting out of it moves
+        # the hash back, fused or not.
+        for fused in (False, True):
+            assert ScenarioSpec(
+                algorithm="bv", width=3, fused=fused
+            ).spec_hash() != ScenarioSpec(
+                algorithm="bv", width=3, fused=fused, bit_identical=True
+            ).spec_hash()
 
     def test_memory_budget_never_changes_the_hash(self):
         base = ScenarioSpec(algorithm="bv", width=3, fused=True)
@@ -172,15 +174,15 @@ class TestFusionFields:
             algorithm="bv", width=3, fused=True, memory_budget="64mb"
         ).spec_hash()
 
-    def test_float32_fails_loudly_naming_the_waiver(self):
+    def test_float32_fails_loudly_naming_the_opt_out(self):
         for fields in (
             dict(precision="float32", fused=True, bit_identical=False),
             dict(precision="float32"),
             dict(precision="float16", fused=True),
         ):
-            with pytest.raises(ValueError, match="bit_identical=false"):
+            with pytest.raises(ValueError, match="bit_identical=true"):
                 ScenarioSpec(algorithm="bv", **fields)
-        with pytest.raises(ValueError, match="bit_identical=false"):
+        with pytest.raises(ValueError, match="bit_identical=true"):
             ScenarioSpec.from_dict(
                 {"algorithm": "bv", "fused": True, "precision": "float32"}
             )

@@ -9,70 +9,124 @@ exact pre-upgrade hashes of both shipped example suites and check the
 neutrality property directly.
 """
 
+import json
 import os
 
-from repro.scenarios import ScenarioSpec, SuiteSpec
+import pytest
+
+from repro.scenarios import ScenarioSpec, SuiteSpec, run_scenario
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
+
+def load_suite(name, **fields):
+    """An example suite with ``fields`` added to every entry."""
+    with open(os.path.join(EXAMPLES, f"{name}.json"), encoding="utf-8") as f:
+        data = json.load(f)
+    data["scenarios"] = [{**entry, **fields} for entry in data["scenarios"]]
+    return SuiteSpec.from_dict(data)
+
+
 # Captured on the commit immediately before the qec/strike/mitigation
-# fields existed. These values must never change — except once, for
-# the one seeding rule (every draw of task k from ``(seed, k)``): it
-# moved the records of sampled specs on every backend but the machine
-# emulator, so it salted their hashes. In the committed suites that is
-# ``ghz3-light-sampled`` alone, and with it the mini suite's hash.
-MINI_SUITE_HASH = "9db69c9dd444981b"
+# fields existed. These values changed twice on purpose. The one seeding
+# rule (every draw of task k from ``(seed, k)``) moved the records of
+# sampled specs on every backend but the machine emulator, so it salted
+# their hashes: in the committed suites ``ghz3-light-sampled`` alone, and
+# with it the mini suite's hash (``PRE_SEEDING_RULE``). Then the response
+# basis became the default for single-fault sites on the batched engine,
+# which salted those specs (``PRE_BASIS_DEFAULT`` holds the pins from
+# before it). Opting out with ``bit_identical: true`` on every entry
+# still reproduces every ``PRE_BASIS_DEFAULT`` pin.
 PRE_SEEDING_RULE = {
     "mini_suite": "3706cb730292e266",
     "ghz3-light-sampled": "ae418edd18942f0e",
 }
-MINI_SCENARIO_HASHES = {
-    "bv3-ideal": "e5b43ede8b22b663",
-    "ghz3-light-sampled": "f1b13c6180c3af4c",
-    "qft3-heavy": "27ca854748eda30a",
-    "bv3-ideal-reused": "e5b43ede8b22b663",
-    "ghz3-casablanca-transpiled": "7ac7121cc94ed7d3",
+PRE_BASIS_DEFAULT = {
+    "mini_suite": "9db69c9dd444981b",
+    "mini": {
+        "bv3-ideal": "e5b43ede8b22b663",
+        "ghz3-light-sampled": "f1b13c6180c3af4c",
+        "qft3-heavy": "27ca854748eda30a",
+        "bv3-ideal-reused": "e5b43ede8b22b663",
+        "ghz3-casablanca-transpiled": "7ac7121cc94ed7d3",
+    },
+    "paper_suite": "86646b0ecb417ff9",
+    "paper": {
+        "fig5-bv4": "1c8aa9d7982a9fa1",
+        "fig5-dj4": "1e80eec756a81458",
+        "fig5-qft4": "7e6ae9c6e2ad275c",
+        "fig7-bv5": "60f0a00019e24b01",
+        "fig7-bv6": "5e5837eeaa4cdae9",
+        "fig7-dj5": "053853edcbb078eb",
+        "fig7-dj6": "6b4736cad9932b1e",
+        "fig7-qft5": "2346fde9b90fd3e9",
+        "fig7-qft6": "21c927eba12e9e30",
+        "fig5-ghz4-adaptive": "7015f33a73c2f1af",
+        "fig8a-bv4-single": "d3459357926f9e77",
+        "fig8b-bv4-double": "4244cbd52f92725c",
+        "fig9-bv4-single": "d3459357926f9e77",
+        "fig10-bv4-single": "d3459357926f9e77",
+        "fig11-bv4-simulation": "fc7c7ca5161a99bc",
+        "fig11-bv4-machine": "1b16b2a4b7480b5f",
+        "fig11-bv4-sim-casablanca": "700daca867eae738",
+        "fig11-bv4-sim-lagos": "9468a3951ae48683",
+    },
 }
 
-PAPER_SUITE_HASH = "86646b0ecb417ff9"
-PAPER_SCENARIO_HASHES = {
-    "fig5-bv4": "1c8aa9d7982a9fa1",
-    "fig5-dj4": "1e80eec756a81458",
-    "fig5-qft4": "7e6ae9c6e2ad275c",
-    "fig7-bv5": "60f0a00019e24b01",
-    "fig7-bv6": "5e5837eeaa4cdae9",
-    "fig7-dj5": "053853edcbb078eb",
-    "fig7-dj6": "6b4736cad9932b1e",
-    "fig7-qft5": "2346fde9b90fd3e9",
-    "fig7-qft6": "21c927eba12e9e30",
-    "fig5-ghz4-adaptive": "7015f33a73c2f1af",
-    "fig8a-bv4-single": "d3459357926f9e77",
-    "fig8b-bv4-double": "4244cbd52f92725c",
-    "fig9-bv4-single": "d3459357926f9e77",
-    "fig10-bv4-single": "d3459357926f9e77",
-    "fig11-bv4-simulation": "fc7c7ca5161a99bc",
-    "fig11-bv4-machine": "1b16b2a4b7480b5f",
-    "fig11-bv4-sim-casablanca": "700daca867eae738",
-    "fig11-bv4-sim-lagos": "9468a3951ae48683",
+# The same suites under the default response basis.
+MINI_SUITE_HASH = "16636ea510a4de96"
+MINI_SCENARIO_HASHES = {
+    "bv3-ideal": "71422d8a19eb4b30",
+    "ghz3-light-sampled": "919f85010fac0394",
+    "qft3-heavy": "60a1ff69a9e77f1d",
+    "bv3-ideal-reused": "71422d8a19eb4b30",
+    "ghz3-casablanca-transpiled": "560f93521b219da0",
 }
+
+PAPER_SUITE_HASH = "ff4cf8e0c858af7e"
+PAPER_SCENARIO_HASHES = {
+    "fig5-bv4": "36fae6e69e5e12fe",
+    "fig5-dj4": "6c59b2cb07ef2941",
+    "fig5-qft4": "a959853dea4b49bf",
+    "fig7-bv5": "a840ff6b04cb2aee",
+    "fig7-bv6": "dbffbe2963c05be4",
+    "fig7-dj5": "e39427cf17dbd8b9",
+    "fig7-dj6": "dbd79193a815c8d4",
+    "fig7-qft5": "c0ee3227a6dc1128",
+    "fig7-qft6": "489211667b28ae21",
+    "fig5-ghz4-adaptive": "d48ba40add19658b",
+    "fig8a-bv4-single": "bada88c15d2a5e03",
+    # Pair faults and the emulator never run on the basis.
+    "fig8b-bv4-double": "4244cbd52f92725c",
+    "fig9-bv4-single": "bada88c15d2a5e03",
+    "fig10-bv4-single": "bada88c15d2a5e03",
+    "fig11-bv4-simulation": "b2a702262f77514a",
+    "fig11-bv4-machine": "1b16b2a4b7480b5f",
+    "fig11-bv4-sim-casablanca": "667efd1fd5c15803",
+    "fig11-bv4-sim-lagos": "009f64685115ed45",
+}
+
+
+def paper_prefix(suite, pins):
+    """The pre-upgrade entries of the paper suite, as one suite."""
+    legacy = [s for s in suite if s.scenario_id in pins]
+    assert len(legacy) == len(pins)
+    return SuiteSpec.build("qufi-paper-evaluation", legacy)
 
 
 class TestPinnedExampleSuiteHashes:
     def test_mini_suite_scenario_hashes_unchanged(self):
-        suite = SuiteSpec.from_json(os.path.join(EXAMPLES, "mini_suite.json"))
+        suite = load_suite("mini_suite")
         observed = {s.scenario_id: s.spec_hash() for s in suite}
         assert observed == MINI_SCENARIO_HASHES
 
     def test_mini_suite_hash_unchanged(self):
-        suite = SuiteSpec.from_json(os.path.join(EXAMPLES, "mini_suite.json"))
-        assert suite.suite_hash() == MINI_SUITE_HASH
+        assert load_suite("mini_suite").suite_hash() == MINI_SUITE_HASH
 
     def test_paper_suite_pre_upgrade_scenarios_unchanged(self):
         # paper_suite.json gains new physics scenarios over time; the
         # pre-upgrade entries must keep their exact hashes.
-        suite = SuiteSpec.from_json(
-            os.path.join(EXAMPLES, "paper_suite.json")
-        )
+        suite = load_suite("paper_suite")
         observed = {s.scenario_id: s.spec_hash() for s in suite}
         for scenario_id, expected in PAPER_SCENARIO_HASHES.items():
             assert observed[scenario_id] == expected, scenario_id
@@ -80,15 +134,30 @@ class TestPinnedExampleSuiteHashes:
     def test_paper_suite_subsuite_hash_unchanged(self):
         # The ordered (id, hash) prefix over the pre-upgrade entries
         # still reproduces the pre-upgrade suite hash.
-        suite = SuiteSpec.from_json(
-            os.path.join(EXAMPLES, "paper_suite.json")
-        )
-        legacy = [
-            s for s in suite if s.scenario_id in PAPER_SCENARIO_HASHES
-        ]
-        assert len(legacy) == len(PAPER_SCENARIO_HASHES)
-        prefix = SuiteSpec.build("qufi-paper-evaluation", legacy)
+        suite = load_suite("paper_suite")
+        prefix = paper_prefix(suite, PAPER_SCENARIO_HASHES)
         assert prefix.suite_hash() == PAPER_SUITE_HASH
+
+    def test_opted_out_suites_reproduce_the_pre_basis_pins(self):
+        mini = load_suite("mini_suite", bit_identical=True)
+        assert {s.scenario_id: s.spec_hash() for s in mini} == (
+            PRE_BASIS_DEFAULT["mini"]
+        )
+        assert mini.suite_hash() == PRE_BASIS_DEFAULT["mini_suite"]
+        paper = load_suite("paper_suite", bit_identical=True)
+        pins = PRE_BASIS_DEFAULT["paper"]
+        observed = {s.scenario_id: s.spec_hash() for s in paper}
+        for scenario_id, expected in pins.items():
+            assert observed[scenario_id] == expected, scenario_id
+        assert paper_prefix(paper, pins).suite_hash() == (
+            PRE_BASIS_DEFAULT["paper_suite"]
+        )
+
+    def test_emulator_and_double_pins_did_not_move(self):
+        for scenario_id in ("fig8b-bv4-double", "fig11-bv4-machine"):
+            assert PAPER_SCENARIO_HASHES[scenario_id] == (
+                PRE_BASIS_DEFAULT["paper"][scenario_id]
+            )
 
 
 class TestSeedingRuleSalt:
@@ -99,11 +168,10 @@ class TestSeedingRuleSalt:
         return spec.shots is not None and spec.backend != "machine-emulator"
 
     def test_exact_and_emulator_pins_unchanged(self):
-        pins = {**MINI_SCENARIO_HASHES, **PAPER_SCENARIO_HASHES}
+        pins = {**PRE_BASIS_DEFAULT["mini"], **PRE_BASIS_DEFAULT["paper"]}
         checked = set()
         for name in ("mini_suite", "paper_suite"):
-            suite = SuiteSpec.from_json(os.path.join(EXAMPLES, f"{name}.json"))
-            for spec in suite:
+            for spec in load_suite(name, bit_identical=True):
                 if spec.scenario_id in pins and not self.salted(spec):
                     assert spec.spec_hash() == pins[spec.scenario_id]
                     checked.add(spec.scenario_id)
@@ -111,17 +179,14 @@ class TestSeedingRuleSalt:
         # The emulator keeps its own stream, so its sampled spec keeps
         # its hash.
         machine = {
-            s.scenario_id: s
-            for s in SuiteSpec.from_json(
-                os.path.join(EXAMPLES, "paper_suite.json")
-            )
+            s.scenario_id: s for s in load_suite("paper_suite")
         }["fig11-bv4-machine"]
         assert machine.shots is not None
         assert machine.backend == "machine-emulator"
         assert machine.spec_hash() == "1b16b2a4b7480b5f"
 
     def test_sampled_spec_hash_moved(self):
-        suite = SuiteSpec.from_json(os.path.join(EXAMPLES, "mini_suite.json"))
+        suite = load_suite("mini_suite", bit_identical=True)
         sampled = [s for s in suite if self.salted(s)]
         assert [s.scenario_id for s in sampled] == ["ghz3-light-sampled"]
         assert sampled[0].spec_hash() != PRE_SEEDING_RULE["ghz3-light-sampled"]
@@ -140,35 +205,86 @@ class TestSeedingRuleSalt:
 
 
 class TestResponseBasisSalt:
-    """Waived specs moved from packed segments to the response basis, so
-    their hashes moved; exact specs (every committed one) did not."""
+    """Specs whose single-fault sites now run on the response basis by
+    default carry a salt; the rest keep their hashes."""
 
-    # The hash of this waived spec when the waiver still packed segments.
-    PACKED_ERA = ("d84a2da74fab1927", dict(noise="light"))
+    BV3 = dict(algorithm="bv", width=3, noise="light")
+    # This spec's hash while the waiver packed segments, and while it
+    # armed the 16-response basis (salted "linear-response").
+    PACKED_ERA = "d84a2da74fab1927"
+    STEP_ONE = "6ffd605e2b797285"
 
     def test_waived_spec_hash_moved(self):
-        expected, fields = self.PACKED_ERA
-        waived = ScenarioSpec(
-            algorithm="bv", width=3, fused=True, bit_identical=False, **fields
-        )
-        assert waived.canonical_dict()["basis"] == "linear-response"
-        assert waived.spec_hash() != expected
+        spec = ScenarioSpec(fused=True, bit_identical=False, **self.BV3)
+        assert spec.canonical_dict()["basis"] == "linear-response-default"
+        assert spec.spec_hash() not in (self.PACKED_ERA, self.STEP_ONE)
 
-    def test_salt_follows_the_waiver(self):
-        for fields in (
-            dict(),
-            dict(fused=True),
-            dict(bit_identical=False),
-            dict(fused=True, bit_identical=True),
-        ):
-            spec = ScenarioSpec(algorithm="bv", width=3, **fields)
+    def test_salt_differs_from_step_one(self):
+        salt = ScenarioSpec(**self.BV3).canonical_dict()["basis"]
+        assert salt != "linear-response"
+
+    def test_salt_follows_bit_identical_not_fused(self):
+        default = ScenarioSpec(**self.BV3)
+        for fields in (dict(fused=True), dict(bit_identical=False)):
+            spec = ScenarioSpec(**fields, **self.BV3)
+            assert spec.response_basis
+            assert spec.spec_hash() == default.spec_hash()
+        opted_out = ScenarioSpec(bit_identical=True, **self.BV3)
+        for fields in (dict(), dict(fused=True)):
+            spec = ScenarioSpec(bit_identical=True, **fields, **self.BV3)
             assert not spec.response_basis
             assert "basis" not in spec.canonical_dict()
+            assert spec.spec_hash() == opted_out.spec_hash()
+        assert opted_out.spec_hash() != default.spec_hash()
 
-    def test_no_committed_suite_is_waived(self):
+    def test_only_moved_records_are_salted(self):
+        unmoved = (
+            dict(mode="double"),
+            dict(backend="trajectory"),
+            dict(backend="machine-emulator", transpile={}),
+            dict(seed=11, strike={"count": 4, "k": 2}),
+        )
+        for fields in unmoved:
+            spec = ScenarioSpec(**{**self.BV3, **fields})
+            assert not spec.response_basis, fields
+            assert "basis" not in spec.canonical_dict(), fields
+            assert spec.spec_hash() == ScenarioSpec(
+                **{**self.BV3, **fields}, bit_identical=True
+            ).spec_hash()
+        for fields in (
+            dict(noise="none"),
+            dict(backend="density-matrix"),
+            dict(backend="machine", transpile={}),
+            dict(seed=11, strike={"count": 4, "k": 1}),
+            dict(mitigation=True),
+            dict(algorithm="qec", qec={}),
+            dict(adaptive={}),
+        ):
+            spec = ScenarioSpec(**{**self.BV3, **fields})
+            assert spec.response_basis, fields
+
+    def test_committed_suites_salt_exactly_the_moved_scenarios(self):
+        unmoved = {
+            "fig8b-bv4-double", "fig11-bv4-machine", "strike-bv4-pairs",
+            "fig5-bv4-trajectory", "bv3-strike-pairs", "ghz3-trajectory",
+        }
         for name in ("mini_suite", "paper_suite", "physics_suite"):
-            suite = SuiteSpec.from_json(os.path.join(EXAMPLES, f"{name}.json"))
-            assert not any(spec.response_basis for spec in suite), name
+            for spec in load_suite(name):
+                moved = spec.scenario_id not in unmoved
+                assert spec.response_basis == moved, spec.scenario_id
+
+    def test_checkpoint_from_before_the_default_is_refused(self, tmp_path):
+        """The opt-out writes what the previous release wrote for the
+        default spec (the same exact records, scenario and hash), and a
+        default run refuses to resume it, naming the salt."""
+        spec = ScenarioSpec(grid_step_deg=90.0, **self.BV3)
+        path = str(tmp_path / "exact.ckpt")
+        run_scenario(
+            ScenarioSpec(grid_step_deg=90.0, bit_identical=True, **self.BV3),
+            checkpoint_path=path,
+        )
+        with pytest.raises(ValueError, match=r"differs on \['basis'\]"):
+            run_scenario(spec, checkpoint_path=path)
 
 
 class TestHashNeutralityWhenAbsent:

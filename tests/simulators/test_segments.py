@@ -401,47 +401,76 @@ class TestResponseBasis:
             atol=1e-12,
         )
 
+    @staticmethod
+    def density_site():
+        """A noisy QFT-3 site's snapshot, plan and 45-degree fault heads."""
+        from repro.faults import fault_grid
+        from repro.quantum.circuit import Instruction
+
+        circuit = qft(3).circuit
+        backend = DensityMatrixSimulator(light_noise_model(3))
+        snapshot = backend.prefix_snapshot(circuit, stop=3)
+        plan = backend.tail_compiler(circuit).tail_plan(3)
+        heads = [
+            [Instruction(fault.as_gate(), (1,))]
+            for fault in fault_grid(step_deg=45)
+        ]
+        return circuit, backend, snapshot, plan, heads
+
+    def test_ten_responses_match_sixteen(self):
+        """Hermitian symmetry: the 10-response diagonals equal the
+        combination of all 16 matrix units' responses within 1e-14."""
+        _, backend, snapshot, plan, heads = self.density_site()
+        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        _, *noise = gate_ops(
+            heads[0][0].name, (1,), units, backend.noise_model
+        )
+        batch = np.repeat(snapshot.state.data[np.newaxis], 16, axis=0)
+        responses = np.diagonal(
+            apply_plan(batch, plan, [("superop", (1,), units), *noise]),
+            axis1=-2,
+            axis2=-1,
+        )
+        weights = np.stack(
+            [
+                np.kron(m, m.conj()).reshape(-1)
+                for m in (head[0].gate.matrix for head in heads)
+            ]
+        )
+        sixteen = combine_responses(weights, responses)
+        ten = backend._basis_diagonals(snapshot, heads, plan, 16)
+        assert ten.shape == sixteen.shape == (len(heads), 8)
+        np.testing.assert_allclose(ten, sixteen, rtol=0, atol=1e-14)
+
     def test_combined_rows_do_not_depend_on_their_neighbours(self):
-        """Each row's bits come from its own weights alone: combining in
-        chunks of 7, or row by row, gives the same bytes."""
-        rng = np.random.default_rng(5)
-        weights = rng.normal(size=(40, 16)) + 1j * rng.normal(size=(40, 16))
-        responses = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
-        whole = combine_responses(weights, responses)
+        """Each row's bits come from its own fault alone: a site's heads
+        combined in chunks of 7, or one by one, give the same bytes."""
+        circuit, backend, snapshot, plan, heads = self.density_site()
+
+        def rows(part):
+            return backend.run_branches_from_snapshot(
+                snapshot, circuit, part, plan=plan, basis_tile=4
+            ).probabilities
+
+        whole = rows(heads)
         for size in (7, 1):
             chunked = np.concatenate(
-                [
-                    combine_responses(weights[i : i + size], responses)
-                    for i in range(0, len(weights), size)
-                ]
+                [rows(heads[i : i + size]) for i in range(0, len(heads), size)]
             )
             assert chunked.tobytes() == whole.tobytes()
 
     def test_responses_do_not_depend_on_their_tile(self):
-        """Unit superoperator heads through a noisy tail: tiles of 16, 3
-        and 1 give byte-equal responses."""
-        circuit = qft(3).circuit
-        backend = DensityMatrixSimulator(light_noise_model(3))
-        snapshot = backend.prefix_snapshot(circuit, stop=2)
-        plan = backend.tail_compiler(circuit).tail_plan(2)
-        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
-        state = snapshot.state.data[np.newaxis]
+        """Responses built in tiles of 10, 3 and 1 give byte-equal rows."""
+        circuit, backend, snapshot, plan, heads = self.density_site()
 
-        def responses(tile):
-            return np.concatenate(
-                [
-                    apply_plan(
-                        np.repeat(state, len(part), axis=0),
-                        plan,
-                        [("superop", (1,), part)],
-                    )
-                    for part in np.split(units, range(tile, 16, tile))
-                ]
-            )
+        def rows(tile):
+            return backend.run_branches_from_snapshot(
+                snapshot, circuit, heads, plan=plan, basis_tile=tile
+            ).probabilities
 
-        whole = responses(16)
+        whole = rows(10)
         for tile in (3, 1):
-            assert responses(tile).tobytes() == whole.tobytes()
+            assert rows(tile).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("density", [False, True], ids=["sv", "dm"])
     def test_basis_rows_match_direct_rows(self, density):
