@@ -276,6 +276,10 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
     def branch_state_nbytes(self, num_qubits: int) -> int:
         return self.backend.branch_state_nbytes(num_qubits)
 
+    @property
+    def basis_responses(self) -> Optional[int]:
+        return getattr(self.backend, "basis_responses", None)
+
 
 def mitigation_delta(raw, mitigated) -> Dict[str, object]:
     """Mitigated-vs-raw QVF delta columns for twin campaigns.

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -295,8 +296,9 @@ def refined_heatmap(
 
 def _check_resume_config(
     checkpoint_path: Optional[str], config: Dict[str, object]
-) -> None:
-    """Refuse to resume a store refined under a different configuration.
+) -> bool:
+    """Refuse to resume a store refined under a different configuration;
+    return whether there is a store to resume.
 
     The replayed round structure is a function of the adaptive config;
     continuing a store recorded under another one would mix two
@@ -304,10 +306,10 @@ def _check_resume_config(
     grid checkpoints) are rejected for the same reason.
     """
     if checkpoint_path is None:
-        return
+        return False
     existing = load_checkpoint(checkpoint_path)
     if existing is None:
-        return
+        return False
     stored = existing.metadata.get("adaptive")
     if stored is None:
         raise ValueError(
@@ -325,6 +327,7 @@ def _check_resume_config(
             f"configuration (differs on {mismatched}); refusing to mix "
             f"round structures — use a fresh checkpoint path"
         )
+    return True
 
 
 def run_adaptive_campaign(
@@ -397,23 +400,35 @@ def run_adaptive_campaign(
         "phi_max_deg": phi_max_deg,
         "include_phi_endpoint": include_phi_endpoint,
     }
-    _check_resume_config(checkpoint_path, config)
+    # A store found here holds rows this invocation did not draw: every
+    # round then reads its rows back from the store as found rows, which
+    # run_plan refuses to continue on a backend with a seed sequence of
+    # its own (the machine emulator).
+    resumed = _check_resume_config(checkpoint_path, config)
 
     def run_union(
         union: Sequence[PhaseShiftFault],
         adaptive: Dict[str, object],
         prior: Optional[CampaignResult],
+        fresh: int = 0,
     ) -> CampaignResult:
         """Run the union's missing injections (prior rows come from the
-        previous round, or from the store); return the campaign so far."""
+        previous round, or from the store); return the campaign so far.
+
+        Every site is sized by the ``fresh`` faults the round adds to
+        the union, which the round structure alone fixes, so a resumed
+        round takes the path the uninterrupted one took at every site.
+        """
         plan = single_plan(
             target, correct_states, union, points, qufi.shots, qufi.seed
         )
         plan.metadata.update({**(metadata or {}), "adaptive": adaptive})
+        sizes = {(point.position, point.qubit): fresh for point in points}
+        plan = replace(plan, site_sizes=sizes)
         return run_plan(
             qufi,
             plan,
-            prior=prior,
+            prior=None if resumed else prior,
             checkpoint_path=checkpoint_path,
             save_every=save_every,
             executor=executor,
@@ -467,9 +482,12 @@ def run_adaptive_campaign(
             if mode == "importance":
                 sampled_batches.pop()
             break
+        # Active lines and sampled batches only grow: the round adds
+        # the difference.
+        fresh = len(next_union) - len(union)
         union = next_union
         state = {"round": round_index + 1, "num_faults": len(union)}
-        last = run_union(union, {**config, **state}, last)
+        last = run_union(union, {**config, **state}, last, fresh)
         table = last.table
         rounds_run = round_index + 1
 

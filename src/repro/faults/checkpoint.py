@@ -188,7 +188,8 @@ def run_plan(
     first, from the injector's stream. Pending tasks keep their original
     rank, and each draws from its own generator, so sampled draws do not
     depend on where an earlier run stopped. A store that a run on the
-    machine emulator (a backend with ``reseed``) would resume is refused.
+    machine emulator (a backend with ``reseed``) would resume is refused;
+    a completed one reads back as it is.
 
     A checkpointed run appends a segment every ``save_every`` rows (a
     kill loses fewer than ``2 x save_every``: the unflushed buffer plus
@@ -199,28 +200,24 @@ def run_plan(
     """
     executor = executor if executor is not None else qufi.executor
     metadata = {**plan.metadata, "executor": executor.name}
+    # Whether the prior rows were left by an earlier run: a caller
+    # passing ``prior`` (a later adaptive round) continues rows it wrote
+    # itself, a store found without one holds an earlier run's.
+    found = False
     if checkpoint_path is not None:
         if save_every < 1:
             raise ValueError("save_every must be positive")
-        resuming = prior is None
+        found = prior is None
         prior = load_checkpoint(checkpoint_path)
+        found = found and prior is not None
         if prior is not None:
             _check_resume(prior, plan)
-            if resuming and callable(getattr(qufi.backend, "reseed", None)):
-                # A caller passing ``prior`` (a later adaptive round)
-                # continues rows it wrote itself; a store found without
-                # one was left by an earlier run.
-                raise ValueError(
-                    "checkpoint holds a campaign on a backend that draws "
-                    "from a seed sequence of its own (the machine "
-                    "emulator): a resumed run would restart that "
-                    "sequence and its rows would differ from an "
-                    "uninterrupted run's; refusing to resume — use a "
-                    "fresh checkpoint path"
-                )
         # Delivery batches are capped at save_every, so a kill loses at
         # most save_every unflushed rows.
         executor = executor.bounded(save_every)
+    # Sites are sized over the whole plan, before recorded tasks drop,
+    # so a resumed site takes the path the uninterrupted run took.
+    plan = plan.sized()
     if prior is None:
         fault_free = qufi.fault_free_qvf(plan.circuit, plan.correct_states)
         done_table, pending = RecordTable.empty(), plan.tasks
@@ -228,6 +225,14 @@ def run_plan(
         fault_free, done_table = prior.fault_free_qvf, prior.table
         done = completed_keys(done_table)
         pending = tuple(t for t in plan.tasks if _task_key(t) not in done)
+    if found and pending and callable(getattr(qufi.backend, "reseed", None)):
+        raise ValueError(
+            "checkpoint holds a campaign on a backend that draws from a "
+            "seed sequence of its own (the machine emulator): a resumed "
+            "run would restart that sequence and its rows would differ "
+            "from an uninterrupted run's; refusing to resume — use a "
+            "fresh checkpoint path"
+        )
     meta = {
         "circuit_name": plan.name,
         "correct_states": list(plan.correct_states),

@@ -28,13 +28,16 @@ the sweep without the redundancy:
   name.
 
 * **The response basis** (``response_basis=True``, the default) runs
-  every single-fault site's whole group in one backend call: a fault is
-  a single-qubit unitary and everything after it is linear, so the tail
-  runs once per matrix unit on the fault qubit (4 statevector or 10
-  density-matrix responses, built in tiles no larger than the tile
-  limit) and each branch combines them. The choice is by site shape,
-  not size, so a task takes the same path whatever group the engine
-  sees it in. Pair and cluster sites, and every site under
+  a single-fault site's whole group in one backend call: a fault is a
+  single-qubit unitary and everything after it is linear, so the tail
+  runs once per matrix unit on the fault qubit (the backend's
+  ``basis_responses``: 4 statevector or 10 density-matrix responses,
+  built in tiles no larger than the tile limit) and each branch
+  combines them. It runs a site only when the site holds at least that
+  many faults in the plan's :attr:`~CampaignPlan.site_sizes`, counted
+  over the whole campaign before a resume or a pool cuts it, so a task
+  takes the same path whatever group the engine sees it in. Smaller
+  sites, pair and cluster sites, and every site under
   ``response_basis=False`` (the spec's ``bit_identical: true``), run
   the exact per-branch plans.
 
@@ -60,9 +63,10 @@ naive reference (``tests/oracle.py``: dense full-size matrices, one
 faulty circuit per task) and are byte-identical across strategies, tile
 sizes, chunk layouts and resumed checkpoints: the combination is
 elementwise, so a row's bits do not depend on the rows combined with
-it. Pair and cluster records, and every record under
-``response_basis=False``, are bit-identical to the naive per-injection
-loop (``prefix_reuse=False``). Every random draw of task
+it, and a site's path depends on the plan alone. Every other record —
+sites below the response count, pair and cluster sites, and every site
+under ``response_basis=False`` — is bit-identical to the naive
+per-injection loop (``prefix_reuse=False``). Every random draw of task
 ``k`` comes from one generator, ``default_rng((plan.seed, task.index))``
 (:func:`_task_rng`): first the draws of a backend that samples inside
 ``run`` (the trajectory simulator, marked ``per_run_seeding``, receives
@@ -81,6 +85,7 @@ backend then keeps its own stream.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import itertools
@@ -91,7 +96,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -174,11 +180,30 @@ class CampaignPlan:
     metadata: Dict[str, object] = field(default_factory=dict)
     """The result's metadata in its stored key order; executors ignore
     it, and the run stamps its ``executor`` entry."""
+    site_sizes: Optional[Mapping[Tuple[int, int], int]] = None
+    """Single-fault tasks per ``(position, qubit)`` site that a run from
+    an empty store executes (counted from ``tasks`` by :meth:`sized`
+    when ``None``). The response basis runs a site only when this count
+    reaches the backend's number of responses. The count is fixed
+    before a resume drops recorded tasks or a pool cuts chunks, so every
+    run of the plan takes the same path at every site."""
 
     @property
     def total(self) -> int:
         """Number of injections the plan schedules."""
         return len(self.tasks)
+
+    def sized(self) -> "CampaignPlan":
+        """This plan with :attr:`site_sizes` counted from its tasks,
+        unless already set."""
+        if self.site_sizes is not None:
+            return self
+        sizes = collections.Counter(
+            (task.point.position, task.point.qubit)
+            for task in self.tasks
+            if task.second_fault is None and not task.extra_faults
+        )
+        return replace(self, site_sizes=sizes)
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +441,21 @@ def _iter_scored_groups(
     bound peak memory (a density-matrix branch is ``16 * 4**n`` bytes).
     The prefix snapshot extends across groups, and the shared tail of
     every tile runs as ``compiler``'s segment plan for that position.
-    With ``response_basis``, a single-fault group runs whole, in one
-    call on the linear response basis whose responses are built at most
+    With ``response_basis``, a single-fault group whose site holds at
+    least the backend's ``basis_responses`` faults in ``plan``'s
+    :attr:`~CampaignPlan.site_sizes` runs whole, in one call on the
+    linear response basis whose responses are built at most
     ``max_branches`` at a time. Yields each tile with its scored QVF
     array.
     """
     circuit = plan.circuit
+    # A backend without a basis (or an opted-out run) never reaches it.
+    responses = getattr(backend, "basis_responses", None)
+    if not response_basis or responses is None:
+        responses = math.inf
+    sizes = plan.sized().site_sizes
     snapshot = None
-    for (position, _, second_qubit, extra), group in itertools.groupby(
+    for (position, qubit, second_qubit, extra), group in itertools.groupby(
         tasks,
         key=lambda task: (
             task.point.position,
@@ -440,7 +472,11 @@ def _iter_scored_groups(
         )
         tail_plan = compiler.tail_plan(position + 1)
         chunk = list(group)
-        basis = response_basis and second_qubit is None and not extra
+        basis = (
+            second_qubit is None
+            and not extra
+            and sizes.get((position, qubit), 0) >= responses
+        )
         tile = len(chunk) if basis else max_branches
         for start in range(0, len(chunk), tile):
             sub = chunk[start : start + tile]
@@ -899,6 +935,9 @@ class ParallelExecutor(BaseExecutor):
         tasks = plan.tasks
         if not tasks:
             return RecordTable.empty()
+        # Sites are sized before the cut, so every chunk of a site takes
+        # the path the whole site takes in process.
+        plan = plan.sized()
         workers = self._resolve_workers()
         target = self.chunk_size or max(
             1, math.ceil(len(tasks) / (workers * 4))

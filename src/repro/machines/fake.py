@@ -246,6 +246,8 @@ class FakeBackend:
     def branch_state_nbytes(self, num_qubits: int) -> int:
         return self.simulator().branch_state_nbytes(num_qubits)
 
+    basis_responses = DensityMatrixSimulator.basis_responses
+
     def __repr__(self) -> str:
         return f"FakeBackend({self.name!r}, qubits={self.num_qubits})"
 

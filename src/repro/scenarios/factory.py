@@ -797,13 +797,13 @@ def _paired_strikes(
     pair each adjacency cluster with the patterns sampled for its hop
     geometry. Single sweeps return ``None``.
     """
-    if spec.strike is not None and spec.strike.k >= 2:
+    if not spec.paired:
+        return None
+    if spec.strike is not None:
         return [
             (qubits, _strike_patterns(spec, hops, cache))
             for qubits, hops in _strike_clusters(spec, cache)
         ]
-    if spec.mode != "double":
-        return None
     patterns = double_patterns(make_faults(spec, cache))
     return [(tuple(couple), patterns) for couple in make_couples(spec, cache)]
 

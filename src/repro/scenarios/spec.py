@@ -39,14 +39,18 @@ __all__ = [
 ]
 
 NOISE_PROFILES = ("none", "light", "heavy", "calibrated")
-BACKEND_KINDS = (
-    "auto",
-    "statevector",
-    "density-matrix",
-    "trajectory",
-    "machine",
-    "machine-emulator",
-)
+#: Every backend kind, with whether its engine runs single-fault sites on
+#: the linear response basis (the batched engine over an exact
+#: simulator). The trajectory simulator and the machine emulator sample
+#: inside ``run`` and take the per-task loop instead.
+BACKEND_KINDS = {
+    "auto": True,
+    "statevector": True,
+    "density-matrix": True,
+    "trajectory": False,
+    "machine": True,
+    "machine-emulator": False,
+}
 EXECUTORS = ("serial", "batched", "parallel")
 MODES = ("single", "double")
 
@@ -451,18 +455,19 @@ class ScenarioSpec(_StrictFields):
     stays so stored specs still load; any other value raises."""
     bit_identical: bool = False
     """Whether single-fault records must be bit-identical to the naive
-    per-injection sweep. By default (``False``) every single-fault site
-    on the statevector, density-matrix and ``machine`` backends (and the
-    mitigation wrapper over them) runs on the linear response basis:
+    per-injection sweep. By default (``False``) a single-fault site on
+    the statevector, density-matrix and ``machine`` backends (and the
+    mitigation wrapper over them) runs on the linear response basis
+    when it holds at least as many faults as the basis has responses:
     the tail runs once per matrix unit on the fault qubit (4 statevector
     or 10 density-matrix responses, whatever the grid) and each fault
     combines them. Such records lie within 1e-12 QVF of the naive
     reference and stay byte-identical across executors, tile sizes,
     pools and resumed checkpoints. ``True`` opts out: every site runs
     the exact per-branch plans, bit-identical to the naive sweep, and
-    the spec hashes as it did before the basis became the default. Pair
-    and cluster sites, and the sampling backends, run as they do either
-    way."""
+    the spec hashes as it did before the basis became the default.
+    Smaller sites, pair and cluster sites, and the sampling backends
+    run the exact plans either way."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
     strings). Caps the engine's branch-tile size, in process and in pool
@@ -512,7 +517,7 @@ class ScenarioSpec(_StrictFields):
         if self.backend not in BACKEND_KINDS:
             raise ValueError(
                 f"unknown backend kind {self.backend!r} "
-                f"(choose from {BACKEND_KINDS})"
+                f"(choose from {tuple(BACKEND_KINDS)})"
             )
         if self.executor not in EXECUTORS:
             raise ValueError(
@@ -620,22 +625,29 @@ class ScenarioSpec(_StrictFields):
             object.__setattr__(self, "noise", "calibrated")
         elif self.backend == "statevector":
             object.__setattr__(self, "noise", "none")
-        # The same for the response basis: pair and cluster sites, and
-        # the backends that sample inside ``run``, are bit-identical to
-        # the naive sweep whatever the field says.
-        if (
-            self.mode != "single"
-            or self.backend in ("trajectory", "machine-emulator")
-            or (self.strike is not None and self.strike.k >= 2)
-        ):
+        # The same for the response basis: paired sweeps, and the
+        # backends without a basis, are bit-identical to the naive sweep
+        # whatever the field says.
+        if self.paired or not BACKEND_KINDS[self.backend]:
             object.__setattr__(self, "bit_identical", True)
 
     @property
+    def paired(self) -> bool:
+        """Whether the campaign sweeps pair or cluster sites (double
+        faults, or a correlated strike with k >= 2) rather than
+        single-fault sites."""
+        return self.mode == "double" or (
+            self.strike is not None and self.strike.k >= 2
+        )
+
+    @property
     def response_basis(self) -> bool:
-        """Whether the engine runs this campaign's single-fault sites on
-        the linear response basis: unless ``bit_identical`` opts out, or
-        the campaign has no site the basis can run (``bit_identical`` is
-        then normalised to ``True``)."""
+        """Whether the engine may run this campaign's single-fault sites
+        on the linear response basis: unless ``bit_identical`` opts out,
+        or the campaign is paired or its backend kind has no basis
+        (``bit_identical`` is then normalised to ``True``). The engine
+        runs a site on it when the site holds at least the backend's
+        ``basis_responses`` faults."""
         return not self.bit_identical
 
     @property
@@ -714,8 +726,11 @@ class ScenarioSpec(_StrictFields):
             # response basis by default, so their records moved: the
             # salt keeps every manifest, cache entry and checkpoint made
             # on the exact plans (or by the 16-response basis, salted
-            # "linear-response") from being served or resumed. Opted-out,
-            # pair, cluster and sampling-backend specs keep their hashes.
+            # "linear-response") from being served or resumed. It marks
+            # every spec whose sites may run on the basis; one whose
+            # sites all hold fewer faults than the backend's responses
+            # keeps its records under the new hash. Opted-out, paired
+            # and sampling-backend specs keep their hashes.
             data["basis"] = "linear-response-default"
         if self.shots is not None and backend != "machine-emulator":
             # Sampled records follow one seeding rule: every draw of
@@ -750,12 +765,11 @@ class ScenarioSpec(_StrictFields):
             # suite manifests keep resuming across the upgrade.
             data.pop("transpile")
             if (
-                self.mode != "double"
+                # Paired sweeps read the machine's coupling graph for
+                # their couples and clusters, so the machine stays live.
+                not self.paired
                 and self.noise != "calibrated"
                 and backend not in ("machine", "machine-emulator")
-                # Correlated strikes read the machine's coupling graph
-                # for adjacency, so the machine stays live for k >= 2.
-                and not (self.strike is not None and self.strike.k >= 2)
             ):
                 data["machine"] = None
         return data
@@ -768,8 +782,9 @@ class ScenarioSpec(_StrictFields):
         record — and without the adaptive block's ``max_rounds`` and
         ``tolerance``, which decide where the round loop stops, never
         which rounds exist. The emulator draws from a stream of its own,
-        which a resumed run would restart, so its checkpoints do not
-        resume at all (:func:`~repro.faults.checkpoint.run_plan`).
+        which a resumed run would restart, so a checkpoint of it with
+        injections left does not resume at all
+        (:func:`~repro.faults.checkpoint.run_plan`).
         """
         data = self.canonical_dict()
         del data["executor"], data["workers"]

@@ -213,7 +213,10 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
     to :meth:`run_branches_from_snapshot`, which applies the shared tail
     as that plan's segments. :meth:`branch_state_nbytes` reports the
     bytes one branch's state occupies in a batch, which is what
-    memory-budgeted tiling divides against.
+    memory-budgeted tiling divides against. A backend that runs the
+    linear response basis (``basis_tile``) names its number of tail runs
+    a site in a ``basis_responses`` attribute; the campaign engine takes
+    the basis only at sites holding at least that many faults.
     """
 
     def run_branches_from_snapshot(

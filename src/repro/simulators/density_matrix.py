@@ -76,6 +76,9 @@ class DensityMatrixSimulator:
     """Density-matrix execution with an optional instruction-level noise model."""
 
     name = "density_matrix_simulator"
+    #: Tail runs of a site on the linear response basis: the
+    #: superoperator matrix units Hermitian symmetry leaves distinct.
+    basis_responses = len(_KEPT)
 
     def __init__(self, noise_model: Optional[NoiseModel] = None) -> None:
         self.noise_model = noise_model

@@ -50,6 +50,9 @@ class StatevectorSimulator:
     """
 
     name = "statevector_simulator"
+    #: Tail runs of a site on the linear response basis: the matrix
+    #: units ``|a><b|`` on the fault qubit.
+    basis_responses = 4
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._rng = np.random.default_rng(seed)

@@ -41,6 +41,7 @@ from repro.faults import (
     fault_grid,
 )
 from repro.faults.executor import TILE_WORKING_SET, score_branch_batch
+from repro.faults.plan import single_plan
 from repro.machines import fake_jakarta
 from repro.quantum import random_circuit
 from repro.scenarios import ScenarioSpec, run_scenario
@@ -340,6 +341,18 @@ class TestResponseBasis:
         assert table_bytes(double(dm, naive(), spec)) == table_bytes(
             double(dm, BatchedExecutor(**BASIS), spec)
         )
+
+    @pytest.mark.parametrize("make_backend", [sv, dm], ids=["sv", "dm"])
+    def test_pool_sizes_sites_before_cutting_chunks(self, make_backend):
+        """A plan run on the pool directly: chunks of 3 hold fewer
+        faults than the basis has responses, yet every chunk takes the
+        path its whole 12-fault site takes in process."""
+        spec = qft(3)
+        plan = single_plan(spec, faults=FAULTS)
+        with ParallelExecutor(workers=2, chunk_size=3, **BASIS) as pool:
+            pooled = pool.run(make_backend(), plan)
+        in_process = SerialExecutor(**BASIS).run(make_backend(), plan)
+        assert pooled.data.tobytes() == in_process.data.tobytes()
 
     def test_one_call_per_single_fault_site(self):
         """The basis runs a whole site in one backend call, whatever the

@@ -124,13 +124,16 @@ class TestCheckpointResume:
                 save_every=10,
             )
 
-    def test_killed_adaptive_checkpoint_is_refused(self, tmp_path):
+    # The coarse round holds 45 rows: killed inside it, and inside the
+    # next round once it has completed.
+    @pytest.mark.parametrize("kill_after", [25, 50])
+    def test_killed_adaptive_checkpoint_is_refused(self, tmp_path, kill_after):
         spec = ScenarioSpec(
             **EMULATOR,
             adaptive={"coarse_points": 3, "gradient_threshold": 0.01},
         )
         path = str(tmp_path / "adaptive.ckpt")
-        killer = KillingExecutor(SerialExecutor(), kill_after=25)
+        killer = KillingExecutor(SerialExecutor(), kill_after=kill_after)
         with pytest.raises(SimulatedKill):
             run_adaptive_scenario(
                 spec, FactoryCache(), killer, path, save_every=10
@@ -139,6 +142,28 @@ class TestCheckpointResume:
         assert len(partial) > 0
         with pytest.raises(ValueError, match="fresh checkpoint path"):
             run_scenario(spec, checkpoint_path=path)
+
+    @pytest.mark.parametrize(
+        "adaptive", [False, True], ids=["plain", "adaptive"]
+    )
+    def test_completed_checkpoint_reads_back(self, tmp_path, adaptive):
+        """Nothing is pending on a finished store, so no emulator run is
+        drawn: the same command returns the stored campaign unchanged."""
+        if adaptive:
+            # Three rounds, so later rounds read the found store too.
+            fields = dict(
+                EMULATOR,
+                adaptive={"coarse_points": 2, "gradient_threshold": 0.01},
+            )
+        else:
+            fields = dict(EMULATOR, grid_step_deg=180.0)
+        spec = ScenarioSpec(**fields)
+        path = tmp_path / "done.ckpt"
+        first = run_scenario(spec, checkpoint_path=str(path))
+        stored = path.read_bytes()
+        again = run_scenario(spec, checkpoint_path=str(path))
+        assert again.table.data.tobytes() == first.table.data.tobytes()
+        assert path.read_bytes() == stored
 
     def test_fresh_path_runs(self, tmp_path):
         spec = ScenarioSpec(**{**EMULATOR, "grid_step_deg": 180.0})

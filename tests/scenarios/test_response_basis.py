@@ -3,22 +3,25 @@
 A fault is a single-qubit unitary and everything after it is linear, so
 by default the engine runs each single-fault site once per matrix unit
 on the fault qubit (4 statevector or 10 density-matrix responses) and
-combines the responses per fault. The contract, stated against the
-naive oracle of ``tests/oracle.py``:
+combines the responses per fault, wherever the site holds at least that
+many faults. The contract, stated against the naive oracle of
+``tests/oracle.py`` and the ``bit_identical: true`` opt-out:
 
 * default single-fault records lie within 1e-12 QVF of the oracle —
   every benchmark algorithm at width 3 on the statevector, the
-  light-noise density matrix and a transpiled machine (a seeded sample
-  of tasks), and strike k=1 and QEC campaigns;
-* mitigated and adaptive-refine default records lie within 1e-10 QVF
-  of the ``bit_identical: true`` opt-out;
+  light-noise density matrix and a transpiled machine (seeded samples
+  of tasks on the last two), and strike k=1 and QEC campaigns;
+* every row of those campaigns, and of mitigated and adaptive-refine
+  ones, lies within 1e-10 QVF of the opt-out, every other column equal;
+* sites holding fewer faults than the responses run the exact plans;
 * default records, exact and sampled, are byte-identical across serial,
   batched, one-branch tiles, pools whose chunks cut through sites and a
   killed-and-resumed checkpoint;
 * pair, cluster and opted-out records equal the naive loop's bytes;
 * ``fused`` changes neither records nor hashes;
 * a checkpoint recorded while an earlier basis packed segments is
-  refused.
+  refused;
+* the spec's backend table names exactly the engines that have a basis.
 """
 
 import dataclasses
@@ -38,23 +41,26 @@ from repro.scenarios import (
     plan_scenario,
     run_scenario,
 )
+from repro.scenarios.spec import BACKEND_KINDS
+from repro.simulators import DensityMatrixSimulator, StatevectorSimulator
 from tests.faults.test_checkpoint_resume import KillingExecutor, SimulatedKill
 from tests.oracle import oracle_qvfs
 
 ALGORITHMS = ("bv", "dj", "ghz", "grover", "qft", "qpe")
 
+MACHINE = dict(
+    noise="calibrated",
+    backend="machine",
+    machine="jakarta",
+    transpile={"optimization_level": 1, "seed": 7},
+)
 BACKENDS = {
     "statevector": dict(noise="none", grid_step_deg=45.0),
     "density-matrix": dict(noise="light", grid_step_deg=45.0),
     # Every branch of a routed circuit is a 7-qubit density matrix, so
-    # the machine sweeps the coarsest grid: four faults a site.
-    "machine": dict(
-        noise="calibrated",
-        backend="machine",
-        machine="jakarta",
-        transpile={"optimization_level": 1, "seed": 7},
-        grid_step_deg=180.0,
-    ),
+    # the machine sweeps the coarsest grid with room for the basis:
+    # twelve faults a site.
+    "machine": dict(MACHINE, grid_step_deg=90.0),
 }
 # How many seeded tasks of each grid the oracle checks (None: all).
 SAMPLES = {"statevector": None, "density-matrix": 160, "machine": 4}
@@ -77,9 +83,11 @@ NEAR_OPT_OUT = {
         algorithm="bv", width=4, noise="light", grid_step_deg=45.0,
         seed=2022, mitigation=True,
     ),
+    # Rounds add 9, 16, 21 and 38 faults a site: the first runs the
+    # exact plans, the others the basis.
     "adaptive-refine": dict(
-        algorithm="ghz", width=3, noise="light", grid_step_deg=30.0,
-        adaptive={"coarse_points": 3, "gradient_threshold": 0.2},
+        algorithm="bv", width=3, noise="light", grid_step_deg=30.0,
+        adaptive={"coarse_points": 3, "gradient_threshold": 0.1},
     ),
 }
 
@@ -120,7 +128,11 @@ def assert_close_to_oracle(spec, sample=None):
     sample of ``sample`` tasks) lie within 1e-12 QVF of the oracle."""
     assert spec.response_basis
     cache = FactoryCache()
-    plan = plan_scenario(spec, cache)
+    backend = make_backend(spec, cache)
+    # Sized over the whole campaign, as a resume sizes it: every site
+    # holds enough faults for the basis.
+    plan = plan_scenario(spec, cache).sized()
+    assert min(plan.site_sizes.values()) >= backend.basis_responses
     tasks = plan.tasks
     if sample is not None and sample < len(tasks):
         picked = np.random.default_rng(2022).choice(len(tasks), sample, False)
@@ -130,7 +142,6 @@ def assert_close_to_oracle(spec, sample=None):
         make_injector(spec, cache), dataclasses.replace(plan, tasks=tasks)
     )
     assert result.num_injections == len(tasks) > 0
-    backend = make_backend(spec, cache)
     expected = oracle_qvfs(
         plan,
         getattr(backend, "noise_model", None),
@@ -184,9 +195,81 @@ class TestAgainstOracle:
 
 
 class TestCloseToOptOut:
-    @pytest.mark.parametrize("kind", sorted(NEAR_OPT_OUT))
+    """Every row of the default campaigns against the opt-out."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_grid(self, algorithm, backend):
+        assert_close_to_opt_out(
+            ScenarioSpec(algorithm=algorithm, width=3, **BACKENDS[backend])
+        )
+
+    @pytest.mark.parametrize("kind", sorted({**KINDS, **NEAR_OPT_OUT}))
     def test_campaign_kinds(self, kind):
-        assert_close_to_opt_out(ScenarioSpec(**NEAR_OPT_OUT[kind]))
+        fields = {**KINDS, **NEAR_OPT_OUT}[kind]
+        assert_close_to_opt_out(ScenarioSpec(**fields))
+
+
+class TestSmallSites:
+    """A site holding fewer faults than the basis has responses runs the
+    exact plans: the basis would cost more tail runs than the faults."""
+
+    def test_machine_coarse_grid_runs_the_exact_plans(self):
+        """Four faults a site on the machine's density matrix (10
+        responses): the default records are the opt-out's bytes."""
+        spec = ScenarioSpec(
+            algorithm="qft", width=3, **dict(MACHINE, grid_step_deg=180.0)
+        )
+        assert spec.response_basis
+        assert run(spec).table.data.tobytes() == (
+            run(opted_out(spec)).table.data.tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "noise, basis", [("none", True), ("light", False)], ids=["sv", "dm"]
+    )
+    def test_threshold_is_the_response_count(self, monkeypatch, noise, basis):
+        """Four faults a site reach the statevector's 4 responses but
+        not the density matrix's 10."""
+        calls = record_branch_calls(monkeypatch)
+        run(ScenarioSpec(
+            algorithm="qft", width=3, noise=noise, grid_step_deg=180.0
+        ))
+        assert calls and {on_basis for _, on_basis in calls} == {basis}
+
+    @pytest.mark.parametrize(
+        "algorithm, paths",
+        # GHZ rounds add 9, 6 and 6 faults a site to a union of 9, 15
+        # and 21; BV rounds add 9, 16, 21 and 38.
+        [("ghz", {False}), ("bv", {False, True})],
+    )
+    def test_adaptive_rounds_are_sized_by_the_faults_they_add(
+        self, monkeypatch, algorithm, paths
+    ):
+        """A refine round runs only the faults it adds (the earlier
+        rounds' rows carry over), so its sites are sized by those, not
+        by the union: on the density matrix a round adding fewer than
+        10 faults a site runs the exact plans."""
+        calls = record_branch_calls(monkeypatch)
+        run(ScenarioSpec(**dict(
+            NEAR_OPT_OUT["adaptive-refine"], algorithm=algorithm
+        )))
+        assert {on_basis for _, on_basis in calls} == paths
+        assert all(on_basis == (size >= 10) for size, on_basis in calls)
+
+
+def record_branch_calls(monkeypatch):
+    """``(branches, on the basis)`` of every batched call the exact
+    simulators receive from now on."""
+    calls = []
+    for cls in (StatevectorSimulator, DensityMatrixSimulator):
+        def recording(self, *args, _inner=cls.run_branches_from_snapshot,
+                      **kwargs):
+            calls.append((len(args[2]), kwargs["basis_tile"] is not None))
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "run_branches_from_snapshot", recording)
+    return calls
 
 
 class TestByteStable:
@@ -292,3 +375,22 @@ class TestOptOut:
             assert run(fused).table.data.tobytes() == (
                 run(plain).table.data.tobytes()
             )
+
+
+class TestOnePredicate:
+    @pytest.mark.parametrize("kind", sorted(BACKEND_KINDS))
+    def test_backend_table_names_the_engines_with_a_basis(self, kind):
+        """The spec's table, which decides the hash salt, agrees with
+        the engines the factory builds, mitigated or not."""
+        spec = ScenarioSpec(
+            algorithm="bv", width=3, backend=kind, noise="light", seed=1
+        )
+        assert spec.response_basis == BACKEND_KINDS[kind]
+        backends = [make_backend(spec)]
+        if kind not in ("machine", "machine-emulator"):
+            backends.append(
+                make_backend(dataclasses.replace(spec, mitigation=True))
+            )
+        for backend in backends:
+            has_basis = getattr(backend, "basis_responses", None) is not None
+            assert has_basis == BACKEND_KINDS[kind], backend
