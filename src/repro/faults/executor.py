@@ -641,11 +641,12 @@ class SerialExecutor(BaseExecutor):
 
     Segment plans compile one complex128 segment per primitive
     operation, bit-identical to walking the tail gate by gate.
-    ``response_basis`` (on by default) runs every single-fault site on
-    the linear response basis (see the module docstring): within 1e-12
-    QVF of the per-task loop, and byte-identical across strategies,
-    tile sizes and chunk layouts. ``response_basis=False`` keeps every
-    site on the exact plans, bit-identical to the per-task loop.
+    ``response_basis`` (on by default) runs each single-fault site that
+    holds at least the backend's ``basis_responses`` faults on the
+    linear response basis (see the module docstring): within 1e-12 QVF
+    of the per-task loop, and byte-identical across strategies, tile
+    sizes and chunk layouts. ``response_basis=False`` keeps every site
+    on the exact plans, bit-identical to the per-task loop.
 
     ``max_branches`` caps how many branches stack at once;
     ``memory_budget`` (bytes, :data:`DEFAULT_TILE_BUDGET` when unset)
