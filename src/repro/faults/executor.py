@@ -32,7 +32,8 @@ the sweep without the redundancy:
   single-qubit unitary and everything after it is linear, so the tail
   runs once per matrix unit on the fault qubit (the backend's
   ``basis_responses``: 4 statevector or 10 density-matrix responses,
-  built in tiles no larger than the tile limit) and each branch
+  built in tiles no larger than the tile limit, through the folded tail
+  plan whose noisy gates are one superoperator each) and each branch
   combines them. It runs a site only when the site holds at least that
   many faults in the plan's :attr:`~CampaignPlan.site_sizes`, counted
   over the whole campaign before a resume or a pool cuts it, so a task
@@ -440,13 +441,13 @@ def _iter_scored_groups(
     than ``max_branches`` split into consecutive sub-batches (tiles) to
     bound peak memory (a density-matrix branch is ``16 * 4**n`` bytes).
     The prefix snapshot extends across groups, and the shared tail of
-    every tile runs as ``compiler``'s segment plan for that position.
-    With ``response_basis``, a single-fault group whose site holds at
-    least the backend's ``basis_responses`` faults in ``plan``'s
-    :attr:`~CampaignPlan.site_sizes` runs whole, in one call on the
-    linear response basis whose responses are built at most
-    ``max_branches`` at a time. Yields each tile with its scored QVF
-    array.
+    every tile runs as ``compiler``'s exact segment plan for that
+    position. With ``response_basis``, a single-fault group whose site
+    holds at least the backend's ``basis_responses`` faults in
+    ``plan``'s :attr:`~CampaignPlan.site_sizes` runs whole, in one call
+    on the linear response basis whose responses are built at most
+    ``max_branches`` at a time, through the folded plan instead. Yields
+    each tile with its scored QVF array.
     """
     circuit = plan.circuit
     # A backend without a basis (or an opted-out run) never reaches it.
@@ -470,13 +471,13 @@ def _iter_scored_groups(
         snapshot = backend.prefix_snapshot(
             circuit, stop=position + 1, base=snapshot
         )
-        tail_plan = compiler.tail_plan(position + 1)
         chunk = list(group)
         basis = (
             second_qubit is None
             and not extra
             and sizes.get((position, qubit), 0) >= responses
         )
+        tail_plan = compiler.tail_plan(position + 1, folded=basis)
         tile = len(chunk) if basis else max_branches
         for start in range(0, len(chunk), tile):
             sub = chunk[start : start + tile]
@@ -639,11 +640,12 @@ class SerialExecutor(BaseExecutor):
     ``prefix_reuse=False``, it runs the per-task loop — the naive
     per-injection re-simulation, kept as the reference path.
 
-    Segment plans compile one complex128 segment per primitive
+    Exact segment plans compile one complex128 segment per primitive
     operation, bit-identical to walking the tail gate by gate.
     ``response_basis`` (on by default) runs each single-fault site that
     holds at least the backend's ``basis_responses`` faults on the
-    linear response basis (see the module docstring): within 1e-12 QVF
+    linear response basis, through the folded plans (see the module
+    docstring): within 1e-12 QVF
     of the per-task loop, and byte-identical across strategies, tile
     sizes and chunk layouts. ``response_basis=False`` keeps every site
     on the exact plans, bit-identical to the per-task loop.

@@ -248,6 +248,10 @@ class SuiteRunner:
         if host_workers is not None and host_workers < 1:
             raise ValueError("host_workers must be positive when given")
         self.suite = suite
+        # Every manifest write records the suite and its hash, and the
+        # hash costs a spec hash per scenario: take both once.
+        self._suite_dict = suite.to_dict()
+        self._suite_hash = suite.suite_hash()
         self.manifest_dir = manifest_dir
         self.max_campaigns = max_campaigns
         self.budget_injections = budget_injections
@@ -301,7 +305,7 @@ class SuiteRunner:
                 f"{path!r} is not a suite manifest "
                 f"(format {manifest.get('format')!r})"
             )
-        if manifest.get("suite_hash") != self.suite.suite_hash():
+        if manifest.get("suite_hash") != self._suite_hash:
             raise ValueError(
                 f"manifest at {path!r} was written for suite "
                 f"{manifest.get('suite', {}).get('name')!r} with a "
@@ -316,8 +320,8 @@ class SuiteRunner:
     def _write_manifest(self) -> None:
         manifest = {
             "format": _MANIFEST_FORMAT,
-            "suite": self.suite.to_dict(),
-            "suite_hash": self.suite.suite_hash(),
+            "suite": self._suite_dict,
+            "suite_hash": self._suite_hash,
             "scenarios": self._entries,
         }
         path = self._manifest_path()

@@ -730,8 +730,15 @@ class ScenarioSpec(_StrictFields):
             # every spec whose sites may run on the basis; one whose
             # sites all hold fewer faults than the backend's responses
             # keeps its records under the new hash. Opted-out, paired
-            # and sampling-backend specs keep their hashes.
-            data["basis"] = "linear-response-default"
+            # and sampling-backend specs keep their hashes. The density
+            # matrix's basis runs folded tails, which moved its records
+            # again by rounding, so its specs (the machine's too) carry
+            # a salt of their own; the statevector has nothing to fold.
+            data["basis"] = (
+                "linear-response-default"
+                if backend == "statevector"
+                else "linear-response-folded"
+            )
         if self.shots is not None and backend != "machine-emulator":
             # Sampled records follow one seeding rule: every draw of
             # task k comes from ``default_rng((seed, k))``. Records drawn

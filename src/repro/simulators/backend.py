@@ -240,14 +240,15 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         tail``. With ``basis_tile`` set, every head must be one
         single-qubit gate on the same qubit, and the rows come from the
         linear response basis instead, its responses built at most
-        ``basis_tile`` at a time.
+        ``basis_tile`` at a time; the engine then passes the folded
+        plan (``tail_plan(position, folded=True)``).
         """
         ...
 
     def tail_compiler(self, circuit: QuantumCircuit):
         """A segment compiler for ``circuit`` matching this backend's
         state representation (unitary segments for statevectors,
-        superoperator segments with noise folded in for density
+        superoperator segments with the noise channels for density
         matrices)."""
         ...
 

@@ -15,7 +15,9 @@ to re-simulating the whole faulty circuit. A single-fault site can run on
 the linear response basis instead (``basis_tile``, the campaign engine's
 default): 10 tail runs on the superoperator matrix units that Hermitian
 symmetry leaves distinct, combined per fault, within rounding of the
-direct rows.
+direct rows. Those runs take the folded tail plan, each noisy gate one
+superoperator, and fold the injector gate's noise into the matrix units,
+so a site's head is one op too.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .segments import (
     apply_plan,
     channel_superop_plan as _channel_superop_plan,
     combine_responses,
+    fold_ops,
     gate_ops,
 )
 
@@ -199,10 +202,12 @@ class DensityMatrixSimulator:
         only each response's diagonal is kept, and branch ``U`` takes
         the diagonal ``Re sum_k c_k d_k`` with ``c`` the flattened
         superoperator of ``U``, doubled on the units that stand for an
-        adjoint pair.
+        adjoint pair. Compiled here, that tail is the folded plan.
         """
         if plan is None:
-            plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
+            plan = self.tail_compiler(circuit).tail_plan(
+                snapshot.position, folded=basis_tile is not None
+            )
         plan.check_start(snapshot.position)
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
@@ -250,6 +255,9 @@ class DensityMatrixSimulator:
         tail's responses to the 10 distinct superoperator matrix units."""
         qubits, name, matrices = single_fault_slot(heads, snapshot.measured)
         _, *noise = gate_ops(name, qubits, _BASIS_UNITS, self.noise_model)
+        # The injector gate's noise folds into each unit (a noiseless
+        # gate folds to the identity): one head op.
+        units = fold_ops(noise, qubits) @ _BASIS_UNITS
         state = snapshot.state.data[np.newaxis, :, :]
         responses = np.concatenate(
             [
@@ -257,14 +265,12 @@ class DensityMatrixSimulator:
                     apply_plan(
                         np.repeat(state, len(part), axis=0),
                         plan,
-                        [("superop", qubits, part), *noise],
+                        [("superop", qubits, part)],
                     ),
                     axis1=-2,
                     axis2=-1,
                 ).copy()
-                for part in np.split(
-                    _BASIS_UNITS, range(tile, len(_BASIS_UNITS), tile)
-                )
+                for part in np.split(units, range(tile, len(units), tile))
             ]
         )
         # Row b is U_b (x) conj(U_b) flattened, the products np.kron forms.

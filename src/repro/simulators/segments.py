@@ -5,23 +5,32 @@ after prefix reuse and branch batching, the remaining cost of a sweep is
 applying every shared tail operation to every branch. This module
 compiles the operations between an injection position and the end of the
 circuit into a :class:`TailPlan` of **segments** — unitaries
-(statevector) or superoperators (density matrix, noise channels folded
-in), one per primitive operation — and a branch batch's tail always runs
-as such a plan: the matrix construction is hoisted out of the sweep.
-Each plan also carries its axis bookkeeping, compiled once into
-:class:`PlanStep` records that tell the one batch runner,
-:func:`apply_plan`, where each GEMM's target axes are and which copies
-it can skip.
+(statevector) or superoperators (density matrix, noise channels
+included) — and a branch batch's tail always runs as such a plan: the
+matrix construction is hoisted out of the sweep. Each plan also carries
+its axis bookkeeping, compiled once into :class:`PlanStep` records that
+tell the one batch runner, :func:`apply_plan`, where each GEMM's target
+axes are and which copies it can skip.
+
+A tail compiles in one of two kinds. The **exact** plan makes every
+primitive operation its own complex128 segment — a gate's unitary, then
+each superoperator of its noise channel — and applies exactly the
+matrices, targets and order the per-task advance loops use, so records
+of branches run through it are bit-identical to the naive per-injection
+re-simulation (``tests/faults/test_batched.py``). The **folded** plan
+(``tail_plan(start, folded=True)``, density matrix only) serves the
+linear response basis, whose records are within rounding of the naive
+ones anyway: each gate the noise model attaches a channel to becomes one
+superoperator segment, its unitary and channel multiplied out
+(:func:`fold_ops`), so the gate costs one full-batch GEMM instead of
+three. Gates without a channel, and resets, stay as they are.
 
 Compilation is a pure function of ``(circuit, noise model)``: two
 compilers over the same inputs produce bit-identical segment matrices,
-which is what lets the in-process engine and its pool workers (which
-rebuild their own compiler) agree bit for bit. A plan applies exactly
-the matrices, targets and order the per-task advance loops use, so
-records of branches run through it are bit-identical to the naive
-per-injection re-simulation (``tests/faults/test_batched.py``). By
-default a single-fault site runs the same plans once per matrix unit on
-the fault qubit instead, and combines the responses per fault with
+exact and folded, which is what lets the in-process engine and its pool
+workers (which rebuild their own compiler) agree bit for bit. By default
+a single-fault site runs the folded plan once per matrix unit on the
+fault qubit and combines the responses per fault with
 :func:`combine_responses` (the linear response basis).
 
 The runner (:func:`apply_plan`) does not replay the scalar kernels' axis
@@ -36,7 +45,8 @@ moves, yet gives the same bits, for two reasons:
   into the next gather.
 
 ``tests/simulators/test_segments.py`` checks every row of the runner's
-output against the scalar kernels, byte for byte, on random circuits.
+output against the scalar kernels, byte for byte, on random circuits,
+and the folded plans against the exact ones.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ __all__ = [
     "TailPlan",
     "SegmentCompiler",
     "channel_superop_plan",
-    "unitary_to_superoperator",
     "gate_ops",
+    "fold_ops",
     "PlanStep",
     "compile_steps",
     "run_steps",
@@ -124,25 +134,15 @@ RESET_KRAUS = (
 RESET_SUPEROP = kraus_to_superoperator(RESET_KRAUS)
 
 
-def unitary_to_superoperator(matrix: np.ndarray) -> np.ndarray:
-    """The superoperator ``U (.) U^dagger`` of a unitary: ``U otimes U*``.
-
-    Uses the same combined-index convention as
-    :func:`~repro.quantum.linalg.kraus_to_superoperator`: ``(r, c) =
-    r * 2**k + c`` with the row (ket) index in the high bits.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    return np.kron(matrix, matrix.conj())
-
-
 @dataclass(frozen=True)
 class FusedSegment:
-    """One primitive tail operation, as the runner applies it.
+    """One tail operation, as the runner applies it.
 
     ``kind`` is ``"unitary"`` (a ``(2**k, 2**k)`` matrix applied as
     ``U rho U^dagger`` / ``U |psi>``) or ``"superop"`` (a ``(4**k,
     4**k)`` matrix over the doubled space); ``targets`` are the circuit
-    qubits in the gate's own order.
+    qubits in the gate's own order. An exact plan holds one segment per
+    primitive operation, a folded plan one per gate.
     """
 
     kind: str
@@ -189,11 +189,15 @@ class SegmentCompiler:
     scenarios.
 
     ``superop=False`` compiles pure-unitary segments (the statevector
-    backend); ``superop=True`` additionally folds the ``noise_model``'s
-    gate channels and ``Reset`` into superoperator segments (the
-    density-matrix backend). Every primitive operation becomes its own
+    backend); ``superop=True`` adds the ``noise_model``'s gate channels
+    and ``Reset`` as superoperator segments (the density-matrix
+    backend). The exact plan makes every primitive operation its own
     complex128 segment, which keeps plan execution bit-identical to the
     per-task advance loops (the repo's headline guarantee).
+    ``tail_plan(p, folded=True)`` serves the folded plan of the same
+    suffix instead: each gate with a noise channel as one superoperator,
+    folded once per instruction and shared by every folded tail that
+    contains it.
     """
 
     def __init__(
@@ -207,6 +211,8 @@ class SegmentCompiler:
         self.superop = bool(superop)
         self.noise_model = noise_model if self.superop else None
         self._plans: Dict[int, TailPlan] = {}
+        self._folded_plans: Dict[int, TailPlan] = {}
+        self._folds: Dict[int, np.ndarray] = {}
         # Qubits measured before each position, so tail compilation can
         # enforce the terminal-measurement rule exactly as the serial
         # advance loops do against the snapshot's measured set.
@@ -219,12 +225,15 @@ class SegmentCompiler:
         self._measured_before = prefixes
 
     # ------------------------------------------------------------------
-    def tail_plan(self, start: int) -> TailPlan:
-        """The (cached) plan for the suffix ``instructions[start:]``."""
-        plan = self._plans.get(start)
+    def tail_plan(self, start: int, *, folded: bool = False) -> TailPlan:
+        """The (cached) plan for the suffix ``instructions[start:]``:
+        the exact plan, or the folded one with ``folded``. A unitary
+        compiler has nothing to fold and serves its exact plan."""
+        folded = folded and self.superop
+        plans = self._folded_plans if folded else self._plans
+        plan = plans.get(start)
         if plan is None:
-            plan = self._compile(start)
-            self._plans[start] = plan
+            plan = plans[start] = self._compile(start, folded)
         return plan
 
     @property
@@ -237,25 +246,29 @@ class SegmentCompiler:
 
     @property
     def compiled_positions(self) -> Tuple[int, ...]:
-        """Tail starts compiled so far (cache introspection for tests)."""
-        return tuple(sorted(self._plans))
+        """Tail starts compiled so far, of either kind (cache
+        introspection for tests)."""
+        return tuple(sorted({*self._plans, *self._folded_plans}))
 
     # ------------------------------------------------------------------
-    def _primitive_ops(self, start: int):
-        """The tail's primitive operation list, in per-gate order.
+    def _tail_gates(self, start: int):
+        """The tail's primitive operations, gate by gate.
 
-        Returns ``(ops, measures)`` where each op is ``(kind, targets,
-        matrix)`` — exactly the kernel calls the per-task advance loop
-        would make — and ``measures`` is the classical bookkeeping.
+        Returns ``(gates, measures)``: ``gates`` holds one ``(position,
+        ops)`` pair per gate or reset, ``ops`` its ``(kind, targets,
+        matrix)`` ops — exactly the kernel calls the per-task advance
+        loop would make — and ``measures`` is the classical bookkeeping.
         Raises for gates on already-measured qubits and for ``Reset``
         outside superoperator mode, with the same messages as the
         advance loops (the tail would raise identically at run time).
         """
-        ops: List[Tuple[str, Tuple[int, ...], np.ndarray]] = []
+        gates = []
         measures: List[Tuple[int, int]] = []
         measured = set(self._measured_before[start])
         noise = self.noise_model
-        for inst in self.circuit.instructions[start:]:
+        instructions = self.circuit.instructions
+        for position in range(start, len(instructions)):
+            inst = instructions[position]
             gate = inst.gate
             if isinstance(gate, Barrier):
                 continue
@@ -274,19 +287,36 @@ class SegmentCompiler:
                     raise ValueError(
                         "reset requires the density-matrix simulator"
                     )
-                ops.append(("superop", (inst.qubits[0],), RESET_SUPEROP))
-                continue
-            ops.extend(gate_ops(inst.name, inst.qubits, gate.matrix, noise))
-        return ops, tuple(measures)
+                ops = [("superop", (inst.qubits[0],), RESET_SUPEROP)]
+            else:
+                ops = gate_ops(inst.name, inst.qubits, gate.matrix, noise)
+            gates.append((position, ops))
+        return gates, tuple(measures)
 
-    def _compile(self, start: int) -> TailPlan:
+    def _folded(self, position: int, ops):
+        """The ops of the gate at ``position`` as one op: a gate without
+        a channel, or a reset, as it is; a noisy gate as one
+        superoperator over its qubits, folded once per compiler."""
+        if len(ops) == 1:
+            return ops[0]
+        _, qubits, _ = ops[0]
+        superop = self._folds.get(position)
+        if superop is None:
+            superop = self._folds[position] = fold_ops(ops, qubits)
+        return ("superop", qubits, superop)
+
+    def _compile(self, start: int, folded: bool) -> TailPlan:
         """Compile ``instructions[start:]`` into a :class:`TailPlan`."""
         instructions = self.circuit.instructions
         if not 0 <= start <= len(instructions):
             raise ValueError(
                 f"start {start} outside [0, {len(instructions)}]"
             )
-        ops, measures = self._primitive_ops(start)
+        gates, measures = self._tail_gates(start)
+        if folded:
+            ops = [self._folded(position, group) for position, group in gates]
+        else:
+            ops = [op for _, group in gates for op in group]
         segments = tuple(
             FusedSegment(kind, targets, np.asarray(matrix, dtype=complex))
             for kind, targets, matrix in ops
@@ -297,6 +327,37 @@ class SegmentCompiler:
             self.superop,
         )
         return TailPlan(start, segments, measures, steps)
+
+
+def fold_ops(
+    ops: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]],
+    qubits: Sequence[int],
+) -> np.ndarray:
+    """The ``(4**k, 4**k)`` superoperator over ``qubits`` (in the gate's
+    order) that applies ``ops`` in order.
+
+    The ops run through :func:`compile_steps` and the batch runner on the
+    ``4**k`` matrix units ``|r><c|`` of the ``k`` qubits, each taken as a
+    density matrix: the image of unit ``r * 2**k + c`` is that column of
+    the superoperator, in the combined-index convention of
+    :func:`~repro.quantum.linalg.kraus_to_superoperator`. The fold and
+    the plans that apply it share one runner, so their index conventions
+    cannot drift apart.
+    """
+    qubits = tuple(qubits)
+    local = {qubit: index for index, qubit in enumerate(qubits)}
+    side = 2 ** len(qubits)
+    steps = compile_steps(
+        [
+            (kind, tuple(local[qubit] for qubit in targets), matrix)
+            for kind, targets, matrix in ops
+        ],
+        len(qubits),
+        True,
+    )
+    units = np.eye(side * side, dtype=complex).reshape(-1, side, side)
+    images = _run_steps(units, steps).reshape(side * side, side * side)
+    return np.ascontiguousarray(images.T)
 
 
 # ----------------------------------------------------------------------

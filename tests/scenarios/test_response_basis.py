@@ -13,7 +13,8 @@ many faults. The contract, stated against the naive oracle of
   of tasks on the last two), and strike k=1 and QEC campaigns;
 * every row of those campaigns, and of mitigated and adaptive-refine
   ones, lies within 1e-10 QVF of the opt-out, every other column equal;
-* sites holding fewer faults than the responses run the exact plans;
+* sites holding fewer faults than the responses run the exact plans,
+  and only sites on the basis ask for the folded tails;
 * default records, exact and sampled, are byte-identical across serial,
   batched, one-branch tiles, pools whose chunks cut through sites and a
   killed-and-resumed checkpoint;
@@ -42,7 +43,11 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.spec import BACKEND_KINDS
-from repro.simulators import DensityMatrixSimulator, StatevectorSimulator
+from repro.simulators import (
+    DensityMatrixSimulator,
+    SegmentCompiler,
+    StatevectorSimulator,
+)
 from tests.faults.test_checkpoint_resume import KillingExecutor, SimulatedKill
 from tests.oracle import oracle_qvfs
 
@@ -256,6 +261,35 @@ class TestSmallSites:
         )))
         assert {on_basis for _, on_basis in calls} == paths
         assert all(on_basis == (size >= 10) for size, on_basis in calls)
+
+    @pytest.mark.parametrize("case", ["opt-out", "pair", "small", "basis"])
+    def test_only_basis_sites_ask_for_the_folded_tail(self, monkeypatch, case):
+        """The folded tail serves the basis alone: opted-out, pair and
+        small density-matrix sites compile only exact tails."""
+        dm = dict(algorithm="qft", width=3, **BACKENDS["density-matrix"])
+        spec = {
+            "opt-out": opted_out(ScenarioSpec(**dm)),
+            "pair": ScenarioSpec(**PAIRS["double-dm"]),
+            "small": ScenarioSpec(**dict(dm, grid_step_deg=180.0)),
+            "basis": ScenarioSpec(**dm),
+        }[case]
+        kinds = record_tail_plan_kinds(monkeypatch)
+        run(spec)
+        assert kinds and set(kinds) == {case == "basis"}
+
+
+def record_tail_plan_kinds(monkeypatch):
+    """Whether each tail plan asked of a compiler from now on is the
+    folded one."""
+    kinds = []
+
+    def recording(self, start, *, folded=False,
+                  _inner=SegmentCompiler.tail_plan):
+        kinds.append(folded)
+        return _inner(self, start, folded=folded)
+
+    monkeypatch.setattr(SegmentCompiler, "tail_plan", recording)
+    return kinds
 
 
 def record_branch_calls(monkeypatch):

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.faults.store import compact, read_segments
 from repro.scenarios import ScenarioSpec, SuiteSpec, run_scenario
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
@@ -28,15 +29,19 @@ def load_suite(name, **fields):
 
 
 # Captured on the commit immediately before the qec/strike/mitigation
-# fields existed. These values changed twice on purpose. The one seeding
-# rule (every draw of task k from ``(seed, k)``) moved the records of
-# sampled specs on every backend but the machine emulator, so it salted
-# their hashes: in the committed suites ``ghz3-light-sampled`` alone, and
-# with it the mini suite's hash (``PRE_SEEDING_RULE``). Then the response
-# basis became the default for single-fault sites on the batched engine,
-# which salted those specs (``PRE_BASIS_DEFAULT`` holds the pins from
-# before it). Opting out with ``bit_identical: true`` on every entry
-# still reproduces every ``PRE_BASIS_DEFAULT`` pin.
+# fields existed. These values changed three times on purpose. The one
+# seeding rule (every draw of task k from ``(seed, k)``) moved the
+# records of sampled specs on every backend but the machine emulator, so
+# it salted their hashes: in the committed suites ``ghz3-light-sampled``
+# alone, and with it the mini suite's hash (``PRE_SEEDING_RULE``). Then
+# the response basis became the default for single-fault sites on the
+# batched engine, which salted those specs (``PRE_BASIS_DEFAULT`` holds
+# the pins from before it). Opting out with ``bit_identical: true`` on
+# every entry still reproduces every ``PRE_BASIS_DEFAULT`` pin. Then the
+# density matrix's basis began to run folded tails, one superoperator per
+# noisy gate, which moved its records by rounding and gave its specs (the
+# machine's too) a salt of their own (``PRE_FOLD`` holds the default
+# pins from before it; the statevector's still hold).
 PRE_SEEDING_RULE = {
     "mini_suite": "3706cb730292e266",
     "ghz3-light-sampled": "ae418edd18942f0e",
@@ -72,38 +77,71 @@ PRE_BASIS_DEFAULT = {
         "fig11-bv4-sim-lagos": "9468a3951ae48683",
     },
 }
-
-# The same suites under the default response basis.
-MINI_SUITE_HASH = "16636ea510a4de96"
-MINI_SCENARIO_HASHES = {
-    "bv3-ideal": "71422d8a19eb4b30",
-    "ghz3-light-sampled": "919f85010fac0394",
-    "qft3-heavy": "60a1ff69a9e77f1d",
-    "bv3-ideal-reused": "71422d8a19eb4b30",
-    "ghz3-casablanca-transpiled": "560f93521b219da0",
+PRE_FOLD = {
+    "mini_suite": "16636ea510a4de96",
+    "mini": {
+        "bv3-ideal": "71422d8a19eb4b30",
+        "ghz3-light-sampled": "919f85010fac0394",
+        "qft3-heavy": "60a1ff69a9e77f1d",
+        "bv3-ideal-reused": "71422d8a19eb4b30",
+        "ghz3-casablanca-transpiled": "560f93521b219da0",
+    },
+    "paper_suite": "ff4cf8e0c858af7e",
+    "paper": {
+        "fig5-bv4": "36fae6e69e5e12fe",
+        "fig5-dj4": "6c59b2cb07ef2941",
+        "fig5-qft4": "a959853dea4b49bf",
+        "fig7-bv5": "a840ff6b04cb2aee",
+        "fig7-bv6": "dbffbe2963c05be4",
+        "fig7-dj5": "e39427cf17dbd8b9",
+        "fig7-dj6": "dbd79193a815c8d4",
+        "fig7-qft5": "c0ee3227a6dc1128",
+        "fig7-qft6": "489211667b28ae21",
+        "fig5-ghz4-adaptive": "d48ba40add19658b",
+        "fig8a-bv4-single": "bada88c15d2a5e03",
+        "fig8b-bv4-double": "4244cbd52f92725c",
+        "fig9-bv4-single": "bada88c15d2a5e03",
+        "fig10-bv4-single": "bada88c15d2a5e03",
+        "fig11-bv4-simulation": "b2a702262f77514a",
+        "fig11-bv4-machine": "1b16b2a4b7480b5f",
+        "fig11-bv4-sim-casablanca": "667efd1fd5c15803",
+        "fig11-bv4-sim-lagos": "009f64685115ed45",
+    },
 }
 
-PAPER_SUITE_HASH = "ff4cf8e0c858af7e"
+# The same suites today: the response basis by default, its density
+# matrix on folded tails.
+MINI_SUITE_HASH = "5536ac6288705514"
+MINI_SCENARIO_HASHES = {
+    # The statevector has nothing to fold: its pins did not move.
+    "bv3-ideal": "71422d8a19eb4b30",
+    "ghz3-light-sampled": "650a444a9a152ff8",
+    "qft3-heavy": "a2f7a1053b2a6815",
+    "bv3-ideal-reused": "71422d8a19eb4b30",
+    "ghz3-casablanca-transpiled": "e478d3fe30b82451",
+}
+
+PAPER_SUITE_HASH = "31f0cd85a82967cd"
 PAPER_SCENARIO_HASHES = {
-    "fig5-bv4": "36fae6e69e5e12fe",
-    "fig5-dj4": "6c59b2cb07ef2941",
-    "fig5-qft4": "a959853dea4b49bf",
-    "fig7-bv5": "a840ff6b04cb2aee",
-    "fig7-bv6": "dbffbe2963c05be4",
-    "fig7-dj5": "e39427cf17dbd8b9",
-    "fig7-dj6": "dbd79193a815c8d4",
-    "fig7-qft5": "c0ee3227a6dc1128",
-    "fig7-qft6": "489211667b28ae21",
-    "fig5-ghz4-adaptive": "d48ba40add19658b",
-    "fig8a-bv4-single": "bada88c15d2a5e03",
+    "fig5-bv4": "0844b29da68ab1bd",
+    "fig5-dj4": "57390779f8988c09",
+    "fig5-qft4": "2a4c669f10602a99",
+    "fig7-bv5": "92b63096fd5419b6",
+    "fig7-bv6": "a13bea9aef3bec45",
+    "fig7-dj5": "80c7f28d9352c54d",
+    "fig7-dj6": "7e242f67c1d0c795",
+    "fig7-qft5": "d8717f8784aea352",
+    "fig7-qft6": "71ee6914a19480d2",
+    "fig5-ghz4-adaptive": "d348324e151f79f1",
+    "fig8a-bv4-single": "e5211f1d4e86d410",
     # Pair faults and the emulator never run on the basis.
     "fig8b-bv4-double": "4244cbd52f92725c",
-    "fig9-bv4-single": "bada88c15d2a5e03",
-    "fig10-bv4-single": "bada88c15d2a5e03",
-    "fig11-bv4-simulation": "b2a702262f77514a",
+    "fig9-bv4-single": "e5211f1d4e86d410",
+    "fig10-bv4-single": "e5211f1d4e86d410",
+    "fig11-bv4-simulation": "028a1aa9625b4215",
     "fig11-bv4-machine": "1b16b2a4b7480b5f",
-    "fig11-bv4-sim-casablanca": "667efd1fd5c15803",
-    "fig11-bv4-sim-lagos": "009f64685115ed45",
+    "fig11-bv4-sim-casablanca": "24c80f3d8687f432",
+    "fig11-bv4-sim-lagos": "0d74e582a1d82917",
 }
 
 
@@ -159,6 +197,28 @@ class TestPinnedExampleSuiteHashes:
                 PRE_BASIS_DEFAULT["paper"][scenario_id]
             )
 
+    def test_only_density_matrix_kind_pins_moved_with_the_fold(self):
+        """Against ``PRE_FOLD``: the default specs on the density matrix
+        and the machine moved, every other pin held."""
+        moved = set()
+        for name, key in (("mini_suite", "mini"), ("paper_suite", "paper")):
+            for spec in load_suite(name):
+                pin = PRE_FOLD[key].get(spec.scenario_id)
+                if pin is None:
+                    continue
+                salt = spec.canonical_dict().get("basis")
+                if salt == "linear-response-folded":
+                    assert spec.canonical_dict()["backend"] in (
+                        "density-matrix", "machine"
+                    )
+                    assert spec.spec_hash() != pin, spec.scenario_id
+                    moved.add(spec.scenario_id)
+                else:
+                    assert spec.spec_hash() == pin, spec.scenario_id
+        assert "fig7-qft6" in moved and "bv3-ideal" not in moved
+        assert MINI_SUITE_HASH != PRE_FOLD["mini_suite"]
+        assert PAPER_SUITE_HASH != PRE_FOLD["paper_suite"]
+
 
 class TestSeedingRuleSalt:
     """Only sampled specs on a backend other than the emulator moved."""
@@ -213,15 +273,43 @@ class TestResponseBasisSalt:
     # armed the 16-response basis (salted "linear-response").
     PACKED_ERA = "d84a2da74fab1927"
     STEP_ONE = "6ffd605e2b797285"
+    # This spec's hash, and the 90-degree one's, under the default basis
+    # before the density matrix's tails were folded.
+    PRE_FOLD_BV3 = "2bad3a47a5c06f08"
+    PRE_FOLD_BV3_90 = "b7217184727616ad"
 
     def test_waived_spec_hash_moved(self):
         spec = ScenarioSpec(fused=True, bit_identical=False, **self.BV3)
-        assert spec.canonical_dict()["basis"] == "linear-response-default"
-        assert spec.spec_hash() not in (self.PACKED_ERA, self.STEP_ONE)
+        assert spec.canonical_dict()["basis"] == "linear-response-folded"
+        assert spec.spec_hash() not in (
+            self.PACKED_ERA, self.STEP_ONE, self.PRE_FOLD_BV3
+        )
 
     def test_salt_differs_from_step_one(self):
         salt = ScenarioSpec(**self.BV3).canonical_dict()["basis"]
-        assert salt != "linear-response"
+        assert salt not in ("linear-response", "linear-response-default")
+
+    def test_fold_salt_follows_the_resolved_backend(self):
+        """Density-matrix-kind specs carry the fold's salt, mitigated or
+        not; statevector-kind specs keep the default's."""
+        folded = (
+            dict(),
+            dict(backend="density-matrix"),
+            dict(mitigation=True),
+            dict(backend="machine", transpile={}),
+            dict(algorithm="qec", qec={}),
+            dict(seed=11, strike={"count": 4, "k": 1}),
+        )
+        for fields in folded:
+            spec = ScenarioSpec(**{**self.BV3, **fields})
+            assert spec.canonical_dict()["basis"] == (
+                "linear-response-folded"
+            ), fields
+        for fields in (dict(noise="none"), dict(backend="statevector")):
+            spec = ScenarioSpec(**{**self.BV3, **fields})
+            assert spec.canonical_dict()["basis"] == (
+                "linear-response-default"
+            ), fields
 
     def test_salt_follows_bit_identical_not_fused(self):
         default = ScenarioSpec(**self.BV3)
@@ -284,6 +372,20 @@ class TestResponseBasisSalt:
             checkpoint_path=path,
         )
         with pytest.raises(ValueError, match=r"differs on \['basis'\]"):
+            run_scenario(spec, checkpoint_path=path)
+
+    def test_checkpoint_from_before_the_fold_is_refused(self, tmp_path):
+        """A store the default basis wrote before its density-matrix
+        tails were folded holds the same scenario under its pre-fold
+        hash; a default run refuses to resume it."""
+        spec = ScenarioSpec(grid_step_deg=90.0, **self.BV3)
+        path = str(tmp_path / "pre-fold.ckpt")
+        run_scenario(spec, checkpoint_path=path)
+        meta, table = read_segments(path)
+        assert meta["metadata"]["spec_hash"] == spec.spec_hash()
+        meta["metadata"]["spec_hash"] = self.PRE_FOLD_BV3_90
+        compact(path, meta, table)
+        with pytest.raises(ValueError, match="earlier record rules"):
             run_scenario(spec, checkpoint_path=path)
 
 

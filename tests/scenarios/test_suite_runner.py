@@ -32,6 +32,8 @@ from repro.scenarios import shard as shard_module
 from repro.scenarios.runner import MANIFEST_NAME, TIMINGS_NAME
 from repro.simulators.segments import SegmentCompiler
 
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+
 
 def mixed_suite() -> SuiteSpec:
     """Four distinct campaigns + one relabelled duplicate, mixed kinds."""
@@ -154,6 +156,31 @@ class TestSpecHashCaching:
         assert len(files) == 5
         for entry in done:
             assert os.path.exists(os.path.join(manifest_dir, entry["result_file"]))
+
+
+    def test_warm_pass_hashes_each_spec_a_few_times(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm pass (every scenario a cache hit) hashes the suite
+        once, not on each of its manifest writes: a handful of
+        ``spec_hash`` calls per scenario, however many writes."""
+        with open(
+            os.path.join(EXAMPLES, "mini_suite.json"), encoding="utf-8"
+        ) as handle:
+            suite = SuiteSpec.from_dict(json.load(handle))
+        cache = str(tmp_path / "cache")
+        SuiteRunner(suite, str(tmp_path / "cold"), cache_dir=cache).run()
+        calls = []
+        real = ScenarioSpec.spec_hash
+
+        def counting(self):
+            calls.append(self.scenario_id)
+            return real(self)
+
+        monkeypatch.setattr(ScenarioSpec, "spec_hash", counting)
+        outcome = SuiteRunner(suite, str(tmp_path / "warm"), cache_dir=cache).run()
+        assert outcome.complete and outcome.computed == 0
+        assert 0 < len(calls) <= 5 * len(suite)
 
 
 class TestKillAndResume:
@@ -541,9 +568,9 @@ class TestFactorySharing:
         starts = []
         real = SegmentCompiler._compile
 
-        def counting(self, start):
-            starts.append(start)
-            return real(self, start)
+        def counting(self, start, folded):
+            starts.append((start, folded))
+            return real(self, start, folded)
 
         monkeypatch.setattr(SegmentCompiler, "_compile", counting)
         outcome = SuiteRunner(

@@ -7,8 +7,9 @@ superoperators, caching, determinism, the validation errors that must
 match the per-task advance loop word for word — the runner: every row
 of a batched plan application equals the scalar kernels on that row,
 byte for byte, and a density plan makes at most one gather per
-contraction — and the response-basis combination, whose rows do not
-depend on the rows combined with them.
+contraction — the folded plans, one superoperator per noisy gate,
+against the exact ones — and the response-basis combination, whose rows
+do not depend on the rows combined with them.
 """
 
 import numpy as np
@@ -37,8 +38,8 @@ from repro.simulators.segments import (
     RESET_SUPEROP,
     apply_plan,
     combine_responses,
+    fold_ops,
     gate_ops,
-    unitary_to_superoperator,
 )
 
 
@@ -93,15 +94,17 @@ class TestComposition:
 
 
 class TestSuperoperators:
-    def test_unitary_to_superoperator_matches_conjugation(self):
+    def test_folded_unitary_matches_conjugation(self):
         u = random_unitary(1, seed=5)
         rho = np.outer(
             random_statevector(1, seed=6).data,
             random_statevector(1, seed=6).data.conj(),
         )
-        via_superop = apply_superop_to_density(
-            rho, unitary_to_superoperator(u), (0,), 1
+        folded = fold_ops([("unitary", (3,), u)], (3,))
+        np.testing.assert_allclose(
+            folded, np.kron(u, u.conj()), rtol=0, atol=1e-15
         )
+        via_superop = apply_superop_to_density(rho, folded, (0,), 1)
         np.testing.assert_allclose(via_superop, u @ rho @ u.conj().T, atol=1e-12)
 
     def test_noise_channels_fold_into_superop_plans(self):
@@ -372,6 +375,121 @@ class TestStepStructure:
         assert closing.layout == tuple(range(circuit.num_qubits))
 
 
+def _fold_circuit(num_qubits, depth, rng):
+    """A random circuit holding, under :func:`_runner_noise`, a 1-qubit
+    channel on a 2-qubit gate (``cp``), a 2-qubit channel (``cx``), a
+    reset and a gate with no channel (``x``), then terminal measures."""
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    kinds = ["cp", "cx", "reset", "x"] + [
+        str(kind)
+        for kind in rng.choice(["h", "rz", "cx", "cp", "reset", "x"], depth)
+    ]
+    for kind in rng.permutation(kinds):
+        a, b = (int(q) for q in rng.choice(num_qubits, 2, replace=False))
+        angle = float(rng.uniform(0.0, 2 * np.pi))
+        if kind == "cx":
+            qc.cx(a, b)
+        elif kind == "cp":
+            qc.cp(angle, a, b)
+        elif kind == "reset":
+            qc.reset(a)
+        elif kind == "rz":
+            qc.rz(angle, a)
+        else:
+            getattr(qc, kind)(a)
+    qc.measure_all()
+    return qc
+
+
+def _random_density_batch(rng, size, num_qubits):
+    """``size`` random full-rank density matrices."""
+    dim = 2**num_qubits
+    a = rng.normal(size=(size, dim, dim)) + 1j * rng.normal(size=(size, dim, dim))
+    rho = a @ a.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+class TestFoldedTails:
+    """The folded plans the response basis runs: each gate with a noise
+    channel is one superoperator, within rounding of the exact plan."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_folded_tail_equals_the_exact_tail(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = _fold_circuit(3, 8, rng)
+        compiler = SegmentCompiler(
+            circuit, superop=True, noise_model=_runner_noise()
+        )
+        batch = _random_density_batch(rng, 5, 3)
+        for start in range(0, len(circuit.instructions) + 1, 3):
+            exact = apply_plan(batch.copy(), compiler.tail_plan(start))
+            folded = apply_plan(
+                batch.copy(), compiler.tail_plan(start, folded=True)
+            )
+            np.testing.assert_allclose(folded, exact, rtol=0, atol=1e-14)
+
+    def test_one_gemm_per_noisy_gate_or_reset(self):
+        rng = np.random.default_rng(11)
+        circuit = _fold_circuit(3, 10, rng)
+        noise = _runner_noise()
+        compiler = SegmentCompiler(circuit, superop=True, noise_model=noise)
+        plan = compiler.tail_plan(0, folded=True)
+        gates = [
+            inst for inst in circuit.instructions if inst.name != "measure"
+        ]
+        folded = [
+            inst for inst in gates
+            if inst.name == "reset"
+            or noise.channel_for(inst.name, inst.qubits) is not None
+        ]
+        bare = len(gates) - len(folded)
+        assert 0 < bare < len(gates)
+        assert [s.kind for s in plan.segments].count("superop") == len(folded)
+        assert len(plan.segments) == len(gates)
+        # A bare density-matrix unitary is two GEMMs (rows, then columns).
+        *contractions, closing = plan.steps
+        assert closing.matrix is None
+        assert len(contractions) == len(folded) + 2 * bare
+        exact = compiler.tail_plan(0)
+        assert len(exact.steps) > len(plan.steps)
+
+    def test_compilers_fold_byte_equal_matrices(self, monkeypatch):
+        """Pool workers rebuild their own compiler: two compilers fold
+        every tail to the same bytes, each noisy gate once, whatever
+        number of tails contain it."""
+        import repro.simulators.segments as segments
+
+        folds = []
+        monkeypatch.setattr(
+            segments, "fold_ops",
+            lambda ops, qubits, _fold=segments.fold_ops: (
+                folds.append(qubits) or _fold(ops, qubits)
+            ),
+        )
+        circuit = _fold_circuit(3, 8, np.random.default_rng(5))
+        noise = _runner_noise()
+        a = SegmentCompiler(circuit, superop=True, noise_model=noise)
+        b = SegmentCompiler(circuit, superop=True, noise_model=noise)
+        for start in range(len(circuit.instructions) + 1):
+            pa = a.tail_plan(start, folded=True)
+            pb = b.tail_plan(start, folded=True)
+            assert pa is a.tail_plan(start, folded=True)
+            assert [s.targets for s in pa.segments] == [
+                s.targets for s in pb.segments
+            ]
+            for sa, sb in zip(pa.segments, pb.segments):
+                assert sa.matrix.tobytes() == sb.matrix.tobytes()
+        noisy = sum(
+            noise.channel_for(inst.name, inst.qubits) is not None
+            for inst in circuit.instructions
+        )
+        assert len(folds) == 2 * noisy > 0
+
+    def test_unitary_compilers_serve_the_exact_plan(self):
+        compiler = SegmentCompiler(_bell_tail_circuit(), superop=False)
+        assert compiler.tail_plan(1, folded=True) is compiler.tail_plan(1)
+
+
 class TestEmptyHeads:
     @pytest.mark.parametrize("density", [False, True], ids=["sv", "dm"])
     def test_empty_head_list_returns_empty_batch(self, density):
@@ -459,9 +577,13 @@ class TestResponseBasis:
             )
             assert chunked.tobytes() == whole.tobytes()
 
-    def test_responses_do_not_depend_on_their_tile(self):
-        """Responses built in tiles of 10, 3 and 1 give byte-equal rows."""
+    @pytest.mark.parametrize("folded", [False, True], ids=["exact", "folded"])
+    def test_responses_do_not_depend_on_their_tile(self, folded):
+        """Responses built in tiles of 10, 3 and 1 give byte-equal rows,
+        on the exact tail and on the folded one the engine runs."""
         circuit, backend, snapshot, plan, heads = self.density_site()
+        if folded:
+            plan = backend.tail_compiler(circuit).tail_plan(3, folded=True)
 
         def rows(tile):
             return backend.run_branches_from_snapshot(
