@@ -26,6 +26,7 @@ from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Measure
 from ..simulators.backend import (
     BranchBatch,
+    BranchSlots,
     SimulationSnapshot,
     supports_batched_branches,
 )
@@ -247,16 +248,16 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
         self,
         snapshot: SimulationSnapshot,
         circuit: QuantumCircuit,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         shots: Optional[int] = None,
         plan: Optional[object] = None,
         basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         batch = self.backend.run_branches_from_snapshot(
-            snapshot, circuit, heads, shots=shots, plan=plan,
+            snapshot, circuit, slots, shots=shots, plan=plan,
             basis_tile=basis_tile,
         )
-        # Heads are unitary, so the branches measure what ``circuit`` does.
+        # Slots are unitary, so the branches measure what ``circuit`` does.
         errors = self._errors(circuit, batch.num_clbits)
         if all(error is None for error in errors):
             return batch

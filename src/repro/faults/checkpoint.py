@@ -37,14 +37,16 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
-    Union,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
+
+import numpy as np
 
 from ..algorithms.spec import AlgorithmSpec
 from ..quantum.circuit import QuantumCircuit
 from .campaign import CampaignResult
-from .executor import BaseExecutor, CampaignPlan, InjectionTask
+from .executor import BaseExecutor, CampaignPlan
 from .fault_model import PhaseShiftFault
 from .injection_points import InjectionPoint
 from .plan import single_plan
@@ -83,25 +85,28 @@ def _key(theta, phi, position, qubit, second=None) -> Tuple:
     return key + (round(theta2, _DECIMALS), round(phi2, _DECIMALS), qubit2)
 
 
-def _task_key(task: InjectionTask) -> Tuple:
-    fault, point, second = task.fault, task.point, task.second_fault
-    if second is not None:
-        second = (second.theta, second.phi, task.second_qubit)
-    return _key(fault.theta, fault.phi, point.position, point.qubit, second)
+#: The record columns a resume key reads.
+_KEY_COLUMNS = (
+    "theta", "phi", "position", "qubit",
+    "second_theta", "second_phi", "second_qubit",
+)
+
+
+def _keys(column: Callable[[str], np.ndarray]) -> Iterator[Tuple]:
+    """The resume keys of rows whose record columns ``column(name)``
+    returns. Both recorded rows and plan tasks go through here, so both
+    round Python floats alike."""
+    return (
+        _key(*row, None if qubit2 < 0 else (theta2, phi2, qubit2))
+        for *row, theta2, phi2, qubit2 in zip(
+            *(column(name).tolist() for name in _KEY_COLUMNS)
+        )
+    )
 
 
 def completed_keys(table: RecordTable) -> Set[Tuple]:
     """The resume keys of recorded rows, straight off the columns."""
-    names = (
-        "theta", "phi", "position", "qubit",
-        "second_theta", "second_phi", "second_qubit",
-    )
-    return {
-        _key(*row, None if qubit2 < 0 else (theta2, phi2, qubit2))
-        for *row, theta2, phi2, qubit2 in zip(
-            *(table.column(name).tolist() for name in names)
-        )
-    }
+    return set(_keys(table.column))
 
 
 def load_checkpoint(path: str) -> Optional[CampaignResult]:
@@ -224,7 +229,10 @@ def run_plan(
     else:
         fault_free, done_table = prior.fault_free_qvf, prior.table
         done = completed_keys(done_table)
-        pending = tuple(t for t in plan.tasks if _task_key(t) not in done)
+        columns = plan.tasks.record_columns()
+        pending = plan.tasks[
+            np.array([key not in done for key in _keys(columns.get)], bool)
+        ]
     if found and pending and callable(getattr(qufi.backend, "reseed", None)):
         raise ValueError(
             "checkpoint holds a campaign on a backend that draws from a "

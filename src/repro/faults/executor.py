@@ -7,25 +7,30 @@ applications even though every fault at the same injection point shares an
 identical circuit prefix and an identical circuit suffix. This module runs
 the sweep without the redundancy:
 
-* **The engine** (:class:`SerialExecutor`) runs a plan in-process. On
-  backends implementing the batched protocol
+* **The engine** (:class:`SerialExecutor`) runs a plan in-process,
+  reading its tasks as columns (:class:`~repro.faults.plan.TaskColumns`)
+  rather than as one object per task. On backends implementing the
+  batched protocol
   (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
   statevector and density-matrix simulators, the machine, and the
-  mitigation wrapper over any of them) it goes group → tile →
-  snapshot → branch batch → score: tasks sharing an injection site form a
-  group; the circuit is simulated once up to the site and frozen
-  (consecutive sites extend one running prefix, so a campaign pays for
-  each prefix once); the group's fault branches stack into one ``(B,
-  2**n)`` / ``(B, 2**n, 2**n)`` array, tiled to the memory budget; the
-  shared suffix runs as the backend's compiled segment plan
-  (:mod:`repro.simulators.segments`); and the tile is scored with the
-  vectorized Michelson contrast. The backends that sample inside
-  ``run`` — the trajectory simulator (which batches a task's
-  trajectories inside ``run``) and the machine emulator — and
-  ``prefix_reuse=False`` take the per-task loop, which re-runs each
-  task's full faulty circuit: the naive reference.
-  :class:`BatchedExecutor` is the same engine under the ``"batched"``
-  name.
+  mitigation wrapper over any of them) it goes site → tile → snapshot
+  → branch batch → score: a site is the row range of tasks sharing an
+  injection site; the circuit is simulated once up to the site and
+  frozen (consecutive sites extend one running prefix, so a campaign
+  pays for each prefix once); each distinct fault's matrix is built
+  once per plan, and a tile's heads reach the backend as one ``(B, 2,
+  2)`` stack per injector slot gathered from that table
+  (:class:`~repro.simulators.backend.BranchSlots`); the branches stack
+  into one ``(B, 2**n)`` / ``(B, 2**n, 2**n)`` array, tiled to the
+  memory budget; the shared suffix runs as the backend's compiled
+  segment plan (:mod:`repro.simulators.segments`); and the tile is
+  scored with the vectorized Michelson contrast. The backends that
+  sample inside ``run`` — the trajectory simulator (which batches a
+  task's trajectories inside ``run``) and the machine emulator — and
+  ``prefix_reuse=False`` take the per-task loop, which reads the plan's
+  row views and re-runs each task's full faulty circuit: the naive
+  reference. :class:`BatchedExecutor` is the same engine under the
+  ``"batched"`` name.
 
 * **The response basis** (``response_basis=True``, the default) runs
   a single-fault site's whole group in one backend call: a fault is a
@@ -43,15 +48,17 @@ the sweep without the redundancy:
   the exact per-branch plans.
 
 * **The pool** (:class:`ParallelExecutor`) cuts the canonical task list
-  into contiguous chunks and runs each chunk on a copy of the engine in a
-  ``ProcessPoolExecutor`` worker (the workers split the parent's
-  OpenBLAS threads). A one-chunk plan, or a pool that cannot spawn, runs
-  the same engine in-process.
+  into contiguous chunks by count and runs each chunk on a copy of the
+  engine in a ``ProcessPoolExecutor`` worker (the workers split the
+  parent's OpenBLAS threads); a chunk travels as a column slice of the
+  plan's tasks. A one-chunk plan, or a pool that cannot spawn, runs the
+  same engine in-process.
 
 * **Columnar streaming** — records travel as
-  :class:`~repro.faults.records.RecordTable` column blocks (the ``qvf``
-  column is the scoring array itself — no per-record dataclass on the hot
-  path) and reach an ``on_batch`` callback in canonical task order,
+  :class:`~repro.faults.records.RecordTable` column blocks, gathered
+  from the plan's columns and tables (the ``qvf`` column is the scoring
+  array itself — no per-record object on the hot path) and reach an
+  ``on_batch`` callback in canonical task order,
   which is how :func:`~repro.faults.checkpoint.run_plan` appends
   checkpoint segments in O(batch) and how progress flows during long
   campaigns (the engine delivers every ``batch_size`` records, the pool
@@ -86,34 +93,34 @@ backend then keeps its own stream.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
-import itertools
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple,
+    Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from ..blas import blas_threads, pin_blas_threads
-from ..quantum.circuit import Instruction, QuantumCircuit
+from ..quantum.circuit import QuantumCircuit
+from ..quantum.gates import FaultUGate
 from ..simulators.backend import (
     Backend,
     BranchBatch,
+    BranchSlots,
     supports_batched_branches,
 )
 from ..simulators.sampler import Result
 from ..simulators.segments import SegmentCompiler
 from .fault_model import PhaseShiftFault
 from .injection_points import InjectionPoint
+from .plan import CampaignPlan, InjectionTask, TaskColumns
 from .qvf import qvf_from_probabilities, qvf_from_probability_matrix
 from .records import RecordTable
 
@@ -131,80 +138,6 @@ __all__ = [
 ]
 
 BatchCallback = Callable[[RecordTable], None]
-
-
-# ----------------------------------------------------------------------
-# Work units
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class InjectionTask:
-    """One scheduled injection: a fault (or fault pair) at one point.
-
-    ``index`` is the task's rank in the campaign's canonical order (point
-    outer, fault inner — the legacy sweep order); executors return records
-    in exactly this order regardless of strategy, and the task's random
-    draws come from a generator keyed by it. Resumed campaigns keep the
-    *original* ranks for their pending tasks (the sequence may have
-    holes), so a resumed task draws what it would have drawn unkilled.
-    """
-
-    index: int
-    point: InjectionPoint
-    fault: PhaseShiftFault
-    second_fault: Optional[PhaseShiftFault] = None
-    second_qubit: Optional[int] = None
-    extra_faults: Tuple[Tuple[int, PhaseShiftFault], ...] = ()
-    """Further ``(qubit, fault)`` pairs spliced at the same position —
-    the k>2 qubits of a spatially correlated strike cluster. They
-    participate fully in the simulated physics (and therefore in the
-    QVF), but the recorded columns remain the primary pair: the record
-    schema is unchanged and downstream consumers keep working."""
-
-
-@dataclass(frozen=True)
-class CampaignPlan:
-    """Everything an executor needs to run a campaign's injections,
-    plus the name and metadata of the result they make up.
-
-    Plans are plain picklable data: parallel strategies ship them (in
-    chunks) to worker processes unchanged.
-    """
-
-    circuit: QuantumCircuit
-    correct_states: Tuple[str, ...]
-    tasks: Tuple[InjectionTask, ...]
-    shots: Optional[int] = None
-    seed: Optional[int] = None
-    """Keys every task's generator, ``(seed, task.index)``."""
-    name: str = ""
-    """The campaign's ``circuit_name``; executors ignore it."""
-    metadata: Dict[str, object] = field(default_factory=dict)
-    """The result's metadata in its stored key order; executors ignore
-    it, and the run stamps its ``executor`` entry."""
-    site_sizes: Optional[Mapping[Tuple[int, int], int]] = None
-    """Single-fault tasks per ``(position, qubit)`` site that a run from
-    an empty store executes (counted from ``tasks`` by :meth:`sized`
-    when ``None``). The response basis runs a site only when this count
-    reaches the backend's number of responses. The count is fixed
-    before a resume drops recorded tasks or a pool cuts chunks, so every
-    run of the plan takes the same path at every site."""
-
-    @property
-    def total(self) -> int:
-        """Number of injections the plan schedules."""
-        return len(self.tasks)
-
-    def sized(self) -> "CampaignPlan":
-        """This plan with :attr:`site_sizes` counted from its tasks,
-        unless already set."""
-        if self.site_sizes is not None:
-            return self
-        sizes = collections.Counter(
-            (task.point.position, task.point.qubit)
-            for task in self.tasks
-            if task.second_fault is None and not task.extra_faults
-        )
-        return replace(self, site_sizes=sizes)
 
 
 # ----------------------------------------------------------------------
@@ -254,22 +187,6 @@ def _task_circuit(circuit: QuantumCircuit, task: InjectionTask) -> QuantumCircui
     for shift, (qubit, fault) in enumerate(task.extra_faults):
         faulty.insert(offset + shift, fault.as_gate(), [qubit])
     return faulty
-
-
-def _branch_head(task: InjectionTask) -> List[Instruction]:
-    """The injector gate(s) a task splices in — its branch-private prefix."""
-    if task.second_qubit == task.point.qubit and task.second_fault is not None:
-        raise ValueError("second fault must target a different qubit")
-    head: List[Instruction] = [
-        Instruction(task.fault.as_gate(), (task.point.qubit,))
-    ]
-    if task.second_fault is not None:
-        head.append(
-            Instruction(task.second_fault.as_gate(), (task.second_qubit,))
-        )
-    for qubit, fault in task.extra_faults:
-        head.append(Instruction(fault.as_gate(), (qubit,)))
-    return head
 
 
 # ----------------------------------------------------------------------
@@ -324,86 +241,41 @@ def score_branch_batch(
 # ----------------------------------------------------------------------
 # Task loops
 # ----------------------------------------------------------------------
-def _task_rng(plan: CampaignPlan, task: InjectionTask) -> np.random.Generator:
-    """The one generator every random draw of ``task`` comes from.
+def _task_rng(plan: CampaignPlan, index: int) -> np.random.Generator:
+    """The one generator every random draw of task ``index`` comes from.
 
-    Keyed by ``(plan.seed, task.index)``, so the draws depend on the task
+    Keyed by ``(plan.seed, index)``, so the draws depend on the task
     alone (see the module's determinism contract); fresh entropy when
     the plan has no seed.
     """
     return np.random.default_rng(
-        None if plan.seed is None else (plan.seed, task.index)
+        None if plan.seed is None else (plan.seed, index)
     )
 
 
-def _table_from_tasks(
-    tasks: Sequence[InjectionTask], qvfs
-) -> RecordTable:
-    """One columnar block for ``tasks`` scored as ``qvfs``.
+def _table_from_tasks(tasks: TaskColumns, qvfs) -> RecordTable:
+    """One columnar block for the rows ``tasks`` scored as ``qvfs``.
 
     The qvf column is taken from the scoring array as-is (for the batched
     path that array comes straight out of
     :func:`~repro.faults.qvf.qvf_from_probability_matrix`); the remaining
-    columns read plain task attributes — no per-record dataclass.
+    columns are gathered from the plan's point and fault tables — no
+    per-task object.
     """
-    n = len(tasks)
-    theta = np.empty(n)
-    phi = np.empty(n)
-    lam = np.empty(n)
-    position = np.empty(n, dtype=np.int64)
-    qubit = np.empty(n, dtype=np.int64)
-    gate_ids = np.empty(n, dtype=np.int64)
-    second_theta = np.full(n, np.nan)
-    second_phi = np.full(n, np.nan)
-    second_lam = np.full(n, np.nan)
-    second_qubit = np.full(n, -1, dtype=np.int64)
-    physical_qubit = np.empty(n, dtype=np.int64)
-    logical_qubit = np.empty(n, dtype=np.int64)
-    pool: dict = {}
-    for k, task in enumerate(tasks):
-        fault, point = task.fault, task.point
-        theta[k] = fault.theta
-        phi[k] = fault.phi
-        lam[k] = fault.lam
-        position[k] = point.position
-        qubit[k] = point.qubit
-        gate_ids[k] = pool.setdefault(point.gate_name, len(pool))
-        physical_qubit[k] = point.physical_qubit
-        logical_qubit[k] = point.logical_qubit
-        if task.second_fault is not None:
-            second_theta[k] = task.second_fault.theta
-            second_phi[k] = task.second_fault.phi
-            second_lam[k] = task.second_fault.lam
-        if task.second_qubit is not None:
-            second_qubit[k] = task.second_qubit
     return RecordTable.from_columns(
-        theta=theta,
-        phi=phi,
-        lam=lam,
-        position=position,
-        qubit=qubit,
-        gate_ids=gate_ids,
-        gate_names=list(pool),
-        qvf=np.asarray(qvfs, dtype=np.float64),
-        second_theta=second_theta,
-        second_phi=second_phi,
-        second_lam=second_lam,
-        second_qubit=second_qubit,
-        physical_qubit=physical_qubit,
-        logical_qubit=logical_qubit,
+        **tasks.record_columns(), qvf=np.asarray(qvfs, dtype=np.float64)
     )
 
 
 def _iter_scored_tasks(
-    backend: Backend,
-    plan: CampaignPlan,
-    tasks: Sequence[InjectionTask],
-) -> Iterator[Tuple[List[InjectionTask], List[float]]]:
+    backend: Backend, plan: CampaignPlan
+) -> Iterator[List[float]]:
     """The per-task loop: every task re-runs its full faulty circuit.
 
-    Yields ``([task], [qvf])`` in task order. This is the path of
+    Yields each task's ``[qvf]`` in task order. This is the path of
     backends without the batched protocol and the naive reference
-    (``prefix_reuse=False``) the batched path is pinned against.
+    (``prefix_reuse=False``) the batched path is pinned against; it
+    reads the plan's tasks as row views.
     """
     # A backend that samples inside ``run`` (``per_run_seeding``, e.g.
     # the trajectory simulator) draws from the task's generator, and
@@ -412,90 +284,100 @@ def _iter_scored_tasks(
     per_run = (
         getattr(backend, "per_run_seeding", False) and plan.seed is not None
     )
-    for task in tasks:
+    for task in plan.tasks:
         circuit = _task_circuit(plan.circuit, task)
-        rng = _task_rng(plan, task)
+        rng = _task_rng(plan, task.index)
         if per_run:
             result = backend.run(circuit, shots=plan.shots, seed=rng)
         else:
             result = backend.run(circuit, shots=plan.shots)
-        yield [task], [
-            score_result(result, plan.correct_states, plan.shots, rng)
-        ]
+        yield [score_result(result, plan.correct_states, plan.shots, rng)]
 
 
 def _iter_scored_groups(
     backend: Backend,
     plan: CampaignPlan,
-    tasks: Sequence[InjectionTask],
     max_branches: int,
     compiler: SegmentCompiler,
     response_basis: bool = False,
-) -> Iterator[Tuple[List[InjectionTask], np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """The batched loop: one stacked branch batch per injection site.
 
-    Tasks are grouped by ``(position, qubit, second qubit, extra-fault
-    qubits)`` — within a group every branch differs only in its rotation
-    angles, so the group's heads align slot-wise and the backend
-    evaluates the whole batch with stacked contractions. Groups larger
-    than ``max_branches`` split into consecutive sub-batches (tiles) to
-    bound peak memory (a density-matrix branch is ``16 * 4**n`` bytes).
-    The prefix snapshot extends across groups, and the shared tail of
-    every tile runs as ``compiler``'s exact segment plan for that
-    position. With ``response_basis``, a single-fault group whose site
-    holds at least the backend's ``basis_responses`` faults in
+    A site is a row range of the plan's columns sharing ``(position,
+    qubit, second qubit, extra-fault qubits)`` (:meth:`~repro.faults.
+    plan.TaskColumns.sites`) — within it every branch differs only in
+    its angles, so each injector slot is one ``(B, 2, 2)`` stack
+    gathered from the plan's table of fault matrices, built once, and
+    the backend evaluates the whole batch with stacked contractions.
+    Sites larger than ``max_branches`` split into consecutive
+    sub-batches (tiles) to bound peak memory (a density-matrix branch is
+    ``16 * 4**n`` bytes). The prefix snapshot extends across sites, and
+    the shared tail of every tile runs as ``compiler``'s exact segment
+    plan for that position. With ``response_basis``, a single-fault site
+    holding at least the backend's ``basis_responses`` faults in
     ``plan``'s :attr:`~CampaignPlan.site_sizes` runs whole, in one call
     on the linear response basis whose responses are built at most
     ``max_branches`` at a time, through the folded plan instead. Yields
-    each tile with its scored QVF array.
+    each tile's scored QVF array, in task order.
     """
-    circuit = plan.circuit
+    circuit, rows = plan.circuit, plan.tasks
     # A backend without a basis (or an opted-out run) never reaches it.
     responses = getattr(backend, "basis_responses", None)
     if not response_basis or responses is None:
         responses = math.inf
     sizes = plan.sized().site_sizes
+    matrices = rows.fault_matrices()
     snapshot = None
-    for (position, qubit, second_qubit, extra), group in itertools.groupby(
-        tasks,
-        key=lambda task: (
-            task.point.position,
-            task.point.qubit,
-            task.second_qubit,
-            # Correlated-strike clusters: branches only align slot-wise
-            # when their extra faults target the same qubits in the same
-            # order.
-            tuple(qubit for qubit, _ in task.extra_faults),
-        ),
-    ):
+    for start, stop, (position, qubit, second_qubit, extra) in rows.sites():
+        # Each injector slot: its qubit and the fault ids it gathers.
+        slot_faults = [(qubit, rows.fault)]
+        if second_qubit >= 0:
+            slot_faults.append((second_qubit, rows.second_fault))
+        slot_faults.extend(
+            (extra_qubit, rows.extra_fault[:, slot])
+            for slot, extra_qubit in enumerate(extra)
+        )
+        qubits = [slot_qubit for slot_qubit, _ in slot_faults]
+        if len(set(qubits)) < len(qubits):
+            raise ValueError(
+                "the faults of one injection must target different qubits"
+            )
         snapshot = backend.prefix_snapshot(
             circuit, stop=position + 1, base=snapshot
         )
-        chunk = list(group)
         basis = (
-            second_qubit is None
+            second_qubit < 0
             and not extra
             and sizes.get((position, qubit), 0) >= responses
         )
         tail_plan = compiler.tail_plan(position + 1, folded=basis)
-        tile = len(chunk) if basis else max_branches
-        for start in range(0, len(chunk), tile):
-            sub = chunk[start : start + tile]
+        tile = stop - start if basis else max_branches
+        for low in range(start, stop, tile):
+            high = min(low + tile, stop)
+            heads = BranchSlots(
+                high - low,
+                tuple(
+                    ((slot_qubit,), FaultUGate.name, matrices[ids[low:high]])
+                    for slot_qubit, ids in slot_faults
+                ),
+            )
             batch = backend.run_branches_from_snapshot(
                 snapshot,
                 circuit,
-                [_branch_head(task) for task in sub],
+                heads,
                 shots=plan.shots,
                 plan=tail_plan,
                 basis_tile=max_branches if basis else None,
             )
-            qvfs = score_branch_batch(
+            yield score_branch_batch(
                 batch,
                 plan.correct_states,
                 plan.shots,
-                (_task_rng(plan, task) for task in sub),
+                (
+                    _task_rng(plan, index)
+                    for index in rows.index[low:high].tolist()
+                ),
             )
-            yield sub, qvfs
 
 
 def _reseed_backend(backend: Backend, rng: np.random.Generator) -> None:
@@ -521,25 +403,29 @@ def _reseed_backend(backend: Backend, rng: np.random.Generator) -> None:
 def _run_chunk(
     backend: Backend,
     plan: CampaignPlan,
-    tasks: Tuple[InjectionTask, ...],
+    tasks: TaskColumns,
     seed_material: Optional[Tuple[int, int]],
     engine: "SerialExecutor",
 ) -> RecordTable:
     """Worker-process entry point: run one chunk on the engine.
 
-    ``plan`` arrives without its task list; the chunk plan is rebuilt
-    from ``tasks`` and run through ``engine``'s block stream. Tasks draw
-    from their own generators; ``seed_material`` (the chunk's ``(seed,
-    index)``) only reseeds a backend that keeps a stream of its own.
-    ``engine`` is the parent's engine pickled without its compiler cache
-    — compilation is deterministic, so the worker's segments match the
-    parent's bit for bit. Returns the chunk as one columnar block:
-    tables pickle back to the parent as a handful of arrays instead of
-    thousands of dataclasses.
+    ``plan`` arrives without its tasks; the chunk plan is rebuilt from
+    ``tasks`` — a column slice of the plan's tasks, which pickles as a
+    few arrays and the point and fault tables — and run through
+    ``engine``'s block stream, as one block. Tasks draw from their own
+    generators;
+    ``seed_material`` (the chunk's ``(seed, index)``) only reseeds a
+    backend that keeps a stream of its own. ``engine`` is the parent's
+    engine pickled without its compiler cache — compilation is
+    deterministic, so the worker's segments match the parent's bit for
+    bit. Returns the chunk as one columnar block: tables pickle back to
+    the parent as a handful of arrays.
     """
     _reseed_backend(backend, np.random.default_rng(seed_material))
-    chunk = replace(plan, tasks=tuple(tasks))
-    return RecordTable.concatenate(list(engine._block_stream(backend, chunk)))
+    chunk = replace(plan, tasks=tasks)
+    return RecordTable.concatenate(
+        list(engine._whole(chunk)._block_stream(backend, chunk))
+    )
 
 
 # Batch-sized arrays simultaneously alive while one tile advances: the
@@ -583,17 +469,15 @@ def _tile_limit(
     return max(1, min(max_branches, tile))
 
 
-def _chunk_tasks(
-    tasks: Sequence[InjectionTask], target: int
-) -> List[Tuple[InjectionTask, ...]]:
+def _chunk_tasks(tasks: Sequence, target: int) -> List[Sequence]:
     """Split ``tasks`` into contiguous chunks of at most ``target`` size.
 
     The cut is purely by count — a chunk boundary can land inside a
     same-position run, in which case the next chunk recomputes that one
     prefix snapshot; ``target`` is a hard ceiling because checkpoint
-    consumers bound their loss window with it.
+    consumers bound their loss window with it. A plan's
+    :class:`~repro.faults.plan.TaskColumns` cut into column slices.
     """
-    tasks = tuple(tasks)
     return [tasks[i : i + target] for i in range(0, len(tasks), target)]
 
 
@@ -706,6 +590,15 @@ class SerialExecutor(BaseExecutor):
         clone._compilers = self._compilers
         return clone
 
+    def _whole(self, plan: CampaignPlan) -> "SerialExecutor":
+        """A copy that delivers ``plan`` as one block, for runs that
+        stream nothing: the bytes of its blocks concatenated (gate names
+        pool in order of first appearance either way), gathered from the
+        columns in one pass."""
+        clone = self.bounded(self.batch_size)
+        clone.batch_size = max(1, len(plan.tasks))
+        return clone
+
     def prime_segment_compiler(self, compiler: SegmentCompiler) -> None:
         """Register an externally built compiler.
 
@@ -743,32 +636,32 @@ class SerialExecutor(BaseExecutor):
             scored = _iter_scored_groups(
                 backend,
                 plan,
-                plan.tasks,
                 limit,
                 self._tail_compiler(backend, plan.circuit),
                 self.response_basis,
             )
         else:
-            scored = _iter_scored_tasks(backend, plan, plan.tasks)
-        # Scored runs are cut into blocks of exactly ``batch_size``
-        # records (the last may be short), whichever loop scored them.
-        size = self.batch_size
-        tasks: List[InjectionTask] = []
+            scored = _iter_scored_tasks(backend, plan)
+        # Either loop scores the rows in order; they are cut into blocks
+        # of exactly ``batch_size`` records (the last may be short).
+        rows, size = plan.tasks, self.batch_size
+        start, pending = 0, 0
         qvfs: List[np.ndarray] = []
-        for run, scores in scored:
-            tasks.extend(run)
+        for scores in scored:
             qvfs.append(np.asarray(scores, dtype=np.float64))
-            if len(tasks) >= size:
+            pending += len(qvfs[-1])
+            if pending >= size:
                 merged = np.concatenate(qvfs)
-                cut = len(tasks) - len(tasks) % size
-                for start in range(0, cut, size):
+                cut = pending - pending % size
+                for offset in range(0, cut, size):
+                    low = start + offset
                     yield _table_from_tasks(
-                        tasks[start : start + size],
-                        merged[start : start + size],
+                        rows[low : low + size], merged[offset : offset + size]
                     )
-                tasks, qvfs = tasks[cut:], [merged[cut:]]
-        if tasks:
-            yield _table_from_tasks(tasks, np.concatenate(qvfs))
+                start, pending = start + cut, pending - cut
+                qvfs = [merged[cut:]]
+        if pending:
+            yield _table_from_tasks(rows[start:], np.concatenate(qvfs))
 
     def run(
         self,
@@ -777,8 +670,9 @@ class SerialExecutor(BaseExecutor):
         on_batch: Optional[BatchCallback] = None,
     ) -> RecordTable:
         """Run the plan in-process, streaming blocks to ``on_batch``."""
+        engine = self if on_batch is not None else self._whole(plan)
         blocks: List[RecordTable] = []
-        for block in self._block_stream(backend, plan):
+        for block in engine._block_stream(backend, plan):
             blocks.append(block)
             if on_batch is not None and len(block):
                 on_batch(block)
@@ -975,7 +869,7 @@ class ParallelExecutor(BaseExecutor):
         self,
         backend: Backend,
         plan: CampaignPlan,
-        chunks: List[Tuple[InjectionTask, ...]],
+        chunks: List[TaskColumns],
         workers: int,
     ) -> Iterator[RecordTable]:
         """The chunks' blocks in task order, computed on the pool.
@@ -986,9 +880,9 @@ class ParallelExecutor(BaseExecutor):
         pool does not keep computing dropped work. Losing the pool raises
         :class:`_PoolLost`.
         """
-        # Workers receive the plan without its task list; their chunk is
-        # the only slice they need, and large campaigns should not pickle
-        # the full sweep once per worker.
+        # Workers receive the plan without its tasks; their chunk is the
+        # only column slice they need, and large campaigns should not
+        # pickle the full sweep once per worker.
         core = replace(plan, tasks=())
         pool = self._persistent_pool()
         owns_pool = pool is None

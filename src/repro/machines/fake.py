@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
-from ..simulators.backend import BranchBatch, SimulationSnapshot
+from ..simulators.backend import BranchBatch, BranchSlots, SimulationSnapshot
 from ..simulators.density_matrix import DensityMatrixSimulator
 from ..simulators.noise import (
     NoiseModel,
@@ -228,13 +228,13 @@ class FakeBackend:
         self,
         snapshot: SimulationSnapshot,
         circuit: QuantumCircuit,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
         basis_tile: Optional[int] = None,
     ) -> BranchBatch:
         batch = self.simulator().run_branches_from_snapshot(
-            snapshot, circuit, heads, shots=shots, plan=plan,
+            snapshot, circuit, slots, shots=shots, plan=plan,
             basis_tile=basis_tile,
         )
         batch.metadata["machine"] = self.name

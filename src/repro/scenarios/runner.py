@@ -326,9 +326,11 @@ class SuiteRunner:
         }
         path = self._manifest_path()
         tmp_path = f"{path}.tmp"
+        # One encode, one write: ``json.dump`` with an indent hands the
+        # file every chunk of its pure-Python encoder separately.
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp_path, path)
 
     def _load_timings(self) -> Dict[str, float]:

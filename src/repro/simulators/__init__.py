@@ -13,6 +13,7 @@ from .backend import (
     Backend,
     BatchedSnapshotBackend,
     BranchBatch,
+    BranchSlots,
     SimulationSnapshot,
     SnapshotBackend,
     supports_batched_branches,
@@ -41,6 +42,7 @@ __all__ = [
     "BatchedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
+    "BranchSlots",
     "SegmentCompiler",
     "TailPlan",
     "FusedSegment",

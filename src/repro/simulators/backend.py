@@ -20,9 +20,11 @@ trajectory simulator batches a task's trajectories inside ``run``.
 On top of snapshots sits the *batched branch* protocol
 (:class:`BatchedSnapshotBackend`): evaluate many fault branches of one
 snapshot as a single stacked array — ``(B, 2**n)`` statevectors or
-``(B, 2**n, 2**n)`` density matrices — applying each per-branch injector
-rotation as one contraction across the batch and the shared tail as a
-compiled segment plan. The result is a :class:`BranchBatch` of
+``(B, 2**n, 2**n)`` density matrices. The branches' private heads
+arrive as :class:`BranchSlots`, one ``(qubits, gate name, (B, 2**k,
+2**k))`` matrix stack per injector slot, and each slot applies as one
+contraction across the batch; the shared tail runs as a compiled
+segment plan. The result is a :class:`BranchBatch` of
 clbit-basis probability rows ready for vectorized QVF scoring. Batched
 evaluation is a wall-clock optimisation only: every row is
 bit-identical to what :meth:`SnapshotBackend.run_from_snapshot` would
@@ -42,7 +44,6 @@ from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
-    List,
     Optional,
     Protocol,
     Sequence,
@@ -60,12 +61,12 @@ __all__ = [
     "SnapshotBackend",
     "BatchedSnapshotBackend",
     "SimulationSnapshot",
+    "BranchSlots",
     "BranchBatch",
     "supports_snapshots",
     "supports_batched_branches",
     "uniform_head_slots",
     "single_fault_slot",
-    "validate_branch_head",
     "batched_clbit_marginals",
 ]
 
@@ -142,6 +143,50 @@ class SnapshotBackend(Backend, Protocol):
         ...
 
 
+#: One injector slot of a branch batch: ``(qubits, gate name, (B, 2**k,
+#: 2**k) matrix stack)``.
+Slot = Tuple[Tuple[int, ...], str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class BranchSlots:
+    """The private heads of ``size`` fault branches, slot by slot.
+
+    Every branch of a batch carries the same injector gates on the same
+    qubits (campaigns batch one injection site at a time), so the heads
+    travel as one :data:`Slot` per gate position: its qubits, its gate
+    name (what noise models key channels on) and the ``(B, 2**k,
+    2**k)`` stack of the branches' matrices, in branch order. ``len()``
+    is the number of branches; branches with no head have no slots.
+    """
+
+    size: int
+    slots: Tuple[Slot, ...] = ()
+
+    def __post_init__(self) -> None:
+        for qubits, name, matrices in self.slots:
+            dim = 2 ** len(qubits)
+            if np.shape(matrices) != (self.size, dim, dim):
+                raise ValueError(
+                    f"slot {name} on {qubits} holds a stack of shape "
+                    f"{np.shape(matrices)}, not ({self.size}, {dim}, {dim})"
+                )
+
+    def __len__(self) -> int:
+        return self.size
+
+    def check_live(self, measured: AbstractSet[int]) -> None:
+        """Slots must avoid already-measured qubits — the constraint the
+        backends' serial advance loops enforce."""
+        for qubits, name, _ in self.slots:
+            touched = set(qubits) & set(measured)
+            if touched:
+                raise ValueError(
+                    f"gate {name} on already-measured qubit(s) {touched}; "
+                    "only terminal measurements are supported"
+                )
+
+
 @dataclass
 class BranchBatch:
     """Outcome distributions of a batch of fault branches, as arrays.
@@ -210,8 +255,12 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
     :class:`~repro.simulators.segments.SegmentCompiler` for a circuit via
     :meth:`tail_compiler`; the campaign engine passes the compiler's
     :class:`~repro.simulators.segments.TailPlan` for a snapshot position
-    to :meth:`run_branches_from_snapshot`, which applies the shared tail
-    as that plan's segments. :meth:`branch_state_nbytes` reports the
+    to :meth:`run_branches_from_snapshot`, with the branches' heads as
+    :class:`BranchSlots` — one ``(qubits, gate name, (B, 2**k, 2**k))``
+    stack per injector slot, gathered from the plan's table of fault
+    matrices, never one instruction per branch — and the backend applies
+    each slot as one stacked contraction and the shared tail as that
+    plan's segments. :meth:`branch_state_nbytes` reports the
     bytes one branch's state occupies in a batch, which is what
     memory-budgeted tiling divides against. A backend that runs the
     linear response basis (``basis_tile``) names its number of tail runs
@@ -223,24 +272,24 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         self,
         snapshot: SimulationSnapshot,
         circuit: QuantumCircuit,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         shots: Optional[int] = None,
         plan: Optional[object] = None,
         basis_tile: Optional[int] = None,
     ) -> BranchBatch:
-        """Branch from ``snapshot`` once per head, batched.
+        """Branch from ``snapshot`` once per branch of ``slots``, batched.
 
-        Each element of ``heads`` is one branch's private continuation
-        prefix (the injector gate(s); unitary instructions only); all
-        branches then share the tail ``circuit.instructions[snapshot.
-        position:]``, applied as ``plan`` (the tail compiled for
-        ``snapshot.position``; compiled here when ``None``). Row ``b``
-        of the returned batch is bit-identical to
-        :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] +
-        tail``. With ``basis_tile`` set, every head must be one
-        single-qubit gate on the same qubit, and the rows come from the
-        linear response basis instead, its responses built at most
-        ``basis_tile`` at a time; the engine then passes the folded
+        Branch ``b``'s private continuation prefix is its matrix in each
+        slot, applied slot by slot (unitary injector gates, on qubits not
+        yet measured — checked once per slot); all branches then share
+        the tail ``circuit.instructions[snapshot.position:]``, applied as
+        ``plan`` (the tail compiled for ``snapshot.position``; compiled
+        here when ``None``). Row ``b`` of the returned batch is
+        bit-identical to :meth:`SnapshotBackend.run_from_snapshot` on
+        branch ``b``'s gates followed by that tail. With ``basis_tile``
+        set, there must be one slot, on one qubit, and the rows come
+        from the linear response basis instead, its responses built at
+        most ``basis_tile`` at a time; the engine then passes the folded
         plan (``tail_plan(position, folded=True)``).
         """
         ...
@@ -269,42 +318,19 @@ def supports_batched_branches(backend: object) -> bool:
     return isinstance(backend, BatchedSnapshotBackend)
 
 
-def validate_branch_head(
-    head: Sequence[Instruction], measured: AbstractSet[int]
-) -> None:
-    """Heads must be purely unitary and avoid already-measured qubits —
-    the same constraints the backends' serial advance loops enforce."""
-    for inst in head:
-        if not inst.is_unitary():
-            raise ValueError(
-                f"branch heads must be unitary instructions, got {inst.name}"
-            )
-        touched = set(inst.qubits) & set(measured)
-        if touched:
-            raise ValueError(
-                f"gate {inst.name} on already-measured qubit(s) {touched}; "
-                "only terminal measurements are supported"
-            )
-
-
-def single_fault_slot(
-    heads: Sequence[Sequence[Instruction]], measured: AbstractSet[int]
-) -> Tuple[Tuple[int, ...], str, np.ndarray]:
-    """The one slot of a single-fault site's heads: ``(qubits, gate name,
-    (B, 2, 2) matrix stack)``.
+def single_fault_slot(slots: BranchSlots) -> Slot:
+    """The one slot of a single-fault site: ``(qubits, gate name, (B, 2,
+    2) matrix stack)``.
 
     The response basis needs every branch to be one single-qubit gate on
     the same qubit; anything else raises.
     """
-    for head in heads:
-        validate_branch_head(head, measured)
-    slots = uniform_head_slots(heads)
-    if not slots or len(slots) != 1 or len(slots[0][0]) != 1:
+    if len(slots.slots) != 1 or len(slots.slots[0][0]) != 1:
         raise ValueError(
             "the response basis runs single-fault sites only: every head "
             "must be one single-qubit gate on the same qubit"
         )
-    return slots[0]
+    return slots.slots[0]
 
 
 def batched_clbit_marginals(
@@ -342,33 +368,32 @@ def batched_clbit_marginals(
 
 def uniform_head_slots(
     heads: Sequence[Sequence[Instruction]],
-) -> Optional[List[Tuple[Tuple[int, ...], str, np.ndarray]]]:
-    """Slot-decompose per-branch heads when they align across the batch.
+) -> BranchSlots:
+    """The :class:`BranchSlots` of explicit per-branch heads.
 
-    Fault campaigns group branches so every head has the same shape: one
-    injector gate per slot, each slot targeting the same qubit(s) (and
-    carrying the same gate name, which is what noise models key channels
-    on) in every branch — only the rotation angles differ. For such heads
-    this returns one ``(qubits, gate_name, (B, 2**k, 2**k) matrix stack)``
-    entry per slot, letting backends apply each slot as a single stacked
-    contraction over the batch axis. Returns ``None`` when the heads
-    diverge in length, qubits, or gate name; callers then fall back to
-    per-branch application.
+    Each element of ``heads`` is one branch's injector gates. Heads must
+    align: the same number of unitary gates, slot by slot on the same
+    qubits with the same gate name, only the angles differing — how a
+    campaign batches one injection site. Anything else raises.
     """
-    if not heads:
-        return []
-    length = len(heads[0])
+    length = len(heads[0]) if heads else 0
     if any(len(head) != length for head in heads):
-        return None
-    slots: List[Tuple[Tuple[int, ...], str, np.ndarray]] = []
+        raise ValueError("branch heads must have one gate per slot")
+    slots = []
     for slot in range(length):
-        qubits = heads[0][slot].qubits
-        name = heads[0][slot].name
-        if any(
-            head[slot].qubits != qubits or head[slot].name != name
-            for head in heads
-        ):
-            return None
+        qubits, name = heads[0][slot].qubits, heads[0][slot].name
+        for head in heads:
+            inst = head[slot]
+            if not inst.is_unitary():
+                raise ValueError(
+                    f"branch heads must be unitary instructions, got "
+                    f"{inst.name}"
+                )
+            if inst.qubits != qubits or inst.name != name:
+                raise ValueError(
+                    "branch heads must align slot-wise: same qubits and "
+                    "gate name in every branch"
+                )
         matrices = np.stack([head[slot].gate.matrix for head in heads])
         slots.append((qubits, name, matrices))
-    return slots
+    return BranchSlots(len(heads), tuple(slots))

@@ -28,15 +28,13 @@ import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.linalg import apply_superop_to_density, apply_unitary_to_density
 from ..quantum.states import DensityMatrix, format_bitstring
 from .backend import (
     BranchBatch,
+    BranchSlots,
     SimulationSnapshot,
     batched_clbit_marginals,
     single_fault_slot,
-    uniform_head_slots,
-    validate_branch_head,
 )
 from .noise import NoiseModel
 from .sampler import Result
@@ -175,24 +173,25 @@ class DensityMatrixSimulator:
         self,
         snapshot: SimulationSnapshot,
         circuit: QuantumCircuit,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
         basis_tile: Optional[int] = None,
     ) -> BranchBatch:
-        """Evaluate one fault branch per head as a density-matrix batch.
+        """Evaluate one fault branch per branch of ``slots`` as a
+        density-matrix batch.
 
         The frozen mixed state is stacked into a ``(B, 2**n, 2**n)`` array;
-        per-branch injector rotations (with their noise channels, if the
-        model attaches any to the injector gate) apply as stacked
+        each slot's injector rotations (with their noise channel, if the
+        model attaches one to the injector gate) apply as stacked
         contractions, and the shared tail — gates, channels, resets —
         applies across the whole batch as ``plan``, the tail compiled for
         ``snapshot.position`` with this backend's noise model folded in
-        (compiled here when the caller passes none). Heads and tail run
+        (compiled here when the caller passes none). Slots and tail run
         through :func:`~repro.simulators.segments.apply_plan`; readout
         confusion follows. Row ``b`` is bit-identical to
-        :meth:`run_from_snapshot` with the tail ``heads[b] +
-        circuit.instructions[snapshot.position:]``.
+        :meth:`run_from_snapshot` with branch ``b``'s gates followed by
+        ``circuit.instructions[snapshot.position:]``.
 
         With ``basis_tile`` set, a single-fault site runs on the linear
         response basis instead: the tail, preceded by the injector
@@ -209,21 +208,25 @@ class DensityMatrixSimulator:
                 snapshot.position, folded=basis_tile is not None
             )
         plan.check_start(snapshot.position)
-        heads = [tuple(head) for head in heads]
+        slots.check_live(snapshot.measured)
         num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
         measure_map.update(plan.measures)
         if basis_tile is None:
             batch = np.repeat(
-                snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
+                snapshot.state.data[np.newaxis, :, :], len(slots), axis=0
             )
-            head_ops = self._head_ops(
-                batch, heads, set(snapshot.measured), num_qubits
-            )
+            # A slot's noise channel is shared by construction, so its
+            # superoperators follow the stacked unitary as plain ops.
+            head_ops = [
+                op
+                for qubits, name, matrices in slots.slots
+                for op in gate_ops(name, qubits, matrices, self.noise_model)
+            ]
             batch = apply_plan(batch, plan, head_ops)
             probs = np.real(np.diagonal(batch, axis1=-2, axis2=-1)).copy()
         else:
-            probs = self._basis_diagonals(snapshot, heads, plan, basis_tile)
+            probs = self._basis_diagonals(snapshot, slots, plan, basis_tile)
         probs = self._apply_readout_confusion_batch(
             _clip_and_normalise(probs), measure_map, num_qubits
         )
@@ -247,13 +250,13 @@ class DensityMatrixSimulator:
     def _basis_diagonals(
         self,
         snapshot: SimulationSnapshot,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         plan: TailPlan,
         tile: int,
     ) -> np.ndarray:
         """Real diagonals of a single-fault site's final states, from the
         tail's responses to the 10 distinct superoperator matrix units."""
-        qubits, name, matrices = single_fault_slot(heads, snapshot.measured)
+        qubits, name, matrices = single_fault_slot(slots)
         _, *noise = gate_ops(name, qubits, _BASIS_UNITS, self.noise_model)
         # The injector gate's noise folds into each unit (a noiseless
         # gate folds to the identity): one head op.
@@ -279,47 +282,6 @@ class DensityMatrixSimulator:
             * matrices.conj()[:, np.newaxis, :, np.newaxis, :]
         ).reshape(len(matrices), len(_UNITS))
         return combine_responses(weights[:, _KEPT] * _PAIR_FACTOR, responses)
-
-    def _head_ops(
-        self,
-        batch: np.ndarray,
-        heads: Sequence[Sequence[Instruction]],
-        measured: Set[int],
-        num_qubits: int,
-    ) -> list:
-        """The branches' private heads (plus their noise) as runner ops.
-
-        Aligned heads (the campaign case: same qubits and gate name per
-        slot, different angles) become one unitary op per slot over the
-        stacked matrices; the noise channel for a slot is shared by
-        construction, so its superoperators follow as plain ops.
-        Misaligned heads are applied here instead, row by row in place
-        with the scalar kernels, and leave no ops.
-        """
-        noise = self.noise_model
-        for head in heads:
-            validate_branch_head(head, measured)
-        slots = uniform_head_slots(heads)
-        if slots is not None:
-            return [
-                op
-                for qubits, name, matrices in slots
-                for op in gate_ops(name, qubits, matrices, noise)
-            ]
-        for index, head in enumerate(heads):
-            rho = batch[index]
-            for inst in head:
-                for kind, targets, matrix in gate_ops(
-                    inst.name, inst.qubits, inst.gate.matrix, noise
-                ):
-                    apply = (
-                        apply_unitary_to_density
-                        if kind == "unitary"
-                        else apply_superop_to_density
-                    )
-                    rho = apply(rho, matrix, targets, num_qubits)
-            batch[index] = rho
-        return []
 
     def _apply_readout_confusion_batch(
         self,

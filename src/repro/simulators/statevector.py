@@ -8,15 +8,13 @@ import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.linalg import apply_unitary_to_statevector
 from ..quantum.states import Statevector, format_bitstring
 from .backend import (
     BranchBatch,
+    BranchSlots,
     SimulationSnapshot,
     batched_clbit_marginals,
     single_fault_slot,
-    uniform_head_slots,
-    validate_branch_head,
 )
 from .sampler import Result
 from .segments import SegmentCompiler, TailPlan, apply_plan, combine_responses
@@ -166,22 +164,23 @@ class StatevectorSimulator:
         self,
         snapshot: SimulationSnapshot,
         circuit: QuantumCircuit,
-        heads: Sequence[Sequence[Instruction]],
+        slots: BranchSlots,
         shots: Optional[int] = None,
         plan: Optional[TailPlan] = None,
         basis_tile: Optional[int] = None,
     ) -> BranchBatch:
-        """Evaluate one fault branch per head as a single statevector batch.
+        """Evaluate one fault branch per branch of ``slots`` as a single
+        statevector batch.
 
         The frozen prefix state is stacked ``B`` times into a ``(B, 2**n)``
-        array; each branch's injector rotations apply as one stacked
+        array; each slot's injector rotations apply as one stacked
         contraction over the batch axis, and the shared tail
         ``circuit.instructions[snapshot.position:]`` applies to the whole
         batch as ``plan`` — the tail compiled for ``snapshot.position``,
-        compiled here when the caller passes none. Heads and tail run
+        compiled here when the caller passes none. Slots and tail run
         through :func:`~repro.simulators.segments.apply_plan`. Row ``b``
-        is bit-identical to :meth:`run_from_snapshot` with the tail
-        ``heads[b] + circuit.instructions[snapshot.position:]``.
+        is bit-identical to :meth:`run_from_snapshot` with branch ``b``'s
+        gates followed by ``circuit.instructions[snapshot.position:]``.
 
         With ``basis_tile`` set, a single-fault site runs on the linear
         response basis instead: the tail runs on the four states
@@ -191,20 +190,21 @@ class StatevectorSimulator:
         if plan is None:
             plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
         plan.check_start(snapshot.position)
-        heads = [tuple(head) for head in heads]
+        slots.check_live(snapshot.measured)
         measure_map = dict(snapshot.measure_map)
         measure_map.update(plan.measures)
         if basis_tile is None:
             batch = np.repeat(
-                snapshot.state.data[np.newaxis, :], len(heads), axis=0
+                snapshot.state.data[np.newaxis, :], len(slots), axis=0
             )
-            head_ops = _head_ops(
-                batch, heads, set(snapshot.measured), circuit.num_qubits
-            )
+            head_ops = [
+                ("unitary", qubits, matrices)
+                for qubits, _, matrices in slots.slots
+            ]
             qubit_probs = np.abs(apply_plan(batch, plan, head_ops)) ** 2
         else:
             qubit_probs = _basis_probabilities(
-                snapshot, heads, plan, basis_tile
+                snapshot, slots, plan, basis_tile
             )
         probabilities, present, key_width = batched_clbit_marginals(
             qubit_probs, measure_map, circuit
@@ -266,34 +266,6 @@ class StatevectorSimulator:
         return 16 * 2**num_qubits
 
 
-def _head_ops(
-    batch: np.ndarray,
-    heads: Sequence[Sequence[Instruction]],
-    measured: Set[int],
-    num_qubits: int,
-) -> list:
-    """The branches' private heads as ops for the batch runner.
-
-    Campaign heads always align slot-wise (same qubits, different angles),
-    so each slot becomes one unitary op over a ``(B, 2**k, 2**k)`` stack.
-    Misaligned heads are applied here instead, row by row in place with
-    the scalar kernel, and leave no ops — bit-identical either way.
-    """
-    for head in heads:
-        validate_branch_head(head, measured)
-    slots = uniform_head_slots(heads)
-    if slots is not None:
-        return [("unitary", qubits, matrices) for qubits, _, matrices in slots]
-    for index, head in enumerate(heads):
-        row = batch[index]
-        for inst in head:
-            row = apply_unitary_to_statevector(
-                row, inst.gate.matrix, inst.qubits, num_qubits
-            )
-        batch[index] = row
-    return []
-
-
 # The matrix units |a><b| of one qubit, in row-major order: a single-qubit
 # unitary is sum_k U.flat[k] * _UNITS[k].
 _UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
@@ -301,13 +273,13 @@ _UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
 
 def _basis_probabilities(
     snapshot: SimulationSnapshot,
-    heads: Sequence[Sequence[Instruction]],
+    slots: BranchSlots,
     plan: TailPlan,
     tile: int,
 ) -> np.ndarray:
     """Qubit-basis probabilities of a single-fault site's branches, from
     the tail's responses to the matrix units on the fault qubit."""
-    qubits, _, matrices = single_fault_slot(heads, snapshot.measured)
+    qubits, _, matrices = single_fault_slot(slots)
     state = snapshot.state.data[np.newaxis, :]
     responses = np.concatenate(
         [

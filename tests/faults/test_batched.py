@@ -470,28 +470,28 @@ class TestProtocol:
         """Each BranchBatch row — its tail plan compiled by the backend —
         reproduces run_from_snapshot's dictionary: same keys (presence)
         and bit-identical values."""
-        from repro.faults.executor import _branch_head
+        from repro.quantum.circuit import Instruction
+        from repro.simulators.backend import uniform_head_slots
 
         spec = qft(3)
         backend = make_backend()
         faults = fault_grid(step_deg=45)
         points = enumerate_injection_points(spec.circuit)
         point = points[len(points) // 2]
-        tasks = [
-            InjectionTask(index=i, point=point, fault=fault)
-            for i, fault in enumerate(faults)
+        heads = [
+            [Instruction(fault.as_gate(), (point.qubit,))] for fault in faults
         ]
         snapshot = backend.prefix_snapshot(
             spec.circuit, stop=point.position + 1
         )
         batch = backend.run_branches_from_snapshot(
-            snapshot, spec.circuit, [_branch_head(t) for t in tasks]
+            snapshot, spec.circuit, uniform_head_slots(heads)
         )
-        assert batch.size == len(tasks)
+        assert batch.size == len(heads)
         suffix = list(spec.circuit.instructions[point.position + 1 :])
-        for index, task in enumerate(tasks):
+        for index, head in enumerate(heads):
             serial = backend.run_from_snapshot(
-                snapshot, spec.circuit, _branch_head(task) + suffix
+                snapshot, spec.circuit, head + suffix
             )
             assert batch.result(index).probabilities == serial.probabilities
 
@@ -549,16 +549,10 @@ class TestProtocol:
     def test_non_unitary_heads_rejected(self):
         from repro.quantum.circuit import Instruction
         from repro.quantum.gates import Measure
+        from repro.simulators.backend import uniform_head_slots
 
-        spec = bernstein_vazirani(3)
-        backend = StatevectorSimulator()
-        snapshot = backend.prefix_snapshot(spec.circuit, stop=1)
         with pytest.raises(ValueError, match="unitary"):
-            backend.run_branches_from_snapshot(
-                snapshot,
-                spec.circuit,
-                [[Instruction(Measure(), (0,), (0,))]],
-            )
+            uniform_head_slots([[Instruction(Measure(), (0,), (0,))]])
 
 
 class TestVectorizedScoring:

@@ -75,14 +75,14 @@ class TestResume:
 
         # Count executions on resume by watching the backend: every
         # injection is one branch of a batch from a prefix snapshot, and
-        # the branch head's first gate is the injector on the target qubit.
+        # the batch's first slot is the injector on the target qubit.
         heads = []
         backend = qufi.backend
         original = backend.run_branches_from_snapshot
 
-        def counting(snapshot, circuit, branch_heads, **kwargs):
-            heads.extend(branch_heads)
-            return original(snapshot, circuit, branch_heads, **kwargs)
+        def counting(snapshot, circuit, slots, **kwargs):
+            heads.extend([slots.slots[0][0]] * len(slots))
+            return original(snapshot, circuit, slots, **kwargs)
 
         backend.run_branches_from_snapshot = counting  # type: ignore[method-assign]
         try:
@@ -92,7 +92,7 @@ class TestResume:
 
         # Only the second point's injections were executed.
         assert len(heads) == len(faults)
-        assert all(head[0].qubits == (1,) for head in heads)
+        assert all(qubits == (1,) for qubits in heads)
         assert full.num_injections == 2 * len(faults)
 
     def test_resume_preserves_fault_free_qvf(self, qufi, spec, tmp_path):

@@ -9,7 +9,8 @@ through a checkpoint. These tests pin the three promises that follow:
 * a checkpoint recorded for another scenario is refused, while resuming
   under another executor or a larger adaptive round cap is not;
 * the cost estimator counts exactly the tasks the plan enumerates,
-  without building any of them.
+  without building any of them, and neither planning nor an in-process
+  batched run builds one either.
 """
 
 import json
@@ -247,3 +248,28 @@ class TestOneCount:
             ScenarioSpec(algorithm="qft", width=3, grid_step_deg=90.0),
         ]:
             assert estimate_scenario_injections(spec) > 0
+
+    def test_planning_and_batched_runs_build_no_task(self, monkeypatch):
+        """Plans are columns and the engine reads them as such: planning
+        and a whole in-process batched run build no InjectionTask."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an InjectionTask was built")
+
+        specs = [
+            ScenarioSpec(algorithm="ghz", width=4, noise="none",
+                         mode="double", grid_step_deg=45.0),
+            ScenarioSpec(algorithm="bv", width=4, noise="none", seed=3,
+                         strike={"count": 4, "k": 3}, transpile={}),
+            ScenarioSpec(algorithm="qft", width=3, grid_step_deg=90.0),
+            ScenarioSpec(algorithm="qft", width=3, grid_step_deg=90.0,
+                         bit_identical=True),
+        ]
+        expected = [len(plan_scenario(spec).tasks) for spec in specs]
+        monkeypatch.setattr(InjectionTask, "__init__", refuse)
+        for spec, count in zip(specs, expected):
+            cache = FactoryCache()
+            plan = plan_scenario(spec, cache)
+            result = run_plan(
+                make_injector(spec, cache, SerialExecutor()), plan
+            )
+            assert result.num_injections == len(plan.tasks) == count > 0

@@ -158,6 +158,18 @@ class TestSpecHashCaching:
             assert os.path.exists(os.path.join(manifest_dir, entry["result_file"]))
 
 
+    def test_manifest_is_written_as_one_encoding(self, tmp_path):
+        """The manifest file holds exactly ``json.dumps(manifest,
+        indent=2, sort_keys=True)`` and a newline."""
+        manifest_dir = str(tmp_path / "m")
+        SuiteRunner(mixed_suite(), manifest_dir=manifest_dir).run()
+        with open(
+            os.path.join(manifest_dir, MANIFEST_NAME), encoding="utf-8"
+        ) as handle:
+            text = handle.read()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
     def test_warm_pass_hashes_each_spec_a_few_times(
         self, tmp_path, monkeypatch
     ):

@@ -33,6 +33,7 @@ from repro.simulators import (
     depolarizing_channel,
     supports_batched_branches,
 )
+from repro.simulators.backend import BranchSlots, uniform_head_slots
 from repro.simulators.noise import NoiseModel, amplitude_damping_channel
 from repro.simulators.segments import (
     RESET_SUPEROP,
@@ -178,6 +179,24 @@ class TestValidation:
         ):
             compiler.tail_plan(0)
 
+    def test_slot_on_measured_qubit_matches_serial_message(self):
+        """A branch slot on an already-measured qubit is refused, once
+        per slot, with the serial advance loop's message."""
+        from repro.quantum.gates import FaultUGate
+
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).h(1)
+        qc.measure(0, 0)
+        slots = BranchSlots(
+            3, (((0,), FaultUGate.name, np.stack([np.eye(2)] * 3)),)
+        )
+        for backend in (StatevectorSimulator(), DensityMatrixSimulator()):
+            snapshot = backend.prefix_snapshot(qc, stop=3)
+            with pytest.raises(
+                ValueError, match="only terminal measurements are supported"
+            ):
+                backend.run_branches_from_snapshot(snapshot, qc, slots)
+
     def test_reset_rejected_in_unitary_mode(self):
         qc = QuantumCircuit(1, 1)
         qc.reset(0)
@@ -194,7 +213,10 @@ class TestValidation:
         snapshot = backend.prefix_snapshot(circuit, stop=1)
         with pytest.raises(ValueError, match="cannot run from a snapshot"):
             backend.run_branches_from_snapshot(
-                snapshot, circuit, [()], plan=compiler.tail_plan(3)
+                snapshot,
+                circuit,
+                uniform_head_slots([()]),
+                plan=compiler.tail_plan(3),
             )
 
     def test_plan_path_matches_plain_snapshot_run(self):
@@ -205,7 +227,10 @@ class TestValidation:
                 snapshot = backend.prefix_snapshot(circuit, stop=stop)
                 plain = backend.run_from_snapshot(snapshot, circuit)
                 planned = backend.run_branches_from_snapshot(
-                    snapshot, circuit, [()], plan=compiler.tail_plan(stop)
+                    snapshot,
+                    circuit,
+                    uniform_head_slots([()]),
+                    plan=compiler.tail_plan(stop),
                 ).result(0)
                 assert (
                     plain.get_probabilities() == planned.get_probabilities()
@@ -500,7 +525,9 @@ class TestEmptyHeads:
             else StatevectorSimulator()
         )
         snapshot = backend.prefix_snapshot(circuit, stop=2)
-        batch = backend.run_branches_from_snapshot(snapshot, circuit, [])
+        batch = backend.run_branches_from_snapshot(
+            snapshot, circuit, uniform_head_slots([])
+        )
         assert batch.size == 0
         assert batch.probabilities.shape == (0, 2**batch.key_width)
 
@@ -521,7 +548,8 @@ class TestResponseBasis:
 
     @staticmethod
     def density_site():
-        """A noisy QFT-3 site's snapshot, plan and 45-degree fault heads."""
+        """A noisy QFT-3 site's snapshot, plan and 45-degree fault heads,
+        as one slot stack."""
         from repro.faults import fault_grid
         from repro.quantum.circuit import Instruction
 
@@ -529,10 +557,10 @@ class TestResponseBasis:
         backend = DensityMatrixSimulator(light_noise_model(3))
         snapshot = backend.prefix_snapshot(circuit, stop=3)
         plan = backend.tail_compiler(circuit).tail_plan(3)
-        heads = [
+        heads = uniform_head_slots([
             [Instruction(fault.as_gate(), (1,))]
             for fault in fault_grid(step_deg=45)
-        ]
+        ])
         return circuit, backend, snapshot, plan, heads
 
     def test_ten_responses_match_sixteen(self):
@@ -540,9 +568,8 @@ class TestResponseBasis:
         combination of all 16 matrix units' responses within 1e-14."""
         _, backend, snapshot, plan, heads = self.density_site()
         units = np.eye(16, dtype=complex).reshape(16, 4, 4)
-        _, *noise = gate_ops(
-            heads[0][0].name, (1,), units, backend.noise_model
-        )
+        (_, name, matrices), = heads.slots
+        _, *noise = gate_ops(name, (1,), units, backend.noise_model)
         batch = np.repeat(snapshot.state.data[np.newaxis], 16, axis=0)
         responses = np.diagonal(
             apply_plan(batch, plan, [("superop", (1,), units), *noise]),
@@ -550,10 +577,7 @@ class TestResponseBasis:
             axis2=-1,
         )
         weights = np.stack(
-            [
-                np.kron(m, m.conj()).reshape(-1)
-                for m in (head[0].gate.matrix for head in heads)
-            ]
+            [np.kron(m, m.conj()).reshape(-1) for m in matrices]
         )
         sixteen = combine_responses(weights, responses)
         ten = backend._basis_diagonals(snapshot, heads, plan, 16)
@@ -570,11 +594,19 @@ class TestResponseBasis:
                 snapshot, circuit, part, plan=plan, basis_tile=4
             ).probabilities
 
+        (qubits, name, matrices), = heads.slots
+
+        def stack(start, stop):
+            return BranchSlots(
+                stop - start, ((qubits, name, matrices[start:stop]),)
+            )
+
         whole = rows(heads)
         for size in (7, 1):
-            chunked = np.concatenate(
-                [rows(heads[i : i + size]) for i in range(0, len(heads), size)]
-            )
+            chunked = np.concatenate([
+                rows(stack(i, min(i + size, len(heads))))
+                for i in range(0, len(heads), size)
+            ])
             assert chunked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("folded", [False, True], ids=["exact", "folded"])
@@ -612,9 +644,10 @@ class TestResponseBasis:
             [Instruction(fault.as_gate(), (1,))]
             for fault in fault_grid(step_deg=45)
         ]
-        direct = backend.run_branches_from_snapshot(snapshot, circuit, heads)
+        slots = uniform_head_slots(heads)
+        direct = backend.run_branches_from_snapshot(snapshot, circuit, slots)
         basis = backend.run_branches_from_snapshot(
-            snapshot, circuit, heads, basis_tile=5
+            snapshot, circuit, slots, basis_tile=5
         )
         np.testing.assert_allclose(
             basis.probabilities, direct.probabilities, rtol=0, atol=1e-14
@@ -622,5 +655,5 @@ class TestResponseBasis:
         pairs = [head + [Instruction(head[0].gate, (2,))] for head in heads]
         with pytest.raises(ValueError, match="single-fault sites only"):
             backend.run_branches_from_snapshot(
-                snapshot, circuit, pairs, basis_tile=5
+                snapshot, circuit, uniform_head_slots(pairs), basis_tile=5
             )
