@@ -17,6 +17,7 @@ from repro.faults import (
     enumerate_injection_points,
 )
 from repro.machines import PhysicalMachineEmulator
+from repro.simulators import DensityMatrixSimulator
 from repro.transpiler import transpile
 
 FAULT_NAMES = ("t", "s", "z", "y")
@@ -30,7 +31,7 @@ def fig11_data(jakarta_backend):
     emulator = PhysicalMachineEmulator(
         jakarta_backend, drift_scale=0.05, seed=2022
     )
-    simulation = QuFI(jakarta_backend)
+    simulation = QuFI(DensityMatrixSimulator(jakarta_backend.noise_model))
     machine = QuFI(emulator, shots=1024)
     points = enumerate_injection_points(transpiled.circuit)
     return spec, transpiled, simulation, machine, points

@@ -20,6 +20,7 @@ from repro.analysis import (
     summarize,
 )
 from repro.faults import QuFI, enumerate_injection_points, fault_grid
+from repro.simulators import DensityMatrixSimulator
 from repro.transpiler import transpile
 
 from .conftest import make_injector
@@ -66,7 +67,7 @@ def test_fig7_bv_dj_scale_invariant(benchmark, grid_step, name, builder):
 
 def test_fig7_qft_concentrates(benchmark, jakarta_backend):
     """QFT's histogram peak around 0.5 grows with width (device-level)."""
-    qufi = QuFI(jakarta_backend)
+    qufi = QuFI(DensityMatrixSimulator(jakarta_backend.noise_model))
     faults = fault_grid(step_deg=90)
 
     def run_series():

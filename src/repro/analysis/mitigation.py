@@ -135,9 +135,9 @@ class MitigatedReadoutBackend:
     caller. Campaigns over this backend therefore score QVF from
     mitigated distributions with no change to the campaign engine.
 
-    Over a batch-capable inner backend (the exact simulators, the
-    machine) construction returns a
-    :class:`BatchedMitigatedReadoutBackend`, which the engine runs
+    Over a batch-capable inner backend (the exact simulators, a
+    calibrated machine's density matrix among them) construction returns
+    a :class:`BatchedMitigatedReadoutBackend`, which the engine runs
     batched. Over any other (the trajectory simulator, the emulator) the
     wrapper implements only the plain ``run`` protocol, so executors
     drive it through the naive per-task loop: exact,

@@ -12,14 +12,14 @@ the sweep without the redundancy:
   rather than as one object per task. On backends implementing the
   batched protocol
   (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
-  statevector and density-matrix simulators, the machine, and the
-  mitigation wrapper over any of them) it goes site → tile → snapshot
-  → branch batch → score: a site is the row range of tasks sharing an
-  injection site; the circuit is simulated once up to the site and
-  frozen (consecutive sites extend one running prefix, so a campaign
-  pays for each prefix once); each distinct fault's matrix is built
-  once per plan, and a tile's heads reach the backend as one ``(B, 2,
-  2)`` stack per injector slot gathered from that table
+  statevector and density-matrix simulators, the latter also under a
+  machine's calibration, and the mitigation wrapper over them) it goes
+  site → tile → snapshot → branch batch → score: a site is the row range
+  of tasks sharing an injection site; the circuit is simulated once up
+  to the site and frozen (consecutive sites extend one running prefix,
+  so a campaign pays for each prefix once); each distinct fault's matrix
+  is built once per plan, and a tile's heads reach the backend as one
+  ``(B, 2, 2)`` stack per injector slot gathered from that table
   (:class:`~repro.simulators.backend.BranchSlots`); the branches stack
   into one ``(B, 2**n)`` / ``(B, 2**n, 2**n)`` array, tiled to the
   memory budget; the shared suffix runs as the backend's compiled

@@ -16,17 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..quantum.circuit import Instruction, QuantumCircuit
-from ..simulators.backend import BranchBatch, BranchSlots, SimulationSnapshot
-from ..simulators.density_matrix import DensityMatrixSimulator
 from ..simulators.noise import (
     NoiseModel,
     ReadoutError,
     depolarizing_channel,
     thermal_relaxation_channel,
 )
-from ..simulators.sampler import Result
-from ..simulators.segments import SegmentCompiler, TailPlan
 from ..transpiler.topology import (
     CouplingMap,
     casablanca_topology,
@@ -150,12 +145,13 @@ def _calibrated_model(
 
 
 class FakeBackend:
-    """A simulated IBM machine: topology + calibration + exact noisy engine.
+    """A simulated IBM machine: its topology and calibration snapshot.
 
-    Runs on one cached :class:`DensityMatrixSimulator` under the
-    calibrated noise model, and implements the batched branch protocol
-    by delegating to it, so machine campaigns take the campaign engine's
-    batched path with records bit-identical to the per-task loop.
+    Not a backend of its own: the scenario-(2) engine is a
+    :class:`~repro.simulators.DensityMatrixSimulator` under
+    :attr:`noise_model` (the factory remaps that model onto a compacted
+    routed circuit's wires), and the scenario-(3) emulator drifts
+    :attr:`calibration`.
     """
 
     def __init__(
@@ -170,7 +166,6 @@ class FakeBackend:
         self.coupling = coupling
         self.calibration = calibration
         self._noise_model: Optional[NoiseModel] = None
-        self._simulator: Optional[DensityMatrixSimulator] = None
 
     @property
     def num_qubits(self) -> int:
@@ -178,75 +173,12 @@ class FakeBackend:
 
     @property
     def noise_model(self) -> NoiseModel:
+        """The device-wide calibrated model, keyed by physical qubit."""
         if self._noise_model is None:
             self._noise_model = noise_model_from_calibration(
                 self.calibration, self.coupling
             )
         return self._noise_model
-
-    def simulator(self) -> DensityMatrixSimulator:
-        """The exact noisy engine this machine runs on (one per machine)."""
-        if self._simulator is None:
-            self._simulator = DensityMatrixSimulator(self.noise_model)
-        return self._simulator
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Result:
-        """Exact noisy execution (paper scenario 2)."""
-        result = self.simulator().run(circuit, shots=shots, seed=seed)
-        result.metadata["machine"] = self.name
-        return result
-
-    # -- snapshot and batched branch protocol, on the simulator ----------
-    def prefix_snapshot(
-        self,
-        circuit: QuantumCircuit,
-        stop: Optional[int] = None,
-        base: Optional[SimulationSnapshot] = None,
-    ) -> SimulationSnapshot:
-        return self.simulator().prefix_snapshot(circuit, stop=stop, base=base)
-
-    def run_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        tail: Optional[Sequence[Instruction]] = None,
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Result:
-        result = self.simulator().run_from_snapshot(
-            snapshot, circuit, tail, shots=shots, seed=seed
-        )
-        result.metadata["machine"] = self.name
-        return result
-
-    def run_branches_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        slots: BranchSlots,
-        shots: Optional[int] = None,
-        plan: Optional[TailPlan] = None,
-        basis_tile: Optional[int] = None,
-    ) -> BranchBatch:
-        batch = self.simulator().run_branches_from_snapshot(
-            snapshot, circuit, slots, shots=shots, plan=plan,
-            basis_tile=basis_tile,
-        )
-        batch.metadata["machine"] = self.name
-        return batch
-
-    def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
-        return self.simulator().tail_compiler(circuit)
-
-    def branch_state_nbytes(self, num_qubits: int) -> int:
-        return self.simulator().branch_state_nbytes(num_qubits)
-
-    basis_responses = DensityMatrixSimulator.basis_responses
 
     def __repr__(self) -> str:
         return f"FakeBackend({self.name!r}, qubits={self.num_qubits})"

@@ -349,16 +349,17 @@ def make_transpiled(
     Transpiles the benchmark circuit onto the effective machine's
     topology per the spec's ``transpile`` block and tracks the
     logical-to-physical mapping through layout/routing
-    (:func:`repro.faults.layout_map.map_transpiled`). Simulator backends
-    get the circuit *compacted* onto its used wires (state size follows
-    the circuit, not the device); machine backends keep device indices,
-    since their noise models are keyed by physical qubit.
+    (:func:`repro.faults.layout_map.map_transpiled`). The circuit is
+    *compacted* onto its used wires (state size follows the circuit, not
+    the device), and a calibrated model is remapped onto them; only the
+    machine emulator keeps device indices, since it builds its drifted
+    channels per physical qubit.
     """
     block = spec.transpile
     if block is None:
         raise ValueError(f"scenario {spec.scenario_id!r} has no transpile block")
     machine_name = spec.effective_machine
-    compact = spec.backend not in ("machine", "machine-emulator")
+    compact = spec.backend != "machine-emulator"
 
     def build() -> TranspiledCircuit:
         algorithm = make_algorithm(spec, cache)
@@ -580,10 +581,11 @@ def make_backend(spec: ScenarioSpec, cache: Optional[FactoryCache] = None):
     """Resolve the spec's backend kind to a concrete engine.
 
     ``auto`` keeps the historical CLI behaviour: statevector for
-    noiseless scenarios, density matrix otherwise. Stateful backends
-    (trajectory, machine emulator) are seeded from the scenario seed so
-    suite runs are reproducible end to end. ``mitigation: true`` wraps
-    the resolved engine in a
+    noiseless scenarios, density matrix otherwise; a ``machine`` spec
+    arrives as the density matrix under its calibrated model (the spec
+    normalises it). Stateful backends (trajectory, machine emulator) are
+    seeded from the scenario seed so suite runs are reproducible end to
+    end. ``mitigation: true`` wraps the resolved engine in a
     :class:`~repro.analysis.mitigation.MitigatedReadoutBackend` against
     the scenario's noise model — every campaign execution (fault-free
     baseline included) then scores readout-corrected distributions.
@@ -601,8 +603,6 @@ def make_backend(spec: ScenarioSpec, cache: Optional[FactoryCache] = None):
             trajectories=spec.trajectories,
             seed=spec.seed,
         )
-    elif kind == "machine":
-        backend = make_machine(spec.effective_machine)
     elif kind == "machine-emulator":
         backend = PhysicalMachineEmulator(
             make_machine(spec.effective_machine),
@@ -648,9 +648,9 @@ def make_segment_compiler(
     circuit and noise model also shares its compiled tail segments
     instead of recompiling per campaign; a mitigated scenario shares its
     unmitigated twin's (the mitigation wrapper compiles its inner
-    backend's tails), and a waived spec its exact twin's. Other backend
-    kinds return ``None``: the machine compiles per campaign, and the
-    trajectory simulator and the emulator run per task.
+    backend's tails), a waived spec its exact twin's, and a ``machine``
+    spec its ``density-matrix`` twin's. Other backend kinds return
+    ``None``: the trajectory simulator and the emulator run per task.
     """
     kind = spec.backend
     if kind == "auto":

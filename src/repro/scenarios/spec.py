@@ -41,8 +41,10 @@ __all__ = [
 NOISE_PROFILES = ("none", "light", "heavy", "calibrated")
 #: Every backend kind, with whether its engine runs single-fault sites on
 #: the linear response basis (the batched engine over an exact
-#: simulator). The trajectory simulator and the machine emulator sample
-#: inside ``run`` and take the per-task loop instead.
+#: simulator). ``machine`` is a spelling of ``density-matrix`` under the
+#: machine's calibration, which :class:`ScenarioSpec` normalises away.
+#: The trajectory simulator and the machine emulator sample inside
+#: ``run`` and take the per-task loop instead.
 BACKEND_KINDS = {
     "auto": True,
     "statevector": True,
@@ -422,7 +424,9 @@ class ScenarioSpec(_StrictFields):
     snapshot). ``backend`` picks the engine: ``auto`` resolves to the
     statevector simulator for noiseless scenarios and the density-matrix
     simulator otherwise; ``trajectory`` Monte-Carlo-samples the noise;
-    ``machine`` runs the fake machine's exact noisy engine and
+    ``machine`` is the density matrix under the ``machine``'s
+    calibration (the paper's scenario 2; it normalises to
+    ``density-matrix`` with ``calibrated`` noise) and
     ``machine-emulator`` adds calibration drift plus shot sampling (the
     paper's scenario 3). ``mode="double"`` sweeps fault pairs over the
     physically adjacent couples of the ``machine``'s topology.
@@ -456,18 +460,18 @@ class ScenarioSpec(_StrictFields):
     bit_identical: bool = False
     """Whether single-fault records must be bit-identical to the naive
     per-injection sweep. By default (``False``) a single-fault site on
-    the statevector, density-matrix and ``machine`` backends (and the
-    mitigation wrapper over them) runs on the linear response basis
-    when it holds at least as many faults as the basis has responses:
-    the tail runs once per matrix unit on the fault qubit (4 statevector
-    or 10 density-matrix responses, whatever the grid) and each fault
-    combines them. Such records lie within 1e-12 QVF of the naive
-    reference and stay byte-identical across executors, tile sizes,
-    pools and resumed checkpoints. ``True`` opts out: every site runs
-    the exact per-branch plans, bit-identical to the naive sweep, and
-    the spec hashes as it did before the basis became the default.
-    Smaller sites, pair and cluster sites, and the sampling backends
-    run the exact plans either way."""
+    the statevector and density-matrix backends (``machine`` is the
+    latter) and the mitigation wrapper over them runs on the linear
+    response basis when it holds at least as many faults as the basis
+    has responses: the tail runs once per matrix unit on the fault qubit
+    (4 statevector or 10 density-matrix responses, whatever the grid)
+    and each fault combines them. Such records lie within 1e-12 QVF of
+    the naive reference and stay byte-identical across executors, tile
+    sizes, pools and resumed checkpoints. ``True`` opts out: every site
+    runs the exact per-branch plans, bit-identical to the naive sweep,
+    and the spec hashes as it did before the basis became the default.
+    Smaller sites, pair and cluster sites, and the sampling backends run
+    the exact plans either way."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
     strings). Caps the engine's branch-tile size, in process and in pool
@@ -606,9 +610,7 @@ class ScenarioSpec(_StrictFields):
                     "strike campaigns sample fault parameters and need "
                     "an explicit seed to stay reproducible"
                 )
-        if self.mitigation and self.backend in (
-            "machine", "machine-emulator"
-        ):
+        if self.mitigation and self.backend == "machine-emulator":
             raise ValueError(
                 "mitigation needs the scenario noise model's readout "
                 "confusion; machine backends own their readout "
@@ -620,9 +622,13 @@ class ScenarioSpec(_StrictFields):
         # noise, the statevector engine is noiseless by construction. A
         # "noise sweep" over a machine-emulator would otherwise expand
         # to scenarios labelled none/light/heavy that run identical
-        # physics.
+        # physics. The same for the engine: ``machine`` is the density
+        # matrix under that calibration, so it runs, hashes and caches
+        # as its ``density-matrix`` twin.
         if self.backend in ("machine", "machine-emulator"):
             object.__setattr__(self, "noise", "calibrated")
+            if self.backend == "machine":
+                object.__setattr__(self, "backend", "density-matrix")
         elif self.backend == "statevector":
             object.__setattr__(self, "noise", "none")
         # The same for the response basis: paired sweeps, and the
@@ -732,8 +738,8 @@ class ScenarioSpec(_StrictFields):
             # keeps its records under the new hash. Opted-out, paired
             # and sampling-backend specs keep their hashes. The density
             # matrix's basis runs folded tails, which moved its records
-            # again by rounding, so its specs (the machine's too) carry
-            # a salt of their own; the statevector has nothing to fold.
+            # again by rounding, so its specs carry a salt of their own;
+            # the statevector has nothing to fold.
             data["basis"] = (
                 "linear-response-default"
                 if backend == "statevector"
@@ -758,8 +764,8 @@ class ScenarioSpec(_StrictFields):
             # empty transpile block" and "explicit per-block machine"
             # spell the same campaign and hash identically. The
             # scenario-level machine is then inert (every transpiled
-            # consumer — topology, couples, calibrated noise, machine
-            # backends — reads the effective machine) and nulls out.
+            # consumer — topology, couples, calibrated noise, the
+            # emulator — reads the effective machine) and nulls out.
             block = self.transpile.to_dict()
             block["machine"] = self.effective_machine
             data["transpile"] = block
@@ -771,13 +777,10 @@ class ScenarioSpec(_StrictFields):
             # exactly what earlier releases computed, so half-completed
             # suite manifests keep resuming across the upgrade.
             data.pop("transpile")
-            if (
-                # Paired sweeps read the machine's coupling graph for
-                # their couples and clusters, so the machine stays live.
-                not self.paired
-                and self.noise != "calibrated"
-                and backend not in ("machine", "machine-emulator")
-            ):
+            # Paired sweeps read the machine's coupling graph for their
+            # couples and clusters, and calibrated noise (every machine
+            # backend's) its calibration, so the machine stays live.
+            if not self.paired and self.noise != "calibrated":
                 data["machine"] = None
         return data
 

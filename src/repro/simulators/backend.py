@@ -11,11 +11,13 @@ resulting state in a :class:`SimulationSnapshot`, and branch many
 continuations from it. The campaign executor
 (:mod:`repro.faults.executor`) uses this to amortise the shared prefix of
 every fault spliced at the same injection point, which is where campaign
-wall-clock time goes. The machine backend and the readout-mitigation
-wrapper over an exact backend implement it by delegation. Backends that
-sample inside ``run`` (the machine emulator, the trajectory simulator) do
-not implement it, and campaigns run them per task on whole circuits; the
-trajectory simulator batches a task's trajectories inside ``run``.
+wall-clock time goes. The readout-mitigation wrapper over an exact
+backend implements it by delegation; a calibrated machine is the density
+matrix under its noise model, so it needs nothing of its own. Backends
+that sample inside ``run`` (the machine emulator, the trajectory
+simulator) do not implement it, and campaigns run them per task on whole
+circuits; the trajectory simulator batches a task's trajectories inside
+``run``.
 
 On top of snapshots sits the *batched branch* protocol
 (:class:`BatchedSnapshotBackend`): evaluate many fault branches of one

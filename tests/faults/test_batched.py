@@ -96,7 +96,7 @@ def dm(num_qubits=3):
 
 
 def machine():
-    return fake_jakarta()
+    return DensityMatrixSimulator(fake_jakarta().noise_model)
 
 
 def mitigated_dm(num_qubits=3):
@@ -393,9 +393,9 @@ class TestTranspiled:
 
 
 class TestMachineAndMitigation:
-    """The machine and the mitigation wrapper over an exact backend run
-    on the engine: opted-out records bit-identical to the naive per-task
-    loop."""
+    """The machine (the density matrix under its calibration) and the
+    mitigation wrapper over an exact backend run on the engine:
+    opted-out records bit-identical to the naive per-task loop."""
 
     SPECS = {
         "machine": ScenarioSpec(

@@ -307,11 +307,7 @@ class TestDeterminism:
         spec = ScenarioSpec(
             **PARITY_BACKENDS[backend],
             mode=mode,
-            # The 90-degree double campaign on the 7-qubit machine takes
-            # ten times longer than any other case, so it sweeps 180.
-            grid_step_deg=(
-                180.0 if (backend, mode) == ("machine", "double") else 90.0
-            ),
+            grid_step_deg=90.0,
             shots=128,
             seed=7,
         )

@@ -36,7 +36,7 @@ class TestFullPipeline:
         transpiled = transpile(spec.circuit, jakarta.coupling, 3)
 
         # Inject over the device noise model, on the transpiled circuit.
-        qufi = QuFI(jakarta)
+        qufi = QuFI(DensityMatrixSimulator(jakarta.noise_model))
         campaign = qufi.run_campaign(
             transpiled.circuit,
             correct_states=spec.correct_states,
@@ -97,7 +97,8 @@ class TestFullPipeline:
         through the real backend calibration."""
         spec = bernstein_vazirani(4)
         transpiled = transpile(spec.circuit, jakarta.coupling, 3)
-        raw = jakarta.run(transpiled.circuit).get_probabilities()
+        simulator = DensityMatrixSimulator(jakarta.noise_model)
+        raw = simulator.run(transpiled.circuit).get_probabilities()
         raw_qvf = qvf_from_probabilities(raw, spec.correct_states)
 
         errors = []

@@ -181,7 +181,7 @@ class TestFig7Claims:
         from repro.transpiler import transpile
 
         backend = fake_jakarta()
-        qufi = QuFI(backend)
+        qufi = QuFI(DensityMatrixSimulator(backend.noise_model))
         faults = fault_grid(step_deg=90)
         concentrations = {}
         for width, stride in ((4, 3), (6, 6)):
@@ -245,7 +245,7 @@ class TestFig11Claims:
         transpiled = transpile(spec.circuit, backend.coupling, 3)
         emulator = PhysicalMachineEmulator(backend, drift_scale=0.05, seed=20)
 
-        simulation = QuFI(backend)
+        simulation = QuFI(DensityMatrixSimulator(backend.noise_model))
         machine = QuFI(emulator, shots=4096)
 
         from repro.faults import enumerate_injection_points

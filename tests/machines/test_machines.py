@@ -17,6 +17,7 @@ from repro.machines import (
     noise_model_from_calibration,
 )
 from repro.quantum import QuantumCircuit
+from repro.simulators import DensityMatrixSimulator
 from repro.transpiler import transpile
 
 
@@ -104,7 +105,8 @@ class TestFakeBackends:
         backend = fake_jakarta()
         spec = bernstein_vazirani(4)
         transpiled = transpile(spec.circuit, backend.coupling, 3)
-        result = backend.run(transpiled.circuit)
+        simulator = DensityMatrixSimulator(backend.noise_model)
+        result = simulator.run(transpiled.circuit)
         p_correct = result.probability_of(spec.correct_states[0])
         assert 0.7 < p_correct < 1.0  # noisy but still dominant
 
@@ -144,7 +146,8 @@ class TestPhysicalMachineEmulator:
         emulator = PhysicalMachineEmulator(backend, seed=11)
         spec = bernstein_vazirani(4)
         transpiled = transpile(spec.circuit, backend.coupling, 3)
-        exact = backend.run(transpiled.circuit).get_probabilities()
+        simulator = DensityMatrixSimulator(backend.noise_model)
+        exact = simulator.run(transpiled.circuit).get_probabilities()
         sampled = emulator.run(transpiled.circuit, shots=4096).get_probabilities()
         correct = spec.correct_states[0]
         assert abs(exact[correct] - sampled.get(correct, 0.0)) < 0.08

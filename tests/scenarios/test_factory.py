@@ -19,7 +19,6 @@ from repro.faults import (
     fault_grid,
 )
 from repro.machines import PhysicalMachineEmulator
-from repro.machines.fake import FakeBackend
 from repro.scenarios import (
     FactoryCache,
     ScenarioSpec,
@@ -100,7 +99,8 @@ class TestBackendResolution:
             ("statevector", StatevectorSimulator),
             ("density-matrix", DensityMatrixSimulator),
             ("trajectory", TrajectorySimulator),
-            ("machine", FakeBackend),
+            # The machine is the density matrix under its calibration.
+            ("machine", DensityMatrixSimulator),
             ("machine-emulator", PhysicalMachineEmulator),
         ],
     )

@@ -62,9 +62,9 @@ MACHINE = dict(
 BACKENDS = {
     "statevector": dict(noise="none", grid_step_deg=45.0),
     "density-matrix": dict(noise="light", grid_step_deg=45.0),
-    # Every branch of a routed circuit is a 7-qubit density matrix, so
-    # the machine sweeps the coarsest grid with room for the basis:
-    # twelve faults a site.
+    # The density matrix under jakarta's calibration, remapped onto the
+    # routed circuit's used wires; it sweeps the coarsest grid with room
+    # for the basis: twelve faults a site.
     "machine": dict(MACHINE, grid_step_deg=90.0),
 }
 # How many seeded tasks of each grid the oracle checks (None: all).
@@ -421,7 +421,7 @@ class TestOnePredicate:
         )
         assert spec.response_basis == BACKEND_KINDS[kind]
         backends = [make_backend(spec)]
-        if kind not in ("machine", "machine-emulator"):
+        if kind != "machine-emulator":
             backends.append(
                 make_backend(dataclasses.replace(spec, mitigation=True))
             )

@@ -96,6 +96,23 @@ class TestScenarioSpec:
         )
         assert len({s.spec_hash() for s in sweep}) == 1
 
+    def test_machine_is_the_calibrated_density_matrix(self):
+        """``backend: "machine"`` is a spelling: the spec, its hash and
+        its dict say what runs."""
+        machine = ScenarioSpec(
+            algorithm="bv", backend="machine", noise="light", machine="lagos"
+        )
+        assert (machine.backend, machine.noise) == (
+            "density-matrix", "calibrated"
+        )
+        twin = ScenarioSpec(
+            algorithm="bv", backend="density-matrix", noise="calibrated",
+            machine="lagos",
+        )
+        assert machine == twin
+        assert machine.spec_hash() == twin.spec_hash()
+        assert ScenarioSpec.from_dict(machine.to_dict()) == machine
+
     def test_inert_fields_do_not_change_the_hash(self):
         """Spellings of the same physics hash identically."""
         auto = ScenarioSpec(algorithm="bv", noise="none")

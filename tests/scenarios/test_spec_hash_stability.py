@@ -41,7 +41,13 @@ def load_suite(name, **fields):
 # density matrix's basis began to run folded tails, one superoperator per
 # noisy gate, which moved its records by rounding and gave its specs (the
 # machine's too) a salt of their own (``PRE_FOLD`` holds the default
-# pins from before it; the statevector's still hold).
+# pins from before it; the statevector's still hold). Then ``backend:
+# "machine"`` became a spelling of the density matrix under the
+# machine's calibration: a transpiled machine spec runs on the routed
+# circuit's used wires, which moved its records by rounding, and hashes
+# as its ``density-matrix`` twin, default and opted out
+# (``PRE_ONE_ENGINE`` holds the pins it moved, and ``PRE_BASIS_DEFAULT``
+# the opted-out ones).
 PRE_SEEDING_RULE = {
     "mini_suite": "3706cb730292e266",
     "ghz3-light-sampled": "ae418edd18942f0e",
@@ -109,8 +115,13 @@ PRE_FOLD = {
     },
 }
 
+PRE_ONE_ENGINE = {
+    "paper_suite": "31f0cd85a82967cd",
+    "paper": {"fig11-bv4-simulation": "028a1aa9625b4215"},
+}
+
 # The same suites today: the response basis by default, its density
-# matrix on folded tails.
+# matrix on folded tails, the machine as the density matrix.
 MINI_SUITE_HASH = "5536ac6288705514"
 MINI_SCENARIO_HASHES = {
     # The statevector has nothing to fold: its pins did not move.
@@ -121,7 +132,7 @@ MINI_SCENARIO_HASHES = {
     "ghz3-casablanca-transpiled": "e478d3fe30b82451",
 }
 
-PAPER_SUITE_HASH = "31f0cd85a82967cd"
+PAPER_SUITE_HASH = "61bef87b2d442852"
 PAPER_SCENARIO_HASHES = {
     "fig5-bv4": "0844b29da68ab1bd",
     "fig5-dj4": "57390779f8988c09",
@@ -138,10 +149,19 @@ PAPER_SCENARIO_HASHES = {
     "fig8b-bv4-double": "4244cbd52f92725c",
     "fig9-bv4-single": "e5211f1d4e86d410",
     "fig10-bv4-single": "e5211f1d4e86d410",
-    "fig11-bv4-simulation": "028a1aa9625b4215",
+    "fig11-bv4-simulation": "017d737c5c2a9050",
     "fig11-bv4-machine": "1b16b2a4b7480b5f",
     "fig11-bv4-sim-casablanca": "24c80f3d8687f432",
     "fig11-bv4-sim-lagos": "0d74e582a1d82917",
+}
+
+
+# The opted-out pins today: ``PRE_BASIS_DEFAULT``'s, but for the
+# machine spec and the suite hash over it.
+OPTED_OUT_PAPER_SUITE_HASH = "ea557f6e56a50304"
+OPTED_OUT_PAPER_HASHES = {
+    **PRE_BASIS_DEFAULT["paper"],
+    "fig11-bv4-simulation": "58e4e95e99f7b252",
 }
 
 
@@ -177,19 +197,48 @@ class TestPinnedExampleSuiteHashes:
         assert prefix.suite_hash() == PAPER_SUITE_HASH
 
     def test_opted_out_suites_reproduce_the_pre_basis_pins(self):
+        """Every pin but those the one engine moved."""
         mini = load_suite("mini_suite", bit_identical=True)
         assert {s.scenario_id: s.spec_hash() for s in mini} == (
             PRE_BASIS_DEFAULT["mini"]
         )
         assert mini.suite_hash() == PRE_BASIS_DEFAULT["mini_suite"]
         paper = load_suite("paper_suite", bit_identical=True)
-        pins = PRE_BASIS_DEFAULT["paper"]
         observed = {s.scenario_id: s.spec_hash() for s in paper}
-        for scenario_id, expected in pins.items():
+        for scenario_id, expected in OPTED_OUT_PAPER_HASHES.items():
             assert observed[scenario_id] == expected, scenario_id
-        assert paper_prefix(paper, pins).suite_hash() == (
-            PRE_BASIS_DEFAULT["paper_suite"]
+            moved = scenario_id in PRE_ONE_ENGINE["paper"]
+            assert (
+                expected != PRE_BASIS_DEFAULT["paper"][scenario_id]
+            ) == moved, scenario_id
+        assert paper_prefix(paper, OPTED_OUT_PAPER_HASHES).suite_hash() == (
+            OPTED_OUT_PAPER_SUITE_HASH
         )
+        assert OPTED_OUT_PAPER_SUITE_HASH != PRE_BASIS_DEFAULT["paper_suite"]
+
+    def test_machine_specs_hash_as_their_density_matrix_twins(self):
+        """The one engine moved the paper suite's machine spec, default
+        and opted out, onto its ``density-matrix`` twin's hash."""
+        twins = {
+            bit_identical: {
+                s.scenario_id: s.spec_hash()
+                for s in load_suite(
+                    "paper_suite",
+                    backend="density-matrix",
+                    bit_identical=bit_identical,
+                )
+            }
+            for bit_identical in (False, True)
+        }
+        for scenario_id, old in PRE_ONE_ENGINE["paper"].items():
+            assert PAPER_SCENARIO_HASHES[scenario_id] != old
+            assert PAPER_SCENARIO_HASHES[scenario_id] == (
+                twins[False][scenario_id]
+            )
+            assert OPTED_OUT_PAPER_HASHES[scenario_id] == (
+                twins[True][scenario_id]
+            )
+        assert PAPER_SUITE_HASH != PRE_ONE_ENGINE["paper_suite"]
 
     def test_emulator_and_double_pins_did_not_move(self):
         for scenario_id in ("fig8b-bv4-double", "fig11-bv4-machine"):
@@ -199,7 +248,7 @@ class TestPinnedExampleSuiteHashes:
 
     def test_only_density_matrix_kind_pins_moved_with_the_fold(self):
         """Against ``PRE_FOLD``: the default specs on the density matrix
-        and the machine moved, every other pin held."""
+        (the machine's among them) moved, every other pin held."""
         moved = set()
         for name, key in (("mini_suite", "mini"), ("paper_suite", "paper")):
             for spec in load_suite(name):
@@ -208,8 +257,8 @@ class TestPinnedExampleSuiteHashes:
                     continue
                 salt = spec.canonical_dict().get("basis")
                 if salt == "linear-response-folded":
-                    assert spec.canonical_dict()["backend"] in (
-                        "density-matrix", "machine"
+                    assert spec.canonical_dict()["backend"] == (
+                        "density-matrix"
                     )
                     assert spec.spec_hash() != pin, spec.scenario_id
                     moved.add(spec.scenario_id)
@@ -228,7 +277,7 @@ class TestSeedingRuleSalt:
         return spec.shots is not None and spec.backend != "machine-emulator"
 
     def test_exact_and_emulator_pins_unchanged(self):
-        pins = {**PRE_BASIS_DEFAULT["mini"], **PRE_BASIS_DEFAULT["paper"]}
+        pins = {**PRE_BASIS_DEFAULT["mini"], **OPTED_OUT_PAPER_HASHES}
         checked = set()
         for name in ("mini_suite", "paper_suite"):
             for spec in load_suite(name, bit_identical=True):

@@ -6,17 +6,27 @@ import os
 import numpy as np
 import pytest
 
+from repro.faults import enumerate_injection_points
+from repro.faults.layout_map import map_transpiled
+from repro.faults.plan import single_plan
 from repro.faults.store import read_segments
+from repro.machines import fake_jakarta
 from repro.scenarios import (
     ScenarioSpec,
     SuiteRunner,
     SuiteSpec,
     TranspileSpec,
     expand_grid,
+    make_algorithm,
+    make_couples,
+    make_faults,
     make_transpiled,
+    plan_scenario,
     run_scenario,
 )
 from repro.scenarios.factory import FactoryCache, _scenario_noise_model
+from repro.transpiler import transpile
+from tests.oracle import oracle_qvfs
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -171,11 +181,16 @@ class TestFactoryTranspilation:
         for wire_a, wire_b in transpiled.layout.couples:
             assert model.channel_for("cx", (wire_a, wire_b)) is not None
 
-    def test_machine_backend_skips_compaction(self):
-        spec = _spec(backend="machine")
-        transpiled = make_transpiled(spec, FactoryCache())
-        assert transpiled.circuit.num_qubits == 7  # full jakarta
-        assert transpiled.layout.wire_to_physical == tuple(range(7))
+    def test_only_the_emulator_skips_compaction(self):
+        """The machine runs the routed circuit on its used wires, as the
+        density matrix does; the emulator keeps device indices."""
+        cache = FactoryCache()
+        machine = make_transpiled(_spec(backend="machine"), cache)
+        assert machine is make_transpiled(_spec(noise="calibrated"), cache)
+        assert machine.circuit.num_qubits == 3
+        emulator = make_transpiled(_spec(backend="machine-emulator"), cache)
+        assert emulator.circuit.num_qubits == 7  # full jakarta
+        assert emulator.layout.wire_to_physical == tuple(range(7))
 
     def test_standalone_equals_suite_member(self):
         spec = _spec(label="solo")
@@ -189,6 +204,147 @@ class TestFactoryTranspilation:
         assert np.array_equal(
             standalone.table.data["logical_qubit"],
             member.table.data["logical_qubit"],
+        )
+
+
+class TestMachineIsTheDensityMatrix:
+    """``backend: "machine"`` is the density matrix under the machine's
+    calibration: a machine spec plans, hashes and runs as its
+    ``density-matrix`` twin."""
+
+    ROUTED = dict(algorithm="bv", machine="jakarta", transpile={})
+
+    def test_paired_sweeps_only_the_couples_the_circuit_uses(self):
+        """A fault on an idle device wire cannot reach the output, and
+        the compacted circuit has none: BV-4 routed onto jakarta never
+        touches device qubit 2, so the couple (1, 2) the device frame
+        lists is not swept."""
+        fields = dict(
+            self.ROUTED, width=4, mode="double", grid_step_deg=90.0,
+            phi_max_deg=180.0, include_phi_endpoint=True,
+        )
+        machine = ScenarioSpec(backend="machine", **fields)
+        twin = ScenarioSpec(noise="calibrated", **fields)
+        assert machine.spec_hash() == twin.spec_hash()
+        cache = FactoryCache()
+        couples = make_couples(machine, cache)
+        assert couples == make_couples(twin, cache)
+        transpiled = make_transpiled(machine, cache)
+        used = set(transpiled.circuit.qubits_used())
+        assert couples and all({a, b} <= used for a, b in couples)
+        assert len(plan_scenario(machine, cache).tasks) == (
+            len(plan_scenario(twin, cache).tasks)
+        ) == 324
+        # The emulator keeps the device frame, idle couples included.
+        physical = transpiled.layout.wire_to_physical
+        on_device = {
+            tuple(sorted((physical[a], physical[b]))) for a, b in couples
+        }
+        device = make_couples(
+            ScenarioSpec(backend="machine-emulator", **fields), cache
+        )
+        extra = set(device) - on_device
+        assert (1, 2) in extra and 2 not in physical
+        assert all(not {a, b} <= set(physical) for a, b in extra)
+
+    def test_mitigated_machine_is_the_mitigated_density_matrix(self):
+        fields = dict(
+            self.ROUTED, width=3, grid_step_deg=90.0, seed=7,
+            mitigation=True,
+        )
+        machine = ScenarioSpec(backend="machine", **fields)
+        twin = ScenarioSpec(noise="calibrated", **fields)
+        assert machine.spec_hash() == twin.spec_hash()
+        assert run_scenario(machine).table.data.tobytes() == (
+            run_scenario(twin).table.data.tobytes()
+        )
+
+    def test_emulator_still_refuses_mitigation(self):
+        with pytest.raises(
+            ValueError,
+            match="machine backends own their readout physics and cannot "
+            "be wrapped",
+        ):
+            ScenarioSpec(
+                backend="machine-emulator", mitigation=True, **self.ROUTED
+            )
+
+
+class TestCompactionAgainstTheOracle:
+    """Compacting a routed circuit onto its used wires, and remapping the
+    calibration onto them, keep the physics: sampled rows of a
+    transpiled ``machine`` campaign equal the naive oracle run on the
+    uncompacted routed circuit under the device-wide model."""
+
+    SAMPLES = 6
+
+    @pytest.mark.parametrize(
+        "bit_identical", [False, True], ids=["basis", "opt-out"]
+    )
+    def test_sampled_rows_equal_the_device_frame_oracle(self, bit_identical):
+        spec = ScenarioSpec(
+            algorithm="bv", width=4, backend="machine", machine="jakarta",
+            grid_step_deg=90.0, transpile={}, bit_identical=bit_identical,
+        )
+        assert spec.response_basis != bit_identical
+        rows = run_scenario(spec).table.data
+        picked = np.random.default_rng(2022).choice(
+            len(rows), self.SAMPLES, replace=False
+        )
+        rows = rows[np.sort(picked)]
+
+        # The same routing, every device wire kept.
+        machine = fake_jakarta()
+        algorithm = make_algorithm(spec)
+        block = spec.transpile
+        routed = map_transpiled(
+            transpile(
+                algorithm.circuit,
+                machine.coupling,
+                optimization_level=block.optimization_level,
+                basis=block.basis,
+                seed=block.seed,
+            ),
+            machine="jakarta",
+            compact=False,
+        )
+        assert routed.circuit.num_qubits == 7
+        plan = single_plan(
+            routed.circuit,
+            algorithm.correct_states,
+            make_faults(spec),
+            enumerate_injection_points(routed.circuit, layout=routed.layout),
+        )
+        by_key = {
+            (
+                task.point.position,
+                task.point.physical_qubit,
+                task.fault.theta,
+                task.fault.phi,
+                task.fault.lam,
+            ): task
+            for task in plan.tasks
+        }
+        tasks = [
+            by_key[
+                (
+                    int(row["position"]),
+                    int(row["physical_qubit"]),
+                    float(row["theta"]),
+                    float(row["phi"]),
+                    float(row["lam"]),
+                )
+            ]
+            for row in rows
+        ]
+        assert [task.point.logical_qubit for task in tasks] == (
+            rows["logical_qubit"].tolist()
+        )
+        np.testing.assert_allclose(
+            rows["qvf"],
+            oracle_qvfs(plan, machine.noise_model, density=True, tasks=tasks),
+            rtol=0,
+            atol=1e-12,
         )
 
 
