@@ -17,7 +17,6 @@ such a scenario with its raw twin and diffing through
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -143,7 +142,10 @@ class MitigatedReadoutBackend:
     drive it through the naive per-task loop: exact,
     strategy-independent, and (for inner backends marked
     ``per_run_seeding``, whose seed argument is forwarded) deterministic
-    across kill/resume boundaries as well.
+    across kill/resume boundaries as well. Either way ``run`` is the
+    inner ``run`` (the simulators' one distribution path) followed by
+    :func:`mitigate_readout`; the per-task loop and the fault-free QVF
+    score through it.
     """
 
     def __new__(cls, backend=None, noise_model=None):
@@ -212,10 +214,12 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
     """Readout mitigation over a batch-capable backend, itself batch-capable.
 
     Snapshots, tail compilers and branch batches come from the inner
-    backend. Each probability row of a batch is then corrected through
+    backend; like the simulators it has no per-branch path of its own.
+    Each probability row of a batch is then corrected through
     :func:`mitigate_readout_rows`, so the engine scores the same values,
     bit for bit, as the per-task loop scores the mitigated ``run``
-    results. Build it through :class:`MitigatedReadoutBackend`.
+    results of the whole faulty circuits. Build it through
+    :class:`MitigatedReadoutBackend`.
     """
 
     def prefix_snapshot(
@@ -225,24 +229,6 @@ class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):
         base: Optional[SimulationSnapshot] = None,
     ) -> SimulationSnapshot:
         return self.backend.prefix_snapshot(circuit, stop=stop, base=base)
-
-    def run_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        tail: Optional[Sequence[Instruction]] = None,
-        shots: Optional[int] = None,
-        seed=None,
-    ) -> Result:
-        if tail is None:
-            tail = circuit.instructions[snapshot.position :]
-        result = self.backend.run_from_snapshot(
-            snapshot, circuit, tail, shots=shots
-        )
-        return self._mitigated(
-            result,
-            itertools.chain(circuit.instructions[: snapshot.position], tail),
-        )
 
     def run_branches_from_snapshot(
         self,

@@ -71,7 +71,11 @@ from .scenarios import (
     resolve_cache_dir,
     run_scenario,
 )
-from .scenarios.spec import BACKEND_KINDS, parse_memory_budget
+from .scenarios.spec import (
+    BACKEND_KINDS,
+    UnroutedCalibrationError,
+    parse_memory_budget,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -170,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "simulation engine: auto resolves from the noise profile, "
             "trajectory Monte-Carlo-samples the noise model with "
-            "deterministic per-injection seeding (needs --seed)"
+            "deterministic per-injection seeding (needs --seed); the "
+            "calibrated machine and its emulator need --transpile-to"
         ),
     )
     campaign.add_argument(
@@ -649,7 +654,11 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
-    scenario = _scenario_from_args(args)
+    try:
+        scenario = _scenario_from_args(args)
+    except UnroutedCalibrationError as error:
+        # A machine backend without --transpile-to: the fix, not a trace.
+        raise SystemExit(str(error))
     result = run_scenario(scenario, checkpoint_path=args.checkpoint)
     if args.export == "csv":
         result.to_csv(args.output)

@@ -542,21 +542,21 @@ def _scenario_noise_model(
 ) -> Optional[NoiseModel]:
     """The noise model the scenario's simulator backend runs under.
 
-    Untranspiled scenarios keep the historical behaviour: generic models
-    sized to the circuit width, or the machine's device-wide calibrated
-    model. Transpiled scenarios size generic models to the campaign
-    circuit's wire count, and build calibrated models *remapped into the
-    wire frame* — each wire carries the calibration of the device qubit
-    it occupies, and two-qubit errors attach to physically coupled wire
-    pairs.
+    Untranspiled scenarios size the generic models to the circuit width
+    (calibrated noise needs a transpile block; the spec refuses it
+    without one). Transpiled scenarios size generic models to the
+    campaign circuit's wire count, and build calibrated models
+    *remapped into the wire frame* — each wire carries the calibration
+    of the device qubit it occupies, and two-qubit errors attach to
+    physically coupled wire pairs.
     """
     if spec.transpile is None:
         def build() -> Optional[NoiseModel]:
-            return make_noise_model(spec.noise, spec.width, spec.machine)
+            return make_noise_model(spec.noise, spec.width)
 
         if cache is None:
             return build()
-        key = ("noise", spec.noise, spec.width, spec.machine)
+        key = ("noise", spec.noise, spec.width)
         return cache.get(key, build)
 
     transpiled = make_transpiled(spec, cache)

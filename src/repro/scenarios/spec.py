@@ -34,11 +34,18 @@ __all__ = [
     "TranspileSpec",
     "ScenarioSpec",
     "SuiteSpec",
+    "UnroutedCalibrationError",
     "expand_grid",
     "parse_memory_budget",
 ]
 
 NOISE_PROFILES = ("none", "light", "heavy", "calibrated")
+
+
+class UnroutedCalibrationError(ValueError):
+    """A spec asks for calibrated noise without a ``transpile`` block."""
+
+
 #: Every backend kind, with whether its engine runs single-fault sites on
 #: the linear response basis (the batched engine over an exact
 #: simulator). ``machine`` is a spelling of ``density-matrix`` under the
@@ -430,6 +437,12 @@ class ScenarioSpec(_StrictFields):
     ``machine-emulator`` adds calibration drift plus shot sampling (the
     paper's scenario 3). ``mode="double"`` sweeps fault pairs over the
     physically adjacent couples of the ``machine``'s topology.
+
+    Calibrated noise, and so both machine backends, needs a
+    ``transpile`` block (``"transpile": {}``, or ``--transpile-to`` on
+    the CLI): a calibration keys its errors by physical qubit and its
+    two-qubit errors by coupled device pair, which only a routed
+    circuit's gates land on. A spec without one raises.
     """
 
     _what = "scenario"
@@ -631,6 +644,13 @@ class ScenarioSpec(_StrictFields):
                 object.__setattr__(self, "backend", "density-matrix")
         elif self.backend == "statevector":
             object.__setattr__(self, "noise", "none")
+        if self.noise == "calibrated" and self.transpile is None:
+            raise UnroutedCalibrationError(
+                "calibrated noise needs a routed circuit: the machine's "
+                "model keys its errors by physical qubit and attaches "
+                "two-qubit errors only to coupled pairs; add "
+                "\"transpile\": {} to the spec (--transpile-to on the CLI)"
+            )
         # The same for the response basis: paired sweeps, and the
         # backends without a basis, are bit-identical to the naive sweep
         # whatever the field says.
@@ -778,9 +798,9 @@ class ScenarioSpec(_StrictFields):
             # suite manifests keep resuming across the upgrade.
             data.pop("transpile")
             # Paired sweeps read the machine's coupling graph for their
-            # couples and clusters, and calibrated noise (every machine
-            # backend's) its calibration, so the machine stays live.
-            if not self.paired and self.noise != "calibrated":
+            # couples and clusters, so the machine stays live. Calibrated
+            # noise (every machine backend's) needs a transpile block.
+            if not self.paired:
                 data["machine"] = None
         return data
 

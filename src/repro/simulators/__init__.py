@@ -15,9 +15,7 @@ from .backend import (
     BranchBatch,
     BranchSlots,
     SimulationSnapshot,
-    SnapshotBackend,
     supports_batched_branches,
-    supports_snapshots,
 )
 from .density_matrix import DensityMatrixSimulator
 from .segments import FusedSegment, SegmentCompiler, TailPlan
@@ -38,7 +36,6 @@ from .trajectory import TrajectorySimulator
 
 __all__ = [
     "Backend",
-    "SnapshotBackend",
     "BatchedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
@@ -46,7 +43,6 @@ __all__ = [
     "SegmentCompiler",
     "TailPlan",
     "FusedSegment",
-    "supports_snapshots",
     "supports_batched_branches",
     "StatevectorSimulator",
     "DensityMatrixSimulator",

@@ -1,47 +1,52 @@
-"""Backend protocols shared by simulators and machine emulators.
+"""Backend protocols and the one distribution path of the simulators.
 
 Anything with a ``run(circuit, shots=...) -> Result`` method can execute a
 QuFI campaign; the injector never needs to know whether the target is the
 ideal simulator (scenario 1), the noisy simulator (scenario 2), or the
 physical-machine emulator (scenario 3).
 
-Exact backends can additionally implement the *snapshot* protocol
-(:class:`SnapshotBackend`): simulate a circuit prefix once, freeze the
-resulting state in a :class:`SimulationSnapshot`, and branch many
-continuations from it. The campaign executor
-(:mod:`repro.faults.executor`) uses this to amortise the shared prefix of
-every fault spliced at the same injection point, which is where campaign
-wall-clock time goes. The readout-mitigation wrapper over an exact
-backend implements it by delegation; a calibrated machine is the density
-matrix under its noise model, so it needs nothing of its own. Backends
-that sample inside ``run`` (the machine emulator, the trajectory
-simulator) do not implement it, and campaigns run them per task on whole
-circuits; the trajectory simulator batches a task's trajectories inside
-``run``.
+Exact backends additionally implement the *batched branch* protocol
+(:class:`BatchedSnapshotBackend`): simulate a circuit prefix once, freeze
+the resulting state in a :class:`SimulationSnapshot`, and evaluate many
+fault branches of it as a single stacked array — ``(B, 2**n)``
+statevectors or ``(B, 2**n, 2**n)`` density matrices. The campaign
+executor (:mod:`repro.faults.executor`) uses this to amortise the shared
+prefix of every fault spliced at the same injection point, which is where
+campaign wall-clock time goes. The branches' private heads arrive as
+:class:`BranchSlots`, one ``(qubits, gate name, (B, 2**k, 2**k))``
+matrix stack per injector slot, and each slot applies as one contraction
+across the batch; the shared tail runs as a compiled segment plan. The
+result is a :class:`BranchBatch` of clbit-basis probability rows ready
+for vectorized QVF scoring. Batched evaluation is a wall-clock
+optimisation only: every row is bit-identical to ``run`` on that
+branch's whole faulty circuit. The ``basis_tile`` keyword runs a
+single-fault site on the linear response basis instead: the tail runs
+once per matrix unit on the fault qubit (4 statevector or 10
+density-matrix responses, whatever the number of branches) and each
+branch combines them. The rows then agree with the direct ones to
+rounding, not bit for bit; the campaign engine takes this path by
+default, and a spec's ``bit_identical: true`` opts out of it.
 
-On top of snapshots sits the *batched branch* protocol
-(:class:`BatchedSnapshotBackend`): evaluate many fault branches of one
-snapshot as a single stacked array — ``(B, 2**n)`` statevectors or
-``(B, 2**n, 2**n)`` density matrices. The branches' private heads
-arrive as :class:`BranchSlots`, one ``(qubits, gate name, (B, 2**k,
-2**k))`` matrix stack per injector slot, and each slot applies as one
-contraction across the batch; the shared tail runs as a compiled
-segment plan. The result is a :class:`BranchBatch` of
-clbit-basis probability rows ready for vectorized QVF scoring. Batched
-evaluation is a wall-clock optimisation only: every row is
-bit-identical to what :meth:`SnapshotBackend.run_from_snapshot` would
-produce for that branch. The ``basis_tile`` keyword runs a single-fault
-site on the linear response basis instead: the tail runs once per
-matrix unit on the fault qubit (4 statevector or 10 density-matrix
-responses, whatever the number of branches) and each branch combines
-them. The rows then agree with the direct ones to rounding, not bit for
-bit; the campaign engine takes this path by default, and a spec's
-``bit_identical: true`` opts out of it.
+The readout-mitigation wrapper over an exact backend implements the
+protocol by delegation; a calibrated machine is the density matrix
+under its noise model, so it needs nothing of its own. Backends that
+sample inside ``run`` (the machine emulator, the trajectory simulator)
+do not implement it, and campaigns run them per task on whole circuits;
+the trajectory simulator batches a task's trajectories inside ``run``.
+
+Every simulator builds its distributions on one path: qubit-basis rows
+go through :func:`fold_readout_confusion` and then
+:func:`batched_clbit_marginals` (:meth:`BranchBatch.from_rows` chains
+the two). An exact ``run`` is a one-row batch of the state
+``prefix_snapshot`` reaches at the end of the circuit, the trajectory
+simulator's ``run`` a one-row batch of its averaged trajectories, and
+``run_branches_from_snapshot`` a ``B``-row batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
@@ -60,15 +65,14 @@ from .sampler import Result
 
 __all__ = [
     "Backend",
-    "SnapshotBackend",
     "BatchedSnapshotBackend",
     "SimulationSnapshot",
     "BranchSlots",
     "BranchBatch",
-    "supports_snapshots",
     "supports_batched_branches",
     "uniform_head_slots",
     "single_fault_slot",
+    "fold_readout_confusion",
     "batched_clbit_marginals",
 ]
 
@@ -105,44 +109,6 @@ class SimulationSnapshot:
     measure_map: Dict[int, int]
     measured: FrozenSet[int]
     position: int
-
-
-@runtime_checkable
-class SnapshotBackend(Backend, Protocol):
-    """Exact backend that supports prefix snapshots and branching."""
-
-    def prefix_snapshot(
-        self,
-        circuit: QuantumCircuit,
-        stop: Optional[int] = None,
-        base: Optional[SimulationSnapshot] = None,
-    ) -> SimulationSnapshot:
-        """State after the first ``stop`` instructions of ``circuit``.
-
-        ``base`` may hold an earlier snapshot of the same circuit; when its
-        position does not exceed ``stop`` the simulation continues from it
-        instead of restarting at |0...0>, so a sweep over increasing
-        injection positions pays for each circuit prefix exactly once.
-        """
-        ...
-
-    def run_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        tail: Optional[Sequence[Instruction]] = None,
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Result:
-        """Branch from ``snapshot``, apply ``tail``, and score the output.
-
-        ``tail`` defaults to the remaining instructions of ``circuit``;
-        fault injection passes the spliced continuation (injector gate(s)
-        plus the original suffix) instead. The returned :class:`Result` is
-        bit-identical to running the equivalent full circuit through
-        :meth:`Backend.run`.
-        """
-        ...
 
 
 #: One injector slot of a branch batch: ``(qubits, gate name, (B, 2**k,
@@ -191,16 +157,15 @@ class BranchSlots:
 
 @dataclass
 class BranchBatch:
-    """Outcome distributions of a batch of fault branches, as arrays.
+    """Outcome distributions of a batch of executions, as arrays.
 
     ``probabilities`` holds one clbit-basis distribution row per branch,
     shape ``(B, 2**key_width)``; column ``k`` is the probability of the
-    bitstring ``format(k, f"0{key_width}b")``. Rows are accumulated with
-    the same ``> 1e-14`` threshold and the same ascending-basis-index
-    order as the serial marginalisation, so a row is numerically *the*
-    dictionary :meth:`SnapshotBackend.run_from_snapshot` would return —
-    ``present`` marks which columns that dictionary would actually
-    contain (absent columns hold exactly 0.0).
+    bitstring ``format(k, f"0{key_width}b")``. ``present`` marks the
+    columns a row's :class:`Result` holds: those some qubit-basis entry
+    above ``1e-14`` reached (absent columns hold exactly 0.0). Build it
+    with :meth:`from_rows`, the one distribution path every simulator's
+    ``run`` and ``run_branches_from_snapshot`` takes.
     """
 
     probabilities: np.ndarray
@@ -210,8 +175,40 @@ class BranchBatch:
     shots: Optional[int]
     metadata: Dict[str, object]
 
+    @classmethod
+    def from_rows(
+        cls,
+        rows: np.ndarray,
+        measure_map: Dict[int, int],
+        circuit: QuantumCircuit,
+        shots: Optional[int],
+        metadata: Dict[str, object],
+        noise_model=None,
+    ) -> "BranchBatch":
+        """The batch of ``(B, 2**n)`` final qubit-basis distributions.
+
+        ``noise_model``'s readout confusion folds into the rows
+        (:func:`fold_readout_confusion`), and the rows then map onto
+        ``circuit``'s classical register through ``measure_map``
+        (:func:`batched_clbit_marginals`).
+        """
+        probabilities, present, key_width = batched_clbit_marginals(
+            fold_readout_confusion(rows, measure_map, noise_model),
+            measure_map,
+            circuit,
+        )
+        return cls(
+            probabilities=probabilities,
+            present=present,
+            key_width=key_width,
+            num_clbits=circuit.num_clbits or circuit.num_qubits,
+            shots=shots,
+            metadata=metadata,
+        )
+
     @property
     def size(self) -> int:
+        """The number of rows (branches) in the batch."""
         return int(self.probabilities.shape[0])
 
     def result_probabilities(self) -> np.ndarray:
@@ -230,10 +227,12 @@ class BranchBatch:
         return probabilities
 
     def result(self, index: int) -> Result:
-        """Materialise branch ``index`` as the equivalent serial Result.
+        """Materialise row ``index`` as a :class:`Result`.
 
-        Used by sampled-mode scoring, which must consume the campaign's
-        random stream one branch at a time in task order.
+        Sampled-mode scoring reads branches through it, one at a time in
+        task order, to consume the campaign's random stream as the
+        per-task loop does; every simulator's ``run`` returns its one
+        row through it.
         """
         row = self.probabilities[index]
         keys = np.nonzero(self.present[index])[0]
@@ -250,10 +249,12 @@ class BranchBatch:
 
 
 @runtime_checkable
-class BatchedSnapshotBackend(SnapshotBackend, Protocol):
-    """Snapshot backend that evaluates many branches as one array.
+class BatchedSnapshotBackend(Backend, Protocol):
+    """Exact backend that snapshots circuit prefixes and evaluates many
+    branches of a snapshot as one array.
 
-    A batched backend hands out a
+    :meth:`prefix_snapshot` freezes the state after a circuit prefix. A
+    batched backend hands out a
     :class:`~repro.simulators.segments.SegmentCompiler` for a circuit via
     :meth:`tail_compiler`; the campaign engine passes the compiler's
     :class:`~repro.simulators.segments.TailPlan` for a snapshot position
@@ -269,6 +270,22 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
     a site in a ``basis_responses`` attribute; the campaign engine takes
     the basis only at sites holding at least that many faults.
     """
+
+    def prefix_snapshot(
+        self,
+        circuit: QuantumCircuit,
+        stop: Optional[int] = None,
+        base: Optional[SimulationSnapshot] = None,
+    ) -> SimulationSnapshot:
+        """State after the first ``stop`` instructions of ``circuit``
+        (all of them when ``None``).
+
+        ``base`` may hold an earlier snapshot of the same circuit; when its
+        position does not exceed ``stop`` the simulation continues from it
+        instead of restarting at |0...0>, so a sweep over increasing
+        injection positions pays for each circuit prefix exactly once.
+        """
+        ...
 
     def run_branches_from_snapshot(
         self,
@@ -287,12 +304,12 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         the tail ``circuit.instructions[snapshot.position:]``, applied as
         ``plan`` (the tail compiled for ``snapshot.position``; compiled
         here when ``None``). Row ``b`` of the returned batch is
-        bit-identical to :meth:`SnapshotBackend.run_from_snapshot` on
-        branch ``b``'s gates followed by that tail. With ``basis_tile``
-        set, there must be one slot, on one qubit, and the rows come
-        from the linear response basis instead, its responses built at
-        most ``basis_tile`` at a time; the engine then passes the folded
-        plan (``tail_plan(position, folded=True)``).
+        bit-identical to :meth:`Backend.run` on the whole circuit with
+        branch ``b``'s gates spliced in at ``snapshot.position``. With
+        ``basis_tile`` set, there must be one slot, on one qubit, and the
+        rows come from the linear response basis instead, its responses
+        built at most ``basis_tile`` at a time; the engine then passes
+        the folded plan (``tail_plan(position, folded=True)``).
         """
         ...
 
@@ -308,11 +325,6 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         batch: ``16 * 2**n`` for statevectors, ``16 * 4**n`` for density
         matrices."""
         ...
-
-
-def supports_snapshots(backend: object) -> bool:
-    """True when ``backend`` implements the snapshot/branch protocol."""
-    return isinstance(backend, SnapshotBackend)
 
 
 def supports_batched_branches(backend: object) -> bool:
@@ -335,6 +347,48 @@ def single_fault_slot(slots: BranchSlots) -> Slot:
     return slots.slots[0]
 
 
+def fold_readout_confusion(
+    rows: np.ndarray,
+    measure_map: Dict[int, int],
+    noise_model=None,
+) -> np.ndarray:
+    """Fold per-qubit readout confusion into ``(B, 2**n)`` qubit-basis
+    distribution rows.
+
+    Readout acts on the classical outcome of each measured qubit
+    independently: its ``2 x 2`` confusion matrix contracts with that
+    qubit's axis of every row, one ``tensordot`` a qubit. Without a
+    noise model or measurements the rows come back unchanged.
+    """
+    if noise_model is None or not measure_map:
+        return rows
+    num_qubits = rows.shape[1].bit_length() - 1
+    tensor = rows.reshape([rows.shape[0]] + [2] * num_qubits)
+    for qubit in set(measure_map.values()):
+        confusion = noise_model.readout_confusion(qubit)
+        if confusion is None:
+            continue
+        axis = num_qubits - qubit  # qubit q is bit q; axis 0 is the row
+        tensor = np.moveaxis(
+            np.tensordot(confusion, tensor, axes=([1], [axis])), 0, axis
+        )
+    return tensor.reshape(rows.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _clbit_keys(
+    num_qubits: int, measure_items: Tuple[Tuple[int, int], ...]
+) -> np.ndarray:
+    """The classical-register key of every qubit-basis index, for the
+    ``(clbit, qubit)`` pairs of a measure map (read-only)."""
+    indices = np.arange(2**num_qubits)
+    key_of = np.zeros(2**num_qubits, dtype=np.intp)
+    for clbit, qubit in measure_items:
+        key_of |= ((indices >> qubit) & 1) << clbit
+    key_of.flags.writeable = False
+    return key_of
+
+
 def batched_clbit_marginals(
     qubit_probs: np.ndarray,
     measure_map: Dict[int, int],
@@ -344,28 +398,33 @@ def batched_clbit_marginals(
     register: ``(B, 2**n)`` rows in, ``(probabilities, present,
     key_width)`` out.
 
-    Row ``b`` reproduces the serial per-branch marginal dictionary
-    exactly: the same ``> 1e-14`` threshold decides which entries exist,
-    and ``np.add.at`` accumulates contributions in the same
-    ascending-basis-index order as the serial loop, so the sums are
-    bit-identical, not merely close. Without measurements the full qubit
-    distribution is returned (the exact-probability-mode convention).
+    Entries above ``1e-14`` contribute; each adds to its clbit key in
+    ascending basis-index order, starting from 0.0 (``np.bincount``
+    accumulates in input order), so a sum's bits depend on its row
+    alone. ``present`` marks the keys some entry reached. Without
+    measurements the full qubit distribution is returned (the
+    exact-probability-mode convention).
     """
     num_qubits = circuit.num_qubits
     if not measure_map:
         present = qubit_probs > 1e-14
         return np.where(present, qubit_probs, 0.0), present, num_qubits
     num_clbits = circuit.num_clbits
-    indices = np.arange(2**num_qubits)
-    key_of = np.zeros(2**num_qubits, dtype=np.intp)
-    for clbit, qubit in measure_map.items():
-        key_of |= ((indices >> qubit) & 1) << clbit
+    width = 2**num_clbits
+    key_of = _clbit_keys(num_qubits, tuple(sorted(measure_map.items())))
     rows, cols = np.nonzero(qubit_probs > 1e-14)
-    probabilities = np.zeros((qubit_probs.shape[0], 2**num_clbits))
-    np.add.at(probabilities, (rows, key_of[cols]), qubit_probs[rows, cols])
-    present = np.zeros(probabilities.shape, dtype=bool)
-    present[rows, key_of[cols]] = True
-    return probabilities, present, num_clbits
+    flat = rows * width + key_of[cols]
+    size = qubit_probs.shape[0] * width
+    probabilities = np.bincount(
+        flat, weights=qubit_probs[rows, cols], minlength=size
+    )
+    present = np.zeros(size, dtype=bool)
+    present[flat] = True
+    return (
+        probabilities.reshape(-1, width),
+        present.reshape(-1, width),
+        num_clbits,
+    )
 
 
 def uniform_head_slots(

@@ -7,33 +7,40 @@ distribution. The diagonal of the final state is the exact limit of the
 1,024-shot sampling the paper performs, which lets campaigns trade shot noise
 for determinism.
 
-Like the statevector engine, this backend implements the snapshot/branch
-protocol (:class:`~repro.simulators.backend.SnapshotBackend`): the mixed
-state after a circuit prefix — noise channels included — is frozen once and
-every fault continuation branches from it, producing results bit-identical
-to re-simulating the whole faulty circuit. A single-fault site can run on
-the linear response basis instead (``basis_tile``, the campaign engine's
-default): 10 tail runs on the superoperator matrix units that Hermitian
-symmetry leaves distinct, combined per fault, within rounding of the
-direct rows. Those runs take the folded tail plan, each noisy gate one
-superoperator, and fold the injector gate's noise into the matrix units,
-so a site's head is one op too.
+``run`` advances the state gate by gate, channel by channel, through the
+whole circuit (:meth:`DensityMatrixSimulator.prefix_snapshot`, the naive
+loop's evolution) and reads its diagonal as a one-row
+:class:`~repro.simulators.backend.BranchBatch`: readout confusion folds in
+and the row maps onto the classical register on the path
+``run_branches_from_snapshot`` takes for ``B`` fault branches.
+
+Like the statevector engine, this backend implements the batched branch
+protocol (:class:`~repro.simulators.backend.BatchedSnapshotBackend`): the
+mixed state after a circuit prefix — noise channels included — is frozen
+once and every fault branch of it evaluates as one row of a stacked
+array, bit-identical to ``run`` on the whole faulty circuit. A
+single-fault site can run on the linear response basis instead
+(``basis_tile``, the campaign engine's default): 10 tail runs on the
+superoperator matrix units that Hermitian symmetry leaves distinct,
+combined per fault, within rounding of the direct rows. Those runs take
+the folded tail plan, each noisy gate one superoperator, and fold the
+injector gate's noise into the matrix units, so a site's head is one op
+too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.states import DensityMatrix, format_bitstring
+from ..quantum.states import DensityMatrix
 from .backend import (
     BranchBatch,
     BranchSlots,
     SimulationSnapshot,
-    batched_clbit_marginals,
     single_fault_slot,
 )
 from .noise import NoiseModel
@@ -90,13 +97,22 @@ class DensityMatrixSimulator:
         shots: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> Result:
-        snapshot = self.prefix_snapshot(circuit, stop=0)
-        return self.run_from_snapshot(
-            snapshot, circuit, circuit.instructions, shots=shots, seed=seed
-        )
+        """The exact outcome distribution of ``circuit``, readout
+        confusion included: its final state's diagonal as a one-row
+        batch. ``seed`` is only recorded in the metadata."""
+        snapshot = self.prefix_snapshot(circuit)
+        result = self._batch(
+            _diagonals(snapshot.state.data[np.newaxis]),
+            snapshot.measure_map,
+            circuit,
+            shots,
+        ).result(0)
+        if seed is not None:
+            result.metadata["seed"] = seed
+        return result
 
     # ------------------------------------------------------------------
-    # Snapshot protocol
+    # Batched branch protocol
     # ------------------------------------------------------------------
     def prefix_snapshot(
         self,
@@ -134,41 +150,6 @@ class DensityMatrixSimulator:
             position=stop,
         )
 
-    def run_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        tail: Optional[Sequence[Instruction]] = None,
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Result:
-        """Branch from ``snapshot``, apply ``tail``, return the Result.
-
-        Bit-identical to :meth:`run` on the equivalent full circuit: the
-        branch replays exactly the gate/channel sequence the suffix would
-        see, then folds in readout confusion the same way.
-        """
-        measure_map = dict(snapshot.measure_map)
-        measured = set(snapshot.measured)
-        if tail is None:
-            tail = circuit.instructions[snapshot.position :]
-        state = self._advance(snapshot.state, tail, measure_map, measured)
-        probabilities = self._measured_distribution(
-            state, circuit, measure_map
-        )
-        metadata: Dict[str, object] = {
-            "backend": self.name,
-            "noise_model": self.noise_model.name if self.noise_model else None,
-        }
-        if seed is not None:
-            metadata["seed"] = seed
-        return Result(
-            probabilities,
-            num_clbits=circuit.num_clbits or circuit.num_qubits,
-            shots=shots,
-            metadata=metadata,
-        )
-
     def run_branches_from_snapshot(
         self,
         snapshot: SimulationSnapshot,
@@ -189,9 +170,9 @@ class DensityMatrixSimulator:
         ``snapshot.position`` with this backend's noise model folded in
         (compiled here when the caller passes none). Slots and tail run
         through :func:`~repro.simulators.segments.apply_plan`; readout
-        confusion follows. Row ``b`` is bit-identical to
-        :meth:`run_from_snapshot` with branch ``b``'s gates followed by
-        ``circuit.instructions[snapshot.position:]``.
+        confusion follows. Row ``b`` is bit-identical to :meth:`run` on
+        the whole circuit with branch ``b``'s gates spliced in at
+        ``snapshot.position``.
 
         With ``basis_tile`` set, a single-fault site runs on the linear
         response basis instead: the tail, preceded by the injector
@@ -209,7 +190,6 @@ class DensityMatrixSimulator:
             )
         plan.check_start(snapshot.position)
         slots.check_live(snapshot.measured)
-        num_qubits = circuit.num_qubits
         measure_map = dict(snapshot.measure_map)
         measure_map.update(plan.measures)
         if basis_tile is None:
@@ -223,28 +203,32 @@ class DensityMatrixSimulator:
                 for qubits, name, matrices in slots.slots
                 for op in gate_ops(name, qubits, matrices, self.noise_model)
             ]
-            batch = apply_plan(batch, plan, head_ops)
-            probs = np.real(np.diagonal(batch, axis1=-2, axis2=-1)).copy()
+            probs = _diagonals(apply_plan(batch, plan, head_ops))
         else:
             probs = self._basis_diagonals(snapshot, slots, plan, basis_tile)
-        probs = self._apply_readout_confusion_batch(
-            _clip_and_normalise(probs), measure_map, num_qubits
-        )
-        probabilities, present, key_width = batched_clbit_marginals(
-            probs, measure_map, circuit
-        )
-        return BranchBatch(
-            probabilities=probabilities,
-            present=present,
-            key_width=key_width,
-            num_clbits=circuit.num_clbits or circuit.num_qubits,
-            shots=shots,
-            metadata={
+        return self._batch(probs, measure_map, circuit, shots)
+
+    def _batch(
+        self,
+        diagonals: np.ndarray,
+        measure_map: Dict[int, int],
+        circuit: QuantumCircuit,
+        shots: Optional[int],
+    ) -> BranchBatch:
+        """``(B, 2**n)`` final-state diagonals as a branch batch: clipped
+        and normalised, then this model's readout confusion folds in."""
+        return BranchBatch.from_rows(
+            _clip_and_normalise(diagonals),
+            measure_map,
+            circuit,
+            shots,
+            {
                 "backend": self.name,
                 "noise_model": (
                     self.noise_model.name if self.noise_model else None
                 ),
             },
+            noise_model=self.noise_model,
         )
 
     def _basis_diagonals(
@@ -282,32 +266,6 @@ class DensityMatrixSimulator:
             * matrices.conj()[:, np.newaxis, :, np.newaxis, :]
         ).reshape(len(matrices), len(_UNITS))
         return combine_responses(weights[:, _KEPT] * _PAIR_FACTOR, responses)
-
-    def _apply_readout_confusion_batch(
-        self,
-        probs: np.ndarray,
-        measure_map: Dict[int, int],
-        num_qubits: int,
-    ) -> np.ndarray:
-        """Fold per-qubit readout confusion into a batch of distributions.
-
-        Same tensordot-per-measured-qubit sequence as the serial path, with
-        every axis shifted one slot right for the batch dimension.
-        """
-        if self.noise_model is None or not measure_map:
-            return probs
-        tensor = probs.reshape([probs.shape[0]] + [2] * num_qubits)
-        for qubit in set(measure_map.values()):
-            confusion = self.noise_model.readout_confusion(qubit)
-            if confusion is None:
-                continue
-            axis = num_qubits - 1 - qubit
-            tensor = np.moveaxis(
-                np.tensordot(confusion, tensor, axes=([1], [axis + 1])),
-                0,
-                axis + 1,
-            )
-        return tensor.reshape(probs.shape)
 
     def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
         """A superoperator segment compiler for ``circuit`` with this
@@ -365,48 +323,11 @@ class DensityMatrixSimulator:
                         state = state.apply_superop(superop, targets)
         return state
 
-    def _measured_distribution(
-        self,
-        state: DensityMatrix,
-        circuit: QuantumCircuit,
-        measure_map: Dict[int, int],
-    ) -> Dict[str, float]:
-        num_qubits = circuit.num_qubits
-        probs = state.probabilities()
 
-        # Readout confusion acts on the classical distribution of each
-        # measured qubit independently.
-        if self.noise_model is not None and measure_map:
-            tensor = probs.reshape([2] * num_qubits)
-            for qubit in set(measure_map.values()):
-                confusion = self.noise_model.readout_confusion(qubit)
-                if confusion is None:
-                    continue
-                axis = num_qubits - 1 - qubit
-                tensor = np.moveaxis(
-                    np.tensordot(confusion, tensor, axes=([1], [axis])),
-                    0,
-                    axis,
-                )
-            probs = tensor.reshape(-1)
-
-        if not measure_map:
-            return {
-                format_bitstring(i, num_qubits): float(p)
-                for i, p in enumerate(probs)
-                if p > 1e-14
-            }
-        num_clbits = circuit.num_clbits
-        out: Dict[str, float] = {}
-        for index, prob in enumerate(probs):
-            if prob <= 1e-14:
-                continue
-            bits = ["0"] * num_clbits
-            for clbit, qubit in measure_map.items():
-                bits[num_clbits - 1 - clbit] = str(index >> qubit & 1)
-            key = "".join(bits)
-            out[key] = out.get(key, 0.0) + float(prob)
-        return out
+def _diagonals(states: np.ndarray) -> np.ndarray:
+    """The real diagonals of a ``(B, 2**n, 2**n)`` density-matrix stack,
+    as a writable ``(B, 2**n)`` array."""
+    return np.real(np.diagonal(states, axis1=-2, axis2=-1)).copy()
 
 
 def _clip_and_normalise(probs: np.ndarray) -> np.ndarray:

@@ -1,19 +1,25 @@
-"""Ideal (noise-free) statevector simulator — the paper's scenario (1)."""
+"""Ideal (noise-free) statevector simulator — the paper's scenario (1).
+
+``run`` advances the state gate by gate through the whole circuit
+(:meth:`StatevectorSimulator.prefix_snapshot`, the naive loop's
+evolution) and reads its probabilities as a one-row
+:class:`~repro.simulators.backend.BranchBatch`, the distribution path
+``run_branches_from_snapshot`` takes for ``B`` fault branches.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.states import Statevector, format_bitstring
+from ..quantum.states import Statevector
 from .backend import (
     BranchBatch,
     BranchSlots,
     SimulationSnapshot,
-    batched_clbit_marginals,
     single_fault_slot,
 )
 from .sampler import Result
@@ -29,13 +35,11 @@ class StatevectorSimulator:
     same qubit); the result is the exact outcome distribution over the
     classical register, optionally sub-sampled at a shot budget.
 
-    Implements the snapshot/branch protocol of
-    :class:`~repro.simulators.backend.SnapshotBackend`: campaigns freeze the
-    state after a circuit prefix once and branch every fault continuation
-    from it, skipping the redundant prefix re-simulation of the naive sweep.
-    Also implements the batched extension
-    (:class:`~repro.simulators.backend.BatchedSnapshotBackend`): many fault
-    branches of one snapshot evaluate as a single ``(B, 2**n)`` array.
+    Implements the batched branch protocol of
+    :class:`~repro.simulators.backend.BatchedSnapshotBackend`: campaigns
+    freeze the state after a circuit prefix once and evaluate every fault
+    branch of it as one row of a ``(B, 2**n)`` array, skipping the
+    redundant prefix re-simulation of the naive sweep.
 
     Sampling is opt-in and per-run: without a run ``seed`` the exact
     distribution is returned even at a shot budget (campaign code owns
@@ -61,13 +65,39 @@ class StatevectorSimulator:
         shots: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> Result:
-        snapshot = self.prefix_snapshot(circuit, stop=0)
-        return self.run_from_snapshot(
-            snapshot, circuit, circuit.instructions, shots=shots, seed=seed
+        """The outcome distribution of ``circuit``: its final state's
+        probabilities as a one-row batch.
+
+        Without a ``seed`` the exact distribution is returned even when
+        ``shots`` is set, leaving re-sampling to the caller (campaign code
+        owns the random stream). With both ``shots`` and ``seed`` the
+        distribution is sampled here from ``default_rng(seed)`` — the
+        per-run seed fully overrides the instance stream, so two simulator
+        instances given the same run seed agree exactly.
+        """
+        snapshot = self.prefix_snapshot(circuit)
+        result = self._batch(
+            snapshot.state.probabilities()[np.newaxis],
+            snapshot.measure_map,
+            circuit,
+            shots,
+        ).result(0)
+        if seed is None:
+            return result
+        result.metadata["seed"] = seed
+        if shots is None:
+            return result
+        counts = result.sample_counts(shots, np.random.default_rng(seed))
+        return Result(
+            counts.probabilities(),
+            num_clbits=result.num_clbits,
+            shots=shots,
+            # Shot noise: no longer the exact distribution.
+            metadata={**result.metadata, "sampled": True, "ideal": False},
         )
 
     # ------------------------------------------------------------------
-    # Snapshot protocol
+    # Batched branch protocol
     # ------------------------------------------------------------------
     def prefix_snapshot(
         self,
@@ -107,59 +137,6 @@ class StatevectorSimulator:
             position=stop,
         )
 
-    def run_from_snapshot(
-        self,
-        snapshot: SimulationSnapshot,
-        circuit: QuantumCircuit,
-        tail: Optional[Sequence[Instruction]] = None,
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Result:
-        """Branch from ``snapshot``, apply ``tail``, return the Result.
-
-        ``tail`` defaults to the rest of ``circuit``; the fault injector
-        passes the spliced continuation instead. The snapshot itself is
-        never mutated, so many branches may share it.
-
-        Without a ``seed`` the exact distribution is returned even when
-        ``shots`` is set, leaving re-sampling to the caller (campaign code
-        owns the random stream). With both ``shots`` and ``seed`` the
-        distribution is sampled here from ``default_rng(seed)`` — the
-        per-run seed fully overrides the instance stream, so two simulator
-        instances given the same run seed agree exactly.
-        """
-        measure_map = dict(snapshot.measure_map)
-        measured = set(snapshot.measured)
-        if tail is None:
-            tail = circuit.instructions[snapshot.position :]
-        state = self._advance(snapshot.state, tail, measure_map, measured)
-        probabilities = _marginal_clbit_distribution(
-            state.probabilities(), measure_map, circuit
-        )
-        num_clbits = circuit.num_clbits or circuit.num_qubits
-        metadata: Dict[str, object] = {"backend": self.name, "ideal": True}
-        if seed is not None:
-            metadata["seed"] = seed
-            if shots is not None:
-                exact = Result(probabilities, num_clbits=num_clbits)
-                counts = exact.sample_counts(
-                    shots, np.random.default_rng(seed)
-                )
-                metadata["sampled"] = True
-                metadata["ideal"] = False  # shot noise, no longer exact
-                return Result(
-                    counts.probabilities(),
-                    num_clbits=num_clbits,
-                    shots=shots,
-                    metadata=metadata,
-                )
-        return Result(
-            probabilities,
-            num_clbits=num_clbits,
-            shots=shots,
-            metadata=metadata,
-        )
-
     def run_branches_from_snapshot(
         self,
         snapshot: SimulationSnapshot,
@@ -179,8 +156,8 @@ class StatevectorSimulator:
         batch as ``plan`` — the tail compiled for ``snapshot.position``,
         compiled here when the caller passes none. Slots and tail run
         through :func:`~repro.simulators.segments.apply_plan`. Row ``b``
-        is bit-identical to :meth:`run_from_snapshot` with branch ``b``'s
-        gates followed by ``circuit.instructions[snapshot.position:]``.
+        is bit-identical to :meth:`run` on the whole circuit with branch
+        ``b``'s gates spliced in at ``snapshot.position``.
 
         With ``basis_tile`` set, a single-fault site runs on the linear
         response basis instead: the tail runs on the four states
@@ -206,16 +183,22 @@ class StatevectorSimulator:
             qubit_probs = _basis_probabilities(
                 snapshot, slots, plan, basis_tile
             )
-        probabilities, present, key_width = batched_clbit_marginals(
-            qubit_probs, measure_map, circuit
-        )
-        return BranchBatch(
-            probabilities=probabilities,
-            present=present,
-            key_width=key_width,
-            num_clbits=circuit.num_clbits or circuit.num_qubits,
-            shots=shots,
-            metadata={"backend": self.name, "ideal": True},
+        return self._batch(qubit_probs, measure_map, circuit, shots)
+
+    def _batch(
+        self,
+        qubit_probs: np.ndarray,
+        measure_map: Dict[int, int],
+        circuit: QuantumCircuit,
+        shots: Optional[int],
+    ) -> BranchBatch:
+        """``(B, 2**n)`` final-state probabilities as a branch batch."""
+        return BranchBatch.from_rows(
+            qubit_probs,
+            measure_map,
+            circuit,
+            shots,
+            {"backend": self.name, "ideal": True},
         )
 
     # ------------------------------------------------------------------
@@ -250,10 +233,6 @@ class StatevectorSimulator:
                 )
             state = state.evolve(inst.gate, inst.qubits)
         return state
-
-    def statevector(self, circuit: QuantumCircuit) -> Statevector:
-        """Final pure state of the measurement-free part of ``circuit``."""
-        return Statevector.from_circuit(circuit)
 
     def tail_compiler(self, circuit: QuantumCircuit) -> SegmentCompiler:
         """A unitary segment compiler for ``circuit`` (pure states carry
@@ -298,33 +277,3 @@ def _basis_probabilities(
     imag = combine_responses(-1j * weights, responses)
     return real * real + imag * imag
 
-
-def _marginal_clbit_distribution(
-    qubit_probs: np.ndarray,
-    measure_map: Dict[int, int],
-    circuit: QuantumCircuit,
-) -> Dict[str, float]:
-    """Project a qubit-basis distribution onto the classical register.
-
-    When the circuit has no measurements the full qubit distribution is
-    returned (the convention campaign code relies on: exact-probability mode
-    strips measurements and reads the state directly).
-    """
-    num_qubits = circuit.num_qubits
-    if not measure_map:
-        return {
-            format_bitstring(i, num_qubits): float(p)
-            for i, p in enumerate(qubit_probs)
-            if p > 1e-14
-        }
-    num_clbits = circuit.num_clbits
-    out: Dict[str, float] = {}
-    for index, prob in enumerate(qubit_probs):
-        if prob <= 1e-14:
-            continue
-        bits = ["0"] * num_clbits
-        for clbit, qubit in measure_map.items():
-            bits[num_clbits - 1 - clbit] = str(index >> qubit & 1)
-        key = "".join(bits)
-        out[key] = out.get(key, 0.0) + float(prob)
-    return out

@@ -17,7 +17,10 @@ noise-channel application and one per reset), so the run draws all of
 them up front in trajectory-major order, and each Kraus pick is
 ``Generator.choice``'s own inverse-CDF search on its uniform. Branch
 weights, the pick and the renormalisation stay per row, so every
-trajectory is bit-identical to evolving it alone.
+trajectory is bit-identical to evolving it alone. The averaged
+distribution is a one-row :class:`~repro.simulators.backend.BranchBatch`:
+readout confusion and the classical register come from the path the
+exact simulators take.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from ..quantum.circuit import QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
-from ..quantum.states import format_bitstring
+from .backend import BranchBatch
 from .noise import NoiseModel
 from .sampler import Result
 from .segments import RESET_KRAUS, PlanStep, compile_steps, run_steps
@@ -117,22 +120,25 @@ class TrajectorySimulator:
             )
             for state in states:
                 accumulated += np.abs(state) ** 2
-        probs = accumulated / self.trajectories
-
-        probs = self._apply_readout(probs, circuit, num_qubits)
-        distribution = self._marginalize(probs, circuit)
-        return Result(
-            distribution,
-            num_clbits=circuit.num_clbits or num_qubits,
-            shots=shots,
-            metadata={
+        measure_map = {
+            inst.clbits[0]: inst.qubits[0]
+            for inst in circuit
+            if isinstance(inst.gate, Measure)
+        }
+        return BranchBatch.from_rows(
+            (accumulated / self.trajectories)[np.newaxis],
+            measure_map,
+            circuit,
+            shots,
+            {
                 "backend": self.name,
                 "trajectories": self.trajectories,
                 "noise_model": self.noise_model.name
                 if self.noise_model
                 else None,
             },
-        )
+            noise_model=self.noise_model,
+        ).result(0)
 
     # ------------------------------------------------------------------
     def _compile(self, circuit: QuantumCircuit) -> List[_Op]:
@@ -247,58 +253,6 @@ class TrajectorySimulator:
             )
             cached = self._kraus_cache[key] = (kraus, steps)
         return cached[1]
-
-    # ------------------------------------------------------------------
-    def _apply_readout(
-        self, probs: np.ndarray, circuit: QuantumCircuit, num_qubits: int
-    ) -> np.ndarray:
-        if self.noise_model is None:
-            return probs
-        measured = {
-            inst.qubits[0]
-            for inst in circuit
-            if isinstance(inst.gate, Measure)
-        }
-        if not measured:
-            return probs
-        tensor = probs.reshape([2] * num_qubits)
-        for qubit in measured:
-            confusion = self.noise_model.readout_confusion(qubit)
-            if confusion is None:
-                continue
-            axis = num_qubits - 1 - qubit
-            tensor = np.moveaxis(
-                np.tensordot(confusion, tensor, axes=([1], [axis])), 0, axis
-            )
-        return tensor.reshape(-1)
-
-    @staticmethod
-    def _marginalize(
-        probs: np.ndarray, circuit: QuantumCircuit
-    ) -> Dict[str, float]:
-        num_qubits = circuit.num_qubits
-        measure_map = {
-            inst.clbits[0]: inst.qubits[0]
-            for inst in circuit
-            if isinstance(inst.gate, Measure)
-        }
-        if not measure_map:
-            return {
-                format_bitstring(i, num_qubits): float(p)
-                for i, p in enumerate(probs)
-                if p > 1e-14
-            }
-        num_clbits = circuit.num_clbits
-        out: Dict[str, float] = {}
-        for index, prob in enumerate(probs):
-            if prob <= 1e-14:
-                continue
-            bits = ["0"] * num_clbits
-            for clbit, qubit in measure_map.items():
-                bits[num_clbits - 1 - clbit] = str(index >> qubit & 1)
-            key = "".join(bits)
-            out[key] = out.get(key, 0.0) + float(prob)
-        return out
 
 
 def _pick_branch(candidates: Sequence[np.ndarray], uniform: float) -> np.ndarray:

@@ -40,7 +40,11 @@ from repro.faults import (
     enumerate_injection_points,
     fault_grid,
 )
-from repro.faults.executor import TILE_WORKING_SET, score_branch_batch
+from repro.faults.executor import (
+    TILE_WORKING_SET,
+    build_faulty_circuit,
+    score_branch_batch,
+)
 from repro.faults.plan import single_plan
 from repro.machines import fake_jakarta
 from repro.quantum import random_circuit
@@ -55,7 +59,6 @@ from repro.simulators import (
     TrajectorySimulator,
     depolarizing_channel,
     supports_batched_branches,
-    supports_snapshots,
 )
 
 ALGORITHM_BUILDERS = [
@@ -248,16 +251,6 @@ class TestSampledMode:
         )
 
 
-class BranchOnlySimulator(StatevectorSimulator):
-    """A statevector backend whose scalar branch path is unavailable.
-
-    Campaign workers must drive it through the batched protocol only.
-    """
-
-    def run_from_snapshot(self, *args, **kwargs):
-        raise AssertionError("the scalar branch path must not run")
-
-
 class TestPool:
     """The pool runs the engine: same records as in process and naive."""
 
@@ -291,7 +284,7 @@ class TestPool:
             correct_states=tuple(spec.correct_states),
             tasks=tasks,
         )
-        pooled = ParallelExecutor(workers=2).run(BranchOnlySimulator(), plan)
+        pooled = ParallelExecutor(workers=2).run(StatevectorSimulator(), plan)
         in_process = SerialExecutor().run(StatevectorSimulator(), plan)
         assert pooled.data.tobytes() == in_process.data.tobytes()
 
@@ -452,7 +445,6 @@ class TestProtocol:
         backend has it."""
         model = build_noise_model(3)
         wrapped = MitigatedReadoutBackend(TrajectorySimulator(model), model)
-        assert not supports_snapshots(wrapped)
         assert not supports_batched_branches(wrapped)
 
     def test_mitigated_wrapper_survives_pickling(self):
@@ -468,8 +460,9 @@ class TestProtocol:
     )
     def test_branch_batch_rows_match_serial_results(self, make_backend):
         """Each BranchBatch row — its tail plan compiled by the backend —
-        reproduces run_from_snapshot's dictionary: same keys (presence)
-        and bit-identical values."""
+        reproduces ``run``'s dictionary on the whole faulty circuit, the
+        naive loop's reference: same keys (presence) and bit-identical
+        values."""
         from repro.quantum.circuit import Instruction
         from repro.simulators.backend import uniform_head_slots
 
@@ -488,11 +481,8 @@ class TestProtocol:
             snapshot, spec.circuit, uniform_head_slots(heads)
         )
         assert batch.size == len(heads)
-        suffix = list(spec.circuit.instructions[point.position + 1 :])
-        for index, head in enumerate(heads):
-            serial = backend.run_from_snapshot(
-                snapshot, spec.circuit, head + suffix
-            )
+        for index, fault in enumerate(faults):
+            serial = backend.run(build_faulty_circuit(spec.circuit, point, fault))
             assert batch.result(index).probabilities == serial.probabilities
 
     def test_max_branches_chunks_do_not_change_records(self):
@@ -520,7 +510,6 @@ class TestProtocol:
                 return self._inner.run(circuit, shots=shots, seed=seed)
 
         backend = OpaqueBackend()
-        assert not supports_snapshots(backend)
         assert not supports_batched_branches(backend)
         spec = bernstein_vazirani(3)
         campaign = QuFI(

@@ -32,7 +32,7 @@ from repro.simulators import (
     StatevectorSimulator,
     TrajectorySimulator,
     depolarizing_channel,
-    supports_snapshots,
+    supports_batched_branches,
 )
 
 
@@ -176,7 +176,8 @@ class TestEquivalence:
         assert_records_identical(legacy, campaign.records)
 
     def test_fallback_backend_without_snapshots(self):
-        """Backends lacking the snapshot protocol still run campaigns."""
+        """Backends lacking the batched branch protocol still run
+        campaigns."""
 
         class OpaqueBackend:
             name = "opaque"
@@ -188,7 +189,7 @@ class TestEquivalence:
                 return self._inner.run(circuit, shots=shots, seed=seed)
 
         backend = OpaqueBackend()
-        assert not supports_snapshots(backend)
+        assert not supports_batched_branches(backend)
         spec = bernstein_vazirani(3)
         faults = fault_grid(step_deg=90)
         campaign = QuFI(backend).run_campaign(spec, faults=faults)

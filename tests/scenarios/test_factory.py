@@ -105,11 +105,17 @@ class TestBackendResolution:
         ],
     )
     def test_explicit_kinds(self, kind, expected):
-        spec = ScenarioSpec(algorithm="bv", backend=kind, seed=3)
+        # Calibrated noise, which the machine kinds force, needs routing.
+        transpile = {} if kind.startswith("machine") else None
+        spec = ScenarioSpec(
+            algorithm="bv", backend=kind, seed=3, transpile=transpile
+        )
         assert isinstance(make_backend(spec), expected)
 
     def test_unknown_machine_rejected(self):
-        spec = ScenarioSpec(algorithm="bv", backend="machine", machine="oslo")
+        spec = ScenarioSpec(
+            algorithm="bv", backend="machine", machine="oslo", transpile={}
+        )
         with pytest.raises(ValueError, match="unknown machine"):
             make_backend(spec)
 
@@ -276,6 +282,7 @@ class TestRunScenario:
             shots=128,
             seed=21,
             executor="serial",
+            transpile={},
         )
         first = run_scenario(spec)
         second = run_scenario(spec)

@@ -82,7 +82,8 @@ class TestScenarioSpec:
         """Machine backends always run calibrated noise; a 'noise sweep'
         over them must collapse instead of faking three scenarios."""
         emulated = ScenarioSpec(
-            algorithm="bv", backend="machine-emulator", noise="light"
+            algorithm="bv", backend="machine-emulator", noise="light",
+            transpile={},
         )
         assert emulated.noise == "calibrated"
         ideal = ScenarioSpec(
@@ -93,6 +94,7 @@ class TestScenarioSpec:
             algorithm="bv",
             backend="machine-emulator",
             noise=["none", "light", "heavy"],
+            transpile={},
         )
         assert len({s.spec_hash() for s in sweep}) == 1
 
@@ -100,18 +102,44 @@ class TestScenarioSpec:
         """``backend: "machine"`` is a spelling: the spec, its hash and
         its dict say what runs."""
         machine = ScenarioSpec(
-            algorithm="bv", backend="machine", noise="light", machine="lagos"
+            algorithm="bv", backend="machine", noise="light", machine="lagos",
+            transpile={},
         )
         assert (machine.backend, machine.noise) == (
             "density-matrix", "calibrated"
         )
         twin = ScenarioSpec(
             algorithm="bv", backend="density-matrix", noise="calibrated",
-            machine="lagos",
+            machine="lagos", transpile={},
         )
         assert machine == twin
         assert machine.spec_hash() == twin.spec_hash()
         assert ScenarioSpec.from_dict(machine.to_dict()) == machine
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"backend": "machine"},
+            {"backend": "machine-emulator"},
+            {"noise": "calibrated"},
+            {"noise": "calibrated", "backend": "density-matrix"},
+            {"noise": "calibrated", "backend": "trajectory"},
+        ],
+        ids=["machine", "machine-emulator", "auto", "density-matrix",
+             "trajectory"],
+    )
+    def test_calibrated_noise_needs_a_transpile_block(self, fields):
+        """A calibration keys its errors by device qubit and coupled
+        pair, so it runs on routed circuits only; the message names the
+        fix in the spec and on the CLI."""
+        with pytest.raises(
+            ValueError,
+            match=r"calibrated noise needs a routed circuit.*"
+            r'"transpile": \{\}.*--transpile-to',
+        ):
+            ScenarioSpec(algorithm="bv", width=3, **fields)
+        routed = ScenarioSpec(algorithm="bv", width=3, transpile={}, **fields)
+        assert routed.noise == "calibrated"
 
     def test_inert_fields_do_not_change_the_hash(self):
         """Spellings of the same physics hash identically."""
@@ -126,10 +154,10 @@ class TestScenarioSpec:
         # ... but drive the hash where they matter.
         assert ScenarioSpec(
             algorithm="bv", backend="machine-emulator", drift_scale=0.3,
-            seed=1,
+            seed=1, transpile={},
         ).spec_hash() != ScenarioSpec(
             algorithm="bv", backend="machine-emulator", drift_scale=0.1,
-            seed=1,
+            seed=1, transpile={},
         ).spec_hash()
 
 

@@ -308,7 +308,7 @@ class TestSeedingRuleSalt:
         assert sampled.canonical_dict()["seeding"] == "per-task"
         emulator = ScenarioSpec(
             algorithm="bv", noise="calibrated", backend="machine-emulator",
-            machine="jakarta", shots=64,
+            machine="jakarta", shots=64, transpile={},
         )
         assert "seeding" not in emulator.canonical_dict()
 

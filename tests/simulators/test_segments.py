@@ -223,9 +223,9 @@ class TestValidation:
         circuit = _bell_tail_circuit()
         for backend in (StatevectorSimulator(), DensityMatrixSimulator()):
             compiler = backend.tail_compiler(circuit)
+            plain = backend.run(circuit)
             for stop in range(len(circuit.instructions) + 1):
                 snapshot = backend.prefix_snapshot(circuit, stop=stop)
-                plain = backend.run_from_snapshot(snapshot, circuit)
                 planned = backend.run_branches_from_snapshot(
                     snapshot,
                     circuit,

@@ -1,19 +1,25 @@
-"""The snapshot/branch protocol on the exact backends."""
+"""Prefix snapshots and branching from them on the exact backends.
 
-import math
+A branch from a snapshot is one row of ``run_branches_from_snapshot``;
+its reference is ``run`` on the whole (faulty) circuit, the naive loop's
+execution.
+"""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import bernstein_vazirani
 from repro.quantum import QuantumCircuit
+from repro.quantum.circuit import Instruction
+from repro.quantum.gates import HGate
 from repro.simulators import (
     DensityMatrixSimulator,
     NoiseModel,
     StatevectorSimulator,
     depolarizing_channel,
-    supports_snapshots,
+    supports_batched_branches,
 )
+from repro.simulators.backend import uniform_head_slots
 
 
 @pytest.fixture(params=["statevector", "density"])
@@ -33,21 +39,26 @@ def circuit():
     return qc
 
 
+def branch(backend, snapshot, circuit, head=()):
+    """The one branch of ``snapshot`` whose head is ``head``, as a Result."""
+    return backend.run_branches_from_snapshot(
+        snapshot, circuit, uniform_head_slots([list(head)])
+    ).result(0)
+
+
 class TestProtocol:
     def test_exact_backends_support_snapshots(self):
-        assert supports_snapshots(StatevectorSimulator())
-        assert supports_snapshots(DensityMatrixSimulator())
+        assert supports_batched_branches(StatevectorSimulator())
+        assert supports_batched_branches(DensityMatrixSimulator())
 
     def test_plain_objects_do_not(self):
-        assert not supports_snapshots(object())
+        assert not supports_batched_branches(object())
 
     def test_snapshot_branch_equals_full_run(self, backend, circuit):
         full = backend.run(circuit).get_probabilities()
         for stop in range(len(circuit) + 1):
             snapshot = backend.prefix_snapshot(circuit, stop=stop)
-            branched = backend.run_from_snapshot(
-                snapshot, circuit
-            ).get_probabilities()
+            branched = branch(backend, snapshot, circuit).get_probabilities()
             assert branched == full  # bit-identical, not approx
 
     def test_chained_prefix_equals_scratch(self, backend, circuit):
@@ -67,23 +78,28 @@ class TestProtocol:
     def test_branching_does_not_mutate_snapshot(self, backend, circuit):
         snapshot = backend.prefix_snapshot(circuit, stop=2)
         before = snapshot.state.data.copy()
-        backend.run_from_snapshot(snapshot, circuit)
-        backend.run_from_snapshot(snapshot, circuit)
+        head = [Instruction(HGate(), (2,))]
+        faulty = circuit.copy()
+        faulty.insert(2, HGate(), [2])
+        first = branch(backend, snapshot, circuit, head)
+        second = branch(backend, snapshot, circuit, head)
         assert np.array_equal(snapshot.state.data, before)
         assert snapshot.position == 2
+        expected = backend.run(faulty).probabilities
+        assert first.probabilities == second.probabilities == expected
 
     def test_custom_tail(self, backend):
+        """A custom continuation is a branch head: an H after the
+        snapshot undoes the prefix H, as ``run`` on the whole circuit."""
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure(0, 0)
         snapshot = backend.prefix_snapshot(qc, stop=1)
-        # Replace the tail with H + measure: undoes the prefix H.
-        tail_circuit = QuantumCircuit(1, 1)
-        tail_circuit.h(0)
-        tail_circuit.measure(0, 0)
-        result = backend.run_from_snapshot(
-            snapshot, qc, tail_circuit.instructions
-        )
+        result = branch(backend, snapshot, qc, [Instruction(HGate(), (0,))])
+        whole = QuantumCircuit(1, 1)
+        whole.h(0).h(0)
+        whole.measure(0, 0)
+        assert result.probabilities == backend.run(whole).probabilities
         assert result.probability_of("0") == pytest.approx(1.0, abs=0.05)
 
     def test_out_of_range_stop_rejected(self, backend, circuit):
@@ -99,5 +115,8 @@ class TestBVWalkthrough:
         spec = bernstein_vazirani(4)
         backend = StatevectorSimulator()
         snapshot = backend.prefix_snapshot(spec.circuit, stop=3)
-        result = backend.run_from_snapshot(snapshot, spec.circuit)
+        result = branch(backend, snapshot, spec.circuit)
         assert result.most_probable() == spec.correct_states[0]
+        assert (
+            result.probabilities == backend.run(spec.circuit).probabilities
+        )

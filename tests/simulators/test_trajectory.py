@@ -19,7 +19,7 @@ from repro.simulators import (
     depolarizing_channel,
 )
 from repro.simulators import trajectory as trajectory_module
-from repro.simulators.sampler import Result
+from repro.simulators.backend import BranchBatch
 
 
 def _distance(a, b):
@@ -101,18 +101,29 @@ def _one_trajectory(noise, circuit, rng):
 
 
 def reference_run(simulator, circuit, rng):
-    """``TrajectorySimulator.run``'s result, trajectory by trajectory."""
-    num_qubits = circuit.num_qubits
-    accumulated = np.zeros(2**num_qubits)
+    """``TrajectorySimulator.run``'s result, trajectory by trajectory.
+
+    The evolution is the reference's own; readout and the classical
+    register are the simulators' shared post-processing
+    (``BranchBatch.from_rows``), which ``test_run_oracle.py`` checks
+    against ``tests/oracle.py``.
+    """
+    accumulated = np.zeros(2**circuit.num_qubits)
     for _ in range(simulator.trajectories):
         accumulated += _one_trajectory(simulator.noise_model, circuit, rng)
-    probs = simulator._apply_readout(
-        accumulated / simulator.trajectories, circuit, num_qubits
-    )
-    return Result(
-        simulator._marginalize(probs, circuit),
-        num_clbits=circuit.num_clbits or num_qubits,
-    )
+    measure_map = {
+        inst.clbits[0]: inst.qubits[0]
+        for inst in circuit
+        if isinstance(inst.gate, Measure)
+    }
+    return BranchBatch.from_rows(
+        (accumulated / simulator.trajectories)[np.newaxis],
+        measure_map,
+        circuit,
+        None,
+        {},
+        noise_model=simulator.noise_model,
+    ).result(0)
 
 
 class TestNoiselessAgreement:

@@ -486,6 +486,28 @@ class TestCampaignTranspile:
                 tmp_path, "--checkpoint", ckpt, "--transpile-level", "0"
             )
 
+    @pytest.mark.parametrize("backend", ["machine", "machine-emulator"])
+    def test_machine_backend_needs_transpile_to(self, tmp_path, backend):
+        """Calibrated noise without routing exits with the spec's message,
+        which names the flag, not with a traceback."""
+        output = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "campaign",
+                    "--algorithm",
+                    "bv",
+                    "--width",
+                    "3",
+                    "--backend",
+                    backend,
+                    "--output",
+                    str(output),
+                ]
+            )
+        assert "--transpile-to" in str(excinfo.value.code)
+        assert not output.exists()
+
     def test_unknown_transpile_machine_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
