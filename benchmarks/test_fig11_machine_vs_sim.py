@@ -4,7 +4,9 @@ The paper injects four gate-equivalent faults (T, S, Z, Y) at every fault
 position of Bernstein-Vazirani on IBM-Q Jakarta (53,248 injections at 1,024
 shots) and finds per-fault QVF within 0.052 of the noise-model simulation.
 Offline, hardware is emulated by drifting the calibration per run and
-sampling shots; the comparison bound is the claim under test.
+sampling shots; the comparison bound is the claim under test. Both sides
+run the routed circuit compacted onto its used wires, as the scenario
+factory builds them, under the calibration remapped onto those wires.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from repro.faults import (
     QuFI,
     enumerate_injection_points,
 )
-from repro.machines import PhysicalMachineEmulator
+from repro.faults.layout_map import map_transpiled
+from repro.machines import PhysicalMachineEmulator, noise_model_from_calibration
 from repro.simulators import DensityMatrixSimulator
 from repro.transpiler import transpile
 
@@ -27,11 +30,22 @@ PAPER_BOUND = 0.052
 @pytest.fixture(scope="module")
 def fig11_data(jakarta_backend):
     spec = bernstein_vazirani(4)
-    transpiled = transpile(spec.circuit, jakarta_backend.coupling, 3)
-    emulator = PhysicalMachineEmulator(
-        jakarta_backend, drift_scale=0.05, seed=2022
+    transpiled = map_transpiled(
+        transpile(spec.circuit, jakarta_backend.coupling, 3),
+        machine=jakarta_backend.name,
     )
-    simulation = QuFI(DensityMatrixSimulator(jakarta_backend.noise_model))
+    wires = transpiled.layout.wire_to_physical
+    emulator = PhysicalMachineEmulator(
+        jakarta_backend, drift_scale=0.05, seed=2022, wires=wires
+    )
+    simulation = QuFI(
+        DensityMatrixSimulator(
+            noise_model_from_calibration(
+                jakarta_backend.calibration, jakarta_backend.coupling,
+                wires=wires,
+            )
+        )
+    )
     machine = QuFI(emulator, shots=1024)
     points = enumerate_injection_points(transpiled.circuit)
     return spec, transpiled, simulation, machine, points

@@ -63,63 +63,48 @@ def mitigation_matrix(
 def mitigate_readout(
     probabilities: Mapping[str, float],
     errors: Sequence[Optional[ReadoutError]],
-    clip: bool = True,
 ) -> Dict[str, float]:
     """Undo per-qubit readout confusion on a measured distribution.
 
-    ``probabilities`` maps bitstrings (highest qubit leftmost) to values;
-    the returned distribution is renormalized and, with ``clip`` (the
-    default), projected back onto the simplex — matrix inversion can
-    produce small negative quasi-probabilities from sampled data.
+    ``probabilities`` maps bitstrings (highest qubit leftmost) to values.
+    The distribution goes through :func:`mitigate_readout_rows` as one
+    dense row; the result holds its nonzero entries in ascending key
+    order.
     """
     num_qubits = len(errors)
-    dim = 2**num_qubits
-    vector = np.zeros(dim)
+    row = np.zeros((1, 2**num_qubits))
     for bitstring, value in probabilities.items():
         if len(bitstring) != num_qubits:
             raise ValueError(
                 f"bitstring {bitstring!r} does not match {num_qubits} qubits"
             )
-        vector[int(bitstring, 2)] = value
-    mitigated = _mitigated_vector(mitigation_matrix(errors), vector, clip)
+        row[0, int(bitstring, 2)] = value
+    mitigated = mitigate_readout_rows(row, errors)[0]
     return {
-        format(index, f"0{num_qubits}b"): float(p)
-        for index, p in enumerate(mitigated)
-        if p > 1e-12
+        format(int(index), f"0{num_qubits}b"): float(mitigated[index])
+        for index in np.nonzero(mitigated)[0]
     }
-
-
-def _mitigated_vector(
-    inverse: np.ndarray, vector: np.ndarray, clip: bool = True
-) -> np.ndarray:
-    """One distribution vector through the inverse confusion matrix,
-    clipped onto the simplex (with ``clip``) and renormalised."""
-    mitigated = inverse @ vector
-    if clip:
-        mitigated = np.clip(mitigated, 0.0, None)
-    total = mitigated.sum()
-    if total > 0:
-        mitigated = mitigated / total
-    return mitigated
 
 
 def mitigate_readout_rows(
     rows: np.ndarray,
     errors: Sequence[Optional[ReadoutError]],
 ) -> np.ndarray:
-    """:func:`mitigate_readout` over ``(B, 2**len(errors))`` distribution rows.
+    """Undo per-qubit readout confusion on ``(B, 2**len(errors))`` rows.
 
-    Column ``k`` of a row is the probability of bitstring ``k``. Each row
-    goes through the dictionary path's steps, one row at a time: the
-    product with the inverse confusion matrix, the clip, the
-    renormalisation and the ``> 1e-12`` cut. Row ``b`` of the result
-    holds the values ``mitigate_readout`` returns for row ``b`` and 0.0
-    where its dictionary has no entry.
+    Column ``k`` of a row is the probability of bitstring ``k``. Each
+    row, one at a time, is multiplied by the inverse confusion matrix,
+    clipped onto the simplex (inversion can turn sampled data into small
+    negative quasi-probabilities), renormalised, and cut to 0.0 wherever
+    it is not above ``1e-12``.
     """
     inverse = mitigation_matrix(errors)
     out = np.zeros(rows.shape)
     for corrected, row in zip(out, rows):
-        mitigated = _mitigated_vector(inverse, row)
+        mitigated = np.clip(inverse @ row, 0.0, None)
+        total = mitigated.sum()
+        if total > 0:
+            mitigated = mitigated / total
         np.copyto(corrected, mitigated, where=mitigated > 1e-12)
     return out
 
@@ -130,9 +115,11 @@ class MitigatedReadoutBackend:
     Wraps an inner backend and a :class:`NoiseModel`: after each ``run``
     the clbit-to-qubit measurement map of the executed circuit selects
     the per-qubit :class:`ReadoutError` objects, and the distribution is
-    corrected through :func:`mitigate_readout` before it reaches the
-    caller. Campaigns over this backend therefore score QVF from
-    mitigated distributions with no change to the campaign engine.
+    corrected through :func:`mitigate_readout` (one dense row of
+    :func:`mitigate_readout_rows`, the correction the batched wrapper
+    applies to every row of a batch) before it reaches the caller.
+    Campaigns over this backend therefore score QVF from mitigated
+    distributions with no change to the campaign engine.
 
     Over a batch-capable inner backend (the exact simulators, a
     calibrated machine's density matrix among them) construction returns
@@ -181,21 +168,6 @@ class MitigatedReadoutBackend:
                     )
         return errors
 
-    def _mitigated(
-        self, result: Result, instructions: Iterable[Instruction]
-    ) -> Result:
-        """``result`` with its readout confusion inverted."""
-        errors = self._errors(instructions, result.num_clbits)
-        if all(error is None for error in errors):
-            return result
-        corrected = mitigate_readout(result.get_probabilities(), errors)
-        return Result(
-            corrected,
-            num_clbits=result.num_clbits,
-            shots=result.shots,
-            metadata={**result.metadata, "mitigated": True},
-        )
-
     def run(
         self,
         circuit: QuantumCircuit,
@@ -207,7 +179,15 @@ class MitigatedReadoutBackend:
             result = self.backend.run(circuit, shots=shots, seed=seed)
         else:
             result = self.backend.run(circuit, shots=shots)
-        return self._mitigated(result, circuit)
+        errors = self._errors(circuit, result.num_clbits)
+        if all(error is None for error in errors):
+            return result
+        return Result(
+            mitigate_readout(result.probabilities, errors),
+            num_clbits=result.num_clbits,
+            shots=result.shots,
+            metadata={**result.metadata, "mitigated": True},
+        )
 
 
 class BatchedMitigatedReadoutBackend(MitigatedReadoutBackend):

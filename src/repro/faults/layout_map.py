@@ -180,10 +180,10 @@ def _compact_wires(
 
     Returns the campaign circuit and ``wire_to_physical``. Compaction
     keeps simulation cost proportional to the qubits the routed circuit
-    actually touches instead of the whole device; calibrated noise
-    follows through ``noise_model_from_calibration(..., wires=...)``.
-    The machine emulator skips it: it drifts and builds its channels per
-    device qubit.
+    actually touches instead of the whole device; calibrated noise, the
+    emulator's drifted calibrations included, follows through
+    ``noise_model_from_calibration(..., wires=...)``. Every campaign
+    compacts; device indices serve as the uncompacted reference frame.
     """
     if not compact:
         return circuit, tuple(range(circuit.num_qubits))

@@ -4,41 +4,49 @@ We cannot reserve IBM-Q Jakarta offline, so this emulator reproduces the
 property Fig. 11 actually measures: a physical run differs from the
 noise-model simulation because (a) the machine's noise has drifted since the
 calibration snapshot and (b) results come from finite sampling, not exact
-distributions. Each :meth:`run` draws a drifted calibration, executes the
-exact density-matrix simulation under it, then samples ``shots`` outcomes.
-A run draws the whole device's drift, but builds drifted channels only for
-the physical qubits its circuit's operations touch and the coupling edges
-between them: the rest of the machine cannot reach the result.
+distributions. Each :meth:`run` draws a drifted calibration of the whole
+device, executes the exact density-matrix simulation under it, then
+samples ``shots`` outcomes. Like every other calibrated engine, it runs
+the routed circuit on its used wires: ``wires`` names the device qubit
+each wire occupies, and the drifted model is remapped onto them by
+:func:`~repro.machines.fake.noise_model_from_calibration`.
 The paper's claim — QVF deltas below ~0.05 between simulation and hardware —
 is exactly what the comparison benchmark checks against this emulator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..quantum.circuit import QuantumCircuit
-from ..quantum.gates import Barrier
 from ..simulators.density_matrix import DensityMatrixSimulator
 from ..simulators.sampler import DEFAULT_SHOTS, Result
-from .fake import FakeBackend, noise_model_on_qubits
+from .fake import FakeBackend, noise_model_from_calibration
 
 __all__ = ["PhysicalMachineEmulator"]
 
 
 class PhysicalMachineEmulator:
-    """Wraps a :class:`FakeBackend` with calibration drift and shot noise."""
+    """Wraps a :class:`FakeBackend` with calibration drift and shot noise.
+
+    ``wires[w]`` is the device qubit that wire ``w`` of the circuits it
+    runs occupies (a routed, compacted circuit's
+    ``LayoutMap.wire_to_physical``); without it, circuits run in the
+    device frame, wire ``q`` on device qubit ``q``.
+    """
 
     def __init__(
         self,
         backend: FakeBackend,
         drift_scale: float = 0.08,
         seed: Optional[int] = None,
+        wires: Optional[Sequence[int]] = None,
     ) -> None:
         self.backend = backend
         self.drift_scale = float(drift_scale)
+        self.wires = None if wires is None else tuple(int(q) for q in wires)
         self.name = f"{backend.name}_physical"
         # Per-run child generators are spawned from this sequence: run k
         # of a seeded emulator draws from child k, whatever else consumed
@@ -83,20 +91,10 @@ class PhysicalMachineEmulator:
             rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
         shots = shots or DEFAULT_SHOTS
         drifted = self.backend.calibration.drifted(rng, self.drift_scale)
-        noise_model = noise_model_on_qubits(
-            drifted,
-            self.backend.coupling,
-            sorted(
-                {
-                    qubit
-                    for inst in circuit
-                    if not isinstance(inst.gate, Barrier)
-                    for qubit in inst.qubits
-                }
-            ),
+        noise_model = noise_model_from_calibration(
+            drifted, self.backend.coupling, wires=self.wires
         )
-        simulator = DensityMatrixSimulator(noise_model)
-        exact = simulator.run(circuit)
+        exact = DensityMatrixSimulator(noise_model).run(circuit)
         counts = exact.sample_counts(shots, rng)
         result = Result.from_counts(counts, exact.num_clbits)
         result.metadata.update(

@@ -35,7 +35,6 @@ from .calibration import DeviceCalibration, GateCalibration, QubitCalibration
 __all__ = [
     "FakeBackend",
     "noise_model_from_calibration",
-    "noise_model_on_qubits",
     "fake_casablanca",
     "fake_jakarta",
     "fake_lagos",
@@ -63,49 +62,12 @@ def noise_model_from_calibration(
     two-qubit errors attach to wire pairs whose physical qubits are
     coupled. Campaigns over transpiled-then-compacted circuits use this
     so each wire sees exactly the errors of the device qubit it occupies
-    without simulating the idle remainder of the machine.
+    without simulating the idle remainder of the machine; channels of
+    the idle qubits are never built.
     """
     if wires is None:
         wires = range(calibration.num_qubits)
-    return _calibrated_model(
-        calibration,
-        coupling,
-        {int(phys): wire for wire, phys in enumerate(wires)},
-    )
-
-
-def noise_model_on_qubits(
-    calibration: DeviceCalibration,
-    coupling: Optional[CouplingMap],
-    qubits: Sequence[int],
-) -> NoiseModel:
-    """The device-frame model of ``calibration``, built for ``qubits`` only.
-
-    Every gate and readout on these qubits (two-qubit gates on coupled
-    pairs of them included) finds the channel
-    ``noise_model_from_calibration(calibration, coupling)`` would give
-    it, built by the same statements; channels of the other device
-    qubits are never built. A circuit touching only ``qubits`` therefore
-    simulates bit-identically under either model.
-    """
-    return _calibrated_model(
-        calibration,
-        coupling,
-        {
-            int(qubit): int(qubit)
-            for qubit in qubits
-            if 0 <= int(qubit) < calibration.num_qubits
-        },
-    )
-
-
-def _calibrated_model(
-    calibration: DeviceCalibration,
-    coupling: Optional[CouplingMap],
-    physical_to_wire: Dict[int, int],
-) -> NoiseModel:
-    """Calibrated channels of the physical qubits in ``physical_to_wire``
-    (and of the coupled pairs among them), keyed by their wires."""
+    physical_to_wire = {int(phys): wire for wire, phys in enumerate(wires)}
     model = NoiseModel(name=calibration.name)
 
     one_q = calibration.gate_defaults.get("u", GateCalibration(3e-4, 35e-9))

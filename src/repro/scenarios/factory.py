@@ -350,16 +350,14 @@ def make_transpiled(
     topology per the spec's ``transpile`` block and tracks the
     logical-to-physical mapping through layout/routing
     (:func:`repro.faults.layout_map.map_transpiled`). The circuit is
-    *compacted* onto its used wires (state size follows the circuit, not
-    the device), and a calibrated model is remapped onto them; only the
-    machine emulator keeps device indices, since it builds its drifted
-    channels per physical qubit.
+    *compacted* onto its used wires for every backend (state size
+    follows the circuit, not the device), and calibrated models, the
+    emulator's drifted ones included, are remapped onto them.
     """
     block = spec.transpile
     if block is None:
         raise ValueError(f"scenario {spec.scenario_id!r} has no transpile block")
     machine_name = spec.effective_machine
-    compact = spec.backend != "machine-emulator"
 
     def build() -> TranspiledCircuit:
         algorithm = make_algorithm(spec, cache)
@@ -370,7 +368,7 @@ def make_transpiled(
             basis=block.basis,
             seed=block.seed,
         )
-        return map_transpiled(result, machine=machine_name, compact=compact)
+        return map_transpiled(result, machine=machine_name)
 
     if cache is None:
         return build()
@@ -382,7 +380,6 @@ def make_transpiled(
         block.optimization_level,
         block.basis,
         block.seed,
-        compact,
     )
     return cache.get(key, build)
 
@@ -608,6 +605,7 @@ def make_backend(spec: ScenarioSpec, cache: Optional[FactoryCache] = None):
             make_machine(spec.effective_machine),
             drift_scale=spec.drift_scale,
             seed=spec.seed,
+            wires=make_transpiled(spec, cache).layout.wire_to_physical,
         )
     else:
         raise ValueError(f"unknown backend kind {spec.backend!r}")

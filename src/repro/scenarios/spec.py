@@ -776,6 +776,13 @@ class ScenarioSpec(_StrictFields):
             data["trajectories"] = None
         if backend != "machine-emulator":
             data["drift_scale"] = None
+        else:
+            # The emulator runs the routed circuit on its used wires, as
+            # every calibrated engine does. Its draws kept their bits, but
+            # its wire column, stored layout map and paired sweeps moved,
+            # so the salt keeps every manifest, cache entry and checkpoint
+            # made in the device frame from being served or resumed.
+            data["frame"] = "compacted"
         if self.executor != "parallel":
             data["workers"] = None
         if self.transpile is not None:

@@ -92,23 +92,50 @@ class TestMitigateReadout:
 
 
 class TestMitigateReadoutRows:
-    def test_rows_equal_the_dictionary_path_bit_for_bit(self):
-        """Each row holds exactly mitigate_readout's values, 0.0 elsewhere
-        — on exact rows, sparse rows and rows that clip."""
-        errors = [ReadoutError(0.1, 0.3), None, ReadoutError(0.25, 0.05)]
-        rng = np.random.default_rng(12)
-        rows = rng.dirichlet(np.ones(8), size=6)
+    ERRORS = [ReadoutError(0.1, 0.3), None, ReadoutError(0.25, 0.05)]
+
+    @staticmethod
+    def rows():
+        """Exact rows, a sparse row and rows that clip."""
+        rows = np.random.default_rng(12).dirichlet(np.ones(8), size=6)
         rows[1, [0, 3, 5]] = 0.0
         rows[1] /= rows[1].sum()
         rows[2] = np.eye(8)[4]
         rows[3] = [0.5, 0, 0, 0, 0, 0, 0, 0.5]
-        corrected = mitigate_readout_rows(rows, errors)
+        return rows
+
+    def test_each_row_is_the_one_row_call(self):
+        """A batch's rows equal the per-run correction bit for bit: a
+        one-row call, read as a dictionary of its nonzero entries in
+        ascending key order."""
+        rows = self.rows()
+        corrected = mitigate_readout_rows(rows, self.ERRORS)
         for row, got in zip(rows, corrected):
             want = mitigate_readout(
                 {format(k, "03b"): v for k, v in enumerate(row) if v > 0},
-                errors,
+                self.ERRORS,
             )
+            assert list(want) == sorted(want)
             expected = np.zeros(8)
             for key, value in want.items():
                 expected[int(key, 2)] = value
             assert got.tobytes() == expected.tobytes()
+
+    def test_rows_equal_the_naive_inverse(self):
+        """Against the confusion matrix solved row by row, clipped,
+        renormalised and cut at 1e-12."""
+        confusion = np.eye(1)
+        for error in self.ERRORS:
+            matrix = np.eye(2) if error is None else error.matrix
+            confusion = np.kron(matrix, confusion)
+        want = []
+        for row in self.rows():
+            solved = np.clip(np.linalg.solve(confusion, row), 0.0, None)
+            solved /= solved.sum()
+            want.append(np.where(solved > 1e-12, solved, 0.0))
+        np.testing.assert_allclose(
+            mitigate_readout_rows(self.rows(), self.ERRORS),
+            want,
+            rtol=0,
+            atol=1e-12,
+        )

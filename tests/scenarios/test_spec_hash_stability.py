@@ -9,6 +9,7 @@ exact pre-upgrade hashes of both shipped example suites and check the
 neutrality property directly.
 """
 
+import hashlib
 import json
 import os
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.faults.store import compact, read_segments
 from repro.scenarios import ScenarioSpec, SuiteSpec, run_scenario
+from repro.scenarios.spec import BACKEND_KINDS
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
@@ -47,7 +49,12 @@ def load_suite(name, **fields):
 # circuit's used wires, which moved its records by rounding, and hashes
 # as its ``density-matrix`` twin, default and opted out
 # (``PRE_ONE_ENGINE`` holds the pins it moved, and ``PRE_BASIS_DEFAULT``
-# the opted-out ones).
+# the opted-out ones). Then the machine emulator began to run the routed
+# circuit on its used wires, as every other calibrated engine does: its
+# draws kept their bits, but its wire column, stored layout map and
+# paired sweeps moved, so its specs carry a ``frame`` salt
+# (``PRE_COMPACT_EMULATOR`` holds the pins it moved, default and opted
+# out alike, since the emulator has no response basis to opt out of).
 PRE_SEEDING_RULE = {
     "mini_suite": "3706cb730292e266",
     "ghz3-light-sampled": "ae418edd18942f0e",
@@ -120,8 +127,15 @@ PRE_ONE_ENGINE = {
     "paper": {"fig11-bv4-simulation": "028a1aa9625b4215"},
 }
 
+PRE_COMPACT_EMULATOR = {
+    "paper_suite": "61bef87b2d442852",
+    "opted_out_paper_suite": "ea557f6e56a50304",
+    "paper": {"fig11-bv4-machine": "1b16b2a4b7480b5f"},
+}
+
 # The same suites today: the response basis by default, its density
-# matrix on folded tails, the machine as the density matrix.
+# matrix on folded tails, the machine as the density matrix, the
+# emulator on the compacted circuit.
 MINI_SUITE_HASH = "5536ac6288705514"
 MINI_SCENARIO_HASHES = {
     # The statevector has nothing to fold: its pins did not move.
@@ -132,7 +146,7 @@ MINI_SCENARIO_HASHES = {
     "ghz3-casablanca-transpiled": "e478d3fe30b82451",
 }
 
-PAPER_SUITE_HASH = "61bef87b2d442852"
+PAPER_SUITE_HASH = "eaa4e36c728d3b56"
 PAPER_SCENARIO_HASHES = {
     "fig5-bv4": "0844b29da68ab1bd",
     "fig5-dj4": "57390779f8988c09",
@@ -145,24 +159,35 @@ PAPER_SCENARIO_HASHES = {
     "fig7-qft6": "71ee6914a19480d2",
     "fig5-ghz4-adaptive": "d348324e151f79f1",
     "fig8a-bv4-single": "e5211f1d4e86d410",
-    # Pair faults and the emulator never run on the basis.
+    # Pair faults never run on the basis.
     "fig8b-bv4-double": "4244cbd52f92725c",
     "fig9-bv4-single": "e5211f1d4e86d410",
     "fig10-bv4-single": "e5211f1d4e86d410",
     "fig11-bv4-simulation": "017d737c5c2a9050",
-    "fig11-bv4-machine": "1b16b2a4b7480b5f",
+    # The emulator never runs on the basis; it moved with the frame salt.
+    "fig11-bv4-machine": "101b49b7e14350a2",
     "fig11-bv4-sim-casablanca": "24c80f3d8687f432",
     "fig11-bv4-sim-lagos": "0d74e582a1d82917",
 }
 
 
 # The opted-out pins today: ``PRE_BASIS_DEFAULT``'s, but for the
-# machine spec and the suite hash over it.
-OPTED_OUT_PAPER_SUITE_HASH = "ea557f6e56a50304"
+# machine and emulator specs and the suite hash over them.
+OPTED_OUT_PAPER_SUITE_HASH = "a0767cb1c6126aca"
 OPTED_OUT_PAPER_HASHES = {
     **PRE_BASIS_DEFAULT["paper"],
     "fig11-bv4-simulation": "58e4e95e99f7b252",
+    "fig11-bv4-machine": "101b49b7e14350a2",
 }
+
+
+def hash_without(spec, salt):
+    """``spec``'s hash with the ``salt`` key left out of its canonical
+    dict: the hash it had before that salt existed."""
+    data = spec.canonical_dict()
+    data.pop(salt, None)
+    blob = json.dumps(data, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def paper_prefix(suite, pins):
@@ -197,7 +222,8 @@ class TestPinnedExampleSuiteHashes:
         assert prefix.suite_hash() == PAPER_SUITE_HASH
 
     def test_opted_out_suites_reproduce_the_pre_basis_pins(self):
-        """Every pin but those the one engine moved."""
+        """Every pin but those the one engine and the emulator's
+        compaction moved."""
         mini = load_suite("mini_suite", bit_identical=True)
         assert {s.scenario_id: s.spec_hash() for s in mini} == (
             PRE_BASIS_DEFAULT["mini"]
@@ -207,7 +233,10 @@ class TestPinnedExampleSuiteHashes:
         observed = {s.scenario_id: s.spec_hash() for s in paper}
         for scenario_id, expected in OPTED_OUT_PAPER_HASHES.items():
             assert observed[scenario_id] == expected, scenario_id
-            moved = scenario_id in PRE_ONE_ENGINE["paper"]
+            moved = (
+                scenario_id in PRE_ONE_ENGINE["paper"]
+                or scenario_id in PRE_COMPACT_EMULATOR["paper"]
+            )
             assert (
                 expected != PRE_BASIS_DEFAULT["paper"][scenario_id]
             ) == moved, scenario_id
@@ -240,15 +269,45 @@ class TestPinnedExampleSuiteHashes:
             )
         assert PAPER_SUITE_HASH != PRE_ONE_ENGINE["paper_suite"]
 
-    def test_emulator_and_double_pins_did_not_move(self):
-        for scenario_id in ("fig8b-bv4-double", "fig11-bv4-machine"):
-            assert PAPER_SCENARIO_HASHES[scenario_id] == (
-                PRE_BASIS_DEFAULT["paper"][scenario_id]
-            )
+    def test_double_pin_did_not_move(self):
+        assert PAPER_SCENARIO_HASHES["fig8b-bv4-double"] == (
+            PRE_BASIS_DEFAULT["paper"]["fig8b-bv4-double"]
+        )
+
+    def test_emulator_pin_moved_with_the_frame_salt_alone(self):
+        """The emulator's pin held through every earlier salt; the
+        compaction's ``frame`` salt moved it, and the suite hashes over
+        it, default and opted out."""
+        for bit_identical in (False, True):
+            paper = load_suite("paper_suite", bit_identical=bit_identical)
+            for spec in paper:
+                if spec.scenario_id not in PRE_COMPACT_EMULATOR["paper"]:
+                    continue
+                old = PRE_COMPACT_EMULATOR["paper"][spec.scenario_id]
+                assert spec.canonical_dict()["frame"] == "compacted"
+                assert spec.spec_hash() != old
+                assert hash_without(spec, "frame") == old
+                assert old == PRE_BASIS_DEFAULT["paper"][spec.scenario_id]
+                assert old == PRE_FOLD["paper"][spec.scenario_id]
+        assert PAPER_SUITE_HASH != PRE_COMPACT_EMULATOR["paper_suite"]
+        assert OPTED_OUT_PAPER_SUITE_HASH != (
+            PRE_COMPACT_EMULATOR["opted_out_paper_suite"]
+        )
+
+    def test_frame_salt_marks_every_emulator_spec(self):
+        for backend in BACKEND_KINDS:
+            for mode in ("single", "double"):
+                spec = ScenarioSpec(
+                    algorithm="bv", noise="light", backend=backend,
+                    mode=mode, machine="jakarta", transpile={}, seed=3,
+                )
+                salted = "frame" in spec.canonical_dict()
+                assert salted == (backend == "machine-emulator"), backend
 
     def test_only_density_matrix_kind_pins_moved_with_the_fold(self):
         """Against ``PRE_FOLD``: the default specs on the density matrix
-        (the machine's among them) moved, every other pin held."""
+        (the machine's among them) moved, every other pin held (the
+        emulator's until its later ``frame`` salt)."""
         moved = set()
         for name, key in (("mini_suite", "mini"), ("paper_suite", "paper")):
             for spec in load_suite(name):
@@ -263,7 +322,9 @@ class TestPinnedExampleSuiteHashes:
                     assert spec.spec_hash() != pin, spec.scenario_id
                     moved.add(spec.scenario_id)
                 else:
-                    assert spec.spec_hash() == pin, spec.scenario_id
+                    assert hash_without(spec, "frame") == pin, (
+                        spec.scenario_id
+                    )
         assert "fig7-qft6" in moved and "bv3-ideal" not in moved
         assert MINI_SUITE_HASH != PRE_FOLD["mini_suite"]
         assert PAPER_SUITE_HASH != PRE_FOLD["paper_suite"]
@@ -285,14 +346,16 @@ class TestSeedingRuleSalt:
                     assert spec.spec_hash() == pins[spec.scenario_id]
                     checked.add(spec.scenario_id)
         assert len(checked) == len(pins) - 1
-        # The emulator keeps its own stream, so its sampled spec keeps
-        # its hash.
+        # The emulator keeps its own stream, so its sampled spec takes no
+        # seeding salt: only the later frame salt moved its hash.
         machine = {
             s.scenario_id: s for s in load_suite("paper_suite")
         }["fig11-bv4-machine"]
         assert machine.shots is not None
         assert machine.backend == "machine-emulator"
-        assert machine.spec_hash() == "1b16b2a4b7480b5f"
+        assert "seeding" not in machine.canonical_dict()
+        assert machine.spec_hash() == "101b49b7e14350a2"
+        assert hash_without(machine, "frame") == "1b16b2a4b7480b5f"
 
     def test_sampled_spec_hash_moved(self):
         suite = load_suite("mini_suite", bit_identical=True)

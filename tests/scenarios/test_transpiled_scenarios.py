@@ -1,5 +1,6 @@
 """Transpile blocks in scenario specs, the factory path, and suite resume."""
 
+import dataclasses
 import json
 import os
 
@@ -27,6 +28,8 @@ from repro.scenarios import (
 from repro.scenarios.factory import FactoryCache, _scenario_noise_model
 from repro.transpiler import transpile
 from tests.oracle import oracle_qvfs
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -181,16 +184,15 @@ class TestFactoryTranspilation:
         for wire_a, wire_b in transpiled.layout.couples:
             assert model.channel_for("cx", (wire_a, wire_b)) is not None
 
-    def test_only_the_emulator_skips_compaction(self):
-        """The machine runs the routed circuit on its used wires, as the
-        density matrix does; the emulator keeps device indices."""
+    def test_every_backend_compacts(self):
+        """The machine and the emulator run the routed circuit on its
+        used wires, as the density matrix does, and share its transpiled
+        artefact."""
         cache = FactoryCache()
-        machine = make_transpiled(_spec(backend="machine"), cache)
-        assert machine is make_transpiled(_spec(noise="calibrated"), cache)
-        assert machine.circuit.num_qubits == 3
-        emulator = make_transpiled(_spec(backend="machine-emulator"), cache)
-        assert emulator.circuit.num_qubits == 7  # full jakarta
-        assert emulator.layout.wire_to_physical == tuple(range(7))
+        twin = make_transpiled(_spec(noise="calibrated"), cache)
+        assert twin.circuit.num_qubits == 3
+        for backend in ("machine", "machine-emulator"):
+            assert make_transpiled(_spec(backend=backend), cache) is twin
 
     def test_standalone_equals_suite_member(self):
         spec = _spec(label="solo")
@@ -232,20 +234,42 @@ class TestMachineIsTheDensityMatrix:
         transpiled = make_transpiled(machine, cache)
         used = set(transpiled.circuit.qubits_used())
         assert couples and all({a, b} <= used for a, b in couples)
+        assert 2 not in transpiled.layout.wire_to_physical
+        # The emulator sweeps the same couples on the same wires.
+        emulator = ScenarioSpec(backend="machine-emulator", **fields)
+        assert make_couples(emulator, cache) == couples
         assert len(plan_scenario(machine, cache).tasks) == (
             len(plan_scenario(twin, cache).tasks)
-        ) == 324
-        # The emulator keeps the device frame, idle couples included.
-        physical = transpiled.layout.wire_to_physical
-        on_device = {
-            tuple(sorted((physical[a], physical[b]))) for a, b in couples
+        ) == len(plan_scenario(emulator, cache).tasks) == 324
+
+    def test_fig11_pair_keys_device_qubits_by_the_same_wires(self):
+        """Fig. 11's simulation and emulator, at 90 degrees, report their
+        per-qubit QVF under the same wires, each on the same device
+        qubit (the emulator used to key device qubits 0, 1, 3 as wires
+        0, 1, 3 where the simulation keys them 0, 1, 2)."""
+        paper = {
+            spec.scenario_id: spec
+            for spec in SuiteSpec.from_json(
+                os.path.join(EXAMPLES, "paper_suite.json")
+            )
         }
-        device = make_couples(
-            ScenarioSpec(backend="machine-emulator", **fields), cache
-        )
-        extra = set(device) - on_device
-        assert (1, 2) in extra and 2 not in physical
-        assert all(not {a, b} <= set(physical) for a, b in extra)
+        frames = []
+        for label in ("fig11-bv4-simulation", "fig11-bv4-machine"):
+            spec = dataclasses.replace(paper[label], grid_step_deg=90.0)
+            result = run_scenario(spec)
+            table = result.table
+            wire_to_physical = set(
+                zip(
+                    table.column("qubit").tolist(),
+                    table.column("physical_qubit").tolist(),
+                )
+            )
+            assert set(result.per_qubit_qvf()) == {
+                wire for wire, _ in wire_to_physical
+            }
+            frames.append(wire_to_physical)
+        assert frames[0] == frames[1]
+        assert {physical for _, physical in frames[0]} == {0, 1, 3}
 
     def test_mitigated_machine_is_the_mitigated_density_matrix(self):
         fields = dict(
